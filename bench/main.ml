@@ -11,6 +11,7 @@
 module Ir = Extr_ir.Types
 module B = Extr_ir.Builder
 module Prog = Extr_ir.Prog
+module Pp = Extr_ir.Pp
 module Api = Extr_semantics.Api
 module Apk = Extr_apk.Apk
 module Http = Extr_httpmodel.Http
@@ -38,6 +39,7 @@ module Metrics = Extr_telemetry.Metrics
 module Profile = Extr_telemetry.Profile
 module Provenance = Extr_provenance.Provenance
 module Retry = Extr_resilience.Retry
+module Store = Extr_store.Store
 module Budget = Extr_resilience.Resilience.Budget
 
 let fmt = Fmt.stdout
@@ -491,7 +493,6 @@ let write_phase_timings path =
     let runs = 5 in
     let gen_entries = Corpus.generated ~seed:3 ~count:100 in
     let module Journal = Extr_resilience.Journal in
-    let module Store = Extr_store.Store in
     let time_once tag ~integrity ~heartbeat =
       let dir = Filename.temp_file "bench_watchdog" "" in
       Sys.remove dir;
@@ -916,6 +917,9 @@ let run_micro () =
     Option.get (Corpus.find (Corpus.case_studies ()) "radio reddit")
   in
   let rr_apk = Lazy.force rr_entry.Corpus.c_apk in
+  let gen_apk =
+    Lazy.force (List.hd (Corpus.generated ~seed:1 ~count:1)).Corpus.c_apk
+  in
   let regex =
     Regex.of_pattern "http://www\\.reddit\\.com/search/\\.json\\?q=(.*)&sort=(.*)"
   in
@@ -962,6 +966,14 @@ let run_micro () =
       Test.make ~name:"callgraph:callsite-at"
         (Staged.stage (fun () ->
              ignore (Callgraph.callsite_at diode_cg diode_last_sid)));
+      (* The per-app cost a warm corpus run pays before its cache hit:
+         the result-cache key (header plus printed program, digested)
+         and the Limple printer alone on the Diode-scale program. *)
+      Test.make ~name:"store:key"
+        (Staged.stage (fun () -> ignore (Store.key ~config:"bench" gen_apk)));
+      Test.make ~name:"ir:print"
+        (Staged.stage (fun () ->
+             ignore (Pp.program_to_string diode_apk.Apk.program)));
       (* §5.1 signature validity: regex matching over traces. *)
       Test.make ~name:"regex:uri-match"
         (Staged.stage (fun () ->

@@ -438,14 +438,18 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
       Hashtbl.replace last_by_name name i)
     entries;
   (* Shipped spans, bucketed by worker pid: one trace lane per worker
-     process.  Batches arrive in completion order; the exporter re-sorts
-     each lane by begin time. *)
-  let worker_spans : (int, Span.span list ref) Hashtbl.t = Hashtbl.create 8 in
+     process.  Batches arrive in completion order and are kept as a
+     newest-first list of chunks, flattened once at the end (appending
+     each batch would re-copy the whole lane per task); the exporter
+     re-sorts each lane by begin time. *)
+  let worker_spans : (int, Span.span list list ref) Hashtbl.t =
+    Hashtbl.create 8
+  in
   let add_spans pid spans =
     if spans <> [] then
       match Hashtbl.find_opt worker_spans pid with
-      | Some l -> l := !l @ spans
-      | None -> Hashtbl.replace worker_spans pid (ref spans)
+      | Some l -> l := spans :: !l
+      | None -> Hashtbl.replace worker_spans pid (ref [ spans ])
   in
   (* Everything the worker's telemetry recorded since its last shipment,
      cleared so the next shipment is again a pure delta.  Runs in the
@@ -569,7 +573,9 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
         ()
   in
   let lanes =
-    Hashtbl.fold (fun pid l acc -> (pid, !l) :: acc) worker_spans []
+    Hashtbl.fold
+      (fun pid l acc -> (pid, List.concat (List.rev !l)) :: acc)
+      worker_spans []
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
   in
   (List.rev !acc, outcome = Pool.Interrupted, lanes)

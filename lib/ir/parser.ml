@@ -52,9 +52,13 @@ let lex (src : string) : token list =
       skip ()
     end
     else if c = '"' then begin
-      (* String literal with OCaml-style escapes as produced by %S. *)
+      (* String literal with OCaml-style escapes as produced by %S, which
+         writes every byte outside 32-126 as a decimal [\ddd]. *)
       let buf = Buffer.create 16 in
       incr i;
+      let is_digit k =
+        !i + k < n && src.[!i + k] >= '0' && src.[!i + k] <= '9'
+      in
       let rec scan () =
         if !i >= n then fail "unterminated string literal"
         else
@@ -62,14 +66,19 @@ let lex (src : string) : token list =
           | '"' -> incr i
           | '\\' ->
               (if !i + 1 >= n then fail "unterminated escape"
+               else if is_digit 1 && is_digit 2 && is_digit 3 then begin
+                 let code = int_of_string (String.sub src (!i + 1) 3) in
+                 if code > 255 then fail "escape \\%03d out of range" code;
+                 Buffer.add_char buf (Char.chr code);
+                 i := !i + 4
+               end
                else begin
                  (match src.[!i + 1] with
                  | 'n' -> Buffer.add_char buf '\n'
                  | 't' -> Buffer.add_char buf '\t'
                  | 'r' -> Buffer.add_char buf '\r'
-                 | '\\' -> Buffer.add_char buf '\\'
-                 | '"' -> Buffer.add_char buf '"'
-                 | ch -> Buffer.add_char buf ch);
+                 | 'b' -> Buffer.add_char buf '\b'
+                 | ch -> Buffer.add_char buf ch (* a quote, a backslash *));
                  i := !i + 2
                end);
               scan ()

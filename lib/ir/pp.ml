@@ -1,29 +1,52 @@
 (* Textual Limple printer.  The output is accepted by {!Parser}, so programs
    round-trip between in-memory and textual forms.  Method bodies declare
    every local with its type up front so the parser can reconstruct typed
-   variables without inference. *)
+   variables without inference.
+
+   Every construct is emitted straight into a [Buffer.t].  The text is
+   also what the result cache's key digests, once per app of every corpus
+   run, so it must be cheap to produce and must never change: a moved
+   byte moves every cache key. *)
 
 open Types
 
-let rec pp_ty fmt = function
-  | Void -> Fmt.string fmt "void"
-  | Int -> Fmt.string fmt "int"
-  | Bool -> Fmt.string fmt "bool"
-  | Str -> Fmt.string fmt "str"
-  | Obj c -> Fmt.string fmt c
-  | Arr t -> Fmt.pf fmt "%a[]" pp_ty t
+let str = Buffer.add_string
+let chr = Buffer.add_char
 
-let ty_to_string t = Fmt.str "%a" pp_ty t
+let rec add_ty b = function
+  | Void -> str b "void"
+  | Int -> str b "int"
+  | Bool -> str b "bool"
+  | Str -> str b "str"
+  | Obj c -> str b c
+  | Arr t ->
+      add_ty b t;
+      str b "[]"
 
-let pp_const fmt = function
-  | Cint n -> Fmt.int fmt n
-  | Cbool b -> Fmt.bool fmt b
-  | Cstr s -> Fmt.pf fmt "%S" s
-  | Cnull -> Fmt.string fmt "null"
+(* A string constant is an OCaml string literal: [String.escaped] between
+   double quotes, exactly what [Printf.sprintf "%S"] produces. *)
+let add_const b = function
+  | Cint n -> str b (Int.to_string n)
+  | Cbool v -> str b (Bool.to_string v)
+  | Cstr s ->
+      chr b '"';
+      str b (String.escaped s);
+      chr b '"'
+  | Cnull -> str b "null"
 
-let pp_value fmt = function
-  | Const c -> pp_const fmt c
-  | Local v -> Fmt.string fmt v.vname
+let add_value b = function
+  | Const c -> add_const b c
+  | Local v -> str b v.vname
+
+let add_list b add_item = function
+  | [] -> ()
+  | x :: xs ->
+      add_item b x;
+      List.iter
+        (fun x ->
+          str b ", ";
+          add_item b x)
+        xs
 
 let binop_symbol = function
   | Add -> "+"
@@ -39,55 +62,110 @@ let binop_symbol = function
   | And -> "&&"
   | Or -> "||"
 
-let pp_field_ref fmt (f : field_ref) =
-  Fmt.pf fmt "<%s:%s:%a>" f.fcls f.fname pp_ty f.fty
+(* [<cls:fname:ty>], the form {!Parser} reads back. *)
+let add_field_ref b (f : field_ref) =
+  chr b '<';
+  str b f.fcls;
+  chr b ':';
+  str b f.fname;
+  chr b ':';
+  add_ty b f.fty;
+  chr b '>'
 
-let pp_invoke fmt { ikind; iref; ibase; iargs } =
-  let kind =
-    match ikind with
-    | Virtual -> "virtual"
-    | Special -> "special"
-    | Static -> "static"
-  in
-  let pp_args = Fmt.list ~sep:(Fmt.any ", ") pp_value in
-  match ibase with
-  | Some b ->
-      Fmt.pf fmt "%s %s.<%s.%s:%a>(%a)" kind b.vname iref.mcls iref.mname
-        pp_ty iref.mret pp_args iargs
-  | None ->
-      Fmt.pf fmt "%s <%s.%s:%a>(%a)" kind iref.mcls iref.mname pp_ty iref.mret
-        pp_args iargs
+(* [virtual base.<cls.m:ret>(args)], or [static <cls.m:ret>(args)]. *)
+let add_invoke b { ikind; iref; ibase; iargs } =
+  str b
+    (match ikind with
+    | Virtual -> "virtual "
+    | Special -> "special "
+    | Static -> "static ");
+  (match ibase with
+  | Some v ->
+      str b v.vname;
+      chr b '.'
+  | None -> ());
+  chr b '<';
+  str b iref.mcls;
+  chr b '.';
+  str b iref.mname;
+  chr b ':';
+  add_ty b iref.mret;
+  str b ">(";
+  add_list b add_value iargs;
+  chr b ')'
 
-let pp_expr fmt = function
-  | Val v -> pp_value fmt v
-  | Binop (op, a, b) ->
-      Fmt.pf fmt "%a %s %a" pp_value a (binop_symbol op) pp_value b
-  | New c -> Fmt.pf fmt "new %s" c
-  | NewArr (t, n) -> Fmt.pf fmt "newarray %a[%a]" pp_ty t pp_value n
-  | IField (x, f) -> Fmt.pf fmt "%s.%a" x.vname pp_field_ref f
-  | SField f -> pp_field_ref fmt f
-  | AElem (a, i) -> Fmt.pf fmt "%s[%a]" a.vname pp_value i
-  | ALen a -> Fmt.pf fmt "lengthof %s" a.vname
-  | Invoke i -> pp_invoke fmt i
-  | Cast (t, v) -> Fmt.pf fmt "(%a) %a" pp_ty t pp_value v
+let add_elem b (a : var) i =
+  str b a.vname;
+  chr b '[';
+  add_value b i;
+  chr b ']'
 
-let pp_lhs fmt = function
-  | Lvar v -> Fmt.string fmt v.vname
-  | Lfield (x, f) -> Fmt.pf fmt "%s.%a" x.vname pp_field_ref f
-  | Lsfield f -> pp_field_ref fmt f
-  | Lelem (a, i) -> Fmt.pf fmt "%s[%a]" a.vname pp_value i
+let add_ifield b (x : var) f =
+  str b x.vname;
+  chr b '.';
+  add_field_ref b f
 
-let pp_stmt fmt = function
-  | Assign (l, e) -> Fmt.pf fmt "%a = %a" pp_lhs l pp_expr e
-  | InvokeStmt i -> pp_invoke fmt i
-  | If (v, l) -> Fmt.pf fmt "if %a goto %s" pp_value v l
-  | Goto l -> Fmt.pf fmt "goto %s" l
-  | Lab l -> Fmt.pf fmt "label %s" l
-  | Return None -> Fmt.string fmt "return"
-  | Return (Some v) -> Fmt.pf fmt "return %a" pp_value v
-  | Nop -> Fmt.string fmt "nop"
+let add_expr b = function
+  | Val v -> add_value b v
+  | Binop (op, x, y) ->
+      add_value b x;
+      chr b ' ';
+      str b (binop_symbol op);
+      chr b ' ';
+      add_value b y
+  | New c ->
+      str b "new ";
+      str b c
+  | NewArr (t, n) ->
+      str b "newarray ";
+      add_ty b t;
+      chr b '[';
+      add_value b n;
+      chr b ']'
+  | IField (x, f) -> add_ifield b x f
+  | SField f -> add_field_ref b f
+  | AElem (a, i) -> add_elem b a i
+  | ALen a ->
+      str b "lengthof ";
+      str b a.vname
+  | Invoke i -> add_invoke b i
+  | Cast (t, v) ->
+      chr b '(';
+      add_ty b t;
+      str b ") ";
+      add_value b v
 
-(** Locals referenced by a body, excluding parameters and [this]. *)
+let add_lhs b = function
+  | Lvar v -> str b v.vname
+  | Lfield (x, f) -> add_ifield b x f
+  | Lsfield f -> add_field_ref b f
+  | Lelem (a, i) -> add_elem b a i
+
+let add_stmt b = function
+  | Assign (l, e) ->
+      add_lhs b l;
+      str b " = ";
+      add_expr b e
+  | InvokeStmt i -> add_invoke b i
+  | If (v, l) ->
+      str b "if ";
+      add_value b v;
+      str b " goto ";
+      str b l
+  | Goto l ->
+      str b "goto ";
+      str b l
+  | Lab l ->
+      str b "label ";
+      str b l
+  | Return None -> str b "return"
+  | Return (Some v) ->
+      str b "return ";
+      add_value b v
+  | Nop -> str b "nop"
+
+(* Locals referenced by a body, excluding parameters and [this], in
+   first-occurrence order; these become the method's [local] preamble. *)
 let body_locals (m : meth) =
   let seen = Hashtbl.create 16 in
   List.iter (fun v -> Hashtbl.replace seen v.vname ()) m.m_params;
@@ -106,37 +184,69 @@ let body_locals (m : meth) =
     m.m_body;
   List.rev !acc
 
-let pp_meth fmt (m : meth) =
-  let pp_param fmt v = Fmt.pf fmt "%a %s" pp_ty v.vty v.vname in
-  Fmt.pf fmt "  %s%a %s(%a) {@\n"
-    (if m.m_static then "static " else "")
-    pp_ty m.m_ret m.m_name
-    (Fmt.list ~sep:(Fmt.any ", ") pp_param)
-    m.m_params;
+(* [ty name], as a parameter or a declaration. *)
+let add_typed b (v : var) =
+  add_ty b v.vty;
+  chr b ' ';
+  str b v.vname
+
+let add_meth b (m : meth) =
+  str b (if m.m_static then "  static " else "  ");
+  add_ty b m.m_ret;
+  chr b ' ';
+  str b m.m_name;
+  chr b '(';
+  add_list b add_typed m.m_params;
+  str b ") {\n";
   List.iter
-    (fun v -> Fmt.pf fmt "    local %a %s;@\n" pp_ty v.vty v.vname)
+    (fun v ->
+      str b "    local ";
+      add_typed b v;
+      str b ";\n")
     (body_locals m);
-  Array.iter (fun s -> Fmt.pf fmt "    %a;@\n" pp_stmt s) m.m_body;
-  Fmt.pf fmt "  }@\n"
+  Array.iter
+    (fun s ->
+      str b "    ";
+      add_stmt b s;
+      str b ";\n")
+    m.m_body;
+  str b "  }\n"
 
-let pp_field_decl fmt (f : field) =
-  Fmt.pf fmt "  %sfield %a %s;@\n"
-    (if f.f_static then "static " else "")
-    pp_ty f.f_ty f.f_name
+let add_field_decl b (f : field) =
+  str b (if f.f_static then "  static field " else "  field ");
+  add_ty b f.f_ty;
+  chr b ' ';
+  str b f.f_name;
+  str b ";\n"
 
-let pp_cls fmt (c : cls) =
-  Fmt.pf fmt "%sclass %s%a {@\n"
-    (if c.c_library then "library " else "")
-    c.c_name
-    Fmt.(option (any " extends " ++ string))
+let add_cls b (c : cls) =
+  str b (if c.c_library then "library class " else "class ");
+  str b c.c_name;
+  Option.iter
+    (fun s ->
+      str b " extends ";
+      str b s)
     c.c_super;
-  List.iter (pp_field_decl fmt) c.c_fields;
-  List.iter (pp_meth fmt) c.c_methods;
-  Fmt.pf fmt "}@\n"
+  str b " {\n";
+  List.iter (add_field_decl b) c.c_fields;
+  List.iter (add_meth b) c.c_methods;
+  str b "}\n"
 
-let pp_program fmt (p : program) =
-  List.iter (fun e -> Fmt.pf fmt "entry %s.%s;@\n" e.mcls e.mname) p.p_entries;
-  List.iter (pp_cls fmt) p.p_classes
+let add_program b (p : program) =
+  List.iter
+    (fun (e : method_ref) ->
+      str b "entry ";
+      str b e.mcls;
+      chr b '.';
+      str b e.mname;
+      str b ";\n")
+    p.p_entries;
+  List.iter (add_cls b) p.p_classes
 
-let program_to_string p = Fmt.str "%a" pp_program p
-let stmt_to_string s = Fmt.str "%a" pp_stmt s
+let to_string size add x =
+  let b = Buffer.create size in
+  add b x;
+  Buffer.contents b
+
+let program_to_string p = to_string 65536 add_program p
+let stmt_to_string s = to_string 64 add_stmt s

@@ -3,37 +3,15 @@
     The output is accepted by {!Parser}, so programs round-trip between
     in-memory and textual forms.  Method bodies declare every local with
     its type up front so the parser can reconstruct typed variables
-    without inference. *)
+    without inference.  String constants print as OCaml string literals
+    ([Printf.sprintf "%S"]).  The program text is what the result cache's
+    key digests, so its bytes are pinned: a change to them orphans every
+    result cache on disk. *)
 
 open Types
 
-val pp_ty : Format.formatter -> ty -> unit
-val ty_to_string : ty -> string
-val pp_const : Format.formatter -> const -> unit
-val pp_value : Format.formatter -> value -> unit
-
-val binop_symbol : binop -> string
-(** Surface syntax of a binary operator ([Add] is ["+"], …). *)
-
-val pp_field_ref : Format.formatter -> field_ref -> unit
-(** [<cls:fname:ty>] — the form {!Parser} reads back. *)
-
-val pp_invoke : Format.formatter -> invoke -> unit
-(** [virtual base.<cls.m:ret>(args)] (or [static <cls.m:ret>(args)]). *)
-
-val pp_expr : Format.formatter -> expr -> unit
-val pp_lhs : Format.formatter -> lhs -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-
-val body_locals : meth -> var list
-(** Locals referenced by a body, excluding parameters and [this], in
-    first-occurrence order; these become the method's [local] preamble. *)
-
-val pp_meth : Format.formatter -> meth -> unit
-val pp_cls : Format.formatter -> cls -> unit
-
-val pp_program : Format.formatter -> program -> unit
-(** Entry declarations first, then every class. *)
+val add_program : Buffer.t -> program -> unit
+(** Append a program's text: entry declarations first, then every class. *)
 
 val program_to_string : program -> string
 val stmt_to_string : stmt -> string

@@ -27,18 +27,71 @@ let analysis_version = 1
 
 type key = string
 
+(* The digested text is a header, one field per line, then the program
+   as {!Pp} prints it:
+
+     version=<n>
+     config=<config>
+     manifest=<package>|<label>|<activity>,<activity>,...
+     res=<id>:<string>          (one line per resource)
+
+   Header fields are percent-encoded ("%0A") wherever they contain '%',
+   a newline or one of their own separators, so two different headers
+   never print alike.  No corpus field contains '%' or a newline, and
+   the only ',' is in a label, where it is no separator: the encoding
+   left every existing key where it was.  An empty activity name prints
+   as a lone '%', which no encoded name can be, so [""] and [] differ. *)
+let add_escaped buf ~seps s =
+  let special c = c = '%' || c = '\n' || String.contains seps c in
+  if not (String.exists special s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        if special c then begin
+          let hex = "0123456789ABCDEF" in
+          Buffer.add_char buf '%';
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]
+        end
+        else Buffer.add_char buf c)
+      s
+
+(* One buffer, reused by every call: a fresh one per app would be a
+   large allocation (programs print to tens of kilobytes) made once per
+   app of every corpus run, cache hit or not. *)
+let key_buf = Buffer.create 65536
+
 let key ?(version = analysis_version) ~config (apk : Apk.t) : key =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "version=%d\n" version);
-  Buffer.add_string buf (Printf.sprintf "config=%s\n" config);
+  let buf = key_buf in
+  Buffer.clear buf;
+  let line name add =
+    Buffer.add_string buf name;
+    Buffer.add_char buf '=';
+    add ();
+    Buffer.add_char buf '\n'
+  in
+  line "version" (fun () -> Buffer.add_string buf (Int.to_string version));
+  line "config" (fun () -> add_escaped buf ~seps:"" config);
   let mf = apk.Apk.manifest in
-  Buffer.add_string buf
-    (Printf.sprintf "manifest=%s|%s|%s\n" mf.Apk.mf_package mf.Apk.mf_label
-       (String.concat "," mf.Apk.mf_activities));
+  line "manifest" (fun () ->
+      add_escaped buf ~seps:"|" mf.Apk.mf_package;
+      Buffer.add_char buf '|';
+      add_escaped buf ~seps:"|" mf.Apk.mf_label;
+      Buffer.add_char buf '|';
+      List.iteri
+        (fun i a ->
+          if i > 0 then Buffer.add_char buf ',';
+          if a = "" then Buffer.add_char buf '%'
+          else add_escaped buf ~seps:"|," a)
+        mf.Apk.mf_activities);
   List.iter
-    (fun (id, s) -> Buffer.add_string buf (Printf.sprintf "res=%d:%s\n" id s))
+    (fun (id, s) ->
+      line "res" (fun () ->
+          Buffer.add_string buf (Int.to_string id);
+          Buffer.add_char buf ':';
+          add_escaped buf ~seps:"" s))
     apk.Apk.resources;
-  Buffer.add_string buf (Pp.program_to_string apk.Apk.program);
+  Pp.add_program buf apk.Apk.program;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let key_to_string k = k

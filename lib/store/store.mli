@@ -26,7 +26,9 @@ val key : ?version:int -> config:string -> Apk.t -> key
 (** Digest of the app content (textual Limple program, manifest,
     resource table), the [config] fingerprint (see
     {!Extr_extractocol.Pipeline.options_fingerprint}) and the analysis
-    [version] (default {!analysis_version}). *)
+    [version] (default {!analysis_version}).  The program text is
+    {!Extr_ir.Pp.add_program}'s output after a header whose fields are
+    escaped so that no field can forge another's separator. *)
 
 val key_to_string : key -> string
 val key_of_string : string -> key option

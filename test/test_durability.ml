@@ -357,6 +357,64 @@ let test_key_sensitivity () =
   check Alcotest.bool "program moves the key" false
     (Store.key ~config:"c" apk1 = Store.key ~config:"c" apk2)
 
+(* Golden keys.  Every cache entry on disk is addressed by one of these
+   digests, so a change to the program printer or the key header that
+   moves a key silently orphans every cache; it must fail here instead. *)
+let golden_key (e : Corpus.entry) =
+  Store.key_to_string (Store.key ~config:"c" (Lazy.force e.Corpus.c_apk))
+
+let md5_hex s = Digest.to_hex (Digest.string s)
+
+let test_key_golden () =
+  let table1 = Corpus.table1 () in
+  let gen = Corpus.generated ~seed:1 ~count:200 in
+  check Alcotest.string "Diode" "ca97bde22abcd0f8926af27bed2f4b92"
+    (golden_key (List.hd table1));
+  check Alcotest.string "gen0001, seed 1" "878ef252f8dbc71e79dc363895a2254c"
+    (golden_key (List.hd gen));
+  check Alcotest.string "200 generated keys" "1c0eb4a99785f69579ad1513a3f8bedb"
+    (md5_hex (String.concat "\n" (List.map golden_key gen)));
+  check Alcotest.string "Table-1 keys" "a337c07cfa287cd9873ea381095e46fd"
+    (md5_hex (String.concat "\n" (List.map golden_key table1)));
+  check Alcotest.string "printed programs" "1bce396da341c8fbf0f68add0c1b021f"
+    (md5_hex
+       (String.concat ""
+          (List.map
+             (fun (e : Corpus.entry) ->
+               Extr_ir.Pp.program_to_string (Lazy.force e.Corpus.c_apk).program)
+             (Corpus.case_studies () @ table1))))
+
+(* Header fields are escaped, so a field cannot forge a separator: a
+   resource smuggling a newline and a second "res=" line, a '|' moved
+   between manifest fields, a ',' inside one activity name and an empty
+   activity name all yield different keys from the APK they imitate. *)
+let test_key_header_escaped () =
+  let base = corpus_apk 0 in
+  let res r = { base with Extr_apk.Apk.resources = r } in
+  let mf package label activities =
+    {
+      base with
+      Extr_apk.Apk.manifest =
+        {
+          Extr_apk.Apk.mf_package = package;
+          mf_label = label;
+          mf_activities = activities;
+        };
+    }
+  in
+  let differ name a b =
+    check Alcotest.bool name false
+      (Store.key ~config:"c" a = Store.key ~config:"c" b)
+  in
+  differ "newline in a resource"
+    (res [ (1, "x\nres=2:y") ])
+    (res [ (1, "x"); (2, "y") ]);
+  differ "'|' in the package" (mf "a|b" "c" []) (mf "a" "b|c" []);
+  differ "'|' in the label" (mf "a" "b|c" [ "d" ]) (mf "a" "b" [ "c|d" ]);
+  differ "',' in an activity" (mf "a" "b" [ "x,y" ]) (mf "a" "b" [ "x"; "y" ]);
+  differ "empty activity" (mf "a" "b" [ "" ]) (mf "a" "b" []);
+  differ "'%' in the label" (mf "a" "b%7C" []) (mf "a" "b|" [])
+
 let test_key_of_string () =
   let k = Store.key ~config:"c" (corpus_apk 0) in
   (match Store.key_of_string (Store.key_to_string k) with
@@ -802,6 +860,8 @@ let () =
       ( "store",
         [
           tc "key sensitivity" test_key_sensitivity;
+          tc "golden keys" test_key_golden;
+          tc "header fields escaped" test_key_header_escaped;
           tc "key validation" test_key_of_string;
           tc "integrity seal round-trips" test_store_seal_round_trip;
           tc "corrupt entry degrades to a miss and heals"

@@ -132,6 +132,10 @@ let test_roundtrip_constructs () =
     B.mk_meth ~cls ~name:"all" ~params:[ B.local "p" Ir.Str ] ~ret:Ir.Str
       (fun b ->
         let o = B.new_obj b Api.string_builder [ B.vstr "x\"y\n" ] in
+        (* Bytes outside 32-126 print as [\ddd] or [\b]; each must parse
+           back as the byte, not as its digits or letter. *)
+        ignore
+          (B.define b Ir.Str (Ir.Val (B.vstr "caf\195\169 back\bspace \000\255")));
         let n = B.define b Ir.Int (Ir.Val (B.vint (-3))) in
         let arr = B.define b (Ir.Arr Ir.Int) (Ir.NewArr (Ir.Int, B.vl n)) in
         B.emit b (Ir.Assign (Ir.Lelem (arr, B.vint 0), Ir.Val (B.vint 7)));

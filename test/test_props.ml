@@ -234,6 +234,43 @@ let prop_pp_parse_roundtrip =
       let p' = Parser.parse_program text in
       Pp.program_to_string p' = text)
 
+(* String constants print as OCaml literals, which is [Printf.sprintf "%S"]
+   (bytes outside 32-126 as decimal [\ddd]), and the parser decodes every
+   escape that emits: any byte string survives print then parse. *)
+let prop_string_literal_roundtrip =
+  QCheck.Test.make ~count:500
+    ~name:"string constants print as %S and parse back" QCheck.string
+    (fun s ->
+      let x = { Ir.vname = "x"; vty = Ir.Str } in
+      let stmt = Ir.Assign (Ir.Lvar x, Ir.Val (Ir.Const (Ir.Cstr s))) in
+      let m =
+        {
+          Ir.m_cls = "C";
+          m_name = "m";
+          m_params = [];
+          m_ret = Ir.Void;
+          m_static = true;
+          m_body = [| stmt |];
+        }
+      in
+      let c =
+        {
+          Ir.c_name = "C";
+          c_super = None;
+          c_fields = [];
+          c_methods = [ m ];
+          c_library = false;
+        }
+      in
+      let text = Pp.program_to_string { Ir.p_classes = [ c ]; p_entries = [] } in
+      Pp.stmt_to_string stmt = "x = " ^ Printf.sprintf "%S" s
+      &&
+      match (Parser.parse_program text).Ir.p_classes with
+      | [ { Ir.c_methods = [ { Ir.m_body = [| Ir.Assign (_, e) |]; _ } ]; _ } ]
+        ->
+          e = Ir.Val (Ir.Const (Ir.Cstr s))
+      | _ -> false)
+
 let prop_generated_validates =
   QCheck.Test.make ~count:60 ~name:"generated programs pass validation"
     arbitrary_spec
@@ -554,6 +591,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_pp_parse_roundtrip;
+            prop_string_literal_roundtrip;
             prop_generated_validates;
             prop_obfuscation_preserves_validity;
             prop_deobfuscation_roundtrip;
