@@ -38,9 +38,7 @@ module Span = Extr_telemetry.Span
 module Metrics = Extr_telemetry.Metrics
 module Profile = Extr_telemetry.Profile
 module Provenance = Extr_provenance.Provenance
-module Retry = Extr_resilience.Retry
 module Store = Extr_store.Store
-module Budget = Extr_resilience.Resilience.Budget
 
 let fmt = Fmt.stdout
 
@@ -305,88 +303,9 @@ let measure_phase_timings () =
   Extr_telemetry.Metrics.set_enabled metrics metrics_were;
   (apps, phase_percentiles)
 
-(* Demand-driven slicing (ROADMAP item 1): callgraph + slicing wall-clock
-   per case-study app, whole-program eager construction vs the
-   demand-driven method index.  Warm min-of-3 through the phase spans —
-   the same measurement the per-app rows use — so the two modes differ
-   only in [op_eager_callgraph]. *)
-let measure_demand () =
-  let tracer = Span.default in
-  let entries = Corpus.case_studies () in
-  let rows =
-    List.map
-      (fun (e : Corpus.entry) ->
-        let name = e.Corpus.c_app.Spec.a_name in
-        let apk = Lazy.force e.Corpus.c_apk in
-        let base =
-          match name with
-          | "Kayak (case study)" ->
-              { Pipeline.default_options with Pipeline.op_scope = Some "com.kayak" }
-          | _ -> Pipeline.default_options
-        in
-        let measure eager =
-          let options = { base with Pipeline.op_eager_callgraph = eager } in
-          ignore (Pipeline.analyze ~options apk);
-          let best = ref infinity in
-          let last = ref None in
-          for _ = 1 to 3 do
-            let was = Span.is_enabled tracer in
-            Span.reset tracer;
-            Span.set_enabled tracer true;
-            let an = Pipeline.analyze ~options apk in
-            Span.set_enabled tracer was;
-            last := Some an;
-            let span_s sname =
-              match Span.find tracer sname with
-              | Some sp -> Span.duration_s sp
-              | None -> 0.
-            in
-            best :=
-              min !best
-                (span_s "pipeline.callgraph" +. span_s "pipeline.slicing")
-          done;
-          (!best, Option.get !last)
-        in
-        let eager_s, _ = measure true in
-        let demand_s, demand_an = measure false in
-        let speedup = if demand_s > 0. then eager_s /. demand_s else 0. in
-        (* The acceptance measurement: how much of the program demand
-           mode never resolved (the per-app form of the
-           slicer.skipped_method_ratio gauge). *)
-        let total =
-          List.length (Prog.app_methods demand_an.Pipeline.an_prog)
-        in
-        let skipped_ratio =
-          if total = 0 then 0.
-          else
-            float_of_int
-              (total - Callgraph.resolved_count demand_an.Pipeline.an_cg)
-            /. float_of_int total
-        in
-        Fmt.pf fmt
-          "  %-28s callgraph+slicing: eager %.4fs -> demand %.4fs (%.1fx, \
-           %.0f%% methods skipped)@\n"
-          name eager_s demand_s speedup (100. *. skipped_ratio);
-        Json.Obj
-          [
-            ("app", Json.Str name);
-            ("eager_cg_slicing_s", Json.Float eager_s);
-            ("demand_cg_slicing_s", Json.Float demand_s);
-            ("speedup", Json.Float speedup);
-            ("skipped_method_ratio", Json.Float skipped_ratio);
-          ])
-      entries
-  in
-  Json.List rows
-
-let run_demand () =
-  Fmt.pf fmt "Demand-driven slicing — eager vs method-index callgraph@\n";
-  ignore (measure_demand ());
-  Fmt.pf fmt "@\n"
-
 (* Machine-readable bench output: the per-app per-phase wall-clock rows
-   plus the cache and worker-pool speedup benches, dumped to a JSON file
-   CI can diff across commits (see --baseline). *)
+   plus the cache, shard and watchdog benches, dumped to a JSON file CI
+   can diff across commits (see --baseline). *)
 let write_phase_timings path =
   let entries = Corpus.case_studies () in
   let apps, phase_percentiles = measure_phase_timings () in
@@ -425,61 +344,6 @@ let write_phase_timings path =
           Json.Float (if warm_s > 0. then cold_s /. warm_s else 0.) );
         ("hits", Json.Int hits);
         ("apps", Json.Int (List.length entries));
-      ]
-  in
-  (* Worker-pool speedup: the same corpus through the durable runner at
-     --jobs 1 vs --jobs 4.  The workload is retry-ladder dominated: a
-     starved step budget with escalation disabled makes every app spend
-     its attempts degraded, so the cost is the ladder's backoff sleeps —
-     which the pool's workers serve concurrently.  (A CPU-bound corpus
-     only parallelizes on a multi-core host; backoff overlap measures
-     the pool's concurrency on any machine, including single-core CI.) *)
-  let pool =
-    let jobs = 4 in
-    let options =
-      {
-        Runner.default_options with
-        Runner.ro_pipeline =
-          {
-            Pipeline.default_options with
-            Pipeline.op_limits =
-              {
-                Budget.bl_max_steps = 500;
-                bl_max_depth = 24;
-                bl_deadline_s = None;
-              };
-          };
-        ro_policy =
-          {
-            Retry.default_policy with
-            Retry.rp_backoff_s = 0.2;
-            rp_escalate_steps = 1;
-            rp_escalate_depth = 0;
-            rp_escalate_deadline = 1.0;
-          };
-      }
-    in
-    let time j =
-      let t0 = Unix.gettimeofday () in
-      (match Runner.run { options with Runner.ro_jobs = j } entries with
-      | Ok _ -> ()
-      | Error e -> Fmt.failwith "pool bench: %s" e);
-      Unix.gettimeofday () -. t0
-    in
-    let seq_s = time 1 in
-    let par_s = time jobs in
-    Fmt.pf fmt
-      "  worker pool (backoff-overlap workload): --jobs 1 %.3fs -> --jobs %d %.3fs over %d apps (%.1fx)@\n"
-      seq_s jobs par_s (List.length entries)
-      (if par_s > 0. then seq_s /. par_s else 0.);
-    Json.Obj
-      [
-        ("jobs", Json.Int jobs);
-        ("apps", Json.Int (List.length entries));
-        ("workload", Json.Str "retry-backoff overlap (starved step budget)");
-        ("sequential_s", Json.Float seq_s);
-        ("parallel_s", Json.Float par_s);
-        ("speedup", Json.Float (if par_s > 0. then seq_s /. par_s else 0.));
       ]
   in
   (* Self-healing overhead: the watchdog heartbeats (one Up_beat frame
@@ -656,16 +520,13 @@ let write_phase_timings path =
         ("speedup", Json.Float speedup);
       ]
   in
-  let demand = measure_demand () in
   let doc =
     Json.Obj
       [
         ("bench", Json.Str "pipeline");
         ("apps", Json.List apps);
         ("phase_percentiles", phase_percentiles);
-        ("demand", demand);
         ("cache", cache);
-        ("pool", pool);
         ("shard", shard);
         ("watchdog", watchdog);
       ]
@@ -816,35 +677,6 @@ let run_baseline ~baseline ?(threshold = 1.5) ?(json = "BENCH_compare.json") ()
                 [ "p50_us" ])
         cp
   | _ -> ());
-  (* Demand-driven callgraph+slicing (ROADMAP item 1): the per-app
-     demand-mode wall-clock is re-measured and diffed row by row, so a
-     change that quietly degrades the lazy path back toward the eager
-     cost fails the gate even while total_s hides it in noise. *)
-  let demand = measure_demand () in
-  (match (Json.member "demand" base, demand) with
-  | Some (Json.List bl), Json.List cl ->
-      List.iter
-        (fun cur ->
-          let name =
-            match Json.member "app" cur with Some (Json.Str s) -> s | _ -> "?"
-          in
-          match
-            List.find_opt
-              (fun b -> Json.member "app" b = Some (Json.Str name))
-              bl
-          with
-          | None -> Fmt.pf fmt "  %-28s not in demand baseline (skipped)@\n" name
-          | Some b -> (
-              match
-                ( Option.bind (Json.member "demand_cg_slicing_s" b) num,
-                  Option.bind (Json.member "demand_cg_slicing_s" cur) num )
-              with
-              | Some bb, Some cc ->
-                  check ~scope:("demand." ^ name)
-                    ~metric:"demand_cg_slicing_s" ~floor:floor_s bb cc
-              | _ -> ()))
-        cl
-  | _, _ -> Fmt.pf fmt "  baseline has no demand rows (skipped)@\n");
   let rows = List.rev !rows in
   Fmt.pf fmt "  %-28s %-24s %12s %12s %8s@\n" "scope" "metric" "baseline"
     "current" "ratio";
@@ -860,7 +692,6 @@ let run_baseline ~baseline ?(threshold = 1.5) ?(json = "BENCH_compare.json") ()
         ("bench", Json.Str "pipeline");
         ("apps", Json.List apps);
         ("phase_percentiles", percentiles);
-        ("demand", demand);
         ( "comparison",
           Json.Obj
             [
@@ -930,7 +761,10 @@ let run_micro () =
     let prog =
       Prog.of_program (Pipeline.with_library_classes diode_apk.Apk.program)
     in
-    let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+    let cg =
+      Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+        ~callback_triggers:Callbacks.trigger_names prog
+    in
     let largest =
       match Prog.app_methods prog with
       | [] -> Fmt.failwith "Diode has no app methods"
@@ -958,7 +792,10 @@ let run_micro () =
         (Staged.stage (fun () ->
              let program = Pipeline.with_library_classes diode_apk.Apk.program in
              let prog = Prog.of_program program in
-             let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+             let cg =
+               Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+                 ~callback_triggers:Callbacks.trigger_names prog
+             in
              ignore (Slicer.run prog cg)));
       (* Demand-driven lookups: one statement's call-site records come
          from an O(1) per-method array slot (previously a linear walk of
@@ -1070,7 +907,10 @@ let run_ablate_aug () =
   let apk = Lazy.force e.Corpus.c_apk in
   let program = Pipeline.with_library_classes apk.Apk.program in
   let prog = Prog.of_program program in
-  let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   let sizes options =
     let slices = Slicer.run ~options prog cg in
     List.fold_left
@@ -1231,7 +1071,10 @@ let run_ablate_worklist () =
   let program = Pipeline.with_library_classes apk.Apk.program in
   let apk = { apk with Apk.program } in
   let prog = Prog.of_program program in
-  let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   let slices = Slicer.run prog cg in
   let time options =
     let t0 = Unix.gettimeofday () in
@@ -1312,7 +1155,10 @@ let run_sweep () =
       let program = Pipeline.with_library_classes apk.Apk.program in
       let apk = { apk with Apk.program } in
       let prog = Prog.of_program program in
-      let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+      let cg =
+        Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+          ~callback_triggers:Callbacks.trigger_names prog
+      in
       let slices = Slicer.run prog cg in
       let time naive =
         let options =
@@ -1420,7 +1266,6 @@ let () =
   | [| _; "table6" |] -> run_table6 ()
   | [| _; "fig3" |] -> run_fig3 ()
   | [| _; "fig5" |] -> run_fig5 ()
-  | [| _; "demand" |] -> run_demand ()
   | [| _; "timing" |] -> run_timing ()
   | [| _; "timing"; "--json"; path |] -> run_timing ~json:path ()
   | [| _; "micro" |] -> run_micro ()

@@ -110,7 +110,7 @@ let print_hotspots k =
 
 let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
     trace trace_out metrics_out profile hotspots profile_out explain
-    provenance_out limits eager_cg =
+    provenance_out limits =
   let apk =
     match limple_file with
     | Some path ->
@@ -158,7 +158,6 @@ let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
       op_async_heuristic = async;
       op_intents = intents;
       op_limits = limits;
-      op_eager_callgraph = eager_cg;
     }
   in
   let profiling_on = hotspots <> None || profile_out <> None in
@@ -307,7 +306,7 @@ let corpus_of_flags gen gen_seed =
 
 let run_all limits force_crash journal resume cache_dir report_out crash_at
     retries jobs shard gen gen_seed metrics_out trace_out hotspots profile_out
-    progress hang_timeout eager_cg =
+    progress hang_timeout =
   (* Arm the injected kill-point before anything runs: the Nth entry to
      the named pipeline phase terminates the process with exit 99,
      leaving the journal mid-run — exactly what --resume recovers from. *)
@@ -347,11 +346,7 @@ let run_all limits force_crash journal resume cache_dir report_out crash_at
     {
       Runner.default_options with
       Runner.ro_pipeline =
-        {
-          Pipeline.default_options with
-          Pipeline.op_limits = limits;
-          op_eager_callgraph = eager_cg;
-        };
+        { Pipeline.default_options with Pipeline.op_limits = limits };
       ro_policy = policy;
       ro_journal = journal;
       ro_resume = resume;
@@ -767,16 +762,6 @@ let gen_seed_arg =
   let doc = "Seed for the $(b,--gen) corpus generator." in
   Arg.(value & opt int 1 & info [ "gen-seed" ] ~docv:"SEED" ~doc)
 
-let eager_callgraph_flag =
-  let doc =
-    "Escape hatch: build the whole-program call graph up front instead\n\
-     of resolving it demand-driven from the method index.  The report is\n\
-     byte-identical either way (and cache entries are shared across the\n\
-     two modes); this only trades analysis speed for the historical\n\
-     eager construction, e.g. to compare timings."
-  in
-  Arg.(value & flag & info [ "eager-callgraph" ] ~doc)
-
 let hang_timeout_arg =
   let doc =
     "Arm the hung-worker watchdog for $(b,--all --jobs N): a worker\n\
@@ -853,7 +838,7 @@ let analyze_term =
            dot trace trace_out metrics_out profile hotspots profile_out
            explain provenance_out max_steps max_depth deadline all force_crash
            journal resume cache_dir report_out crash_at retries jobs shard gen
-           gen_seed progress hang_timeout eager_cg inject ->
+           gen_seed progress hang_timeout inject ->
         setup_logs log_level;
         arm_injections inject;
         let limits =
@@ -867,11 +852,11 @@ let analyze_term =
         else if all then
           run_all limits force_crash journal resume cache_dir report_out
             crash_at retries jobs shard gen gen_seed metrics_out trace_out
-            hotspots profile_out progress hang_timeout eager_cg
+            hotspots profile_out progress hang_timeout
         else
           analyze_app name scope async intents obf obf_libs limple json dot
             trace trace_out metrics_out profile hotspots profile_out explain
-            provenance_out limits eager_cg)
+            provenance_out limits)
     $ log_level_arg $ list_flag $ name_arg $ scope_arg $ async_flag
     $ intents_flag $ obfuscate_flag $ obf_libs_flag $ limple_arg $ json_flag
     $ dot_flag $ trace_arg $ trace_out_arg $ metrics_out_arg $ profile_flag
@@ -879,8 +864,7 @@ let analyze_term =
     $ max_steps_arg $ max_depth_arg $ deadline_arg $ all_flag
     $ force_crash_arg $ journal_arg $ resume_flag $ cache_dir_arg
     $ report_out_arg $ crash_at_arg $ retries_arg $ jobs_arg $ shard_arg
-    $ gen_arg $ gen_seed_arg $ progress_flag $ hang_timeout_arg
-    $ eager_callgraph_flag $ inject_arg)
+    $ gen_arg $ gen_seed_arg $ progress_flag $ hang_timeout_arg $ inject_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats: offline run reconstruction from artifacts                    *)

@@ -4,7 +4,9 @@
    trace that [extractocol --metrics-out --trace-out] wrote for the
    smallest corpus app.  Fails (exit 1) if the snapshot is missing an
    expected series or the trace is missing a phase span, so silent
-   instrumentation rot breaks the build instead of the dashboards. *)
+   instrumentation rot breaks the build instead of the dashboards.  The
+   app carries methods no demarcation point reaches, so the snapshot must
+   also show the lazy call graph skipping at least one of them. *)
 
 module C = Check_common
 module Json = Extr_httpmodel.Json
@@ -24,6 +26,9 @@ let required_metrics =
     "pairing.pairs";
     "pipeline.elapsed_seconds";
     "pipeline.transactions";
+    "callgraph.methods_resolved";
+    "callgraph.methods_skipped";
+    "slicer.skipped_method_ratio";
   ]
 
 let check_metrics path =
@@ -40,7 +45,20 @@ let check_metrics path =
     (fun name ->
       if not (List.mem name names) then
         C.fail ck "%s: metric %S absent from snapshot" path name)
-    required_metrics
+    required_metrics;
+  match
+    List.find_opt
+      (fun s -> C.str_member "name" s = Some "callgraph.methods_skipped")
+      series
+  with
+  | None -> ()
+  | Some s -> (
+      match C.int_member "count" s with
+      | Some n when n >= 1 -> ()
+      | Some n ->
+          C.fail ck "%s: callgraph.methods_skipped = %d, expected at least 1"
+            path n
+      | None -> C.fail ck "%s: callgraph.methods_skipped has no integer count" path)
 
 let check_trace path =
   let json = C.load_json ck path in

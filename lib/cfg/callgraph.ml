@@ -4,22 +4,14 @@
    by the semantics layer through [callback_resolver], mirroring how the
    paper adds EDGEMINER-style callback edges that FlowDroid misses.
 
-   Two construction modes share one per-method resolution function:
-
-   - [build] resolves every application method up front (the historical
-     whole-program construction);
-   - [lazy_build] resolves methods only on first visit, seeded by the
-     slicer from the method index (ROADMAP item 1, after BackDroid's
-     index-then-explore design).  Caller lookups go through the index:
-     every direct callee of an invoke shares the invoke's method name, so
-     the index's per-name site list plus the registered callback-trigger
-     names over-approximate any method's caller set; resolving just those
-     candidate sites confirms it.
-
-   Both modes produce identical call-site records, caller lists and
-   reachability sets — the demand-driven pipeline must stay byte-identical
-   with the eager escape hatch, including worklist visit order in the
-   taint engines downstream. *)
+   Construction follows BackDroid's index-then-explore design: only the
+   method index is built up front, and a method's call sites are resolved
+   on first visit, seeded by the slicer from the demarcation points it
+   finds through the index.  Caller lookups go through the index too:
+   every direct callee of an invoke shares the invoke's method name, so
+   the index's per-name site list plus the registered callback-trigger
+   names over-approximate any method's caller set; resolving just those
+   candidate sites confirms it. *)
 
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
@@ -53,35 +45,28 @@ type resolved = {
 
 let empty_resolved = { rs_sites = []; rs_by_idx = [||] }
 
-type mode =
-  | Eager of { callers_of : Ir.stmt_id list Ir.Method_map.t }
-  | Demand of {
-      index : Index.t;
-      trigger_names : string list;
-          (** invoke names the callback resolver can answer for; candidate
-              implicit-caller sites are found through these *)
-      callers_memo : (Ir.method_id, Ir.stmt_id list) Hashtbl.t;
-      mutable trigger_map : (Ir.method_id, (int * Ir.stmt_id) list) Hashtbl.t option;
-          (** callee → caller sites among the trigger-name call sites, in
-              scan order — built once on the first caller query.  Trigger
-              names include ["<init>"], so rescanning every trigger site
-              per query made caller lookups quadratic in practice. *)
-    }
-
 type t = {
   prog : Prog.t;
   resolver : callback_resolver;
+  index : Index.t;
+  trigger_names : string list;
+      (** invoke names the callback resolver can answer for; candidate
+          implicit-caller sites are found through these *)
   resolved_tbl : (Ir.method_id, resolved) Hashtbl.t;
-  mode : mode;
+  callers_memo : (Ir.method_id, Ir.stmt_id list) Hashtbl.t;
+  mutable trigger_hits : (Ir.method_id, (int * Ir.stmt_id) list) Hashtbl.t option;
+      (** callee → (ordinal, site) hits among the trigger-name call sites,
+          built once on the first caller query.  Trigger names include
+          ["<init>"], so rescanning every trigger site per query made
+          caller lookups quadratic in practice. *)
   (* Statement-level flow arrays, shared by every taint engine of the run
      (they used to be rebuilt per engine, for all methods, per slice). *)
   preds_memo : (Ir.method_id, int list array) Hashtbl.t;
   succs_memo : (Ir.method_id, int list array) Hashtbl.t;
 }
 
-(* One method's call-site records, exactly as the historical eager scan
-   produced them: statements in order, the direct (CHA) record before the
-   implicit (callback) record at the same statement. *)
+(* One method's call-site records: statements in order, the direct (CHA)
+   record before the implicit (callback) record at the same statement. *)
 let resolve_method t (mid : Ir.method_id) : resolved =
   match Hashtbl.find_opt t.resolved_tbl mid with
   | Some r -> r
@@ -131,47 +116,19 @@ let resolve_method t (mid : Ir.method_id) : resolved =
           Metrics.incr m_resolved;
           r)
 
-let make ~resolver ~mode prog =
+let lazy_build ?(callback_resolver = no_callbacks) ?(callback_triggers = [])
+    (prog : Prog.t) : t =
   {
     prog;
-    resolver;
+    resolver = callback_resolver;
+    index = Index.build prog;
+    trigger_names = callback_triggers;
     resolved_tbl = Hashtbl.create 256;
-    mode;
+    callers_memo = Hashtbl.create 64;
+    trigger_hits = None;
     preds_memo = Hashtbl.create 256;
     succs_memo = Hashtbl.create 256;
   }
-
-let build ?(callback_resolver = no_callbacks) (prog : Prog.t) : t =
-  let t = make ~resolver:callback_resolver ~mode:(Eager { callers_of = Ir.Method_map.empty }) prog in
-  let callers_of = ref Ir.Method_map.empty in
-  let add_caller callee sid =
-    callers_of :=
-      Ir.Method_map.update callee
-        (function None -> Some [ sid ] | Some l -> Some (sid :: l))
-        !callers_of
-  in
-  List.iter
-    (fun (m : Ir.meth) ->
-      let mid = Ir.method_id_of_meth m in
-      let r = resolve_method t mid in
-      List.iter
-        (fun cs -> List.iter (fun c -> add_caller c cs.cs_stmt) cs.cs_callees)
-        r.rs_sites)
-    (Prog.app_methods prog);
-  { t with mode = Eager { callers_of = !callers_of } }
-
-let lazy_build ?(callback_resolver = no_callbacks) ?(callback_triggers = [])
-    (prog : Prog.t) : t =
-  make ~resolver:callback_resolver
-    ~mode:
-      (Demand
-         {
-           index = Index.build prog;
-           trigger_names = callback_triggers;
-           callers_memo = Hashtbl.create 64;
-           trigger_map = None;
-         })
-    prog
 
 let callsites t mid = (resolve_method t mid).rs_sites
 
@@ -181,99 +138,54 @@ let callsite_at t (sid : Ir.stmt_id) =
     r.rs_by_idx.(sid.Ir.sid_idx)
   else []
 
-(* Demand-driven caller lookup.  Direct edges to a callee can only come
-   from sites invoking the callee's own name; implicit edges only from
-   sites invoking a registered trigger name.  All trigger-name sites are
-   resolved once into a callee-keyed map ([trigger_map]) — the trigger
-   registry includes ["<init>"], so the per-query rescans this replaces
-   walked most constructor sites of the program on every lookup.  The
-   result replicates the eager construction exactly: the eager map conses
-   sids during the forward scan, so its lists are in reverse scan order,
-   with one entry per occurrence of the callee in a record's target list;
-   here the two ord-ascending hit streams are merged then reversed. *)
-let trigger_map_of t ~index ~trigger_names (d : mode) =
-  match d with
-  | Eager _ -> assert false
-  | Demand dm -> (
-      match dm.trigger_map with
-      | Some m -> m
-      | None ->
-          let sites =
-            List.concat_map
-              (Index.sites_invoking index)
-              (List.sort_uniq String.compare trigger_names)
-            |> List.sort (fun (a : Index.site) b ->
-                   Int.compare a.Index.st_ord b.Index.st_ord)
-          in
-          let map = Hashtbl.create 64 in
-          List.iter
-            (fun (s : Index.site) ->
-              List.iter
-                (fun cs ->
-                  List.iter
-                    (fun c ->
-                      let prev =
-                        Option.value (Hashtbl.find_opt map c) ~default:[]
-                      in
-                      Hashtbl.replace map c ((s.Index.st_ord, s.Index.st_stmt) :: prev))
-                    cs.cs_callees)
-                (callsite_at t s.Index.st_stmt))
-            sites;
-          (* Consed while walking ascending ords: flip back to scan order. *)
-          Hashtbl.iter (fun k v -> Hashtbl.replace map k (List.rev v))
-            (Hashtbl.copy map);
-          dm.trigger_map <- Some map;
-          map)
+(* [f callee (ordinal, site)] once per occurrence of a callee among the
+   call-site records at one indexed site. *)
+let iter_hits t f (s : Index.site) =
+  List.iter
+    (fun cs ->
+      List.iter (fun c -> f c (s.Index.st_ord, s.Index.st_stmt)) cs.cs_callees)
+    (callsite_at t s.Index.st_stmt)
 
-let demand_callers t ~index ~trigger_names ~callers_memo mode callee =
-  match Hashtbl.find_opt callers_memo callee with
+let trigger_hits t =
+  match t.trigger_hits with
+  | Some m -> m
+  | None ->
+      let map = Hashtbl.create 64 in
+      let add c hit =
+        Hashtbl.replace map c
+          (hit :: Option.value (Hashtbl.find_opt map c) ~default:[])
+      in
+      List.iter
+        (fun name -> List.iter (iter_hits t add) (Index.sites_invoking t.index name))
+        (List.sort_uniq String.compare t.trigger_names);
+      t.trigger_hits <- Some map;
+      map
+
+(* Direct edges to a callee can only come from sites invoking the callee's
+   own name; implicit edges only from sites invoking a registered trigger
+   name.  The callers are every hit at those sites, in descending
+   statement ordinal. *)
+let callers t callee =
+  match Hashtbl.find_opt t.callers_memo callee with
   | Some l -> l
   | None ->
-      let tmap = trigger_map_of t ~index ~trigger_names mode in
-      let implicit = Option.value (Hashtbl.find_opt tmap callee) ~default:[] in
-      let result =
-        if List.exists (String.equal callee.Ir.id_name) trigger_names then
-          (* The callee's own name is a trigger, so its name sites are
-             already covered by the map. *)
-          List.rev_map snd implicit
-        else begin
-          let name_hits =
-            List.concat_map
-              (fun (s : Index.site) ->
-                List.concat_map
-                  (fun cs ->
-                    List.filter_map
-                      (fun c ->
-                        if Ir.Method_id.equal c callee then
-                          Some (s.Index.st_ord, s.Index.st_stmt)
-                        else None)
-                      cs.cs_callees)
-                  (callsite_at t s.Index.st_stmt))
-              (Index.sites_invoking index callee.Ir.id_name)
-          in
-          (* Merge the ord-ascending streams; consing as we go leaves the
-             final list in the eager map's reverse scan order. *)
-          let rec merge acc a b =
-            match (a, b) with
-            | [], rest | rest, [] ->
-                List.fold_left (fun acc (_, sid) -> sid :: acc) acc rest
-            | (o1, s1) :: ta, (o2, _) :: _ when o1 < o2 -> merge (s1 :: acc) ta b
-            | _, (_, s2) :: tb -> merge (s2 :: acc) a tb
-          in
-          merge [] name_hits implicit
-        end
+      let hits =
+        ref (Option.value (Hashtbl.find_opt (trigger_hits t) callee) ~default:[])
       in
-      Hashtbl.replace callers_memo callee result;
+      (* When the callee's own name is a trigger, its name sites are
+         already among the trigger hits. *)
+      if not (List.mem callee.Ir.id_name t.trigger_names) then
+        List.iter
+          (iter_hits t (fun c hit ->
+               if Ir.Method_id.equal c callee then hits := hit :: !hits))
+          (Index.sites_invoking t.index callee.Ir.id_name);
+      let result =
+        List.sort (fun (a, _) (b, _) -> Int.compare b a) !hits |> List.map snd
+      in
+      Hashtbl.replace t.callers_memo callee result;
       result
 
-let callers t callee =
-  match t.mode with
-  | Eager { callers_of } ->
-      Option.value (Ir.Method_map.find_opt callee callers_of) ~default:[]
-  | Demand { index; trigger_names; callers_memo; _ } ->
-      demand_callers t ~index ~trigger_names ~callers_memo t.mode callee
-
-let index t = match t.mode with Eager _ -> None | Demand d -> Some d.index
+let index t = t.index
 
 let resolved_count t = Hashtbl.length t.resolved_tbl
 

@@ -3,11 +3,8 @@
     flows through thread/HTTP libraries (AsyncTask, Volley — §3.4) are
     injected by the semantics layer through the resolver hook.
 
-    [build] resolves every application method up front; [lazy_build]
-    resolves on first visit, answering caller queries through the method
-    index (BackDroid-style index-then-explore, ROADMAP item 1).  The two
-    modes return identical call-site records, caller lists and
-    reachability sets. *)
+    Methods are resolved on first visit, and caller queries are answered
+    through the method index (BackDroid-style index-then-explore). *)
 
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
@@ -27,45 +24,43 @@ type callback_resolver = Prog.t -> Ir.invoke -> Ir.method_id list
 
 val no_callbacks : callback_resolver
 
-val build : ?callback_resolver:callback_resolver -> Prog.t -> t
-(** Whole-program construction: every application method resolved up
-    front (the --eager-callgraph escape hatch). *)
-
 val lazy_build :
   ?callback_resolver:callback_resolver ->
   ?callback_triggers:string list ->
   Prog.t ->
   t
-(** Demand-driven construction: builds the method index only; methods are
-    resolved (memoized) on first visit.  [callback_triggers] must list
-    every invoke name the resolver can return callbacks for — caller
-    queries find candidate implicit-edge sites through these names. *)
+(** Builds the method index only; methods are resolved (memoized) on
+    first visit.  [callback_triggers] must list every invoke name the
+    resolver can return callbacks for — caller queries find candidate
+    implicit-edge sites through these names. *)
 
 val callsites : t -> Ir.method_id -> callsite list
-(** Call sites inside a method (resolved on demand in lazy mode). *)
+(** Call sites inside a method (resolved on first visit). *)
 
 val callsite_at : t -> Ir.stmt_id -> callsite list
 (** Call-site records anchored at one statement (possibly one explicit
     and one implicit).  O(1) after the statement's method is resolved. *)
 
 val callers : t -> Ir.method_id -> Ir.stmt_id list
-(** Statements that may call the given method.  Identical list (contents
-    and order) in both modes. *)
+(** Statements that may call the given method: one entry per occurrence
+    of the method among the callees of the call-site records at the
+    candidate sites (those invoking the method's name or a callback
+    trigger name), in descending statement ordinal of the method
+    index. *)
 
 val reachable_from : t -> Ir.method_id list -> Ir.Method_set.t
 (** Application methods transitively reachable from the entries, following
     both explicit and implicit edges.  Iterative: safe on arbitrarily deep
     call chains. *)
 
-val index : t -> Extr_ir.Index.t option
-(** The method index ([Some] only for [lazy_build] graphs); lets the
-    slicer discover demarcation points and field stores without a
-    whole-program scan. *)
+val index : t -> Extr_ir.Index.t
+(** The method index; lets the slicer discover demarcation points and
+    field stores without a whole-program scan. *)
 
 val resolved_count : t -> int
-(** Application methods resolved so far — equals the full method count for
-    eager graphs; the pipeline derives [callgraph.methods_skipped] and the
-    [slicer.skipped_method_ratio] gauge from it. *)
+(** Application methods resolved so far; the pipeline derives
+    [callgraph.methods_skipped] and the [slicer.skipped_method_ratio]
+    gauge from it. *)
 
 val stmt_preds : t -> Ir.method_id -> int list array option
 (** Statement-level predecessor arrays, memoized on the graph and shared

@@ -72,7 +72,7 @@ let m_waste =
     "profile.waste_ratio"
 
 (* Demand-driven slicing coverage: how much of the program the lazy call
-   graph never had to resolve.  Zero skipped under --eager-callgraph. *)
+   graph never had to resolve. *)
 let m_cg_skipped =
   Metrics.counter
     ~help:"app methods never resolved by the demand-driven callgraph (run)"
@@ -93,10 +93,6 @@ type options = {
   op_intents : bool;
       (** resolve intent-service dispatch (extension; off reproduces the
           paper's §4 limitation and Table 1's deliberate misses) *)
-  op_eager_callgraph : bool;
-      (** escape hatch: resolve the whole call graph up front instead of
-          demand-driven from the method index (ROADMAP item 1).  Both
-          modes produce byte-identical reports. *)
   op_limits : Resilience.Budget.limits;
       (** resource-governance limits for the per-run budget shared by the
           taint engines and the interpreter *)
@@ -111,7 +107,6 @@ let default_options =
     op_context_sensitive = true;
     op_restrict_to_slices = true;
     op_intents = false;
-    op_eager_callgraph = false;
     op_limits = Resilience.Budget.default_limits;
   }
 
@@ -123,10 +118,7 @@ let open_source_options = { default_options with op_async_heuristic = false }
    change the analysis result — the configuration half of the result
    cache key, and the fingerprint --resume checks the journal against.
    Any new option field must be added here or cached results go stale
-   silently.  [op_eager_callgraph] is deliberately NOT part of the
-   fingerprint: like ro_jobs/ro_shard in the runner, it cannot change the
-   analysis result (demand_check enforces byte-identity), so cached
-   results stay valid across the two modes. *)
+   silently. *)
 let options_fingerprint (o : options) =
   Printf.sprintf
     "async=%b;aiter=%d;aug=%b;scope=%s;ctx=%b;restrict=%b;intents=%b;steps=%d;depth=%d;deadline=%s"
@@ -198,14 +190,11 @@ let analyze ?(options = default_options) (apk : Apk.t) : analysis =
   in
   let cg =
     phase "callgraph" @@ fun () ->
-    if options.op_eager_callgraph then
-      Callgraph.build ~callback_resolver:Callbacks.resolve prog
-    else
-      (* Demand-driven (ROADMAP item 1): only the method index is built
-         here; edges are resolved per-method on first visit, seeded from
-         the demarcation points the slicer finds through the index. *)
-      Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
-        ~callback_triggers:Callbacks.trigger_names prog
+    (* Only the method index is built here; edges are resolved per method
+       on first visit, seeded from the demarcation points the slicer finds
+       through the index. *)
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
   in
   let slicer_options =
     {

@@ -19,11 +19,6 @@ type options = {
   op_intents : bool;
       (** resolve intent-service dispatch (extension; off reproduces the
           paper's §4 limitation and Table 1's deliberate misses) *)
-  op_eager_callgraph : bool;
-      (** escape hatch: resolve the whole call graph up front instead of
-          demand-driven from the method index (ROADMAP item 1); reports
-          are byte-identical either way, so this is deliberately not part
-          of {!options_fingerprint} *)
   op_limits : Resilience.Budget.limits;
       (** resource-governance limits for the per-run budget shared by the
           taint engines and the interpreter; {!analyze} resets the default

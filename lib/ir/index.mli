@@ -1,18 +1,17 @@
 (** Inverted index over Limple method bodies — the analogue of BackDroid's
     bytecode-search stage.  One linear scan of the application methods up
     front, then O(1) lookup of candidate call sites by invoked method name
-    and of field-store sites by field, plus cheap per-method summaries
-    (string constants, fields written).  The demand-driven call graph and
-    the slicer's demarcation discovery run off this index instead of
-    re-scanning every method body. *)
+    and of field-store sites by field.  The call graph and the slicer's
+    demarcation discovery run off this index instead of re-scanning every
+    method body. *)
 
 type site = {
   st_stmt : Types.stmt_id;
   st_invoke : Types.invoke;
   st_ord : int;
       (** global scan ordinal: position of the invoke in the canonical
-          method/statement scan order, so merged lookups can be replayed
-          in exactly the order a whole-program scan would visit them *)
+          method/statement scan order, so lookups merged across several
+          keys can be put back into one program-wide order *)
 }
 
 type store = {
@@ -36,17 +35,3 @@ val sites_invoking : t -> string -> site list
 
 val field_stores : t -> string * string -> store list
 (** Instance-field stores to [(class, field)], in scan order. *)
-
-val strings_of : t -> Types.method_id -> string list
-(** String constants appearing in the method body, in encounter order,
-    deduplicated. *)
-
-val fields_written_of : t -> Types.method_id -> (string * string) list
-(** Instance fields the method stores to, in encounter order,
-    deduplicated. *)
-
-val method_count : t -> int
-(** Application methods scanned. *)
-
-val site_count : t -> int
-(** Invoke sites indexed. *)

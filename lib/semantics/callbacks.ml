@@ -30,10 +30,10 @@ let callbacks_on_arg prog (value : Ir.value) names =
       | None -> [])
   | Ir.Const _ -> []
 
-(* Every invoke name [resolve] can answer for.  The demand-driven call
-   graph finds candidate implicit-caller sites by looking these names up
-   in the method index, so a new [resolve] arm MUST register its trigger
-   here or its edges become invisible to caller queries in lazy mode. *)
+(* Every invoke name [resolve] can answer for.  The call graph finds
+   candidate implicit-caller sites by looking these names up in the
+   method index, so a new [resolve] arm MUST register its trigger here or
+   its edges become invisible to caller queries. *)
 let trigger_names =
   [
     "execute";

@@ -12,8 +12,8 @@ val resolve : Extr_cfg.Callgraph.callback_resolver
 
 val trigger_names : string list
 (** Invoke names [resolve] can return callbacks for — the
-    [callback_triggers] the demand-driven call graph needs to find
-    candidate implicit-edge sites through the method index. *)
+    [callback_triggers] the call graph needs to find candidate
+    implicit-edge sites through the method index. *)
 
 val listener_of_request :
   Prog.t -> Ir.meth -> Ir.var -> Ir.method_id list

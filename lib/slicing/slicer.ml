@@ -11,6 +11,7 @@
 
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
+module Index = Extr_ir.Index
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
 module Demarcation = Extr_semantics.Demarcation
@@ -66,14 +67,12 @@ and stats = {
 (* Demarcation point discovery                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Scan for demarcation-point invokes.  [scope] optionally restricts
-    discovery to classes with the given prefix (the Kayak analysis scopes
-    to com.kayak classes, §5.3).  With an [index] (demand-driven mode)
-    only the call sites whose invoked name matches a registry entry are
-    examined — BackDroid's bytecode-search step — instead of every
-    statement of every method; candidate sites are replayed in global
-    scan order so the discovered list is identical to the full scan's. *)
-let find_demarcation_points ?scope ?index (prog : Prog.t) : dp_site list =
+(** Demarcation-point invokes among the indexed call sites whose invoked
+    name matches a registry entry — BackDroid's bytecode-search step —
+    in global scan order.  [scope] optionally restricts discovery to
+    classes with the given prefix (the Kayak analysis scopes to com.kayak
+    classes, §5.3). *)
+let find_demarcation_points ?scope (ix : Index.t) : dp_site list =
   let in_scope_cls cls =
     match scope with
     | None -> true
@@ -81,50 +80,20 @@ let find_demarcation_points ?scope ?index (prog : Prog.t) : dp_site list =
         String.length cls >= String.length prefix
         && String.sub cls 0 (String.length prefix) = prefix
   in
-  match index with
-  | Some ix ->
-      List.concat_map (Extr_ir.Index.sites_invoking ix) Demarcation.method_names
-      |> List.sort (fun (a : Extr_ir.Index.site) b ->
-             compare a.Extr_ir.Index.st_ord b.Extr_ir.Index.st_ord)
-      |> List.filter_map (fun (s : Extr_ir.Index.site) ->
-             if not (in_scope_cls s.Extr_ir.Index.st_stmt.Ir.sid_meth.Ir.id_cls)
-             then None
-             else
-               match Demarcation.find s.Extr_ir.Index.st_invoke with
-               | Some info ->
-                   Some
-                     {
-                       dp_stmt = s.Extr_ir.Index.st_stmt;
-                       dp_invoke = s.Extr_ir.Index.st_invoke;
-                       dp_info = info;
-                     }
-               | None -> None)
-  | None ->
-      List.concat_map
-        (fun (m : Ir.meth) ->
-          if not (in_scope_cls m.Ir.m_cls) then []
-          else begin
-            let mid = Ir.method_id_of_meth m in
-            let acc = ref [] in
-            Array.iteri
-              (fun idx stmt ->
-                match Ir.stmt_invoke stmt with
-                | Some invoke -> (
-                    match Demarcation.find invoke with
-                    | Some info ->
-                        acc :=
-                          {
-                            dp_stmt = { Ir.sid_meth = mid; sid_idx = idx };
-                            dp_invoke = invoke;
-                            dp_info = info;
-                          }
-                          :: !acc
-                    | None -> ())
-                | None -> ())
-              m.Ir.m_body;
-            List.rev !acc
-          end)
-        (Prog.app_methods prog)
+  List.concat_map (Index.sites_invoking ix) Demarcation.method_names
+  |> List.sort (fun (a : Index.site) b -> compare a.Index.st_ord b.Index.st_ord)
+  |> List.filter_map (fun (s : Index.site) ->
+         if not (in_scope_cls s.Index.st_stmt.Ir.sid_meth.Ir.id_cls) then None
+         else
+           match Demarcation.find s.Index.st_invoke with
+           | Some info ->
+               Some
+                 {
+                   dp_stmt = s.Index.st_stmt;
+                   dp_invoke = s.Index.st_invoke;
+                   dp_info = info;
+                 }
+           | None -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Request (backward) slices                                          *)
@@ -139,37 +108,14 @@ let request_root (dp : dp_site) : Ir.var option =
   | Demarcation.Recv -> dp.dp_invoke.Ir.ibase
 
 (** Statements storing to one of the given instance fields, anywhere in the
-    program — the setter statements the async heuristic restarts from.
-    With an [index], only the per-field store lists are consulted (merged
-    back into global scan order). *)
-let field_store_sites ?index (prog : Prog.t) (fields : (string * string) list) =
-  match index with
-  | Some ix ->
-      List.concat_map (Extr_ir.Index.field_stores ix) fields
-      |> List.sort (fun (a : Extr_ir.Index.store) b ->
-             compare a.Extr_ir.Index.fs_ord b.Extr_ir.Index.fs_ord)
-      |> List.map (fun (s : Extr_ir.Index.store) ->
-             let mid = s.Extr_ir.Index.fs_stmt.Ir.sid_meth in
-             ( s.Extr_ir.Index.fs_stmt,
-               Fact.local_path mid s.Extr_ir.Index.fs_var
-                 s.Extr_ir.Index.fs_field.Ir.fname ))
-  | None ->
-      List.concat_map
-        (fun (m : Ir.meth) ->
-          let mid = Ir.method_id_of_meth m in
-          let acc = ref [] in
-          Array.iteri
-            (fun idx stmt ->
-              match stmt with
-              | Ir.Assign (Ir.Lfield (x, f), _)
-                when List.mem (f.Ir.fcls, f.Ir.fname) fields ->
-                  acc :=
-                    ({ Ir.sid_meth = mid; sid_idx = idx }, Fact.local_path mid x f.Ir.fname)
-                    :: !acc
-              | _ -> ())
-            m.Ir.m_body;
-          List.rev !acc)
-        (Prog.app_methods prog)
+    program — the setter statements the async heuristic restarts from —
+    from the index's per-field store lists, in global scan order. *)
+let field_store_sites (ix : Index.t) (fields : (string * string) list) =
+  List.concat_map (Index.field_stores ix) fields
+  |> List.sort (fun (a : Index.store) b -> compare a.Index.fs_ord b.Index.fs_ord)
+  |> List.map (fun (s : Index.store) ->
+         let mid = s.Index.fs_stmt.Ir.sid_meth in
+         (s.Index.fs_stmt, Fact.local_path mid s.Index.fs_var s.Index.fs_field.Ir.fname))
 
 let request_slice ?budget ~async_heuristic ~async_iterations prog cg
     (dp : dp_site) : slice =
@@ -198,9 +144,7 @@ let request_slice ?budget ~async_heuristic ~async_iterations prog cg
         if k <= 0 || fields = known_fields then
           (Backward.touched_stmts engine, setters)
         else begin
-          let setters' =
-            field_store_sites ?index:(Callgraph.index cg) prog fields
-          in
+          let setters' = field_store_sites (Callgraph.index cg) fields in
           List.iter
             (fun (sid, fact) -> Backward.inject_at engine sid [ fact ])
             setters';
@@ -403,8 +347,7 @@ let default_options =
 let run ?(options = default_options) (prog : Prog.t) (cg : Callgraph.t) : result =
   let telemetry = Metrics.is_enabled Metrics.default in
   let dps =
-    find_demarcation_points ?scope:options.opt_scope
-      ?index:(Callgraph.index cg) prog
+    find_demarcation_points ?scope:options.opt_scope (Callgraph.index cg)
   in
   Metrics.incr m_dps ~by:(List.length dps);
   let observe_size kind sl =

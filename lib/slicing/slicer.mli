@@ -29,12 +29,10 @@ and stats = {
   st_slice_stmts : int;  (** statements in the union of all slices *)
 }
 
-val find_demarcation_points :
-  ?scope:string -> ?index:Extr_ir.Index.t -> Prog.t -> dp_site list
-(** Scan for demarcation-point invokes; [scope] restricts discovery to
-    classes with the given prefix (§5.3).  With an [index] only candidate
-    call sites (by invoked name) are examined, in the same order a full
-    scan would visit them. *)
+val find_demarcation_points : ?scope:string -> Extr_ir.Index.t -> dp_site list
+(** Demarcation-point invokes among the indexed call sites, in global
+    scan order; [scope] restricts discovery to classes with the given
+    prefix (§5.3). *)
 
 val augment_response_slice : Prog.t -> slice -> slice
 (** Object-aware augmentation (§3.1): add the initialization context of

@@ -175,7 +175,7 @@ let callgraph_program () =
 
 let test_direct_edge () =
   let prog = Prog.of_program (callgraph_program ()) in
-  let cg = Callgraph.build prog in
+  let cg = Callgraph.lazy_build prog in
   let sites = Callgraph.callsites cg { Ir.id_cls = "C"; id_name = "caller" } in
   check Alcotest.int "one call site" 1 (List.length sites);
   check Alcotest.bool "edge to callee" true
@@ -205,7 +205,7 @@ let test_virtual_dispatch_multiple_targets () =
         p_entries = [];
       }
   in
-  let cg = Callgraph.build prog in
+  let cg = Callgraph.lazy_build prog in
   let sites = Callgraph.callsites cg { Ir.id_cls = "M"; id_name = "run" } in
   let targets = List.concat_map (fun cs -> cs.Callgraph.cs_callees) sites in
   check Alcotest.int "CHA finds both overrides" 2 (List.length targets)
@@ -235,7 +235,10 @@ let test_implicit_callback_edge () =
         p_entries = [];
       }
   in
-  let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   let sites = Callgraph.callsites cg { Ir.id_cls = "M"; id_name = "go" } in
   let implicit =
     List.exists
@@ -249,7 +252,7 @@ let test_implicit_callback_edge () =
 
 let test_reachability () =
   let prog = Prog.of_program (callgraph_program ()) in
-  let cg = Callgraph.build prog in
+  let cg = Callgraph.lazy_build prog in
   let reach = Callgraph.reachable_from cg [ { Ir.id_cls = "C"; id_name = "caller" } ] in
   check Alcotest.bool "callee reachable" true
     (Ir.Method_set.mem { Ir.id_cls = "C"; id_name = "callee" } reach)

@@ -1,10 +1,10 @@
-(* Demand-driven call graph vs the eager whole-program construction:
-   ROADMAP item 1 requires the two modes to be observationally identical
-   — same call-site records, same caller lists (contents AND order, since
-   caller order feeds the taint worklists), same reachability sets, and
-   byte-identical report envelopes end to end.  Also the regression test
-   for the work-stack [reachable_from]: deep synthetic call chains used
-   to blow the OCaml stack. *)
+(* The index-driven call graph against references that do not go through
+   the index: caller lists (contents AND order, since caller order feeds
+   the taint worklists) against a whole-program fold of the call-site
+   records, and caller lists, demarcation points and case-study report
+   envelopes against golden digests.  Also the regression test for the work-stack
+   [reachable_from] (deep synthetic call chains used to blow the OCaml
+   stack) and the check that laziness really skips methods. *)
 
 module Ir = Extr_ir.Types
 module B = Extr_ir.Builder
@@ -12,6 +12,7 @@ module Prog = Extr_ir.Prog
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
 module Callbacks = Extr_semantics.Callbacks
+module Slicer = Extr_slicing.Slicer
 module Apk = Extr_apk.Apk
 module Corpus = Extr_corpus.Corpus
 module Pipeline = Extr_extractocol.Pipeline
@@ -25,96 +26,129 @@ let show_mid (m : Ir.method_id) = m.Ir.id_cls ^ "." ^ m.Ir.id_name
 let show_sid (s : Ir.stmt_id) =
   Printf.sprintf "%s:%d" (show_mid s.Ir.sid_meth) s.Ir.sid_idx
 
-let show_callsite (cs : Callgraph.callsite) =
-  Printf.sprintf "%s%s -> [%s]" (show_sid cs.Callgraph.cs_stmt)
-    (if cs.Callgraph.cs_implicit then " (implicit)" else "")
-    (String.concat "; " (List.map show_mid cs.Callgraph.cs_callees))
-
-let graphs_of prog =
-  let eager = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
-  let demand =
-    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
-      ~callback_triggers:Callbacks.trigger_names prog
-  in
-  (eager, demand)
-
-(* Every observable of the graph agrees between the modes, for every
-   application method of [apk] — including list order. *)
-let check_graph_equivalence name (apk : Apk.t) =
+let graph_of (apk : Apk.t) =
   let prog =
     Prog.of_program (Pipeline.with_library_classes apk.Apk.program)
   in
-  let eager, demand = graphs_of prog in
-  let mids =
-    List.map Ir.method_id_of_meth (Prog.app_methods prog)
-    |> List.sort Ir.Method_id.compare
-  in
+  ( prog,
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog )
+
+(* Reference callers: fold every app method's call-site records in scan
+   order, consing each site once per occurrence of a callee — so each list
+   ends up in reverse scan order.  [Callgraph.callsites] asks the resolver
+   about every invoke, so a [Callbacks.resolve] arm whose invoke name is
+   missing from [Callbacks.trigger_names] shows up here and not in
+   [Callgraph.callers]. *)
+let reference_callers prog cg =
+  let tbl = Hashtbl.create 256 in
   List.iter
-    (fun mid ->
-      let ctx what = Printf.sprintf "%s: %s of %s" name what (show_mid mid) in
+    (fun (m : Ir.meth) ->
+      List.iter
+        (fun (cs : Callgraph.callsite) ->
+          List.iter
+            (fun c ->
+              let prev = Option.value (Hashtbl.find_opt tbl c) ~default:[] in
+              Hashtbl.replace tbl c (cs.Callgraph.cs_stmt :: prev))
+            cs.Callgraph.cs_callees)
+        (Callgraph.callsites cg (Ir.method_id_of_meth m)))
+    (Prog.app_methods prog);
+  fun mid -> Option.value (Hashtbl.find_opt tbl mid) ~default:[]
+
+let check_callers_against_fold name (apk : Apk.t) =
+  let prog, cg = graph_of apk in
+  let reference = reference_callers prog cg in
+  List.iter
+    (fun (m : Ir.meth) ->
+      let mid = Ir.method_id_of_meth m in
       check
         Alcotest.(list string)
-        (ctx "callsites")
-        (List.map show_callsite (Callgraph.callsites eager mid))
-        (List.map show_callsite (Callgraph.callsites demand mid));
-      check
-        Alcotest.(list string)
-        (ctx "callers")
-        (List.map show_sid (Callgraph.callers eager mid))
-        (List.map show_sid (Callgraph.callers demand mid)))
-    mids;
-  let entries = List.map Ir.method_id_of_ref (Apk.entry_points apk) in
-  let reach cg =
-    Callgraph.reachable_from cg entries
-    |> Ir.Method_set.elements |> List.map show_mid
-  in
-  check
-    Alcotest.(list string)
-    (name ^ ": reachable_from entry points")
-    (reach eager) (reach demand)
+        (Printf.sprintf "%s: callers of %s" name (show_mid mid))
+        (List.map show_sid (reference mid))
+        (List.map show_sid (Callgraph.callers cg mid)))
+    (Prog.app_methods prog)
+
+let check_entries entries =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      check_callers_against_fold e.Corpus.c_app.Extr_corpus.Spec.a_name
+        (Lazy.force e.Corpus.c_apk))
+    entries
 
 (* (a) 50 generated apps — the --gen stress corpus exercises deep call
    chains, shared helpers, listeners and unreachable filler methods. *)
 let test_generated_equivalence () =
-  List.iter
-    (fun (e : Corpus.entry) ->
-      check_graph_equivalence e.Corpus.c_app.Extr_corpus.Spec.a_name
-        (Lazy.force e.Corpus.c_apk))
-    (Corpus.generated ~seed:42 ~count:50)
+  check_entries (Corpus.generated ~seed:42 ~count:50)
 
 (* (b) The hand-authored case studies carry the implicit-edge patterns
    (AsyncTask, Volley listeners, Timer, SQLite) the generator does not. *)
-let test_case_study_equivalence () =
-  List.iter
-    (fun (e : Corpus.entry) ->
-      check_graph_equivalence e.Corpus.c_app.Extr_corpus.Spec.a_name
-        (Lazy.force e.Corpus.c_apk))
-    (Corpus.case_studies ())
+let test_case_study_equivalence () = check_entries (Corpus.case_studies ())
 
-(* (c) Full-pipeline envelope byte-identity: the report rendered from a
-   demand-driven analysis must equal the eager one character for
-   character, per case study, under that app's own configuration. *)
-let test_envelope_identity () =
+(* (c) Golden digests over 89 apps (case studies, Table 1, and
+   [generated ~seed:42 ~count:50]), computed while the whole-program call
+   graph and demarcation scan still existed and agreed with the index.
+   Caller order and demarcation-point order reach every report byte, so
+   neither may move without an [analysis_version] bump. *)
+let golden_entries () =
+  Corpus.case_studies () @ Corpus.table1 ()
+  @ Corpus.generated ~seed:42 ~count:50
+
+let digest_over_apps line_of_app =
+  let buf = Buffer.create 65536 in
   List.iter
     (fun (e : Corpus.entry) ->
-      let app = e.Corpus.c_app in
-      let base =
-        if app.Extr_corpus.Spec.a_closed then Pipeline.default_options
+      let prog, cg = graph_of (Lazy.force e.Corpus.c_apk) in
+      line_of_app buf prog cg)
+    (golden_entries ());
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_callers () =
+  let lines buf prog cg =
+    List.iter
+      (fun (m : Ir.meth) ->
+        let mid = Ir.method_id_of_meth m in
+        Buffer.add_string buf
+          (Printf.sprintf "%s <- %s\n" (show_mid mid)
+             (String.concat " " (List.map show_sid (Callgraph.callers cg mid)))))
+      (Prog.app_methods prog)
+  in
+  check Alcotest.string "callers of 9,427 app methods"
+    "48fb642aa161f6d4041e3e30393e9d80" (digest_over_apps lines)
+
+let test_golden_dps () =
+  let lines buf _ cg =
+    List.iter
+      (fun (dp : Slicer.dp_site) ->
+        Buffer.add_string buf (show_sid dp.Slicer.dp_stmt ^ "\n"))
+      (Slicer.find_demarcation_points (Callgraph.index cg))
+  in
+  check Alcotest.string "1,651 demarcation points"
+    "3a4350dc345febf6b8ca9603c55ce956" (digest_over_apps lines)
+
+(* (d) Report envelopes of the case studies, each under its own
+   configuration, against a digest computed with the whole-program call
+   graph still present: a call-graph change that keeps the golden caller
+   and DP lists but moves a report byte fails here. *)
+let test_golden_envelopes () =
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let options =
+        if e.Corpus.c_app.Extr_corpus.Spec.a_closed then Pipeline.default_options
         else Pipeline.open_source_options
       in
-      let apk = Lazy.force e.Corpus.c_apk in
-      let render eager_cg =
-        let options = { base with Pipeline.op_eager_callgraph = eager_cg } in
-        let report = (Pipeline.analyze ~options apk).Pipeline.an_report in
-        (* Wall time is the one legitimately nondeterministic field. *)
-        Format.asprintf "%a" Report.pp { report with Report.rp_elapsed_s = 0.0 }
+      let report =
+        (Pipeline.analyze ~options (Lazy.force e.Corpus.c_apk)).Pipeline.an_report
       in
-      check Alcotest.string
-        (app.Extr_corpus.Spec.a_name ^ ": envelope identical across modes")
-        (render true) (render false))
-    (Corpus.case_studies ())
+      (* Wall time is the one legitimately nondeterministic field. *)
+      Buffer.add_string buf
+        (Format.asprintf "%a" Report.pp { report with Report.rp_elapsed_s = 0.0 }))
+    (Corpus.case_studies ());
+  check Alcotest.string "case-study envelopes"
+    "2b5fedeafa940e78eeb4591f46e07631"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-(* (d) Work-stack regression: a 100k-deep synthetic call chain must not
+(* (e) Work-stack regression: a 100k-deep synthetic call chain must not
    blow the stack in [reachable_from] (it did, as a spurious [crashed]
    quarantine, before the explicit work stack). *)
 let test_deep_chain_reachability () =
@@ -135,38 +169,31 @@ let test_deep_chain_reachability () =
         p_entries = [];
       }
   in
-  let _, demand = graphs_of prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   let reach =
-    Callgraph.reachable_from demand [ { Ir.id_cls = "Chain"; id_name = "m0" } ]
+    Callgraph.reachable_from cg [ { Ir.id_cls = "Chain"; id_name = "m0" } ]
   in
   check Alcotest.int "whole chain reachable" depth (Ir.Method_set.cardinal reach)
 
-(* (e) Laziness is real: after a full pipeline run in demand mode, some
-   app methods must never have been resolved (generated apps always
-   carry unreachable filler helpers), while the eager run resolves all. *)
+(* (f) Laziness is real: after a full pipeline run, some app methods must
+   never have been resolved (generated apps always carry unreachable
+   filler helpers). *)
 let test_demand_skips_methods () =
   let skipped_total = ref 0 in
   List.iter
     (fun (e : Corpus.entry) ->
-      let apk = Lazy.force e.Corpus.c_apk in
-      let total an = List.length (Prog.app_methods an.Pipeline.an_prog) in
-      let run eager_cg =
-        let options =
-          { Pipeline.default_options with Pipeline.op_eager_callgraph = eager_cg }
-        in
-        Pipeline.analyze ~options apk
-      in
-      let eager = run true in
-      check Alcotest.int "eager resolves every method" (total eager)
-        (Callgraph.resolved_count eager.Pipeline.an_cg);
-      let demand = run false in
-      let resolved = Callgraph.resolved_count demand.Pipeline.an_cg in
-      check Alcotest.bool "demand never resolves more than exist" true
-        (resolved <= total demand);
-      skipped_total := !skipped_total + (total demand - resolved))
+      let an = Pipeline.analyze (Lazy.force e.Corpus.c_apk) in
+      let total = List.length (Prog.app_methods an.Pipeline.an_prog) in
+      let resolved = Callgraph.resolved_count an.Pipeline.an_cg in
+      check Alcotest.bool "never resolves more than exist" true
+        (resolved <= total);
+      skipped_total := !skipped_total + (total - resolved))
     (Corpus.generated ~seed:42 ~count:20);
   (* Not every generated app carries unreachable helpers, but a 20-app
-     batch always does somewhere — zero would mean demand mode silently
+     batch always does somewhere — zero would mean the graph silently
      resolves the whole program. *)
   check Alcotest.bool "some method skipped across the batch" true
     (!skipped_total > 0)
@@ -178,7 +205,12 @@ let () =
         [
           tc "generated corpus (50 apps)" test_generated_equivalence;
           tc "case studies" test_case_study_equivalence;
-          tc "report envelopes byte-identical" test_envelope_identity;
+          tc "report envelopes byte-identical" test_golden_envelopes;
+        ] );
+      ( "golden",
+        [
+          tc "callers digest (89 apps)" test_golden_callers;
+          tc "demarcation points digest (89 apps)" test_golden_dps;
         ] );
       ( "laziness",
         [

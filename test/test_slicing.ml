@@ -70,13 +70,15 @@ let fixture () =
     }
   in
   let prog = Prog.of_program program in
-  let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   (prog, cg)
 
 let test_dp_discovery () =
-  let prog, cg = fixture () in
-  ignore cg;
-  let dps = Slicer.find_demarcation_points prog in
+  let _, cg = fixture () in
+  let dps = Slicer.find_demarcation_points (Callgraph.index cg) in
   check Alcotest.int "one demarcation point" 1 (List.length dps);
   match dps with
   | [ dp ] ->
@@ -86,11 +88,12 @@ let test_dp_discovery () =
   | _ -> ()
 
 let test_dp_scope_filter () =
-  let prog, _ = fixture () in
+  let _, cg = fixture () in
+  let ix = Callgraph.index cg in
   check Alcotest.int "scope excludes" 0
-    (List.length (Slicer.find_demarcation_points ~scope:"com.other" prog));
+    (List.length (Slicer.find_demarcation_points ~scope:"com.other" ix));
   check Alcotest.int "scope includes" 1
-    (List.length (Slicer.find_demarcation_points ~scope:"com.t" prog))
+    (List.length (Slicer.find_demarcation_points ~scope:"com.t" ix))
 
 let test_request_slice_contains_uri_code () =
   let prog, cg = fixture () in
@@ -171,7 +174,7 @@ let dp_probe build =
         p_entries = [];
       }
   in
-  List.length (Slicer.find_demarcation_points prog)
+  List.length (Slicer.find_demarcation_points (Extr_ir.Index.build prog))
 
 let test_dp_registry_families () =
   check Alcotest.int "apache execute" 1

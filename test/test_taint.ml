@@ -50,7 +50,7 @@ let test_forward_assignment_chain () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let cg = Callgraph.build prog in
+  let cg = Callgraph.lazy_build prog in
   let eng = Forward.create prog cg in
   Forward.inject_after eng (sid "C" "m" 0) [ Fact.local (mid "C" "m") x ];
   Forward.run eng;
@@ -70,7 +70,7 @@ let test_forward_kill_on_redefine () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Forward.create prog (Callgraph.build prog) in
+  let eng = Forward.create prog (Callgraph.lazy_build prog) in
   Forward.inject_after eng (sid "C" "m" 0) [ Fact.local (mid "C" "m") x ];
   Forward.run eng;
   check Alcotest.bool "use after kill untainted" false
@@ -90,7 +90,7 @@ let test_forward_through_fields () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Forward.create prog (Callgraph.build prog) in
+  let eng = Forward.create prog (Callgraph.lazy_build prog) in
   Forward.inject_after eng (sid "C" "m" 0) [ Fact.local (mid "C" "m") x ];
   Forward.run eng;
   check Alcotest.bool "field load tainted" true
@@ -116,7 +116,7 @@ let test_forward_interprocedural () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ callee; caller ] ] in
-  let eng = Forward.create prog (Callgraph.build prog) in
+  let eng = Forward.create prog (Callgraph.lazy_build prog) in
   Forward.inject_after eng (sid "C" "caller" 0) [ Fact.local (mid "C" "caller") x ];
   Forward.run eng;
   let touched = Forward.tainted_stmts eng in
@@ -144,7 +144,7 @@ let test_forward_library_model_propagates () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Forward.create prog (Callgraph.build prog) in
+  let eng = Forward.create prog (Callgraph.lazy_build prog) in
   Forward.inject_after eng (sid "C" "m" 0) [ Fact.local (mid "C" "m") x ];
   Forward.run eng;
   check Alcotest.bool "builder result tainted" true
@@ -163,7 +163,7 @@ let test_forward_log_sanitizes () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Forward.create prog (Callgraph.build prog) in
+  let eng = Forward.create prog (Callgraph.lazy_build prog) in
   Forward.inject_after eng (sid "C" "m" 0) [ Fact.local (mid "C" "m") x ];
   Forward.run eng;
   let facts = Forward.facts_after eng (sid "C" "m" 1) in
@@ -199,7 +199,7 @@ let test_forward_db_pseudo_store () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Forward.create prog (Callgraph.build prog) in
+  let eng = Forward.create prog (Callgraph.lazy_build prog) in
   Forward.inject_after eng (sid "C" "m" 0) [ Fact.local (mid "C" "m") x ];
   Forward.run eng;
   let facts = Forward.facts_after eng (sid "C" "m" 6) in
@@ -222,7 +222,7 @@ let test_backward_inverted_assignment () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Backward.create prog (Callgraph.build prog) in
+  let eng = Backward.create prog (Callgraph.lazy_build prog) in
   (* z relevant at the end: its whole derivation chain joins the slice. *)
   Backward.inject_at eng (sid "C" "m" 3) [ Fact.local (mid "C" "m") z ];
   Backward.run eng;
@@ -242,7 +242,7 @@ let test_backward_irrelevant_excluded () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Backward.create prog (Callgraph.build prog) in
+  let eng = Backward.create prog (Callgraph.lazy_build prog) in
   Backward.inject_at eng (sid "C" "m" 2) [ Fact.local (mid "C" "m") x ];
   Backward.run eng;
   check Alcotest.bool "noise not in slice" false
@@ -267,7 +267,7 @@ let test_backward_library_inversion () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ m ] ] in
-  let eng = Backward.create prog (Callgraph.build prog) in
+  let eng = Backward.create prog (Callgraph.lazy_build prog) in
   Backward.inject_at eng (sid "C" "m" 3) [ Fact.local (mid "C" "m") url ];
   Backward.run eng;
   let touched = Backward.touched_stmts eng in
@@ -297,7 +297,7 @@ let test_backward_callee_args_to_caller () =
       ]
   in
   let prog = mk_prog [ B.mk_cls "C" [ callee; caller ] ] in
-  let eng = Backward.create prog (Callgraph.build prog) in
+  let eng = Backward.create prog (Callgraph.lazy_build prog) in
   (* The parameter is relevant inside the callee. *)
   Backward.inject_at eng (sid "C" "send" 0) [ Fact.local (mid "C" "send") p ];
   Backward.run eng;
@@ -317,7 +317,7 @@ let test_backward_field_fact_collection () =
       ]
   in
   let prog = mk_prog [ B.mk_cls ~fields:[ B.mk_field "frag" Ir.Str ] "C" [ m ] ] in
-  let eng = Backward.create prog (Callgraph.build prog) in
+  let eng = Backward.create prog (Callgraph.lazy_build prog) in
   Backward.inject_at eng (sid "C" "m" 1) [ Fact.local (mid "C" "m") url ];
   Backward.run eng;
   let fields = Fact.field_facts (Backward.all_facts eng) in
