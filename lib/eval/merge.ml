@@ -369,6 +369,12 @@ let exit_code t =
 let json_str_list l =
   "[" ^ String.concat "," (List.map (fun s -> "\"" ^ Json.escape_string s ^ "\"") l) ^ "]"
 
+type members = {
+  mm_missing_shards : int list;
+  mm_missing_apps : string list;
+  mm_degradations : degradation list;
+}
+
 let report_json t =
   let extra =
     (if t.mg_missing_shards = [] then []
@@ -401,13 +407,41 @@ let report_json t =
   in
   Runner.report_json ~extra ~config:t.mg_config t.mg_run
 
+let envelope_of_json contents =
+  Result.map
+    (fun (en : Runner.envelope) ->
+      let items key decode =
+        match List.assoc_opt key en.Runner.en_extra with
+        | Some (Json.List l) -> List.filter_map decode l
+        | _ -> []
+      in
+      let degradation d =
+        match
+          ( Json.str_member "app" d,
+            Json.str_member "reason" d,
+            Json.str_member "detail" d )
+        with
+        | Some md_app, Some md_reason, Some md_detail ->
+            Some { md_app; md_reason; md_detail }
+        | _ -> None
+      in
+      ( en,
+        {
+          mm_missing_shards =
+            items "missing_shards" (function Json.Int k -> Some k | _ -> None);
+          mm_missing_apps =
+            items "missing_apps" (function Json.Str a -> Some a | _ -> None);
+          mm_degradations = items "merge_degradations" degradation;
+        } ))
+    (Runner.envelope_of_json contents)
+
 (* The merged journal: a header under the BASE fingerprint (no shard
    suffix — the merged artifact covers the whole corpus) followed by one
    Crashed record per quarantined app and one Finished record per app,
    in corpus order, every stamp carried over from the winning shard
    record.  The result reads back exactly like a runner-written journal
    — stats accepts it, and a further merge over it reproduces the same
-   envelope (the idempotency the shard_check rule enforces). *)
+   envelope (the idempotency the e2e shard scenario enforces). *)
 let journal_contents t =
   let buf = Buffer.create 4096 in
   let add ?stamp ev =
@@ -432,95 +466,19 @@ let journal_contents t =
     t.mg_finished;
   Buffer.contents buf
 
-(* Union of the shards' metrics snapshots: parse each exported JSON back
-   into samples and fold them through Metrics.merge_samples — the same
-   commutative union the pool coordinator applies to worker deltas, so
-   N shard snapshots merge exactly like N workers' shipments. *)
-let sample_of_json j =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let num k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int n) -> Some (float_of_int n)
-    | _ -> None
-  in
-  match (str "name", str "kind") with
-  | Some sa_name, Some kind ->
-      let sa_kind =
-        match kind with
-        | "counter" -> Some `Counter
-        | "gauge" -> Some `Gauge
-        | "histogram" -> Some `Histogram
-        | _ -> None
-      in
-      Option.map
-        (fun sa_kind ->
-          let sa_labels =
-            match Json.member "labels" j with
-            | Some (Json.Obj fields) ->
-                List.filter_map
-                  (function k, Json.Str v -> Some (k, v) | _ -> None)
-                  fields
-            | _ -> []
-          in
-          let sa_buckets =
-            match Json.member "buckets" j with
-            | Some (Json.List bs) ->
-                List.filter_map
-                  (fun b ->
-                    let bound =
-                      match Json.member "le" b with
-                      | Some (Json.Float f) -> Some f
-                      | Some (Json.Int n) -> Some (float_of_int n)
-                      | Some (Json.Str "+inf") -> Some infinity
-                      | _ -> None
-                    in
-                    let n =
-                      match Json.member "n" b with
-                      | Some (Json.Int n) -> Some n
-                      | _ -> None
-                    in
-                    match (bound, n) with
-                    | Some le, Some n -> Some (le, n)
-                    | _ -> None)
-                  bs
-            | _ -> []
-          in
-          {
-            Metrics.sa_name;
-            sa_kind;
-            sa_help = "";
-            sa_labels;
-            sa_count =
-              (match Json.member "count" j with
-              | Some (Json.Int n) -> n
-              | _ -> 0);
-            sa_sum = Option.value ~default:0.0 (num "sum");
-            sa_buckets;
-          })
-        sa_kind
-  | _ -> None
-
-let samples_of_metrics_json contents =
-  match Json.of_string_opt contents with
-  | None -> Error "metrics file is not valid JSON"
-  | Some j -> (
-      match Json.member "metrics" j with
-      | Some (Json.List series) -> Ok (List.filter_map sample_of_json series)
-      | _ -> Error "metrics file has no metrics[] series")
-
+(* Union of the shards' metrics snapshots: decode each one and fold it
+   through Metrics.merge_samples — the same commutative union the pool
+   coordinator applies to worker deltas, so N shard snapshots merge
+   exactly like N workers' shipments. *)
 let merge_metrics paths : (string, string) result =
   let registry = Metrics.create ~enabled:true () in
   let rec fold = function
     | [] -> Ok (Export.metrics_json registry)
     | path :: rest -> (
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error msg -> Error msg
-        | contents -> (
-            match samples_of_metrics_json contents with
-            | Error msg -> Error (path ^ ": " ^ msg)
-            | Ok samples ->
-                Metrics.merge_samples registry samples;
-                fold rest))
+        match Export.read_metrics path with
+        | Error msg -> Error msg
+        | Ok samples ->
+            Metrics.merge_samples registry samples;
+            fold rest)
   in
   fold paths

@@ -95,6 +95,17 @@ val report_json : t -> string
     members appear (only when non-empty) between the config and the
     apps. *)
 
+type members = {
+  mm_missing_shards : int list;
+  mm_missing_apps : string list;
+  mm_degradations : degradation list;
+}
+(** The members a merged envelope adds to {!Runner.report_json}'s. *)
+
+val envelope_of_json : string -> (Runner.envelope * members, string) result
+(** The one reader of a {!report_json} envelope: {!Runner.envelope_of_json}
+    plus the merge members (empty when absent, as on a clean merge). *)
+
 val journal_contents : t -> string
 (** The merged journal: a header under [mg_config] followed by each
     quarantined app's [Crashed] record and every app's winning

@@ -174,32 +174,24 @@ let exit_code r =
   else if List.exists (fun a -> a.ar_status = Degraded) r.rn_results then 3
   else 0
 
-(* One degradations[] element of a serialized report, parsed back into
-   the ledger's record shape (Report.json_of_degradation is the
-   inverse).  Unrecognized elements are dropped, not fatal. *)
-let degradation_of_json j =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let int k = match Json.member k j with Some (Json.Int n) -> Some n | _ -> None in
-  match (str "phase", str "reason", str "detail", int "work_left") with
-  | Some dg_phase, Some dg_reason, Some dg_detail, Some dg_work_left ->
-      Some { Resilience.Degrade.dg_phase; dg_reason; dg_detail; dg_work_left }
-  | _ -> None
-
 (* Status, transaction count and degradation list of a cached
    deterministic report, read back without trusting anything beyond its
    shape.  [None] means the entry is not a report we recognize —
    callers treat that as a miss.  Recovering the degradations matters:
    a cache-hit or resumed Degraded app must report the same reasons the
-   cold run reported, or warm and cold summary tables disagree. *)
+   cold run reported, or warm and cold summary tables disagree.
+   Unrecognized degradation elements are dropped, not fatal. *)
 let inspect_report_json data =
   match Json.of_string_opt data with
   | Some (Json.Obj _ as j) -> (
-      match (Json.member "degradations" j, Json.member "transactions" j) with
-      | Some (Json.List ds), Some (Json.List txs) ->
+      match
+        (Json.list_member "degradations" j, Json.list_member "transactions" j)
+      with
+      | Some ds, Some txs ->
           Some
             ( (if ds <> [] then Degraded else Ok),
               List.length txs,
-              List.filter_map degradation_of_json ds )
+              List.filter_map Report.degradation_of_json ds )
       | _ -> None)
   | Some _ | None -> None
 
@@ -836,3 +828,79 @@ let report_json ?(extra = []) ~config (r : run) : string =
     r.rn_results;
   Buffer.add_string buf "]}";
   Buffer.contents buf
+
+type envelope = {
+  en_config : string;
+  en_extra : (string * Json.t) list;
+  en_run : run;
+}
+
+(* The envelope read back into the run [report_json] prints it from.
+   Each app's report is re-printed by [Json.to_string], the printer that
+   wrote it, so it comes back byte for byte; what the envelope does not
+   carry (elapsed time, the resumed flag, backtraces, worker spans) comes
+   back empty, and txs and degradations are re-read from the report. *)
+let envelope_of_json contents =
+  let app_of_json a =
+    match
+      ( Json.str_member "app" a,
+        Option.bind (Json.str_member "status" a) status_of_name,
+        Json.bool_member "cached" a,
+        Json.int_member "attempts" a )
+    with
+    | Some ar_app, Some ar_status, Some ar_cached, Some ar_attempts ->
+        let ar_report_json =
+          Option.map Json.to_string (Json.member "report" a)
+        in
+        let ar_txs, ar_degradations =
+          match Option.bind ar_report_json inspect_report_json with
+          | Some (_, txs, ds) -> (txs, ds)
+          | None -> (0, [])
+        in
+        let crash c =
+          {
+            Barrier.cr_app = ar_app;
+            cr_phase = Option.value ~default:"" (Json.str_member "phase" c);
+            cr_exn = Option.value ~default:"" (Json.str_member "exn" c);
+            cr_backtrace = "";
+          }
+        in
+        Some
+          {
+            ar_app;
+            ar_status;
+            ar_cached;
+            ar_resumed = false;
+            ar_attempts;
+            ar_txs;
+            ar_degradations;
+            ar_elapsed_s = 0.0;
+            ar_crash = Option.map crash (Json.member "crash" a);
+            ar_report_json;
+          }
+    | _ -> None
+  in
+  match Json.of_string_opt contents with
+  | Some (Json.Obj fields as j) -> (
+      match (Json.str_member "config" j, Json.list_member "apps" j) with
+      | Some en_config, Some apps ->
+          let results = List.filter_map app_of_json apps in
+          if List.length results <> List.length apps then
+            Error "report envelope has a malformed apps[] entry"
+          else
+            let quarantined a =
+              if a.ar_status = Quarantined then Some a.ar_app else None
+            in
+            let en_run =
+              {
+                rn_results = results;
+                rn_interrupted = Json.bool_member "interrupted" j = Some true;
+                rn_quarantined = List.filter_map quarantined results;
+                rn_worker_spans = [];
+              }
+            in
+            let own k = List.mem k [ "config"; "interrupted"; "apps" ] in
+            let en_extra = List.filter (fun (k, _) -> not (own k)) fields in
+            Result.Ok { en_config; en_extra; en_run }
+      | _ -> Error "not a report envelope (config, apps[])")
+  | _ -> Error "report envelope is not a JSON object"

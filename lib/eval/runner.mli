@@ -193,3 +193,19 @@ val report_json :
     [merge] uses them for [missing_shards[]] and friends, and leaves
     them empty on a clean merge so the envelope stays byte-identical to
     the unsharded run's. *)
+
+type envelope = {
+  en_config : string;
+  en_extra : (string * Extr_httpmodel.Json.t) list;
+      (** the [extra] members, in file order *)
+  en_run : run;
+}
+
+val envelope_of_json : string -> (envelope, string) result
+(** The one reader of a {!report_json} envelope.  Each app entry comes
+    back as the [app_result] it was printed from, its report text
+    re-printed by {!Extr_httpmodel.Json.to_string} (byte-identical to a
+    cached report); what the envelope does not carry comes back empty —
+    [ar_resumed = false], [ar_elapsed_s = 0.], an empty crash backtrace,
+    no worker spans — and [ar_txs]/[ar_degradations] are re-read from
+    the report.  [Error] when the text is not an envelope. *)

@@ -5,8 +5,10 @@
    killed or still-running run is safe to inspect. *)
 
 module Journal = Extr_resilience.Journal
-module Json = Extr_httpmodel.Json
 module Store = Extr_store.Store
+module Metrics = Extr_telemetry.Metrics
+module Profile = Extr_telemetry.Profile
+module Export = Extr_telemetry.Export
 
 type app = {
   st_app : string;
@@ -26,22 +28,6 @@ type phase = {
   ph_p99_us : float option;
 }
 
-type hotspot = {
-  hs_meth : string;
-  hs_phase : string;
-  hs_time_s : float;
-  hs_fuel : int;
-  hs_visits : int;
-  hs_facts : int;
-}
-
-type waste = {
-  ws_scope : string;
-  ws_touched : int;
-  ws_contributing : int;
-  ws_ratio : float;
-}
-
 type t = {
   rs_config : string;
   rs_apps : app list;  (* journal order of first appearance *)
@@ -56,12 +42,13 @@ type t = {
   rs_dropped : int;  (* corrupt journal records dropped by the reader *)
   rs_cache_entries : int option;  (* entries on disk under --cache-dir *)
   rs_phases : phase list;  (* pipeline.phase_us series from --metrics *)
-  rs_hotspots : hotspot list;  (* profile rows from --profile, time desc *)
-  rs_wastes : waste list;  (* waste rows from --profile, by scope *)
+  rs_hotspots : Profile.entry list;  (* --profile rows, time desc *)
+  rs_wastes : Profile.waste list;  (* --profile waste rows, by scope *)
 }
 
 (* The exact footer line run_all prints, so `extractocol stats` can be
-   checked verbatim against the live run's output (trace_check does). *)
+   checked verbatim against the live run's output (e2e_check's trace
+   scenario does). *)
 let summary_line t =
   Printf.sprintf "%d apps: %d ok, %d degraded, %d quarantined (%d from cache)"
     t.rs_finished t.rs_ok t.rs_degraded t.rs_quarantined t.rs_cached
@@ -158,19 +145,28 @@ let of_events events =
             })
       !order
   in
-  let count st = List.length (List.filter (fun a -> a.st_status = st) apps) in
-  let finished = List.length (List.filter (fun a -> a.st_status <> "in-flight") apps) in
-  ( apps,
-    finished,
-    count "ok",
-    count "degraded",
-    count "quarantined",
-    List.length (List.filter (fun a -> a.st_cached) apps),
-    sorted_counts retries,
-    sorted_counts crashes,
-    match (!first_stamp, !last_stamp) with
-    | Some a, Some b when b >= a -> Some (b -. a)
-    | _ -> None )
+  let count pred = List.length (List.filter pred apps) in
+  let status st a = a.st_status = st in
+  {
+    rs_config = "";
+    rs_apps = apps;
+    rs_finished = count (fun a -> a.st_status <> "in-flight");
+    rs_ok = count (status "ok");
+    rs_degraded = count (status "degraded");
+    rs_quarantined = count (status "quarantined");
+    rs_cached = count (fun a -> a.st_cached);
+    rs_retries = sorted_counts retries;
+    rs_crashes = sorted_counts crashes;
+    rs_wall_s =
+      (match (!first_stamp, !last_stamp) with
+      | Some a, Some b when b >= a -> Some (b -. a)
+      | _ -> None);
+    rs_dropped = 0;
+    rs_cache_entries = None;
+    rs_phases = [];
+    rs_hotspots = [];
+    rs_wastes = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Optional artifacts                                                  *)
@@ -194,113 +190,21 @@ let cache_entries dir =
              else n)
            0 names)
 
-let json_num k j =
-  match Json.member k j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int n) -> Some (float_of_int n)
-  | _ -> None
-
-(* The pipeline.phase_us series of a metrics snapshot, percentiles
-   included — the exporter writes p50/p95/p99 alongside the raw buckets
-   precisely so offline consumers don't re-derive them. *)
-let phases_of_metrics_json contents =
-  match Json.of_string_opt contents with
-  | None -> Error "metrics file is not valid JSON"
-  | Some j ->
-      let series =
-        match Json.member "metrics" j with Some (Json.List l) -> l | _ -> []
-      in
-      Ok
-        (List.filter_map
-           (fun m ->
-             match Json.member "name" m with
-             | Some (Json.Str "pipeline.phase_us") ->
-                 let phase =
-                   match Json.member "labels" m with
-                   | Some labels -> (
-                       match Json.member "phase" labels with
-                       | Some (Json.Str p) -> p
-                       | _ -> "?")
-                   | None -> "?"
-                 in
-                 let count =
-                   match Json.member "count" m with
-                   | Some (Json.Int n) -> n
-                   | _ -> 0
-                 in
-                 Some
-                   {
-                     ph_name = phase;
-                     ph_count = count;
-                     ph_p50_us = json_num "p50" m;
-                     ph_p95_us = json_num "p95" m;
-                     ph_p99_us = json_num "p99" m;
-                   }
-             | _ -> None)
-           series)
-
-let json_int k j =
-  match Json.member k j with
-  | Some (Json.Int n) -> Some n
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let json_str k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-
-(* The --profile-out artifact: per-method attribution rows plus the
-   waste summary.  The file keeps rows in deterministic (phase, method)
-   order so reruns diff cleanly; hotspot display wants self time
-   descending, so re-sort here. *)
-let profile_of_json contents =
-  match Json.of_string_opt contents with
-  | None -> Error "profile file is not valid JSON"
-  | Some j ->
-      let rows =
-        match Json.member "profile" j with Some (Json.List l) -> l | _ -> []
-      in
-      let hotspots =
-        List.filter_map
-          (fun m ->
-            match json_str "method" m with
-            | None -> None
-            | Some meth ->
-                Some
-                  {
-                    hs_meth = meth;
-                    hs_phase = Option.value ~default:"?" (json_str "phase" m);
-                    hs_time_s = Option.value ~default:0.0 (json_num "time_s" m);
-                    hs_fuel = Option.value ~default:0 (json_int "fuel" m);
-                    hs_visits = Option.value ~default:0 (json_int "visits" m);
-                    hs_facts = Option.value ~default:0 (json_int "facts" m);
-                  })
-          rows
-        |> List.stable_sort (fun a b -> compare b.hs_time_s a.hs_time_s)
-      in
-      let wastes =
-        match Json.member "waste" j with
-        | Some (Json.List l) ->
-            List.filter_map
-              (fun m ->
-                match json_str "scope" m with
-                | None -> None
-                | Some scope ->
-                    Some
-                      {
-                        ws_scope = scope;
-                        ws_touched =
-                          Option.value ~default:0
-                            (json_int "touched_methods" m);
-                        ws_contributing =
-                          Option.value ~default:0
-                            (json_int "contributing_methods" m);
-                        ws_ratio =
-                          Option.value ~default:0.0 (json_num "waste_ratio" m);
-                      })
-              l
-        | _ -> []
-      in
-      Ok (hotspots, wastes)
+(* A pipeline.phase_us series as a phase row, with the percentiles the
+   exporter annotates it with (recomputed from the same buckets). *)
+let phase_of_sample (s : Metrics.sample) =
+  if s.Metrics.sa_name <> "pipeline.phase_us" then None
+  else
+    Some
+      {
+        ph_name =
+          Option.value ~default:"?"
+            (List.assoc_opt "phase" s.Metrics.sa_labels);
+        ph_count = s.Metrics.sa_count;
+        ph_p50_us = Metrics.percentile s 50.0;
+        ph_p95_us = Metrics.percentile s 95.0;
+        ph_p99_us = Metrics.percentile s 99.0;
+      }
 
 (* Read a journal set: one journal is the classic single-run view; a
    list is a shard set inspected before (or instead of) running
@@ -349,57 +253,39 @@ let read_journals paths =
   fold None [] paths
 
 let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
-  match read_journals journals with
-  | Error msg -> Error msg
-  | Ok (config, events, dropped) -> (
-      let ( apps,
-            finished,
-            ok,
-            degraded,
-            quarantined,
-            cached,
-            retries,
-            crashes,
-            wall ) =
-        of_events events
-      in
-      let phases =
-        match metrics with
-        | None -> Ok []
-        | Some path -> (
-            match In_channel.with_open_text path In_channel.input_all with
-            | exception Sys_error msg -> Error msg
-            | contents -> phases_of_metrics_json contents)
-      in
-      let prof =
-        match profile with
-        | None -> Ok ([], [])
-        | Some path -> (
-            match In_channel.with_open_text path In_channel.input_all with
-            | exception Sys_error msg -> Error msg
-            | contents -> profile_of_json contents)
-      in
-      match (phases, prof) with
-      | Error msg, _ | _, Error msg -> Error msg
-      | Ok phases, Ok (hotspots, wastes) ->
-          Ok
-            {
-              rs_config = config;
-              rs_apps = apps;
-              rs_finished = finished;
-              rs_ok = ok;
-              rs_degraded = degraded;
-              rs_quarantined = quarantined;
-              rs_cached = cached;
-              rs_retries = retries;
-              rs_crashes = crashes;
-              rs_wall_s = wall;
-              rs_dropped = dropped;
-              rs_cache_entries = Option.bind cache_dir cache_entries;
-              rs_phases = phases;
-              rs_hotspots = hotspots;
-              rs_wastes = wastes;
-            })
+  let ( let* ) = Result.bind in
+  let* config, events, dropped = read_journals journals in
+  let* phases =
+    match metrics with
+    | None -> Ok []
+    | Some path ->
+        Result.map (List.filter_map phase_of_sample) (Export.read_metrics path)
+  in
+  (* The file keeps rows in deterministic (phase, method) order so reruns
+     diff cleanly; the hotspot table wants self time descending. *)
+  let* hotspots, wastes =
+    match profile with
+    | None -> Ok ([], [])
+    | Some path ->
+        Result.map
+          (fun ((sn : Profile.snapshot), _) ->
+            ( List.stable_sort
+                (fun (a : Profile.entry) b ->
+                  compare b.Profile.e_time_s a.Profile.e_time_s)
+                sn.Profile.sn_entries,
+              sn.Profile.sn_wastes ))
+          (Export.read_profile path)
+  in
+  Ok
+    {
+      (of_events events) with
+      rs_config = config;
+      rs_dropped = dropped;
+      rs_cache_entries = Option.bind cache_dir cache_entries;
+      rs_phases = phases;
+      rs_hotspots = hotspots;
+      rs_wastes = wastes;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -475,18 +361,19 @@ let pp fmt t =
     Fmt.pf fmt "  %-44s %-20s %9s %8s %8s %6s@." "method" "phase" "self(ms)"
       "fuel" "visits" "facts";
     List.iteri
-      (fun i h ->
+      (fun i (h : Profile.entry) ->
         if i < 10 then
-          Fmt.pf fmt "  %-44s %-20s %9.2f %8d %8d %6d@." h.hs_meth h.hs_phase
-            (h.hs_time_s *. 1e3) h.hs_fuel h.hs_visits h.hs_facts)
+          Fmt.pf fmt "  %-44s %-20s %9.2f %8d %8d %6d@." h.Profile.e_meth
+            h.e_phase (h.e_time_s *. 1e3) h.e_fuel h.e_visits h.e_facts)
       t.rs_hotspots
   end;
   if t.rs_wastes <> [] then begin
     Fmt.pf fmt "@.analysis waste (methods touched but contributing to no reported transaction):@.";
     List.iter
-      (fun w ->
+      (fun (w : Profile.waste) ->
         Fmt.pf fmt "  %-28s %4d touched, %4d contributing, waste %.0f%%@."
-          w.ws_scope w.ws_touched w.ws_contributing (100.0 *. w.ws_ratio))
+          w.Profile.w_scope w.w_touched w.w_contributing
+          (100.0 *. Profile.waste_ratio w))
       t.rs_wastes
   end
 

@@ -7,12 +7,12 @@
     metrics snapshot (both optional).  Per-app status and wall time come
     from the journal's stamped started/finished records; retry-ladder
     and crash taxonomies from the retried/crashed records; per-phase
-    latency percentiles from the [pipeline.phase_us] series the metrics
-    exporter annotates with p50/p95/p99.
+    latency percentiles from the [pipeline.phase_us] series — the same
+    p50/p95/p99 estimate the metrics exporter annotates them with.
 
     {!summary_line} reproduces the exact footer [--all] prints, so the
-    offline view can be diffed against the live run (the [trace_check]
-    CI rule does). *)
+    offline view can be diffed against the live run (the [e2e_check]
+    trace scenario does). *)
 
 type app = {
   st_app : string;
@@ -36,22 +36,6 @@ type phase = {
   ph_p99_us : float option;
 }
 
-type hotspot = {
-  hs_meth : string;
-  hs_phase : string;  (** ["slicing.backward"], ["interpretation"], … *)
-  hs_time_s : float;  (** self time attributed to the method in the phase *)
-  hs_fuel : int;
-  hs_visits : int;
-  hs_facts : int;
-}
-
-type waste = {
-  ws_scope : string;  (** app name *)
-  ws_touched : int;
-  ws_contributing : int;
-  ws_ratio : float;  (** (touched − contributing) / touched *)
-}
-
 type t = {
   rs_config : string;  (** the journal header's config fingerprint *)
   rs_apps : app list;  (** journal order of first appearance *)
@@ -68,9 +52,10 @@ type t = {
           means the numbers below may undercount a damaged run *)
   rs_cache_entries : int option;  (** results on disk under the cache dir *)
   rs_phases : phase list;  (** [pipeline.phase_us] series, if metrics given *)
-  rs_hotspots : hotspot list;
+  rs_hotspots : Extr_telemetry.Profile.entry list;
       (** [--profile-out] artifact rows, self time descending *)
-  rs_wastes : waste list;  (** waste rows from the profile artifact *)
+  rs_wastes : Extr_telemetry.Profile.waste list;
+      (** waste rows from the profile artifact *)
 }
 
 val of_artifacts :
@@ -88,7 +73,9 @@ val of_artifacts :
     died before writing its header — counts as an empty run, not an
     error.  [Error] when a journal file is unreadable, a non-empty one
     is headerless, the bases disagree, or a given metrics/profile file
-    is unreadable/not JSON.  A missing cache directory yields
+    is unreadable or not that artifact (the messages are
+    {!Extr_telemetry.Export.read_metrics}'s and [read_profile]'s, the
+    ones [merge] prints too).  A missing cache directory yields
     [rs_cache_entries = None], not an error. *)
 
 val summary_line : t -> string

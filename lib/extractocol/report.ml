@@ -248,6 +248,17 @@ let json_of_degradation (d : Resilience.Degrade.degradation) : Json.t =
       ("work_left", Json.Int d.Resilience.Degrade.dg_work_left);
     ]
 
+let degradation_of_json j =
+  match
+    ( Json.str_member "phase" j,
+      Json.str_member "reason" j,
+      Json.str_member "detail" j,
+      Json.int_member "work_left" j )
+  with
+  | Some dg_phase, Some dg_reason, Some dg_detail, Some dg_work_left ->
+      Some { Resilience.Degrade.dg_phase; dg_reason; dg_detail; dg_work_left }
+  | _ -> None
+
 let to_json ?provenance ?(deterministic = false) (t : t) : Json.t =
   Json.Obj
     ([

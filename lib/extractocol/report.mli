@@ -65,6 +65,15 @@ val paired : t -> transaction list
 val request_body_kind : transaction -> [ `Query | `Json | `Xml | `Text ] option
 val response_body_kind : transaction -> [ `Json | `Xml | `Text ] option
 
+val json_of_degradation :
+  Resilience.Degrade.degradation -> Extr_httpmodel.Json.t
+(** One element of a report's [degradations] array. *)
+
+val degradation_of_json :
+  Extr_httpmodel.Json.t -> Resilience.Degrade.degradation option
+(** The inverse of {!json_of_degradation}; [None] for an element of
+    another shape. *)
+
 val to_json :
   ?provenance:Extr_httpmodel.Json.t ->
   ?deterministic:bool ->

@@ -259,6 +259,20 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | Null | Bool _ | Int _ | Float _ | Str _ | List _ -> None
 
+(* Typed members: [None] when the key is missing or holds another kind.
+   [num_member] reads an [Int] as a float too — the printers write
+   integral floats without a fraction. *)
+let str_member k v = match member k v with Some (Str s) -> Some s | _ -> None
+let int_member k v = match member k v with Some (Int n) -> Some n | _ -> None
+let bool_member k v = match member k v with Some (Bool b) -> Some b | _ -> None
+let list_member k v = match member k v with Some (List l) -> Some l | _ -> None
+
+let num_member key v =
+  match member key v with
+  | Some (Float f) -> Some f
+  | Some (Int n) -> Some (float_of_int n)
+  | _ -> None
+
 let rec find_path path v =
   match path with
   | [] -> Some v

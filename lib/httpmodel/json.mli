@@ -35,6 +35,17 @@ val of_string_opt : string -> t option
 val member : string -> t -> t option
 (** Field of an object; [None] for missing keys or non-objects. *)
 
+val str_member : string -> t -> string option
+val int_member : string -> t -> int option
+val bool_member : string -> t -> bool option
+val list_member : string -> t -> t list option
+(** Typed {!member}s: [None] for a missing key or a value of another
+    kind. *)
+
+val num_member : string -> t -> float option
+(** A [Float] member, or an [Int] one widened — integral floats print
+    without a fraction and parse back as [Int]. *)
+
 val find_path : string list -> t -> t option
 (** Nested field lookup along a key path. *)
 

@@ -69,14 +69,10 @@ let json_of_event = function
           ("txs", Json.Int e.ev_txs);
         ]
 
-let str k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-let int k j = match Json.member k j with Some (Json.Int n) -> Some n | _ -> None
-
-let bool k j =
-  match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
-
 let event_of_json j =
   let ( let* ) = Option.bind in
+  let str = Json.str_member and int = Json.int_member in
+  let bool = Json.bool_member in
   match str "event" j with
   | Some "started" ->
       let* ev_app = str "app" j in
@@ -108,11 +104,7 @@ let event_of_json j =
    time per app and the run's ETA from the file alone.  Readers treat
    the stamp as optional: journals written before stamping existed still
    load. *)
-let timestamp_of_json j =
-  match Json.member "t" j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int n) -> Some (float_of_int n)
-  | _ -> None
+let timestamp_of_json j = Json.num_member "t" j
 
 let stamp t json =
   match json with
@@ -246,7 +238,7 @@ let parse_journal ~path contents =
       in
       match
         Option.bind header_payload (fun p ->
-            Option.bind (Json.of_string_opt p) (str "config"))
+            Option.bind (Json.of_string_opt p) (Json.str_member "config"))
       with
       | None ->
           if header_payload = None && not (torn_tail hn) then

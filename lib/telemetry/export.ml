@@ -1,6 +1,10 @@
-(* Exporters.  JSON is emitted by hand: the telemetry layer sits below
-   every other library in the dependency graph, so it cannot reuse
-   lib/httpmodel's JSON values. *)
+(* Exporters, and the decoders that read their artifacts back.  JSON is
+   emitted by hand straight into a buffer (the format is fixed and the
+   metrics snapshot is written on every run); decoding goes through
+   lib/httpmodel's JSON values, so each artifact has exactly one reader,
+   here beside its writer. *)
+
+module Json = Extr_httpmodel.Json
 
 let buf_add_json_string buf s =
   Buffer.add_char buf '"';
@@ -294,9 +298,10 @@ let metrics_json (registry : Metrics.t) : string =
                     buckets;
                   Buffer.add_char buf ']' );
             ]
-            (* Percentile summaries alongside the raw buckets, so offline
-               consumers (extractocol stats, the bench JSON) don't have
-               to re-derive the estimate. *)
+            (* Percentile summaries alongside the raw buckets, so readers
+               of the file need not re-derive the estimate; the decoder
+               drops them, as Metrics.percentile recomputes the same
+               values from the buckets. *)
             @ List.filter_map
                 (fun (name, q) ->
                   Option.map
@@ -310,6 +315,74 @@ let metrics_json (registry : Metrics.t) : string =
   Buffer.contents buf
 
 let write_metrics path registry = write_file path (metrics_json registry)
+
+(* Numbers as [buf_add_json_float] writes them, infinities included. *)
+let float_of_json = function
+  | Json.Float f -> Some f
+  | Json.Int n -> Some (float_of_int n)
+  | Json.Str "+inf" -> Some infinity
+  | Json.Str "-inf" -> Some neg_infinity
+  | _ -> None
+
+let num_field key j = Option.bind (Json.member key j) float_of_json
+
+(* One series back into a sample.  Help strings are not exported, and
+   the percentile summaries are recomputed from the buckets by whoever
+   needs them; a series of unknown shape is dropped, not fatal. *)
+let sample_of_json j : Metrics.sample option =
+  let kind =
+    match Json.str_member "kind" j with
+    | Some "counter" -> Some `Counter
+    | Some "gauge" -> Some `Gauge
+    | Some "histogram" -> Some `Histogram
+    | _ -> None
+  in
+  match (Json.str_member "name" j, kind) with
+  | Some sa_name, Some sa_kind ->
+      let sa_labels =
+        match Json.member "labels" j with
+        | Some (Json.Obj fields) ->
+            List.filter_map
+              (function k, Json.Str v -> Some (k, v) | _ -> None)
+              fields
+        | _ -> []
+      in
+      let sa_buckets =
+        List.filter_map
+          (fun b ->
+            match (num_field "le" b, Json.int_member "n" b) with
+            | Some le, Some n -> Some (le, n)
+            | _ -> None)
+          (Option.value ~default:[] (Json.list_member "buckets" j))
+      in
+      Some
+        {
+          Metrics.sa_name;
+          sa_kind;
+          sa_help = "";
+          sa_labels;
+          sa_count = Option.value ~default:0 (Json.int_member "count" j);
+          sa_sum = Option.value ~default:0.0 (num_field "sum" j);
+          sa_buckets;
+        }
+  | _ -> None
+
+let metrics_of_json contents =
+  match Json.of_string_opt contents with
+  | None -> Error "metrics file is not valid JSON"
+  | Some j -> (
+      match Json.list_member "metrics" j with
+      | Some series -> Ok (List.filter_map sample_of_json series)
+      | None -> Error "metrics file has no metrics[] series")
+
+(* Read and decode an artifact file; a decoding error names the file. *)
+let read_artifact decode path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | contents ->
+      Result.map_error (fun msg -> path ^ ": " ^ msg) (decode contents)
+
+let read_metrics = read_artifact metrics_of_json
 
 (* ------------------------------------------------------------------ *)
 (* Collapsed stacks (flamegraph folded format)                        *)
@@ -403,6 +476,57 @@ let profile_json ?(phases = []) (profile : Profile.t) : string =
     phases;
   Buffer.add_string buf "]}";
   Buffer.contents buf
+
+let profile_of_json contents =
+  match Json.of_string_opt contents with
+  | None -> Error "profile file is not valid JSON"
+  | Some j -> (
+      match Json.list_member "profile" j with
+      | None -> Error "profile file has no profile[] rows"
+      | Some rows ->
+          let rows_of key decode =
+            List.filter_map decode
+              (Option.value ~default:[] (Json.list_member key j))
+          in
+          let int key m = Option.value ~default:0 (Json.int_member key m) in
+          let num key m = Option.value ~default:0.0 (num_field key m) in
+          let entry m =
+            Option.map
+              (fun e_meth ->
+                {
+                  Profile.e_phase =
+                    Option.value ~default:"?" (Json.str_member "phase" m);
+                  e_meth;
+                  e_time_s = num "time_s" m;
+                  e_fuel = int "fuel" m;
+                  e_visits = int "visits" m;
+                  e_facts = int "facts" m;
+                })
+              (Json.str_member "method" m)
+          in
+          let waste m =
+            Option.map
+              (fun w_scope ->
+                {
+                  Profile.w_scope;
+                  w_touched = int "touched_methods" m;
+                  w_contributing = int "contributing_methods" m;
+                })
+              (Json.str_member "scope" m)
+          in
+          let phase m =
+            Option.map
+              (fun name -> (name, num "cum_s" m, num "self_s" m))
+              (Json.str_member "phase" m)
+          in
+          Ok
+            ( {
+                Profile.sn_entries = List.filter_map entry rows;
+                sn_wastes = rows_of "waste" waste;
+              },
+              rows_of "phases" phase ))
+
+let read_profile = read_artifact profile_of_json
 
 (* The --hotspots table: top-K (method, phase) rows by attributed time;
    the cum column is the method's total across all phases, so a method

@@ -62,6 +62,18 @@ val metrics_json : Metrics.t -> string
 
 val write_metrics : string -> Metrics.t -> unit
 
+val metrics_of_json : string -> (Metrics.sample list, string) result
+(** The one reader of a {!metrics_json} document: its series back as
+    samples, in file order.  Help strings are not exported (they decode
+    as [""]) and the percentile summaries are left to
+    {!Metrics.percentile}; a series of unknown kind is dropped.  [Error]
+    when the text is not JSON or has no [metrics] array — a profile or
+    any other artifact passed where a snapshot belongs. *)
+
+val read_metrics : string -> (Metrics.sample list, string) result
+(** {!metrics_of_json} over a file; a decoding error is prefixed with
+    the path. *)
+
 val folded : Span.span list -> string
 (** The spans as collapsed stacks (the flamegraph.pl / speedscope
     "folded" format): one line per distinct stack — frames root-first
@@ -86,6 +98,20 @@ val profile_json : ?phases:(string * float * float) list -> Profile.t -> string
     "contributing_methods", "waste_ratio"}], "phases": [{"phase",
     "cum_s", "self_s"}]}] — [phases] is typically {!phase_rollup} of the
     run's span lanes. *)
+
+val profile_of_json :
+  string ->
+  (Profile.snapshot * (string * float * float) list, string) result
+(** The one reader of a {!profile_json} document: the method rows and
+    waste rows as a {!Profile.snapshot} (rows in file order; the waste
+    ratio is recomputed by {!Profile.waste_ratio}) and the phase rollup
+    as passed in [?phases].  [Error] when the text is not JSON or has no
+    [profile] array. *)
+
+val read_profile :
+  string -> (Profile.snapshot * (string * float * float) list, string) result
+(** {!profile_of_json} over a file; a decoding error is prefixed with
+    the path. *)
 
 val pp_hotspots : ?k:int -> Format.formatter -> Profile.t -> unit
 (** Top-[k] hot-method table (method, phase, self/cumulative time,

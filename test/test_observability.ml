@@ -11,6 +11,7 @@ module Journal = Extr_resilience.Journal
 module Corpus = Extr_corpus.Corpus
 module Runner = Extr_eval.Runner
 module Stats = Extr_eval.Stats
+module Merge = Extr_eval.Merge
 module Progress = Extr_eval.Progress
 
 let check = Alcotest.check
@@ -259,6 +260,39 @@ let test_stats_phase_percentiles_from_metrics () =
   Sys.remove jpath;
   Sys.remove mpath
 
+let test_stats_rejects_wrong_artifact () =
+  (* A profile passed as --metrics, or a snapshot as --profile, is an
+     error with the message merge prints for the same mistake, not a
+     silently missing section; an empty snapshot is still a snapshot. *)
+  let jpath = tmp_path "kind.jsonl" in
+  let j =
+    Journal.create ~clock:(Clock.fake ~start:0.0 ~step:1.0 ()) ~path:jpath
+      ~config:"cfg" ()
+  in
+  Journal.append j (started "a");
+  Journal.append j (finished "a");
+  let ppath = tmp_path "kind-profile.json" in
+  let mpath = tmp_path "kind-metrics.json" in
+  Export.write_file ppath (Export.profile_json (Profile.create ()));
+  Export.write_metrics mpath (Metrics.create ());
+  (match
+     ( Stats.of_artifacts ~journals:[ jpath ] ~metrics:ppath (),
+       Merge.merge_metrics [ ppath ] )
+   with
+  | Error stats_msg, Error merge_msg ->
+      check Alcotest.string "stats says what merge says" merge_msg stats_msg
+  | Ok _, _ -> Alcotest.fail "stats accepted a profile as --metrics"
+  | _, Ok _ -> Alcotest.fail "merge accepted a profile as --metrics");
+  (match Stats.of_artifacts ~journals:[ jpath ] ~profile:mpath () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "stats accepted a metrics snapshot as --profile");
+  (match Stats.of_artifacts ~journals:[ jpath ] ~metrics:mpath () with
+  | Ok t ->
+      check Alcotest.int "empty snapshot, no phase rows" 0
+        (List.length t.Stats.rs_phases)
+  | Error msg -> Alcotest.fail msg);
+  List.iter Sys.remove [ jpath; ppath; mpath ]
+
 let test_stats_missing_journal () =
   match Stats.of_artifacts ~journals:[ tmp_path "nope.jsonl" ] () with
   | Error _ -> ()
@@ -433,6 +467,8 @@ let () =
           tc "phase percentiles from metrics"
             test_stats_phase_percentiles_from_metrics;
           tc "missing journal is an error" test_stats_missing_journal;
+          tc "wrong artifact kind is an error"
+            test_stats_rejects_wrong_artifact;
         ] );
       ( "progress",
         [

@@ -17,6 +17,8 @@ module Resilience = Extr_resilience.Resilience
 module Chaos = Extr_resilience.Chaos
 module Corpus = Extr_corpus.Corpus
 module Clock = Extr_telemetry.Clock
+module Metrics = Extr_telemetry.Metrics
+module Spec = Extr_corpus.Spec
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -380,7 +382,29 @@ let test_starved_pipeline_degrades () =
     (fun (d : Resilience.Degrade.degradation) ->
       check Alcotest.string "reason is the step trip" "step-budget-exhausted"
         d.Resilience.Degrade.dg_reason)
-    report.Report.rp_degradations
+    report.Report.rp_degradations;
+  (* The costliest real app starved to 500 steps must surface its
+     degradations in the report AND the pipeline.degradations metric: a
+     budget that trips silently is the failure this layer exists to
+     prevent. *)
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  let pinterest =
+    match Corpus.find (Corpus.table1 ()) "Pinterest" with
+    | Some e -> Lazy.force e.Corpus.c_apk
+    | None -> Alcotest.fail "Pinterest missing from Table 1"
+  in
+  let starved = analyze_with_limits pinterest (limits ~steps:500 ()) in
+  let counted =
+    List.exists
+      (fun (s : Metrics.sample) ->
+        s.Metrics.sa_name = "pipeline.degradations" && s.Metrics.sa_count > 0)
+      (Metrics.snapshot Metrics.default)
+  in
+  Metrics.set_enabled Metrics.default false;
+  check Alcotest.bool "starved Pinterest reports degradations" true
+    (starved.Pipeline.an_report.Report.rp_degradations <> []);
+  check Alcotest.bool "and counts them in pipeline.degradations" true counted
 
 let test_default_limits_do_not_degrade () =
   (* The same app under default limits: governance must be invisible. *)
@@ -399,18 +423,30 @@ let test_default_limits_do_not_degrade () =
 
 let test_degradations_in_report_json () =
   let analysis = analyze_with_limits (busy_apk ()) (limits ~steps:50 ()) in
-  let json = Report.to_json analysis.Pipeline.an_report in
-  match Json.member "degradations" json with
-  | Some (Json.List (d :: _)) ->
-      check Alcotest.bool "degradation has a phase" true
-        (Json.member "phase" d <> None);
-      check Alcotest.bool "degradation has a reason" true
-        (Json.member "reason" d <> None);
-      check Alcotest.bool "degradation has work_left" true
-        (Json.member "work_left" d <> None)
-  | Some (Json.List []) -> Alcotest.fail "degradations member empty"
-  | Some _ -> Alcotest.fail "degradations member is not a list"
-  | None -> Alcotest.fail "no degradations member in report JSON"
+  let report = analysis.Pipeline.an_report in
+  check Alcotest.bool "the starved run degraded" true
+    (report.Report.rp_degradations <> []);
+  (* The report's degradations[] decodes back to the ledger it was
+     written from, through the printed text, and so does a record of
+     hostile strings. *)
+  let reparse json = Json.of_string (Json.to_string json) in
+  (match Json.member "degradations" (reparse (Report.to_json report)) with
+  | Some (Json.List ds) ->
+      check Alcotest.bool "report degradations round-trip" true
+        (List.filter_map Report.degradation_of_json ds
+        = report.Report.rp_degradations)
+  | _ -> Alcotest.fail "no degradations array in report JSON");
+  let odd =
+    {
+      Resilience.Degrade.dg_phase = "slicing.\"back\"ward";
+      dg_reason = "deadline\nexceeded";
+      dg_detail = "caf\xc3\xa9 \001";
+      dg_work_left = -1;
+    }
+  in
+  check Alcotest.bool "hostile degradation round-trips" true
+    (Report.degradation_of_json (reparse (Report.json_of_degradation odd))
+    = Some odd)
 
 let test_standalone_engines_keep_historical_bounds () =
   (* Engines called outside the pipeline (tests, direct API use) get
@@ -429,22 +465,32 @@ let chaos_limits = limits ~steps:2_000_000 ~deadline:10.0 ()
 
 let test_chaos_mutants_never_raise () =
   (* Property over seeds: however the APK is corrupted, [analyze] run
-     behind the barrier returns [Ok] — it degrades, it never raises. *)
-  let entry = List.hd (Corpus.case_studies ()) in
-  let apk = Lazy.force entry.Corpus.c_apk in
+     behind the barrier returns [Ok] — it degrades, it never raises — and
+     the ledger it accumulated is the one its report carries (a
+     degradation dropped between the two is unreported).  Seeds 1-20
+     corrupt the first case study; seeds 1-60 then walk the case studies
+     and Table 1. *)
+  let pool = Array.of_list (Corpus.case_studies () @ Corpus.table1 ()) in
   List.iter
-    (fun seed ->
+    (fun (seed, (entry : Corpus.entry)) ->
+      let apk = Lazy.force entry.Corpus.c_apk in
       let mutant, mutations = Chaos.mutate ~seed apk in
+      let tag =
+        Printf.sprintf "seed %d on %s [%s]" seed entry.Corpus.c_app.Spec.a_name
+          (String.concat "+" (List.map Chaos.mutation_name mutations))
+      in
       match
         Resilience.Barrier.protect ~app:"mutant" (fun () ->
             analyze_with_limits mutant chaos_limits)
       with
-      | Ok _ -> ()
+      | Ok analysis ->
+          check Alcotest.int (tag ^ ": ledger degradations all in the report")
+            (List.length (Resilience.Degrade.items Resilience.Degrade.default))
+            (List.length analysis.Pipeline.an_report.Report.rp_degradations)
       | Error crash ->
-          Alcotest.failf "seed %d [%s] escaped: %a" seed
-            (String.concat "+" (List.map Chaos.mutation_name mutations))
-            Resilience.Barrier.pp_crash crash)
-    (List.init 20 (fun i -> i + 1))
+          Alcotest.failf "%s escaped: %a" tag Resilience.Barrier.pp_crash crash)
+    (List.init 20 (fun i -> (i + 1, pool.(0)))
+    @ List.init 60 (fun i -> (i + 1, pool.((i + 1) mod Array.length pool))))
 
 let test_chaos_mutations_deterministic () =
   let entry = List.hd (Corpus.case_studies ()) in

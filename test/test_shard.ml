@@ -2,7 +2,7 @@
    parametric corpus generator behind --gen, and the offline merge that
    folds N shard artifact sets back into the unsharded run's — all
    exercised in-process over small generated corpora with throwaway temp
-   directories (the shard_check runtest rule covers the same contracts
+   directories (the e2e_check shard scenario covers the same contracts
    through the real binary). *)
 
 module Corpus = Extr_corpus.Corpus
@@ -13,6 +13,9 @@ module Merge = Extr_eval.Merge
 module Stats = Extr_eval.Stats
 module Clock = Extr_telemetry.Clock
 module Export = Extr_telemetry.Export
+module Json = Extr_httpmodel.Json
+module Report = Extr_extractocol.Report
+module Resilience = Extr_resilience.Resilience
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -235,17 +238,13 @@ let test_merge_missing_shard () =
       check Alcotest.bool "its apps are missing too" true
         (t.Merge.mg_missing_apps <> []);
       check Alcotest.int "partial merge exits 4" 4 (Merge.exit_code t);
-      let envelope = Merge.report_json t in
-      check Alcotest.bool "envelope names the gap" true
-        (let contains ~needle hay =
-           let n = String.length needle and h = String.length hay in
-           let rec go i =
-             i + n <= h && (String.sub hay i n = needle || go (i + 1))
-           in
-           go 0
-         in
-         contains ~needle:"\"missing_shards\":[2]" envelope
-         && contains ~needle:"missing_apps" envelope))
+      match Merge.envelope_of_json (Merge.report_json t) with
+      | Ok (_, mm) ->
+          check Alcotest.(list int) "envelope names the missing shard" [ 2 ]
+            mm.Merge.mm_missing_shards;
+          check Alcotest.(list string) "and its apps" t.Merge.mg_missing_apps
+            mm.Merge.mm_missing_apps
+      | Error e -> Alcotest.fail e)
 
 let test_merge_corrupt_cache_entry () =
   with_shard_runs
@@ -266,6 +265,106 @@ let test_merge_corrupt_cache_entry () =
            t.Merge.mg_degradations);
       check Alcotest.int "every app still present" gen_count
         (List.length t.Merge.mg_run.Runner.rn_results))
+
+let test_envelope_round_trip () =
+  (* The envelope decoders give back the run and the merge members the
+     encoders were given: a degraded cached report, a quarantined app's
+     crash entry, the interrupted flag. *)
+  let dg =
+    {
+      Resilience.Degrade.dg_phase = "slicing.backward";
+      dg_reason = "step-budget-exhausted";
+      dg_detail = "q\"uote";
+      dg_work_left = 3;
+    }
+  in
+  let report =
+    Report.of_transactions ~degradations:[ dg ] ~app:"a" ~dp_count:1
+      ~slice_stmts:2 ~total_stmts:3 ~elapsed_s:0.5 []
+  in
+  let app ar_app ar_status ar_attempts =
+    {
+      Runner.ar_app;
+      ar_status;
+      ar_cached = ar_status = Runner.Degraded;
+      ar_resumed = false;
+      ar_attempts;
+      ar_txs = 0;
+      ar_degradations = [];
+      ar_elapsed_s = 0.0;
+      ar_crash = None;
+      ar_report_json = None;
+    }
+  in
+  let crash =
+    {
+      Resilience.Barrier.cr_app = "b#2";
+      cr_exn = "Failure(\"boom\")";
+      cr_phase = "hung@pipeline.slicing";
+      cr_backtrace = "";
+    }
+  in
+  let run =
+    {
+      Runner.rn_results =
+        [
+          {
+            (app "a" Runner.Degraded 2) with
+            Runner.ar_degradations = [ dg ];
+            ar_report_json =
+              Some (Json.to_string (Report.to_json ~deterministic:true report));
+          };
+          {
+            (app "b#2" Runner.Quarantined 1) with
+            Runner.ar_crash = Some crash;
+          };
+        ];
+      rn_interrupted = false;
+      rn_quarantined = [ "b#2" ];
+      rn_worker_spans = [];
+    }
+  in
+  let members =
+    {
+      Merge.mm_missing_shards = [ 2; 3 ];
+      mm_missing_apps = [ "gen0004" ];
+      mm_degradations =
+        [
+          {
+            Merge.md_app = "";
+            md_reason = "journal unreadable";
+            md_detail = "x:\ny";
+          };
+        ];
+    }
+  in
+  let t =
+    {
+      Merge.mg_config = "cfg;shard=\\";
+      mg_run = run;
+      mg_finished = [];
+      mg_crashed = [];
+      mg_missing_shards = members.Merge.mm_missing_shards;
+      mg_missing_apps = members.mm_missing_apps;
+      mg_degradations = members.mm_degradations;
+      mg_cache = [];
+      mg_expected = 3;
+    }
+  in
+  (match Merge.envelope_of_json (Merge.report_json t) with
+  | Ok (en, mm) ->
+      check Alcotest.string "config" t.Merge.mg_config en.Runner.en_config;
+      check Alcotest.bool "run" true (en.Runner.en_run = run);
+      check Alcotest.bool "merge members" true (mm = members)
+  | Error e -> Alcotest.fail e);
+  let interrupted = { run with Runner.rn_interrupted = true } in
+  match Runner.envelope_of_json (Runner.report_json ~config:"c" interrupted)
+  with
+  | Ok en ->
+      check Alcotest.bool "interrupted run" true
+        (en.Runner.en_run = interrupted);
+      check Alcotest.int "no extra members" 0 (List.length en.Runner.en_extra)
+  | Error e -> Alcotest.fail e
 
 let test_merge_rejects_foreign_config () =
   with_shard_runs
@@ -358,6 +457,8 @@ let () =
           tc "corrupt cache entry quarantines (exit 3)"
             test_merge_corrupt_cache_entry;
           tc "foreign configuration refused" test_merge_rejects_foreign_config;
+          tc "envelope round-trips through its decoders"
+            test_envelope_round_trip;
           tc "empty vs unreadable journals" test_merge_empty_and_unreadable_journals;
           tc "shards only resume their own journal"
             test_shard_journal_isolation;

@@ -435,43 +435,47 @@ let test_chrome_trace_valid_json () =
 
 let test_metrics_json_shape () =
   let r = Metrics.create ~enabled:true () in
-  let c = Metrics.counter ~registry:r "reqs" in
+  let c = Metrics.counter ~registry:r ~help:"not exported" "reqs" in
   Metrics.incr c ~labels:[ ("app", "ted") ] ~by:3;
+  List.iter
+    (fun v -> Metrics.incr c ~labels:[ ("v", v) ])
+    [
+      "q\"uote"; "back\\slash"; "new\nline\r\t"; "ctl\001\031";
+      "caf\xc3\xa9 \xe6\x97\xa5";
+    ];
   let h = Metrics.histogram ~registry:r ~buckets:[ 2.0 ] "sizes" in
   Metrics.observe h 1.0;
-  let json = Json.of_string (Export.metrics_json r) in
-  let series =
-    match Json.member "metrics" json with
-    | Some (Json.List l) -> l
+  Metrics.observe h 5.0 (* the +inf overflow bucket *);
+  let g = Metrics.gauge ~registry:r "level" in
+  Metrics.set g ~labels:[ ("at", "low") ] (-3.25);
+  Metrics.set g ~labels:[ ("at", "high") ] 1e20;
+  let doc = Export.metrics_json r in
+  (* The decoder gives back the snapshot the document was written from,
+     help strings aside. *)
+  (match Export.metrics_of_json doc with
+  | Ok decoded ->
+      check Alcotest.bool "snapshot round-trips through its decoder" true
+        (decoded
+        = List.map
+            (fun (s : Metrics.sample) -> { s with Metrics.sa_help = "" })
+            (Metrics.snapshot r))
+  | Error msg -> Alcotest.fail msg);
+  (* What a round trip cannot see: histogram series carry percentile
+     summaries alongside the raw buckets; non-histograms don't. *)
+  let named n =
+    match Json.member "metrics" (Json.of_string doc) with
+    | Some (Json.List l) ->
+        List.find (fun s -> Json.member "name" s = Some (Json.Str n)) l
     | _ -> Alcotest.fail "no metrics array"
   in
-  check Alcotest.int "two series" 2 (List.length series);
-  let counter =
-    List.find
-      (fun s -> Json.member "name" s = Some (Json.Str "reqs"))
-      series
-  in
-  check Alcotest.bool "label object" true
-    (Json.member "labels" counter = Some (Json.Obj [ ("app", Json.Str "ted") ]));
-  check Alcotest.bool "count field" true
-    (Json.member "count" counter = Some (Json.Int 3));
-  let histo =
-    List.find
-      (fun s -> Json.member "name" s = Some (Json.Str "sizes"))
-      series
-  in
-  (match Json.member "buckets" histo with
-  | Some (Json.List (_ :: _)) -> ()
-  | _ -> Alcotest.fail "histogram without buckets");
-  (* Histogram series carry percentile summaries alongside the raw
-     buckets; non-histograms don't. *)
+  let histo = named "sizes" in
   (match Json.member "p50" histo with
   | Some (Json.Float _ | Json.Int _) -> ()
   | _ -> Alcotest.fail "histogram without p50");
   check Alcotest.bool "p95 present" true (Json.member "p95" histo <> None);
   check Alcotest.bool "p99 present" true (Json.member "p99" histo <> None);
   check Alcotest.bool "counter has no percentiles" true
-    (Json.member "p50" counter = None)
+    (Json.member "p50" (named "reqs") = None)
 
 let test_chrome_trace_lanes () =
   (* Two lanes on one shared clock: each gets a thread_name metadata
@@ -740,42 +744,45 @@ let test_profile_marks_and_waste () =
 
 let test_profile_json_shape () =
   let p = Profile.create ~enabled:true () in
+  let entry e_phase e_meth e_time_s e_visits =
+    { Profile.e_phase; e_meth; e_time_s; e_fuel = 7; e_visits; e_facts = 1 }
+  in
   Profile.merge p
     {
       Profile.sn_entries =
         [
+          entry "ph" "m" 0.25 3;
+          entry "slicing.backward" "La/\"b\";->c\n" (1.0 /. 3.0) max_int;
+        ];
+      sn_wastes =
+        [
+          { Profile.w_scope = "app"; w_touched = 4; w_contributing = 3 };
           {
-            Profile.e_phase = "ph";
-            e_meth = "m";
-            e_time_s = 0.25;
-            e_fuel = 7;
-            e_visits = 3;
-            e_facts = 1;
+            Profile.w_scope = "caf\xc3\xa9";
+            w_touched = 0;
+            w_contributing = 0;
           };
         ];
-      sn_wastes = [ { Profile.w_scope = "app"; w_touched = 4; w_contributing = 3 } ];
     };
-  let j = Json.of_string (Export.profile_json ~phases:[ ("pipeline.ph", 0.5, 0.5) ] p) in
-  (match Json.member "profile" j with
-  | Some (Json.List [ row ]) ->
-      check Alcotest.bool "method member" true
-        (Json.member "method" row = Some (Json.Str "m"));
-      check Alcotest.bool "fuel member" true
-        (Json.member "fuel" row = Some (Json.Int 7))
-  | _ -> Alcotest.fail "profile rows missing");
-  (match Json.member "waste" j with
-  | Some (Json.List [ w ]) ->
-      check Alcotest.bool "touched member" true
-        (Json.member "touched_methods" w = Some (Json.Int 4));
-      (match Json.member "waste_ratio" w with
+  let phases =
+    [ ("pipeline.ph", 0.5, 0.5); ("pipeline.slicing", 1e-7, 2.0 /. 3.0) ]
+  in
+  let doc = Export.profile_json ~phases p in
+  (* The decoder gives back the snapshot and the rollup it was written
+     from, through odd method names and times that need every digit. *)
+  (match Export.profile_of_json doc with
+  | Ok (sn, ph) ->
+      check Alcotest.bool "snapshot round-trips through its decoder" true
+        (sn = Profile.snapshot p);
+      check Alcotest.bool "phase rollup round-trips" true (ph = phases)
+  | Error msg -> Alcotest.fail msg);
+  (* What a round trip cannot see: the derived waste ratio. *)
+  match Json.member "waste" (Json.of_string doc) with
+  | Some (Json.List (w :: _)) -> (
+      match Json.member "waste_ratio" w with
       | Some (Json.Float r) -> check (Alcotest.float 1e-9) "ratio" 0.25 r
       | _ -> Alcotest.fail "waste_ratio missing")
-  | _ -> Alcotest.fail "waste rows missing");
-  match Json.member "phases" j with
-  | Some (Json.List [ ph ]) ->
-      check Alcotest.bool "phase member" true
-        (Json.member "phase" ph = Some (Json.Str "pipeline.ph"))
-  | _ -> Alcotest.fail "phases rollup missing"
+  | _ -> Alcotest.fail "waste rows missing"
 
 (* ------------------------------------------------------------------ *)
 (* Log setup                                                          *)
