@@ -1,5 +1,6 @@
 (* Build-time end-to-end checks: drive the real extractocol binary
-   through each run-artifact contract and fail the build on violation.
+   through each run-artifact contract, render its manuals, and fail the
+   build on violation.
 
      e2e_check.exe SCENARIO... EXTRACTOCOL_BINARY   (SCENARIO: all | name)
 
@@ -851,6 +852,27 @@ let fault ck =
     "truncated frames produced no quarantine"
 
 (* ------------------------------------------------------------------ *)
+(* help: every command's manual renders                                *)
+(* ------------------------------------------------------------------ *)
+
+(* cmdliner reports a doc-markup error in the manual text and still exits
+   0, so the text is what gets checked. *)
+let help ck =
+  let manual label args =
+    let text = run ck ~expect:0 label (args @ [ "--help=plain" ]) in
+    if contains ~needle:"cmdliner error" text then
+      fail ck "%s --help prints a cmdliner error" label;
+    text
+  in
+  let main = manual "extractocol" [] in
+  ignore (manual "stats" [ "stats" ]);
+  ignore (manual "merge" [ "merge" ]);
+  List.iter
+    (fun needle ->
+      expect_text ck ~needle main ("--help does not show " ^ needle))
+    [ "hung@PHASE"; "SITE[@N][:MODE]" ]
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -858,7 +880,7 @@ let scenarios =
   [
     ("metrics", metrics); ("explain", explain); ("resume", resume);
     ("pool", pool); ("trace", trace); ("profile", profile); ("shard", shard);
-    ("fault", fault);
+    ("fault", fault); ("help", help);
   ]
 
 let usage () =

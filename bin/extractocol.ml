@@ -767,7 +767,7 @@ let hang_timeout_arg =
     "Arm the hung-worker watchdog for $(b,--all --jobs N): a worker\n\
      silent (no heartbeat, event or result) for longer than this many\n\
      seconds is killed, its app retried once on a fresh worker, then\n\
-     quarantined under the $(i,hung\\@PHASE) crash taxonomy.  Off by\n\
+     quarantined under the $(i,hung@PHASE) crash taxonomy.  Off by\n\
      default."
   in
   Arg.(
@@ -778,9 +778,9 @@ let hang_timeout_arg =
 let inject_arg =
   let doc =
     "Inject an environment fault at a named site (repeatable):\n\
-     $(i,SITE[\\@N][:MODE]) arms the Nth (default first) hit of\n\
+     $(i,SITE[@N][:MODE]) arms the Nth (default first) hit of\n\
      $(i,SITE) with $(i,MODE) — e.g.\n\
-     $(b,export.write:enospc), $(b,journal.append\\@3:torn),\n\
+     $(b,export.write:enospc), $(b,journal.append@3:torn),\n\
      $(b,store.read:bitflip), $(b,pool.frame), or\n\
      $(b,worker.spin:APP) to wedge the worker analyzing $(i,APP).\n\
      Test hook; the $(b,EXTRACTOCOL_INJECT) environment variable takes\n\

@@ -9,6 +9,7 @@
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
+module Libmodel = Extr_semantics.Libmodel
 module Strsig = Extr_siglang.Strsig
 module Jsonsig = Extr_siglang.Jsonsig
 module Msgsig = Extr_siglang.Msgsig
@@ -365,918 +366,791 @@ let parse_http_wire (wire : Strsig.t) : (Http.meth * Strsig.t) option =
 (* The main dispatch                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Interpret a library invoke abstractly.  [sid] is the statement id (the
-    transaction anchor for demarcation points).  Returns [None] when the
-    API is not modelled (the caller falls back to [Vtop]). *)
-let call ctx ~(sid : Ir.stmt_id) (i : Ir.invoke) ~(base : Absval.t option)
-    ~(args : Absval.t list) : Absval.t option =
+(* [String.trim] on a signature: exact on a literal, and the identity when
+   no literal part holds a character trim strips — whitespace at either
+   end then comes from unknown parts, which still match once it is cut.
+   Unknown otherwise. *)
+let trim_sig = function
+  | Strsig.Lit s -> Strsig.lit (String.trim s)
+  | sg ->
+      let strips c = c = ' ' || c = '\t' || c = '\n' || c = '\012' || c = '\r' in
+      if List.exists (String.exists strips) (Strsig.literals sg) then Strsig.unknown
+      else sg
+
+(** Interpret a library call abstractly under its model [m].  [sid] is the
+    statement id (the transaction anchor for demarcation points).  Returns
+    [None] for the models the abstract semantics leaves to the caller (it
+    falls back to [Vtop]). *)
+let call ctx ~(sid : Ir.stmt_id) (m : Api.model) (i : Ir.invoke)
+    ~(base : Absval.t option) ~(args : Absval.t list) : Absval.t option =
   let href = ctx.cx_heap in
   let slot o n = hslot href o n in
   let set o n v = hset href o n v in
   let alloc cls = halloc href cls in
-  let is = Api.invoke_is i in
   let name = i.Ir.iref.Ir.mname in
   let base_obj = match base with Some (Vobj o) -> Some o | _ -> None in
   let some v = Some v in
+  (* Append a (name, value) pair to a list slot of the receiver. *)
+  let push_pair field =
+    match base_obj with
+    | Some o ->
+        let l = match slot o field with Some (Vlist l) -> l | _ -> [] in
+        set o field (Vlist (l @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
+    | None -> ()
+  in
+  match m with
   (* -------------------- StringBuilder -------------------- *)
-  if is ~cls:Api.string_builder ~name:"<init>" then begin
-    (match base_obj with
-    | Some o ->
-        set o "sig"
-          (match arg 0 args with
-          | Some v -> Vstr (strinfo_of v)
-          | None -> str_lit "")
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.string_builder ~name:"append" then begin
-    match base_obj with
-    | Some o ->
-        let cur = Option.value (slot o "sig") ~default:(str_lit "") in
-        set o "sig" (str_concat cur (arg_or_top 0 args));
-        some (Vobj o)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.string_builder ~name:"toString" then
-    some
+  | Sb_init ->
       (match base_obj with
-      | Some o -> Option.value (slot o "sig") ~default:str_unknown
-      | None -> str_unknown)
+      | Some o ->
+          set o "sig"
+            (match arg 0 args with
+            | Some v -> Vstr (strinfo_of v)
+            | None -> str_lit "")
+      | None -> ());
+      some Vnull
+  | Sb_append -> (
+      match base_obj with
+      | Some o ->
+          let cur = Option.value (slot o "sig") ~default:(str_lit "") in
+          set o "sig" (str_concat cur (arg_or_top 0 args));
+          some (Vobj o)
+      | None -> some Vtop)
+  | Sb_to_string ->
+      some
+        (match base_obj with
+        | Some o -> Option.value (slot o "sig") ~default:str_unknown
+        | None -> str_unknown)
   (* -------------------- String / numbers -------------------- *)
-  else if is ~cls:Api.java_string ~name:"valueOf" then
-    some (Vstr (strinfo_of (arg_or_top 0 args)))
-  else if is ~cls:Api.java_string ~name:"concat" then
-    some (str_concat (Option.value base ~default:Vtop) (arg_or_top 0 args))
-  else if is ~cls:Api.java_string ~name:"trim" then
-    some (Option.value base ~default:str_unknown)
-  else if is ~cls:Api.java_string ~name:"equals" then some (Vbool None)
-  else if is ~cls:Api.java_string ~name:"length" then some (Vint None)
-  else if is ~cls:Api.java_integer ~name:"parseInt" then some (Vint None)
-  else if is ~cls:Api.java_integer ~name:"toString" then
-    some (Vstr (strinfo_of (arg_or_top 0 args)))
-  else if is ~cls:Api.url_encoder ~name:"encode" then begin
-    let si = strinfo_of (arg_or_top 0 args) in
-    let sg =
-      match si.sg with
-      | Strsig.Lit s -> Strsig.lit (Uri.percent_encode s)
-      | Strsig.Unknown _ | Strsig.Concat _ | Strsig.Alt _ | Strsig.Rep _ ->
-          Strsig.unknown
-    in
-    some (Vstr { si with sg })
-  end
+  | Str_value_of | Int_to_string -> some (Vstr (strinfo_of (arg_or_top 0 args)))
+  | Str_concat -> some (str_concat (Option.value base ~default:Vtop) (arg_or_top 0 args))
+  | Str_trim ->
+      some
+        (match base with
+        | Some (Vstr si) -> Vstr { si with sg = trim_sig si.sg }
+        | Some v -> v
+        | None -> str_unknown)
+  | Str_equals -> some (Vbool None)
+  | Str_length | Int_parse -> some (Vint None)
+  | Url_encode ->
+      let si = strinfo_of (arg_or_top 0 args) in
+      let sg =
+        match si.sg with
+        | Strsig.Lit s -> Strsig.lit (Uri.percent_encode s)
+        | Strsig.Unknown _ | Strsig.Concat _ | Strsig.Alt _ | Strsig.Rep _ ->
+            Strsig.unknown
+      in
+      some (Vstr { si with sg })
   (* -------------------- Android resources / views ------------------ *)
-  else if is ~cls:Api.resources ~name:"getString" then begin
-    match arg 0 args with
-    | Some (Vint (Some id)) -> (
-        match ctx.cx_resources id with
-        | Some s -> some (str_lit s)
-        | None -> some str_unknown)
-    | Some _ | None -> some str_unknown
-  end
-  else if is ~cls:Api.activity ~name:"getResources" then
-    some (Vobj (alloc Api.resources))
-  else if is ~cls:Api.activity ~name:"findViewById" then some (Vobj (alloc Api.view))
-  else if is ~cls:Api.edit_text ~name:"getText" then some str_unknown
-  else if is ~cls:Api.edit_text ~name:"<init>" then some Vnull
-  else if is ~cls:Api.view ~name:"setOnClickListener" then begin
-    ctx.cx_register ~kind:"click" (arg_or_top 0 args);
-    some Vnull
-  end
-  else if is ~cls:Api.intent ~name:"<init>" then begin
-    (* Android intents are out of scope for Extractocol (§4); with
-       [cx_intents] the constant-action case is resolved anyway (an
-       extension mirroring the reflection treatment). *)
-    (if ctx.cx_intents then
-       match base_obj with
-       | Some o -> set o "action" (arg_or_top 0 args)
-       | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.intent ~name:"putExtra" then begin
-    (if ctx.cx_intents then
-       match (base_obj, arg 0 args) with
-       | Some o, Some (Vstr { sg = Strsig.Lit key; _ }) ->
-           set o ("x:" ^ key) (arg_or_top 1 args)
-       | (Some _ | None), _ -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.intent ~name:"getExtra" then begin
-    match (base_obj, arg 0 args) with
-    | Some o, Some (Vstr { sg = Strsig.Lit key; _ }) ->
-        some (Option.value (slot o ("x:" ^ key)) ~default:str_unknown)
-    | (Some _ | None), _ -> some str_unknown
-  end
-  else if is ~cls:Api.context ~name:"startService" then begin
-    (if ctx.cx_intents then
-       match arg 0 args with
-       | Some (Vobj it) -> (
-           match slot it "action" with
-           | Some (Vstr { sg = Strsig.Lit action; _ }) ->
-               let svc = alloc action in
-               (match base with
-               | Some act -> set svc "act" act
-               | None -> ());
-               ignore
-                 (ctx.cx_run_callback
-                    { Ir.id_cls = action; id_name = "onHandleIntent" }
-                    (Some (Vobj svc))
-                    [ Vobj it ])
-           | Some _ | None -> ())
-       | Some _ | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.android_log ~name:"d" || is ~cls:Api.android_log ~name:"e" then
-    some Vnull
+  | Res_string -> (
+      match arg 0 args with
+      | Some (Vint (Some id)) -> (
+          match ctx.cx_resources id with
+          | Some s -> some (str_lit s)
+          | None -> some str_unknown)
+      | Some _ | None -> some str_unknown)
+  | Get_resources -> some (Vobj (alloc Api.resources))
+  | Find_view -> some (Vobj (alloc Api.view))
+  | Edit_text_get -> some str_unknown
+  | On_click ->
+      ctx.cx_register ~kind:"click" (arg_or_top 0 args);
+      some Vnull
+  | Intent_init ->
+      (* Android intents are out of scope for Extractocol (§4); with
+         [cx_intents] the constant-action case is resolved anyway (an
+         extension mirroring the reflection treatment). *)
+      (if ctx.cx_intents then
+         match base_obj with
+         | Some o -> set o "action" (arg_or_top 0 args)
+         | None -> ());
+      some Vnull
+  | Intent_put ->
+      (if ctx.cx_intents then
+         match (base_obj, arg 0 args) with
+         | Some o, Some (Vstr { sg = Strsig.Lit key; _ }) ->
+             set o ("x:" ^ key) (arg_or_top 1 args)
+         | (Some _ | None), _ -> ());
+      some Vnull
+  | Intent_get -> (
+      match (base_obj, arg 0 args) with
+      | Some o, Some (Vstr { sg = Strsig.Lit key; _ }) ->
+          some (Option.value (slot o ("x:" ^ key)) ~default:str_unknown)
+      | (Some _ | None), _ -> some str_unknown)
+  | Start_service ->
+      (if ctx.cx_intents then
+         match arg 0 args with
+         | Some (Vobj it) -> (
+             match slot it "action" with
+             | Some (Vstr { sg = Strsig.Lit action; _ }) ->
+                 let svc = alloc action in
+                 (match base with
+                 | Some act -> set svc "act" act
+                 | None -> ());
+                 ignore
+                   (ctx.cx_run_callback
+                      { Ir.id_cls = action; id_name = "onHandleIntent" }
+                      (Some (Vobj svc))
+                      [ Vobj it ])
+             | Some _ | None -> ())
+         | Some _ | None -> ());
+      some Vnull
+  | Log | Noop -> some Vnull
+  (* Runtime-only models: the interpreter chains AsyncTask itself, and
+     these constructors stay at top. *)
+  | Async_execute | Framework_init -> None
   (* -------------------- reflection -------------------- *)
-  else if is ~cls:Api.java_class ~name:"forName" then begin
-    (* Resolvable only for constant class names — the standard static-
-       analysis treatment of reflection. *)
-    let o = alloc Api.java_class in
-    set o "name" (arg_or_top 0 args);
-    some (Vobj o)
-  end
-  else if is ~cls:Api.java_class ~name:"newInstance" then begin
-    match Option.bind base_obj (fun o -> slot o "name") with
-    | Some (Vstr { sg = Strsig.Lit cls; _ }) ->
-        let o = alloc cls in
-        ignore
-          (ctx.cx_run_callback
-             { Ir.id_cls = cls; id_name = "<init>" }
-             (Some (Vobj o)) []);
-        some (Vobj o)
-    | Some _ | None -> some Vtop
-  end
-  else if is ~cls:Api.java_class ~name:"getMethod" then begin
-    let m = alloc Api.reflect_method in
-    (match Option.bind base_obj (fun o -> slot o "name") with
-    | Some v -> set m "cls" v
-    | None -> ());
-    set m "mname" (arg_or_top 0 args);
-    some (Vobj m)
-  end
-  else if is ~cls:Api.reflect_method ~name:"invoke" then begin
-    match
-      ( Option.bind base_obj (fun o -> slot o "cls"),
-        Option.bind base_obj (fun o -> slot o "mname") )
-    with
-    | ( Some (Vstr { sg = Strsig.Lit cls; _ }),
-        Some (Vstr { sg = Strsig.Lit mname; _ }) ) ->
-        let this = arg 0 args in
-        let rest = match args with [] -> [] | _ :: r -> r in
-        some
-          (ctx.cx_run_callback { Ir.id_cls = cls; id_name = mname } this rest)
-    | _, _ -> some Vtop
-  end
+  | Class_for_name ->
+      (* Resolvable only for constant class names — the standard static-
+         analysis treatment of reflection. *)
+      let o = alloc Api.java_class in
+      set o "name" (arg_or_top 0 args);
+      some (Vobj o)
+  | New_instance -> (
+      match Option.bind base_obj (fun o -> slot o "name") with
+      | Some (Vstr { sg = Strsig.Lit cls; _ }) ->
+          let o = alloc cls in
+          ignore
+            (ctx.cx_run_callback
+               { Ir.id_cls = cls; id_name = "<init>" }
+               (Some (Vobj o)) []);
+          some (Vobj o)
+      | Some _ | None -> some Vtop)
+  | Get_method ->
+      let mo = alloc Api.reflect_method in
+      (match Option.bind base_obj (fun o -> slot o "name") with
+      | Some v -> set mo "cls" v
+      | None -> ());
+      set mo "mname" (arg_or_top 0 args);
+      some (Vobj mo)
+  | Method_invoke -> (
+      match
+        ( Option.bind base_obj (fun o -> slot o "cls"),
+          Option.bind base_obj (fun o -> slot o "mname") )
+      with
+      | ( Some (Vstr { sg = Strsig.Lit cls; _ }),
+          Some (Vstr { sg = Strsig.Lit mname; _ }) ) ->
+          let this = arg 0 args in
+          let rest = match args with [] -> [] | _ :: r -> r in
+          some
+            (ctx.cx_run_callback { Ir.id_cls = cls; id_name = mname } this rest)
+      | _, _ -> some Vtop)
   (* -------------------- containers -------------------- *)
-  else if is ~cls:Api.array_list ~name:"<init>" then begin
-    (match base_obj with Some o -> set o "items" (Vlist []) | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.array_list ~name:"add" then begin
-    (match base_obj with
-    | Some o ->
-        let items = match slot o "items" with Some (Vlist l) -> l | _ -> [] in
-        set o "items" (Vlist (items @ [ arg_or_top 0 args ]))
-    | None -> ());
-    some (Vbool (Some true))
-  end
-  else if is ~cls:Api.array_list ~name:"get" then begin
-    match base_obj with
-    | Some o -> (
-        match (slot o "items", arg 0 args) with
-        | Some (Vlist l), Some (Vint (Some n)) when n >= 0 && n < List.length l ->
-            some (List.nth l n)
-        | Some (Vlist (x :: rest)), _ ->
-            some
-              (List.fold_left
-                 (fun acc y ->
-                   merge_val
-                     ~combine_sig:(fun a b -> Strsig.alt [ a; b ])
-                     !href !href href acc y)
-                 x rest)
-        | _, _ -> some Vtop)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.array_list ~name:"size" then begin
-    match base_obj with
-    | Some o -> (
-        match slot o "items" with
-        | Some (Vlist l) -> some (Vint (Some (List.length l)))
-        | _ -> some (Vint None))
-    | None -> some (Vint None)
-  end
-  else if
-    is ~cls:Api.hash_map ~name:"<init>" || is ~cls:Api.content_values ~name:"<init>"
-  then begin
-    (match base_obj with Some o -> set o "pairs" (Vlist []) | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.hash_map ~name:"put" || is ~cls:Api.content_values ~name:"put"
-  then begin
-    (match base_obj with
-    | Some o ->
-        let pairs = match slot o "pairs" with Some (Vlist l) -> l | _ -> [] in
-        set o "pairs"
-          (Vlist (pairs @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.hash_map ~name:"get" then begin
-    match (base_obj, arg 0 args) with
-    | Some o, Some (Vstr { sg = Strsig.Lit key; _ }) -> (
-        let pairs = match slot o "pairs" with Some (Vlist l) -> l | _ -> [] in
-        let found =
-          List.find_map
-            (function
-              | Vpair (Vstr { sg = Strsig.Lit k; _ }, v) when k = key -> Some v
-              | _ -> None)
-            pairs
-        in
-        match found with Some v -> some v | None -> some Vnull)
-    | _, _ -> some Vtop
-  end
+  | List_init ->
+      (match base_obj with Some o -> set o "items" (Vlist []) | None -> ());
+      some Vnull
+  | List_add ->
+      (match base_obj with
+      | Some o ->
+          let items = match slot o "items" with Some (Vlist l) -> l | _ -> [] in
+          set o "items" (Vlist (items @ [ arg_or_top 0 args ]))
+      | None -> ());
+      some (Vbool (Some true))
+  | List_get -> (
+      match base_obj with
+      | Some o -> (
+          match (slot o "items", arg 0 args) with
+          | Some (Vlist l), Some (Vint (Some n)) when n >= 0 && n < List.length l ->
+              some (List.nth l n)
+          | Some (Vlist (x :: rest)), _ ->
+              some
+                (List.fold_left
+                   (fun acc y ->
+                     merge_val
+                       ~combine_sig:(fun a b -> Strsig.alt [ a; b ])
+                       !href !href href acc y)
+                   x rest)
+          | _, _ -> some Vtop)
+      | None -> some Vtop)
+  | List_size -> (
+      match base_obj with
+      | Some o -> (
+          match slot o "items" with
+          | Some (Vlist l) -> some (Vint (Some (List.length l)))
+          | _ -> some (Vint None))
+      | None -> some (Vint None))
+  | Map_init ->
+      (match base_obj with Some o -> set o "pairs" (Vlist []) | None -> ());
+      some Vnull
+  | Map_put ->
+      push_pair "pairs";
+      some Vnull
+  | Map_get -> (
+      match (base_obj, arg 0 args) with
+      | Some o, Some (Vstr { sg = Strsig.Lit key; _ }) -> (
+          let pairs = match slot o "pairs" with Some (Vlist l) -> l | _ -> [] in
+          let found =
+            List.find_map
+              (function
+                | Vpair (Vstr { sg = Strsig.Lit k; _ }, v) when k = key -> Some v
+                | _ -> None)
+              pairs
+          in
+          match found with Some v -> some v | None -> some Vnull)
+      | _, _ -> some Vtop)
   (* -------------------- org.apache.http request objects ------------ *)
-  else if
-    is ~cls:Api.http_get ~name:"<init>"
-    || is ~cls:Api.http_post ~name:"<init>"
-    || is ~cls:Api.http_put ~name:"<init>"
-    || is ~cls:Api.http_delete ~name:"<init>"
-  then begin
-    (match base_obj with
-    | Some o -> (
-        set o "headers" (Vlist []);
-        match arg 0 args with Some u -> set o "uri" u | None -> ())
-    | None -> ());
-    some Vnull
-  end
-  else if
-    is ~cls:Api.http_request_base ~name:"setHeader"
-    || is ~cls:Api.http_request_base ~name:"addHeader"
-  then begin
-    (match base_obj with
-    | Some o ->
-        let hs = match slot o "headers" with Some (Vlist l) -> l | _ -> [] in
-        set o "headers"
-          (Vlist (hs @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.http_request_base ~name:"setEntity" then begin
-    (match base_obj with Some o -> set o "entity" (arg_or_top 0 args) | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.string_entity ~name:"<init>" then begin
-    (match base_obj with
-    | Some o -> set o "content" (Vstr (strinfo_of (arg_or_top 0 args)))
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.form_entity ~name:"<init>" then begin
-    (match (base_obj, arg 0 args) with
-    | Some o, Some (Vobj l) ->
-        set o "params" (Option.value (slot l "items") ~default:(Vlist []))
-    | Some o, _ -> set o "params" (Vlist [])
-    | None, _ -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.name_value_pair ~name:"<init>" then begin
-    (match base_obj with
-    | Some o ->
-        set o "k" (arg_or_top 0 args);
-        set o "v" (arg_or_top 1 args)
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.default_http_client ~name:"<init>" then some Vnull
+  | Request_init ->
+      (match base_obj with
+      | Some o -> (
+          set o "headers" (Vlist []);
+          match arg 0 args with Some u -> set o "uri" u | None -> ())
+      | None -> ());
+      some Vnull
+  | Add_header ->
+      push_pair "headers";
+      some Vnull
+  | Set_entity ->
+      (match base_obj with Some o -> set o "entity" (arg_or_top 0 args) | None -> ());
+      some Vnull
+  | String_entity_init ->
+      (match base_obj with
+      | Some o -> set o "content" (Vstr (strinfo_of (arg_or_top 0 args)))
+      | None -> ());
+      some Vnull
+  | Form_entity_init ->
+      (match (base_obj, arg 0 args) with
+      | Some o, Some (Vobj l) ->
+          set o "params" (Option.value (slot l "items") ~default:(Vlist []))
+      | Some o, _ -> set o "params" (Vlist [])
+      | None, _ -> ());
+      some Vnull
+  | Pair_init ->
+      (match base_obj with
+      | Some o ->
+          set o "k" (arg_or_top 0 args);
+          set o "v" (arg_or_top 1 args)
+      | None -> ());
+      some Vnull
   (* -------------------- demarcation: apache execute ---------------- *)
-  else if is ~cls:Api.http_client ~name:"execute" then begin
-    let tx = finalize ctx ~dp:sid (arg_or_top 0 args) in
-    let resp = alloc Api.http_response in
-    set resp "tx" (Vint (Some tx.Txn.tx_id));
-    some (Vobj resp)
-  end
-  else if is ~cls:Api.http_response ~name:"getEntity" then begin
-    match base_obj with
-    | Some o ->
-        let e = alloc Api.http_entity in
-        (match slot o "tx" with Some t -> set e "tx" t | None -> ());
-        some (Vobj e)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.http_entity ~name:"getContent" then begin
-    match base_obj with
-    | Some o ->
-        let s = alloc Api.input_stream in
-        (match slot o "tx" with Some t -> set s "tx" t | None -> ());
-        some (Vobj s)
-    | None -> some Vtop
-  end
-  else if
-    is ~cls:Api.entity_utils ~name:"toString" || is ~cls:Api.io_utils ~name:"toString"
-  then begin
-    match arg 0 args with
-    | Some (Vobj o) -> (
-        match slot o "tx" with
-        | Some (Vint (Some txid)) ->
-            set_resp_kind ctx txid Respacc.Bk_text;
-            some (str_of_cursor { cu_tx = txid; cu_path = [] })
-        | _ -> some str_unknown)
-    | _ -> some str_unknown
-  end
+  | Apache_execute ->
+      let tx = finalize ctx ~dp:sid (arg_or_top 0 args) in
+      let resp = alloc Api.http_response in
+      set resp "tx" (Vint (Some tx.Txn.tx_id));
+      some (Vobj resp)
+  | Get_entity -> (
+      match base_obj with
+      | Some o ->
+          let e = alloc Api.http_entity in
+          (match slot o "tx" with Some t -> set e "tx" t | None -> ());
+          some (Vobj e)
+      | None -> some Vtop)
+  | Get_content -> (
+      match base_obj with
+      | Some o ->
+          let s = alloc Api.input_stream in
+          (match slot o "tx" with Some t -> set s "tx" t | None -> ());
+          some (Vobj s)
+      | None -> some Vtop)
+  | Read_stream -> (
+      match arg 0 args with
+      | Some (Vobj o) -> (
+          match slot o "tx" with
+          | Some (Vint (Some txid)) ->
+              set_resp_kind ctx txid Respacc.Bk_text;
+              some (str_of_cursor { cu_tx = txid; cu_path = [] })
+          | _ -> some str_unknown)
+      | _ -> some str_unknown)
   (* -------------------- java.net.URL / HttpURLConnection ----------- *)
-  else if is ~cls:Api.java_url ~name:"<init>" then begin
-    (match base_obj with Some o -> set o "uri" (arg_or_top 0 args) | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.java_url ~name:"openConnection" then begin
-    let conn = alloc Api.http_url_connection in
-    (match base_obj with
-    | Some o -> (
-        match slot o "uri" with Some u -> set conn "uri" u | None -> ())
-    | None -> ());
-    set conn "meth" (str_lit "GET");
-    set conn "headers" (Vlist []);
-    some (Vobj conn)
-  end
-  else if is ~cls:Api.http_url_connection ~name:"setRequestMethod" then begin
-    (match base_obj with Some o -> set o "meth" (arg_or_top 0 args) | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.http_url_connection ~name:"setRequestProperty" then begin
-    (match base_obj with
-    | Some o ->
-        let hs = match slot o "headers" with Some (Vlist l) -> l | _ -> [] in
-        set o "headers"
-          (Vlist (hs @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.http_url_connection ~name:"getOutputStream" then begin
-    match base_obj with
-    | Some o ->
-        let os = alloc Api.output_stream in
-        set os "conn" (Vobj o);
-        some (Vobj os)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.output_stream ~name:"write" then begin
-    (match base_obj with
-    | Some o -> (
-        match (slot o "conn", slot o "sock") with
-        | Some (Vobj conn), _ -> set conn "body" (arg_or_top 0 args)
-        | _, Some (Vobj sock) ->
-            (* Raw-socket writes accumulate the HTTP wire text. *)
-            let cur = Option.value (slot sock "wire") ~default:(str_lit "") in
-            set sock "wire" (str_concat cur (arg_or_top 0 args))
-        | _, _ -> ())
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.output_stream ~name:"close" then some Vnull
-  else if
-    is ~cls:Api.http_url_connection ~name:"getInputStream"
-    || is ~cls:Api.http_url_connection ~name:"getResponseCode"
-  then begin
-    match base_obj with
-    | Some conn ->
-        (* One transaction per connection object: reuse if finalized. *)
-        let txid =
-          match slot conn "tx" with
-          | Some (Vint (Some id)) -> id
-          | _ ->
-              let tx = finalize ctx ~dp:sid (Vobj conn) in
-              set conn "tx" (Vint (Some tx.Txn.tx_id));
-              tx.Txn.tx_id
-        in
-        if name = "getResponseCode" then some (Vint None)
-        else begin
+  | Url_init ->
+      (match base_obj with Some o -> set o "uri" (arg_or_top 0 args) | None -> ());
+      some Vnull
+  | Open_connection ->
+      let conn = alloc Api.http_url_connection in
+      (match base_obj with
+      | Some o -> (
+          match slot o "uri" with Some u -> set conn "uri" u | None -> ())
+      | None -> ());
+      set conn "meth" (str_lit "GET");
+      set conn "headers" (Vlist []);
+      some (Vobj conn)
+  | Set_method ->
+      (match base_obj with Some o -> set o "meth" (arg_or_top 0 args) | None -> ());
+      some Vnull
+  | Conn_output -> (
+      match base_obj with
+      | Some o ->
+          let os = alloc Api.output_stream in
+          set os "conn" (Vobj o);
+          some (Vobj os)
+      | None -> some Vtop)
+  | Stream_write ->
+      (match base_obj with
+      | Some o -> (
+          match (slot o "conn", slot o "sock") with
+          | Some (Vobj conn), _ -> set conn "body" (arg_or_top 0 args)
+          | _, Some (Vobj sock) ->
+              (* Raw-socket writes accumulate the HTTP wire text. *)
+              let cur = Option.value (slot sock "wire") ~default:(str_lit "") in
+              set sock "wire" (str_concat cur (arg_or_top 0 args))
+          | _, _ -> ())
+      | None -> ());
+      some Vnull
+  | Conn_input | Conn_code -> (
+      match base_obj with
+      | Some conn ->
+          (* One transaction per connection object: reuse if finalized. *)
+          let txid =
+            match slot conn "tx" with
+            | Some (Vint (Some id)) -> id
+            | _ ->
+                let tx = finalize ctx ~dp:sid (Vobj conn) in
+                set conn "tx" (Vint (Some tx.Txn.tx_id));
+                tx.Txn.tx_id
+          in
+          if m = Libmodel.Conn_code then some (Vint None)
+          else begin
+            let s = alloc Api.input_stream in
+            set s "tx" (Vint (Some txid));
+            some (Vobj s)
+          end
+      | None -> some Vtop)
+  (* -------------------- raw sockets (§4 extension) ----------------- *)
+  | Socket_init ->
+      (match base_obj with
+      | Some o -> (
+          set o "host" (arg_or_top 0 args);
+          match arg 1 args with Some p -> set o "port" p | None -> ())
+      | None -> ());
+      some Vnull
+  | Socket_output -> (
+      match base_obj with
+      | Some o ->
+          let os = alloc Api.output_stream in
+          set os "sock" (Vobj o);
+          some (Vobj os)
+      | None -> some Vtop)
+  | Socket_input -> (
+      match base_obj with
+      | Some sock ->
+          let txid =
+            match slot sock "tx" with
+            | Some (Vint (Some id)) -> id
+            | _ ->
+                let tx = ctx.cx_new_tx ~dp:sid in
+                let wire =
+                  match slot sock "wire" with
+                  | Some v -> strinfo_of v
+                  | None -> strinfo_of Vtop
+                in
+                let wire_frag part =
+                  if Provenance.is_enabled Provenance.default then
+                    Provenance.record_fragment Provenance.default
+                      ~tx:tx.Txn.tx_id ~part ~rule:"socket-wire" ~stmt:sid
+                in
+                wire_frag "uri";
+                (match parse_http_wire wire.sg with
+                | Some (meth, path_sig) ->
+                    wire_frag "method";
+                    tx.Txn.tx_meth <- meth;
+                    let host =
+                      match slot sock "host" with
+                      | Some v -> (strinfo_of v).sg
+                      | None -> Strsig.unknown
+                    in
+                    tx.Txn.tx_uri <-
+                      Strsig.concat [ Strsig.lit "http://"; host; path_sig ]
+                | None -> tx.Txn.tx_uri <- Strsig.unknown);
+                if wire.prov <> [] then begin
+                  tx.Txn.tx_dynamic_uri <- true;
+                  record_deps tx ~field:"uri" wire.prov
+                end;
+                set sock "tx" (Vint (Some tx.Txn.tx_id));
+                tx.Txn.tx_id
+          in
           let s = alloc Api.input_stream in
           set s "tx" (Vint (Some txid));
           some (Vobj s)
-        end
-    | None -> some Vtop
-  end
-  (* -------------------- raw sockets (§4 extension) ----------------- *)
-  else if is ~cls:Api.java_socket ~name:"<init>" then begin
-    (match base_obj with
-    | Some o -> (
-        set o "host" (arg_or_top 0 args);
-        match arg 1 args with Some p -> set o "port" p | None -> ())
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.java_socket ~name:"getOutputStream" then begin
-    match base_obj with
-    | Some o ->
-        let os = alloc Api.output_stream in
-        set os "sock" (Vobj o);
-        some (Vobj os)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.java_socket ~name:"getInputStream" then begin
-    match base_obj with
-    | Some sock ->
-        let txid =
-          match slot sock "tx" with
-          | Some (Vint (Some id)) -> id
-          | _ ->
-              let tx = ctx.cx_new_tx ~dp:sid in
-              let wire =
-                match slot sock "wire" with
-                | Some v -> strinfo_of v
-                | None -> strinfo_of Vtop
-              in
-              let wire_frag part =
-                if Provenance.is_enabled Provenance.default then
-                  Provenance.record_fragment Provenance.default
-                    ~tx:tx.Txn.tx_id ~part ~rule:"socket-wire" ~stmt:sid
-              in
-              wire_frag "uri";
-              (match parse_http_wire wire.sg with
-              | Some (meth, path_sig) ->
-                  wire_frag "method";
-                  tx.Txn.tx_meth <- meth;
-                  let host =
-                    match slot sock "host" with
-                    | Some v -> (strinfo_of v).sg
-                    | None -> Strsig.unknown
-                  in
-                  tx.Txn.tx_uri <-
-                    Strsig.concat [ Strsig.lit "http://"; host; path_sig ]
-              | None -> tx.Txn.tx_uri <- Strsig.unknown);
-              if wire.prov <> [] then begin
-                tx.Txn.tx_dynamic_uri <- true;
-                record_deps tx ~field:"uri" wire.prov
-              end;
-              set sock "tx" (Vint (Some tx.Txn.tx_id));
-              tx.Txn.tx_id
-        in
-        let s = alloc Api.input_stream in
-        set s "tx" (Vint (Some txid));
-        some (Vobj s)
-    | None -> some Vtop
-  end
+      | None -> some Vtop)
   (* -------------------- volley -------------------- *)
-  else if is ~cls:Api.request_queue ~name:"<init>" then some Vnull
-  else if is ~cls:Api.string_request ~name:"<init>" then begin
-    (match base_obj with
-    | Some o ->
-        set o "meth" (arg_or_top 0 args);
-        set o "uri" (arg_or_top 1 args);
-        set o "listener" (arg_or_top 2 args)
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.request_queue ~name:"add" then begin
-    let reqval = arg_or_top 0 args in
-    let tx = finalize ctx ~dp:sid reqval in
-    (* Deliver the response to the listener callback. *)
-    (match reqval with
-    | Vobj o -> (
-        match slot o "listener" with
-        | Some (Vobj l) ->
-            let cb = { Ir.id_cls = l.o_cls; id_name = "onResponse" } in
-            (* Delivery alone is not processing: the body kind upgrades
-               only when the callback actually reads the payload. *)
-            ignore
-              (ctx.cx_run_callback cb (Some (Vobj l))
-                 [ str_of_cursor { cu_tx = tx.Txn.tx_id; cu_path = [] } ])
-        | _ -> ())
-    | _ -> ());
-    some Vnull
-  end
+  | Volley_request_init ->
+      (match base_obj with
+      | Some o ->
+          set o "meth" (arg_or_top 0 args);
+          set o "uri" (arg_or_top 1 args);
+          set o "listener" (arg_or_top 2 args)
+      | None -> ());
+      some Vnull
+  | Volley_add ->
+      let reqval = arg_or_top 0 args in
+      let tx = finalize ctx ~dp:sid reqval in
+      (* Deliver the response to the listener callback. *)
+      (match reqval with
+      | Vobj o -> (
+          match slot o "listener" with
+          | Some (Vobj l) ->
+              let cb = { Ir.id_cls = l.o_cls; id_name = "onResponse" } in
+              (* Delivery alone is not processing: the body kind upgrades
+                 only when the callback actually reads the payload. *)
+              ignore
+                (ctx.cx_run_callback cb (Some (Vobj l))
+                   [ str_of_cursor { cu_tx = tx.Txn.tx_id; cu_path = [] } ])
+          | _ -> ())
+      | _ -> ());
+      some Vnull
   (* -------------------- okhttp -------------------- *)
-  else if is ~cls:Api.okhttp_client ~name:"<init>" then some Vnull
-  else if is ~cls:Api.okhttp_builder ~name:"<init>" then begin
-    (match base_obj with
-    | Some o ->
-        set o "meth" (str_lit "GET");
-        set o "headers" (Vlist [])
-    | None -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.okhttp_builder ~name:"url" then begin
-    (match base_obj with Some o -> set o "uri" (arg_or_top 0 args) | None -> ());
-    some (Option.value base ~default:Vtop)
-  end
-  else if is ~cls:Api.okhttp_builder ~name:"header" then begin
-    (match base_obj with
-    | Some o ->
-        let hs = match slot o "headers" with Some (Vlist l) -> l | _ -> [] in
-        set o "headers"
-          (Vlist (hs @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
-    | None -> ());
-    some (Option.value base ~default:Vtop)
-  end
-  else if
-    is ~cls:Api.okhttp_builder ~name:"post"
-    || is ~cls:Api.okhttp_builder ~name:"put"
-    || is ~cls:Api.okhttp_builder ~name:"delete"
-  then begin
-    (match base_obj with
-    | Some o ->
-        set o "meth" (str_lit (String.uppercase_ascii name));
-        set o "body" (arg_or_top 0 args)
-    | None -> ());
-    some (Option.value base ~default:Vtop)
-  end
-  else if is ~cls:Api.okhttp_body ~name:"create" then begin
-    let o = alloc Api.okhttp_body in
-    set o "content" (Vstr (strinfo_of (arg_or_top 0 args)));
-    some (Vobj o)
-  end
-  else if is ~cls:Api.okhttp_builder ~name:"build" then begin
-    match base_obj with
-    | Some o ->
-        let r = alloc Api.okhttp_request in
-        SMap.iter (fun k v -> set r k v) (obj_slots !href o);
-        some (Vobj r)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.okhttp_client ~name:"newCall" then begin
-    let c = alloc Api.okhttp_call in
-    set c "req" (arg_or_top 0 args);
-    some (Vobj c)
-  end
-  else if is ~cls:Api.okhttp_call ~name:"execute" then begin
-    match base_obj with
-    | Some o ->
-        let tx = finalize ctx ~dp:sid (Vobj o) in
-        let resp = alloc Api.okhttp_response in
-        set resp "tx" (Vint (Some tx.Txn.tx_id));
-        some (Vobj resp)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.okhttp_response ~name:"body" then begin
-    match base_obj with
-    | Some o ->
-        let b = alloc Api.okhttp_response_body in
-        (match slot o "tx" with Some t -> set b "tx" t | None -> ());
-        some (Vobj b)
-    | None -> some Vtop
-  end
-  else if is ~cls:Api.okhttp_response_body ~name:"string" then begin
-    match base_obj with
-    | Some o -> (
-        match slot o "tx" with
-        | Some (Vint (Some txid)) ->
-            set_resp_kind ctx txid Respacc.Bk_text;
-            some (str_of_cursor { cu_tx = txid; cu_path = [] })
-        | _ -> some str_unknown)
-    | None -> some str_unknown
-  end
+  | Ok_builder_init ->
+      (match base_obj with
+      | Some o ->
+          set o "meth" (str_lit "GET");
+          set o "headers" (Vlist [])
+      | None -> ());
+      some Vnull
+  | Ok_url ->
+      (match base_obj with Some o -> set o "uri" (arg_or_top 0 args) | None -> ());
+      some (Option.value base ~default:Vtop)
+  | Ok_header ->
+      push_pair "headers";
+      some (Option.value base ~default:Vtop)
+  | Ok_method ->
+      (match base_obj with
+      | Some o ->
+          set o "meth" (str_lit (String.uppercase_ascii name));
+          set o "body" (arg_or_top 0 args)
+      | None -> ());
+      some (Option.value base ~default:Vtop)
+  | Ok_body_create ->
+      let o = alloc Api.okhttp_body in
+      set o "content" (Vstr (strinfo_of (arg_or_top 0 args)));
+      some (Vobj o)
+  | Ok_build -> (
+      match base_obj with
+      | Some o ->
+          let r = alloc Api.okhttp_request in
+          SMap.iter (fun k v -> set r k v) (obj_slots !href o);
+          some (Vobj r)
+      | None -> some Vtop)
+  | Ok_new_call ->
+      let c = alloc Api.okhttp_call in
+      set c "req" (arg_or_top 0 args);
+      some (Vobj c)
+  | Ok_execute -> (
+      match base_obj with
+      | Some o ->
+          let tx = finalize ctx ~dp:sid (Vobj o) in
+          let resp = alloc Api.okhttp_response in
+          set resp "tx" (Vint (Some tx.Txn.tx_id));
+          some (Vobj resp)
+      | None -> some Vtop)
+  | Ok_response_body -> (
+      match base_obj with
+      | Some o ->
+          let b = alloc Api.okhttp_response_body in
+          (match slot o "tx" with Some t -> set b "tx" t | None -> ());
+          some (Vobj b)
+      | None -> some Vtop)
+  | Ok_body_string -> (
+      match base_obj with
+      | Some o -> (
+          match slot o "tx" with
+          | Some (Vint (Some txid)) ->
+              set_resp_kind ctx txid Respacc.Bk_text;
+              some (str_of_cursor { cu_tx = txid; cu_path = [] })
+          | _ -> some str_unknown)
+      | None -> some str_unknown)
   (* -------------------- media player (DP) -------------------- *)
-  else if is ~cls:Api.media_player ~name:"<init>" then some Vnull
-  else if is ~cls:Api.media_player ~name:"setDataSource" then begin
-    let tx = finalize ctx ~dp:sid (arg_or_top 0 args) in
-    Respacc.force_kind tx.Txn.tx_resp Respacc.Bk_opaque;
-    Txn.add_consumer tx Msgsig.To_media_player;
-    some Vnull
-  end
-  else if
-    is ~cls:Api.media_player ~name:"prepare" || is ~cls:Api.media_player ~name:"start"
-  then some Vnull
+  | Media_source ->
+      let tx = finalize ctx ~dp:sid (arg_or_top 0 args) in
+      Respacc.force_kind tx.Txn.tx_resp Respacc.Bk_opaque;
+      Txn.add_consumer tx Msgsig.To_media_player;
+      some Vnull
   (* -------------------- JSON -------------------- *)
-  else if is ~cls:Api.json_object ~name:"<init>" then begin
-    (match (base_obj, arg 0 args) with
-    | Some o, None -> set o "fields" (Vlist [])
-    | Some o, Some (Vstr si) -> (
-        match cursor_of_strinfo si with
-        | Some cu ->
-            set_resp_kind ctx cu.cu_tx Respacc.Bk_json;
-            record_nav ctx cu;
-            set o "cursor" (Vcursor cu)
-        | None -> set o "opaque" Vtop)
-    | Some o, Some (Vcursor cu) -> set o "cursor" (Vcursor cu)
-    | Some o, Some _ -> set o "opaque" Vtop
-    | None, _ -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.json_array ~name:"<init>" then begin
-    (match (base_obj, arg 0 args) with
-    | Some o, None -> set o "items" (Vlist [])
-    | Some o, Some (Vstr si) -> (
-        match cursor_of_strinfo si with
-        | Some cu ->
-            set_resp_kind ctx cu.cu_tx Respacc.Bk_json;
-            set o "cursor" (Vcursor (cursor_child cu Sindex))
-        | None -> set o "items" (Vlist []))
-    | Some o, Some _ -> set o "items" (Vlist [])
-    | None, _ -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.json_object ~name:"put" then begin
-    (match base_obj with
-    | Some o -> (
-        match slot o "fields" with
-        | Some (Vlist fields) ->
-            set o "fields"
-              (Vlist (fields @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
-        | _ -> ())
-    | None -> ());
-    some (match base with Some b -> b | None -> Vtop)
-  end
-  else if
-    is ~cls:Api.json_array ~name:"put"
-    &&
-    match base_obj with
-    | Some o -> slot o "cursor" = None
-    | None -> false
-  then begin
-    (match base_obj with
-    | Some o -> (
-        match slot o "items" with
-        | Some (Vlist items) -> set o "items" (Vlist (items @ [ arg_or_top 0 args ]))
-        | _ -> set o "items" (Vlist [ arg_or_top 0 args ]))
-    | None -> ());
-    some (match base with Some b -> b | None -> Vtop)
-  end
-  else if
-    is ~cls:Api.json_object ~name:"toString" || is ~cls:Api.json_array ~name:"toString"
-  then begin
-    match base_obj with
-    | Some o ->
-        let js = to_jsonsig !href (Vobj o) in
-        let kprov =
+  | Json_obj_init ->
+      (match (base_obj, arg 0 args) with
+      | Some o, None -> set o "fields" (Vlist [])
+      | Some o, Some (Vstr si) -> (
+          match cursor_of_strinfo si with
+          | Some cu ->
+              set_resp_kind ctx cu.cu_tx Respacc.Bk_json;
+              record_nav ctx cu;
+              set o "cursor" (Vcursor cu)
+          | None -> set o "opaque" Vtop)
+      | Some o, Some (Vcursor cu) -> set o "cursor" (Vcursor cu)
+      | Some o, Some _ -> set o "opaque" Vtop
+      | None, _ -> ());
+      some Vnull
+  | Json_arr_init ->
+      (match (base_obj, arg 0 args) with
+      | Some o, None -> set o "items" (Vlist [])
+      | Some o, Some (Vstr si) -> (
+          match cursor_of_strinfo si with
+          | Some cu ->
+              set_resp_kind ctx cu.cu_tx Respacc.Bk_json;
+              set o "cursor" (Vcursor (cursor_child cu Sindex))
+          | None -> set o "items" (Vlist []))
+      | Some o, Some _ -> set o "items" (Vlist [])
+      | None, _ -> ());
+      some Vnull
+  | Json_obj_put ->
+      (match base_obj with
+      | Some o -> (
           match slot o "fields" with
           | Some (Vlist fields) ->
-              List.filter_map
-                (function
-                  | Vpair (Vstr { sg = Strsig.Lit k; _ }, v) ->
-                      Some (k, collect_prov !href v)
-                  | _ -> None)
-                fields
-          | _ -> []
-        in
-        some
-          (Vstr
-             {
-               sg = Strsig.unknown;
-               prov = collect_prov !href (Vobj o);
-               srcs = collect_srcs !href (Vobj o);
-               structured = Some js;
-               kprov;
-             })
-    | None -> some str_unknown
-  end
-  else if
-    List.mem name
-      [
-        "getString"; "optString"; "getInt"; "getBoolean"; "getJSONObject";
-        "getJSONArray"; "has"; "length";
-      ]
-    && (is ~cls:Api.json_object ~name || is ~cls:Api.json_array ~name)
-  then begin
-    let cursor_of_base =
-      match base with
-      | Some (Vcursor cu) -> Some cu
-      | Some (Vobj o) -> (
-          match slot o "cursor" with Some (Vcursor cu) -> Some cu | _ -> None)
-      | _ -> None
-    in
-    match cursor_of_base with
-    | Some cu -> (
-        let key_step =
-          match arg 0 args with
-          | Some (Vstr { sg = Strsig.Lit k; _ }) -> Some (Sfield k)
-          | Some (Vint _) -> Some Sindex
-          | Some _ | None -> None
-        in
-        match (name, key_step) with
-        | ("getString" | "optString"), Some st ->
-            some (cursor_leaf ctx cu st Respacc.Kstr str_of_cursor)
-        | "getInt", Some st ->
-            ignore (cursor_leaf ctx cu st Respacc.Knum (fun _ -> Vnull));
-            some (Vint None)
-        | "getBoolean", Some st ->
-            ignore (cursor_leaf ctx cu st Respacc.Kbool (fun _ -> Vnull));
-            some (Vbool None)
-        | ("getJSONObject" | "getJSONArray"), Some st ->
-            let cu' = cursor_child cu st in
-            record_nav ctx cu';
-            some (Vcursor cu')
-        | "has", _ -> some (Vbool None)
-        | "length", _ -> some (Vint None)
-        | _, _ -> some Vtop)
-    | None -> (
-        match base_obj with
-        | Some o -> (
+              set o "fields"
+                (Vlist (fields @ [ Vpair (arg_or_top 0 args, arg_or_top 1 args) ]))
+          | _ -> ())
+      | None -> ());
+      some (match base with Some b -> b | None -> Vtop)
+  | Json_arr_put -> (
+      (* A parsed (cursor-backed) array is read-only: left unmodelled. *)
+      match base_obj with
+      | Some o when slot o "cursor" = None ->
+          (match slot o "items" with
+          | Some (Vlist items) -> set o "items" (Vlist (items @ [ arg_or_top 0 args ]))
+          | _ -> set o "items" (Vlist [ arg_or_top 0 args ]));
+          some (match base with Some b -> b | None -> Vtop)
+      | Some _ | None -> None)
+  | Json_to_string -> (
+      match base_obj with
+      | Some o ->
+          let js = to_jsonsig !href (Vobj o) in
+          let kprov =
             match slot o "fields" with
-            | Some (Vlist fields) -> (
-                (* Builder lookup. *)
-                match arg 0 args with
-                | Some (Vstr { sg = Strsig.Lit key; _ }) -> (
-                    let found =
-                      List.find_map
-                        (function
-                          | Vpair (Vstr { sg = Strsig.Lit k; _ }, v) when k = key
-                            ->
-                              Some v
-                          | _ -> None)
-                        fields
-                    in
-                    match found with Some v -> some v | None -> some Vnull)
-                | Some _ | None -> some Vtop)
-            | _ ->
-                (* Opaque parse (e.g. of a push message). *)
-                if name = "getInt" || name = "length" then some (Vint None)
-                else if name = "getBoolean" || name = "has" then some (Vbool None)
-                else if name = "getString" || name = "optString" then
-                  some str_unknown
-                else some Vtop)
-        | None -> some Vtop)
-  end
-  (* -------------------- gson -------------------- *)
-  else if is ~cls:Api.gson ~name:"<init>" then some Vnull
-  else if is ~cls:Api.gson ~name:"toJson" then begin
-    match arg 0 args with
-    | Some (Vobj o) ->
-        let fields =
-          SMap.bindings (obj_slots !href o)
-          |> List.filter (fun (k, _) -> not (String.length k > 1 && k.[0] = '_'))
-        in
-        let js =
-          Jsonsig.Jobj (List.map (fun (k, v) -> (k, to_jsonsig !href v)) fields)
-        in
-        let kprov = List.map (fun (k, v) -> (k, collect_prov !href v)) fields in
-        some
-          (Vstr
-             {
-               sg = Strsig.unknown;
-               prov = collect_prov !href (Vobj o);
-               srcs = collect_srcs !href (Vobj o);
-               structured = Some js;
-               kprov;
-             })
-    | Some _ | None -> some str_unknown
-  end
-  else if is ~cls:Api.gson ~name:"fromJson" then begin
-    match (arg 0 args, arg 1 args) with
-    | Some (Vstr si), Some (Vstr { sg = Strsig.Lit clsname; _ }) -> (
-        match cursor_of_strinfo si with
-        | Some cu ->
-            set_resp_kind ctx cu.cu_tx Respacc.Bk_json;
-            let o = alloc clsname in
-            set o "__gson_cursor" (Vcursor cu);
-            some (Vobj o)
-        | None -> some (Vobj (alloc clsname)))
-    | _, _ -> some Vtop
-  end
-  (* -------------------- XML -------------------- *)
-  else if is ~cls:Api.xml_parser ~name:"parse" then begin
-    match arg 0 args with
-    | Some (Vstr si) -> (
-        match cursor_of_strinfo si with
-        | Some cu ->
-            set_resp_kind ctx cu.cu_tx Respacc.Bk_xml;
-            some (Vcursor cu)
-        | None -> some Vtop)
-    | Some (Vcursor cu) -> some (Vcursor cu)
-    | _ -> some Vtop
-  end
-  else if is ~cls:Api.xml_element ~name:"getChild" then begin
-    match (base, arg 0 args) with
-    | Some (Vcursor cu), Some (Vstr { sg = Strsig.Lit tag; _ }) ->
-        let cu' = cursor_child cu (Schild tag) in
-        record_nav ctx cu';
-        some (Vcursor cu')
-    | _, _ -> some Vtop
-  end
-  else if is ~cls:Api.xml_element ~name:"getChildren" then begin
-    match (base, arg 0 args) with
-    | Some (Vcursor cu), Some (Vstr { sg = Strsig.Lit tag; _ }) ->
-        let cu' = cursor_child (cursor_child cu (Schild tag)) Sindex in
-        record_nav ctx cu';
-        let l = alloc Api.array_list in
-        set l "items" (Vlist [ Vcursor cu' ]);
-        some (Vobj l)
-    | _, _ -> some Vtop
-  end
-  else if is ~cls:Api.xml_element ~name:"getAttribute" then begin
-    match (base, arg 0 args) with
-    | Some (Vcursor cu), Some (Vstr { sg = Strsig.Lit a; _ }) ->
-        some (cursor_leaf ctx cu (Sattr a) Respacc.Kstr str_of_cursor)
-    | _, _ -> some str_unknown
-  end
-  else if is ~cls:Api.xml_element ~name:"getText" then begin
-    match base with
-    | Some (Vcursor cu) -> some (cursor_leaf ctx cu Stext Respacc.Kstr str_of_cursor)
-    | _ -> some str_unknown
-  end
-  (* -------------------- SQLite -------------------- *)
-  else if is ~cls:Api.sqlite_database ~name:"<init>" then some Vnull
-  else if
-    is ~cls:Api.sqlite_database ~name:"insert"
-    || is ~cls:Api.sqlite_database ~name:"update"
-  then begin
-    (match (arg 0 args, arg 1 args) with
-    | Some (Vstr { sg = Strsig.Lit table; _ }), Some v ->
-        (* Column-level stores when the values object exposes its pairs
-           (ContentValues); whole-table fallback otherwise. *)
-        let store key prov =
-          if prov <> [] then begin
-            let prev = Option.value (Hashtbl.find_opt ctx.cx_db key) ~default:[] in
-            Hashtbl.replace ctx.cx_db key
-              (prev @ List.filter (fun p -> not (List.mem p prev)) prov);
-            List.iter
-              (fun (p : prov) ->
-                match ctx.cx_tx p.p_tx with
-                | Some tx -> Txn.add_consumer tx (Msgsig.To_database table)
-                | None -> ())
-              prov
-          end
-        in
-        (match v with
-        | Vobj o -> (
-            match hslot href o "pairs" with
-            | Some (Vlist pairs) ->
-                List.iter
+            | Some (Vlist fields) ->
+                List.filter_map
                   (function
-                    | Vpair (Vstr { sg = Strsig.Lit col; _ }, value) ->
-                        store (table ^ "." ^ col) (collect_prov !href value)
-                    | other -> store table (collect_prov !href other))
-                  pairs
-            | _ -> store table (collect_prov !href v))
-        | _ -> store table (collect_prov !href v))
-    | _, _ -> ());
-    some Vnull
-  end
-  else if is ~cls:Api.sqlite_database ~name:"query" then begin
-    match arg 0 args with
-    | Some (Vstr { sg = Strsig.Lit table; _ }) ->
-        let c = alloc Api.cursor in
-        set c "table" (str_lit table);
-        some (Vobj c)
-    | Some _ | None -> some (Vobj (alloc Api.cursor))
-  end
-  else if is ~cls:Api.cursor ~name:"getString" then begin
-    match base_obj with
-    | Some o -> (
-        match slot o "table" with
-        | Some (Vstr { sg = Strsig.Lit table; _ }) ->
-            let key =
-              match arg 0 args with
-              | Some (Vstr { sg = Strsig.Lit col; _ })
-                when Hashtbl.mem ctx.cx_db (table ^ "." ^ col) ->
-                  table ^ "." ^ col
-              | _ -> table
-            in
-            let prov =
-              Option.value (Hashtbl.find_opt ctx.cx_db key) ~default:[]
-              |> List.map (fun (p : prov) ->
-                     { p with p_via = Some ("db:" ^ table) })
-            in
-            some
-              (Vstr
-                 {
-                   sg = Strsig.unknown;
-                   prov;
-                   srcs = [];
-                   structured = None;
-                   kprov = [];
-                 })
-        | _ -> some str_unknown)
-    | None -> some str_unknown
-  end
-  else if is ~cls:Api.cursor ~name:"moveToNext" then some (Vbool None)
+                    | Vpair (Vstr { sg = Strsig.Lit k; _ }, v) ->
+                        Some (k, collect_prov !href v)
+                    | _ -> None)
+                  fields
+            | _ -> []
+          in
+          some
+            (Vstr
+               {
+                 sg = Strsig.unknown;
+                 prov = collect_prov !href (Vobj o);
+                 srcs = collect_srcs !href (Vobj o);
+                 structured = Some js;
+                 kprov;
+               })
+      | None -> some str_unknown)
+  | Json_get -> (
+      let cursor_of_base =
+        match base with
+        | Some (Vcursor cu) -> Some cu
+        | Some (Vobj o) -> (
+            match slot o "cursor" with Some (Vcursor cu) -> Some cu | _ -> None)
+        | _ -> None
+      in
+      match cursor_of_base with
+      | Some cu -> (
+          let key_step =
+            match arg 0 args with
+            | Some (Vstr { sg = Strsig.Lit k; _ }) -> Some (Sfield k)
+            | Some (Vint _) -> Some Sindex
+            | Some _ | None -> None
+          in
+          match (name, key_step) with
+          | ("getString" | "optString"), Some st ->
+              some (cursor_leaf ctx cu st Respacc.Kstr str_of_cursor)
+          | "getInt", Some st ->
+              ignore (cursor_leaf ctx cu st Respacc.Knum (fun _ -> Vnull));
+              some (Vint None)
+          | "getBoolean", Some st ->
+              ignore (cursor_leaf ctx cu st Respacc.Kbool (fun _ -> Vnull));
+              some (Vbool None)
+          | ("getJSONObject" | "getJSONArray"), Some st ->
+              let cu' = cursor_child cu st in
+              record_nav ctx cu';
+              some (Vcursor cu')
+          | "has", _ -> some (Vbool None)
+          | "length", _ -> some (Vint None)
+          | _, _ -> some Vtop)
+      | None -> (
+          match base_obj with
+          | Some o -> (
+              match slot o "fields" with
+              | Some (Vlist fields) -> (
+                  (* Builder lookup. *)
+                  match arg 0 args with
+                  | Some (Vstr { sg = Strsig.Lit key; _ }) -> (
+                      let found =
+                        List.find_map
+                          (function
+                            | Vpair (Vstr { sg = Strsig.Lit k; _ }, v) when k = key
+                              ->
+                                Some v
+                            | _ -> None)
+                          fields
+                      in
+                      match found with Some v -> some v | None -> some Vnull)
+                  | Some _ | None -> some Vtop)
+              | _ ->
+                  (* Opaque parse (e.g. of a push message). *)
+                  if name = "getInt" || name = "length" then some (Vint None)
+                  else if name = "getBoolean" || name = "has" then some (Vbool None)
+                  else if name = "getString" || name = "optString" then
+                    some str_unknown
+                  else some Vtop)
+          | None -> some Vtop))
+  (* -------------------- gson -------------------- *)
+  | Gson_to_json -> (
+      match arg 0 args with
+      | Some (Vobj o) ->
+          let fields =
+            SMap.bindings (obj_slots !href o)
+            |> List.filter (fun (k, _) -> not (String.length k > 1 && k.[0] = '_'))
+          in
+          let js =
+            Jsonsig.Jobj (List.map (fun (k, v) -> (k, to_jsonsig !href v)) fields)
+          in
+          let kprov = List.map (fun (k, v) -> (k, collect_prov !href v)) fields in
+          some
+            (Vstr
+               {
+                 sg = Strsig.unknown;
+                 prov = collect_prov !href (Vobj o);
+                 srcs = collect_srcs !href (Vobj o);
+                 structured = Some js;
+                 kprov;
+               })
+      | Some _ | None -> some str_unknown)
+  | Gson_from_json -> (
+      match (arg 0 args, arg 1 args) with
+      | Some (Vstr si), Some (Vstr { sg = Strsig.Lit clsname; _ }) -> (
+          match cursor_of_strinfo si with
+          | Some cu ->
+              set_resp_kind ctx cu.cu_tx Respacc.Bk_json;
+              let o = alloc clsname in
+              set o "__gson_cursor" (Vcursor cu);
+              some (Vobj o)
+          | None -> some (Vobj (alloc clsname)))
+      | _, _ -> some Vtop)
+  (* -------------------- XML -------------------- *)
+  | Xml_parse -> (
+      match arg 0 args with
+      | Some (Vstr si) -> (
+          match cursor_of_strinfo si with
+          | Some cu ->
+              set_resp_kind ctx cu.cu_tx Respacc.Bk_xml;
+              some (Vcursor cu)
+          | None -> some Vtop)
+      | Some (Vcursor cu) -> some (Vcursor cu)
+      | _ -> some Vtop)
+  | Xml_child -> (
+      match (base, arg 0 args) with
+      | Some (Vcursor cu), Some (Vstr { sg = Strsig.Lit tag; _ }) ->
+          let cu' = cursor_child cu (Schild tag) in
+          record_nav ctx cu';
+          some (Vcursor cu')
+      | _, _ -> some Vtop)
+  | Xml_children -> (
+      match (base, arg 0 args) with
+      | Some (Vcursor cu), Some (Vstr { sg = Strsig.Lit tag; _ }) ->
+          let cu' = cursor_child (cursor_child cu (Schild tag)) Sindex in
+          record_nav ctx cu';
+          let l = alloc Api.array_list in
+          set l "items" (Vlist [ Vcursor cu' ]);
+          some (Vobj l)
+      | _, _ -> some Vtop)
+  | Xml_attr -> (
+      match (base, arg 0 args) with
+      | Some (Vcursor cu), Some (Vstr { sg = Strsig.Lit a; _ }) ->
+          some (cursor_leaf ctx cu (Sattr a) Respacc.Kstr str_of_cursor)
+      | _, _ -> some str_unknown)
+  | Xml_text -> (
+      match base with
+      | Some (Vcursor cu) -> some (cursor_leaf ctx cu Stext Respacc.Kstr str_of_cursor)
+      | _ -> some str_unknown)
+  (* -------------------- SQLite -------------------- *)
+  | Db_write ->
+      (match (arg 0 args, arg 1 args) with
+      | Some (Vstr { sg = Strsig.Lit table; _ }), Some v ->
+          (* Column-level stores when the values object exposes its pairs
+             (ContentValues); whole-table fallback otherwise. *)
+          let store key prov =
+            if prov <> [] then begin
+              let prev = Option.value (Hashtbl.find_opt ctx.cx_db key) ~default:[] in
+              Hashtbl.replace ctx.cx_db key
+                (prev @ List.filter (fun p -> not (List.mem p prev)) prov);
+              List.iter
+                (fun (p : prov) ->
+                  match ctx.cx_tx p.p_tx with
+                  | Some tx -> Txn.add_consumer tx (Msgsig.To_database table)
+                  | None -> ())
+                prov
+            end
+          in
+          (match v with
+          | Vobj o -> (
+              match hslot href o "pairs" with
+              | Some (Vlist pairs) ->
+                  List.iter
+                    (function
+                      | Vpair (Vstr { sg = Strsig.Lit col; _ }, value) ->
+                          store (table ^ "." ^ col) (collect_prov !href value)
+                      | other -> store table (collect_prov !href other))
+                    pairs
+              | _ -> store table (collect_prov !href v))
+          | _ -> store table (collect_prov !href v))
+      | _, _ -> ());
+      some Vnull
+  | Db_query -> (
+      match arg 0 args with
+      | Some (Vstr { sg = Strsig.Lit table; _ }) ->
+          let c = alloc Api.cursor in
+          set c "table" (str_lit table);
+          some (Vobj c)
+      | Some _ | None -> some (Vobj (alloc Api.cursor)))
+  | Cursor_get -> (
+      match base_obj with
+      | Some o -> (
+          match slot o "table" with
+          | Some (Vstr { sg = Strsig.Lit table; _ }) ->
+              let key =
+                match arg 0 args with
+                | Some (Vstr { sg = Strsig.Lit col; _ })
+                  when Hashtbl.mem ctx.cx_db (table ^ "." ^ col) ->
+                    table ^ "." ^ col
+                | _ -> table
+              in
+              let prov =
+                Option.value (Hashtbl.find_opt ctx.cx_db key) ~default:[]
+                |> List.map (fun (p : prov) ->
+                       { p with p_via = Some ("db:" ^ table) })
+              in
+              some
+                (Vstr
+                   {
+                     sg = Strsig.unknown;
+                     prov;
+                     srcs = [];
+                     structured = None;
+                     kprov = [];
+                   })
+          | _ -> some str_unknown)
+      | None -> some str_unknown)
+  | Cursor_next -> some (Vbool None)
   (* -------------------- consumers -------------------- *)
-  else if is ~cls:Api.text_view ~name:"setText" then begin
-    List.iter
-      (fun (p : prov) ->
-        match ctx.cx_tx p.p_tx with
-        | Some tx ->
-            Txn.add_consumer tx Msgsig.To_ui;
-            (* Displaying the raw body is inspection: a whole-body use
-               makes the response a (text) pair. *)
-            if p.p_path = [] then
-              Respacc.set_kind tx.Txn.tx_resp Respacc.Bk_text
-        | None -> ())
-      (collect_prov !href (arg_or_top 0 args));
-    some Vnull
-  end
+  | Set_text ->
+      List.iter
+        (fun (p : prov) ->
+          match ctx.cx_tx p.p_tx with
+          | Some tx ->
+              Txn.add_consumer tx Msgsig.To_ui;
+              (* Displaying the raw body is inspection: a whole-body use
+                 makes the response a (text) pair. *)
+              if p.p_path = [] then
+                Respacc.set_kind tx.Txn.tx_resp Respacc.Bk_text
+          | None -> ())
+        (collect_prov !href (arg_or_top 0 args));
+      some Vnull
   (* -------------------- location / timers / push ------------------- *)
-  else if is ~cls:Api.location ~name:"getLat" || is ~cls:Api.location ~name:"getLon"
-  then
-    some
-      (Vstr
-         {
-           sg = Strsig.unknown;
-           prov = [];
-           srcs = [ "gps" ];
-           structured = None;
-           kprov = [];
-         })
-  else if is ~cls:Api.location_manager ~name:"requestLocationUpdates" then begin
-    ctx.cx_register ~kind:"location" (arg_or_top 0 args);
-    some Vnull
-  end
-  else if is ~cls:Api.timer ~name:"<init>" then some Vnull
-  else if is ~cls:Api.timer ~name:"schedule" then begin
-    ctx.cx_register ~kind:"timer" (arg_or_top 0 args);
-    some Vnull
-  end
-  else if is ~cls:Api.firebase_messaging ~name:"subscribe" then begin
-    ctx.cx_register ~kind:"push" (arg_or_top 0 args);
-    some Vnull
-  end
-  else None
+  | Location_lat | Location_lon ->
+      some
+        (Vstr
+           {
+             sg = Strsig.unknown;
+             prov = [];
+             srcs = [ "gps" ];
+             structured = None;
+             kprov = [];
+           })
+  | Location_updates ->
+      ctx.cx_register ~kind:"location" (arg_or_top 0 args);
+      some Vnull
+  | Timer_schedule ->
+      ctx.cx_register ~kind:"timer" (arg_or_top 0 args);
+      some Vnull
+  | Push_subscribe ->
+      ctx.cx_register ~kind:"push" (arg_or_top 0 args);
+      some Vnull

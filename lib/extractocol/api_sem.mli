@@ -46,10 +46,12 @@ val parse_http_wire : Strsig.t -> (Http.meth * Strsig.t) option
 val call :
   ctx ->
   sid:Ir.stmt_id ->
+  Extr_semantics.Api.model ->
   Ir.invoke ->
   base:Absval.t option ->
   args:Absval.t list ->
   Absval.t option
-(** Interpret a library invoke abstractly.  [sid] is the statement id
-    (the transaction anchor for demarcation points).  Returns [None] when
-    the API is not modelled (the caller falls back to [Vtop]). *)
+(** Interpret a library call abstractly under the model it resolves to.
+    [sid] is the statement id (the transaction anchor for demarcation
+    points).  Returns [None] for the models only the concrete runtime
+    gives a meaning (the caller falls back to [Vtop]). *)

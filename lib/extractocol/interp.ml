@@ -14,6 +14,7 @@ module Prog = Extr_ir.Prog
 module Cfg = Extr_cfg.Cfg
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
+module Libmodel = Extr_semantics.Libmodel
 module Strsig = Extr_siglang.Strsig
 module Slicer = Extr_slicing.Slicer
 module Apk = Extr_apk.Apk
@@ -175,8 +176,7 @@ let relevant_methods ?(intents = false) prog (cg : Callgraph.t)
             Array.exists
               (fun stmt ->
                 match Ir.stmt_invoke stmt with
-                | Some i ->
-                    Api.invoke_is i ~cls:Api.context ~name:"startService"
+                | Some i -> Api.model_of i = Some Libmodel.Start_service
                 | None -> false)
               m.Ir.m_body
           in
@@ -580,7 +580,8 @@ and eval_invoke t ~depth href vars (sid : Ir.stmt_id) (i : Ir.invoke) : Absval.t
   let args = List.map (eval_value vars) i.Ir.iargs in
   (* AsyncTask chaining: execute(args) → doInBackground(args) →
      onPostExecute(result). *)
-  if Api.invoke_is i ~cls:Api.async_task ~name:"execute" then begin
+  let model = Api.model_of i in
+  if model = Some Libmodel.Async_execute then begin
     match base with
     | Some (Vobj o) ->
         let dib = { Ir.id_cls = o.o_cls; id_name = "doInBackground" } in
@@ -600,9 +601,9 @@ and eval_invoke t ~depth href vars (sid : Ir.stmt_id) (i : Ir.invoke) : Absval.t
           if cs.Callgraph.cs_implicit then [] else cs.Callgraph.cs_callees)
         sites
     in
-    match app_callees with
-    | [] -> (
-        match Api_sem.call (api_ctx t ~depth ~href ~sid) ~sid i ~base ~args with
+    match (app_callees, model) with
+    | [], Some m -> (
+        match Api_sem.call (api_ctx t ~depth ~href ~sid) ~sid m i ~base ~args with
         | Some v ->
             (* Evidence chain: a semantic model matched this library call. *)
             if Provenance.is_enabled Provenance.default then
@@ -610,7 +611,8 @@ and eval_invoke t ~depth href vars (sid : Ir.stmt_id) (i : Ir.invoke) : Absval.t
                 (i.Ir.iref.Ir.mcls ^ "." ^ i.Ir.iref.Ir.mname);
             v
         | None -> Vtop)
-    | callees ->
+    | [], None -> Vtop
+    | callees, _ ->
         let results =
           List.map
             (fun c -> run_app_method t ~depth ~href ~sid c ~this:base ~args)

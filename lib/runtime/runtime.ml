@@ -7,6 +7,7 @@
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
+module Libmodel = Extr_semantics.Libmodel
 module Apk = Extr_apk.Apk
 module Http = Extr_httpmodel.Http
 module Uri = Extr_httpmodel.Uri
@@ -228,688 +229,563 @@ and eval_invoke t frame (i : Ir.invoke) : Rvalue.t =
 
 and lib_call t (i : Ir.invoke) ~(base : Rvalue.t option) ~(args : Rvalue.t list)
     : Rvalue.t =
-  let is = Api.invoke_is i in
   let name = i.Ir.iref.Ir.mname in
+  let m =
+    match Api.model_of i with
+    | Some m -> m
+    | None -> fail "unmodelled library call %s.%s" i.Ir.iref.Ir.mcls name
+  in
   let base_obj = match base with Some (Robj o) -> Some o | _ -> None in
   let req_obj () =
     match base_obj with Some o -> o | None -> fail "missing receiver for %s" name
   in
   let arg n = Option.value (List.nth_opt args n) ~default:Rnull in
   let str_arg n = to_string (arg n) in
+  let register kind =
+    (match arg 0 with
+    | Robj l -> t.registrations <- t.registrations @ [ { rg_kind = kind; rg_listener = l } ]
+    | _ -> ());
+    Rnull
+  in
+  match (m : Api.model) with
   (* ---------------- AsyncTask (implicit control flow) ------------- *)
-  if is ~cls:Api.async_task ~name:"execute" then begin
-    (match base with
-    | Some (Robj o) ->
-        let run cb_name arglist =
-          match
-            Prog.find_method t.prog { Ir.id_cls = o.ro_cls; id_name = cb_name }
-          with
-          | Some cb -> exec_method t cb ~this:(Some (Robj o)) ~args:arglist
-          | None -> Rnull
-        in
-        let result = run "doInBackground" args in
-        ignore (run "onPostExecute" [ result ])
-    | _ -> ());
-    Rnull
-  end
+  | Async_execute ->
+      (match base with
+      | Some (Robj o) ->
+          let run cb_name arglist =
+            match
+              Prog.find_method t.prog { Ir.id_cls = o.ro_cls; id_name = cb_name }
+            with
+            | Some cb -> exec_method t cb ~this:(Some (Robj o)) ~args:arglist
+            | None -> Rnull
+          in
+          let result = run "doInBackground" args in
+          ignore (run "onPostExecute" [ result ])
+      | _ -> ());
+      Rnull
   (* ---------------- reflection ---------------- *)
-  else if is ~cls:Api.java_class ~name:"forName" then begin
-    let o = Rvalue.new_obj Api.java_class in
-    set_slot o "name" (Rstr (str_arg 0));
-    Robj o
-  end
-  else if is ~cls:Api.java_class ~name:"newInstance" then begin
-    match Option.bind base_obj (fun o -> slot o "name") with
-    | Some (Rstr cls) -> (
-        let o = Rvalue.new_obj cls in
-        (match Prog.find_method t.prog { Ir.id_cls = cls; id_name = "<init>" } with
-        | Some init -> ignore (exec_method t init ~this:(Some (Robj o)) ~args:[])
-        | None -> ());
-        Robj o)
-    | Some _ | None -> fail "newInstance on unresolved class"
-  end
-  else if is ~cls:Api.java_class ~name:"getMethod" then begin
-    let m = Rvalue.new_obj Api.reflect_method in
-    (match Option.bind base_obj (fun o -> slot o "name") with
-    | Some v -> set_slot m "cls" v
-    | None -> ());
-    set_slot m "mname" (Rstr (str_arg 0));
-    Robj m
-  end
-  else if is ~cls:Api.reflect_method ~name:"invoke" then begin
-    match
-      ( Option.bind base_obj (fun o -> slot o "cls"),
-        Option.bind base_obj (fun o -> slot o "mname") )
-    with
-    | Some (Rstr cls), Some (Rstr mname) -> (
-        match Prog.find_method t.prog { Ir.id_cls = cls; id_name = mname } with
-        | Some m ->
-            let this = List.nth_opt args 0 in
-            let rest = match args with [] -> [] | _ :: r -> r in
-            exec_method t m ~this ~args:rest
-        | None -> fail "reflective target %s.%s not found" cls mname)
-    | _, _ -> fail "invoke on unresolved method"
-  end
+  | Class_for_name ->
+      let o = Rvalue.new_obj Api.java_class in
+      set_slot o "name" (Rstr (str_arg 0));
+      Robj o
+  | New_instance -> (
+      match Option.bind base_obj (fun o -> slot o "name") with
+      | Some (Rstr cls) ->
+          let o = Rvalue.new_obj cls in
+          (match Prog.find_method t.prog { Ir.id_cls = cls; id_name = "<init>" } with
+          | Some init -> ignore (exec_method t init ~this:(Some (Robj o)) ~args:[])
+          | None -> ());
+          Robj o
+      | Some _ | None -> fail "newInstance on unresolved class")
+  | Get_method ->
+      let mo = Rvalue.new_obj Api.reflect_method in
+      (match Option.bind base_obj (fun o -> slot o "name") with
+      | Some v -> set_slot mo "cls" v
+      | None -> ());
+      set_slot mo "mname" (Rstr (str_arg 0));
+      Robj mo
+  | Method_invoke -> (
+      match
+        ( Option.bind base_obj (fun o -> slot o "cls"),
+          Option.bind base_obj (fun o -> slot o "mname") )
+      with
+      | Some (Rstr cls), Some (Rstr mname) -> (
+          match Prog.find_method t.prog { Ir.id_cls = cls; id_name = mname } with
+          | Some target ->
+              let this = List.nth_opt args 0 in
+              let rest = match args with [] -> [] | _ :: r -> r in
+              exec_method t target ~this ~args:rest
+          | None -> fail "reflective target %s.%s not found" cls mname)
+      | _, _ -> fail "invoke on unresolved method")
   (* ---------------- StringBuilder / String ---------------- *)
-  else if is ~cls:Api.string_builder ~name:"<init>" then begin
-    set_slot (req_obj ()) "s"
-      (Rstr (match args with [] -> "" | v :: _ -> to_string v));
-    Rnull
-  end
-  else if is ~cls:Api.string_builder ~name:"append" then begin
-    let o = req_obj () in
-    let cur = match slot o "s" with Some (Rstr s) -> s | _ -> "" in
-    set_slot o "s" (Rstr (cur ^ str_arg 0));
-    Robj o
-  end
-  else if is ~cls:Api.string_builder ~name:"toString" then
-    Rstr (match slot (req_obj ()) "s" with Some (Rstr s) -> s | _ -> "")
-  else if is ~cls:Api.java_string ~name:"valueOf" then Rstr (str_arg 0)
-  else if is ~cls:Api.java_string ~name:"concat" then
-    Rstr (to_string (Option.value base ~default:Rnull) ^ str_arg 0)
-  else if is ~cls:Api.java_string ~name:"trim" then
-    Rstr (String.trim (to_string (Option.value base ~default:Rnull)))
-  else if is ~cls:Api.java_string ~name:"equals" then
-    Rbool (to_string (Option.value base ~default:Rnull) = str_arg 0)
-  else if is ~cls:Api.java_string ~name:"length" then
-    Rint (String.length (to_string (Option.value base ~default:Rnull)))
-  else if is ~cls:Api.java_integer ~name:"parseInt" then
-    Rint (match int_of_string_opt (String.trim (str_arg 0)) with Some n -> n | None -> 0)
-  else if is ~cls:Api.java_integer ~name:"toString" then Rstr (str_arg 0)
-  else if is ~cls:Api.url_encoder ~name:"encode" then
-    Rstr (Uri.percent_encode (str_arg 0))
+  | Sb_init ->
+      set_slot (req_obj ()) "s"
+        (Rstr (match args with [] -> "" | v :: _ -> to_string v));
+      Rnull
+  | Sb_append ->
+      let o = req_obj () in
+      let cur = match slot o "s" with Some (Rstr s) -> s | _ -> "" in
+      set_slot o "s" (Rstr (cur ^ str_arg 0));
+      Robj o
+  | Sb_to_string -> Rstr (match slot (req_obj ()) "s" with Some (Rstr s) -> s | _ -> "")
+  | Str_value_of | Int_to_string -> Rstr (str_arg 0)
+  | Str_concat -> Rstr (to_string (Option.value base ~default:Rnull) ^ str_arg 0)
+  | Str_trim -> Rstr (String.trim (to_string (Option.value base ~default:Rnull)))
+  | Str_equals -> Rbool (to_string (Option.value base ~default:Rnull) = str_arg 0)
+  | Str_length -> Rint (String.length (to_string (Option.value base ~default:Rnull)))
+  | Int_parse ->
+      Rint (match int_of_string_opt (String.trim (str_arg 0)) with Some n -> n | None -> 0)
+  | Url_encode -> Rstr (Uri.percent_encode (str_arg 0))
   (* ---------------- android UI / resources ---------------- *)
-  else if is ~cls:Api.resources ~name:"getString" then begin
-    match arg 0 with
-    | Rint id -> Rstr (Option.value (Apk.resource_string t.apk id) ~default:"")
-    | _ -> Rstr ""
-  end
-  else if is ~cls:Api.activity ~name:"getResources" then Robj (new_obj Api.resources)
-  else if is ~cls:Api.activity ~name:"findViewById" then Robj (new_obj Api.view)
-  else if is ~cls:Api.edit_text ~name:"<init>" then Rnull
-  else if is ~cls:Api.edit_text ~name:"getText" then Rstr (t.input ())
-  else if is ~cls:Api.view ~name:"setOnClickListener" then begin
-    (match arg 0 with
-    | Robj l -> t.registrations <- t.registrations @ [ { rg_kind = "click"; rg_listener = l } ]
-    | _ -> ());
-    Rnull
-  end
-  else if is ~cls:Api.timer ~name:"<init>" then Rnull
-  else if is ~cls:Api.timer ~name:"schedule" then begin
-    (match arg 0 with
-    | Robj l -> t.registrations <- t.registrations @ [ { rg_kind = "timer"; rg_listener = l } ]
-    | _ -> ());
-    Rnull
-  end
-  else if is ~cls:Api.firebase_messaging ~name:"subscribe" then begin
-    (match arg 0 with
-    | Robj l -> t.registrations <- t.registrations @ [ { rg_kind = "push"; rg_listener = l } ]
-    | _ -> ());
-    Rnull
-  end
-  else if is ~cls:Api.location_manager ~name:"<init>" then Rnull
-  else if is ~cls:Api.location_manager ~name:"requestLocationUpdates" then begin
-    (match arg 0 with
-    | Robj l ->
-        t.registrations <- t.registrations @ [ { rg_kind = "location"; rg_listener = l } ]
-    | _ -> ());
-    Rnull
-  end
-  else if is ~cls:Api.location ~name:"getLat" then Rstr "37.566"
-  else if is ~cls:Api.location ~name:"getLon" then Rstr "126.978"
-  else if is ~cls:Api.text_view ~name:"<init>" then Rnull
-  else if is ~cls:Api.text_view ~name:"setText" then Rnull
-  else if is ~cls:Api.android_log ~name:"d" || is ~cls:Api.android_log ~name:"e" then
-    Rnull
-  (* ---------------- containers ---------------- *)
-  else if is ~cls:Api.array_list ~name:"<init>" then begin
-    set_slot (req_obj ()) "n" (Rint 0);
-    Rnull
-  end
-  else if is ~cls:Api.array_list ~name:"add" then begin
-    let o = req_obj () in
-    let n = match slot o "n" with Some (Rint n) -> n | _ -> 0 in
-    set_slot o (string_of_int n) (arg 0);
-    set_slot o "n" (Rint (n + 1));
-    Rbool true
-  end
-  else if is ~cls:Api.array_list ~name:"get" then begin
-    match arg 0 with
-    | Rint idx -> Option.value (slot (req_obj ()) (string_of_int idx)) ~default:Rnull
-    | _ -> Rnull
-  end
-  else if is ~cls:Api.array_list ~name:"size" then
-    (match slot (req_obj ()) "n" with Some (Rint n) -> Rint n | _ -> Rint 0)
-  else if is ~cls:Api.hash_map ~name:"<init>" || is ~cls:Api.content_values ~name:"<init>"
-  then Rnull
-  else if is ~cls:Api.hash_map ~name:"put" || is ~cls:Api.content_values ~name:"put"
-  then begin
-    set_slot (req_obj ()) ("k:" ^ str_arg 0) (arg 1);
-    Rnull
-  end
-  else if is ~cls:Api.hash_map ~name:"get" then
-    Option.value (slot (req_obj ()) ("k:" ^ str_arg 0)) ~default:Rnull
-  (* ---------------- org.apache.http ---------------- *)
-  else if
-    is ~cls:Api.http_get ~name:"<init>" || is ~cls:Api.http_post ~name:"<init>"
-    || is ~cls:Api.http_put ~name:"<init>" || is ~cls:Api.http_delete ~name:"<init>"
-  then begin
-    set_slot (req_obj ()) "uri" (arg 0);
-    Rnull
-  end
-  else if
-    is ~cls:Api.http_request_base ~name:"setHeader"
-    || is ~cls:Api.http_request_base ~name:"addHeader"
-  then begin
-    set_slot (req_obj ()) ("h:" ^ str_arg 0) (arg 1);
-    Rnull
-  end
-  else if is ~cls:Api.http_request_base ~name:"setEntity" then begin
-    set_slot (req_obj ()) "entity" (arg 0);
-    Rnull
-  end
-  else if is ~cls:Api.string_entity ~name:"<init>" then begin
-    set_slot (req_obj ()) "content" (Rstr (str_arg 0));
-    Rnull
-  end
-  else if is ~cls:Api.form_entity ~name:"<init>" then begin
-    set_slot (req_obj ()) "params" (arg 0);
-    Rnull
-  end
-  else if is ~cls:Api.name_value_pair ~name:"<init>" then begin
-    let o = req_obj () in
-    set_slot o "k" (arg 0);
-    set_slot o "v" (arg 1);
-    Rnull
-  end
-  else if is ~cls:Api.default_http_client ~name:"<init>" then Rnull
-  else if is ~cls:Api.http_client ~name:"execute" then begin
-    match arg 0 with
-    | Robj req -> Robj (apache_execute t req)
-    | _ -> fail "execute without request"
-  end
-  else if is ~cls:Api.http_response ~name:"getEntity" then Robj (req_obj ())
-  else if is ~cls:Api.http_entity ~name:"getContent" then Robj (req_obj ())
-  else if
-    is ~cls:Api.entity_utils ~name:"toString" || is ~cls:Api.io_utils ~name:"toString"
-  then begin
-    match arg 0 with
-    | Robj o -> Option.value (slot o "body") ~default:(Rstr "")
-    | _ -> Rstr ""
-  end
-  (* ---------------- HttpURLConnection ---------------- *)
-  else if is ~cls:Api.java_url ~name:"<init>" then begin
-    set_slot (req_obj ()) "uri" (arg 0);
-    Rnull
-  end
-  else if is ~cls:Api.java_url ~name:"openConnection" then begin
-    let conn = new_obj Api.http_url_connection in
-    (match base_obj with
-    | Some u -> (
-        match slot u "uri" with Some v -> set_slot conn "uri" v | None -> ())
-    | None -> ());
-    set_slot conn "meth" (Rstr "GET");
-    Robj conn
-  end
-  else if is ~cls:Api.http_url_connection ~name:"setRequestMethod" then begin
-    set_slot (req_obj ()) "meth" (arg 0);
-    Rnull
-  end
-  else if is ~cls:Api.http_url_connection ~name:"setRequestProperty" then begin
-    set_slot (req_obj ()) ("h:" ^ str_arg 0) (arg 1);
-    Rnull
-  end
-  else if is ~cls:Api.http_url_connection ~name:"getOutputStream" then begin
-    let os = new_obj Api.output_stream in
-    set_slot os "conn" (Robj (req_obj ()));
-    Robj os
-  end
-  else if is ~cls:Api.output_stream ~name:"write" then begin
-    (match (slot (req_obj ()) "conn", slot (req_obj ()) "sock") with
-    | Some (Robj conn), _ -> set_slot conn "wbody" (Rstr (str_arg 0))
-    | _, Some (Robj sock) ->
-        let cur = match slot sock "wire" with Some (Rstr s) -> s | _ -> "" in
-        set_slot sock "wire" (Rstr (cur ^ str_arg 0))
-    | _, _ -> ());
-    Rnull
-  end
-  else if is ~cls:Api.output_stream ~name:"close" then Rnull
-  else if
-    is ~cls:Api.http_url_connection ~name:"getInputStream"
-    || is ~cls:Api.http_url_connection ~name:"getResponseCode"
-  then begin
-    let conn = req_obj () in
-    (* Perform the exchange once per connection. *)
-    (if slot conn "body" = None then
-       let uri_s = to_string (Option.value (slot conn "uri") ~default:(Rstr "")) in
-       let meth =
-         Option.value
-           (Http.meth_of_string (to_string (Option.value (slot conn "meth") ~default:(Rstr "GET"))))
-           ~default:Http.GET
-       in
-       let headers = collect_headers conn in
-       let body =
-         match slot conn "wbody" with
-         | Some (Rstr s) -> body_of_written s
-         | _ -> Http.No_body
-       in
-       match Uri.of_string_opt uri_s with
-       | Some uri ->
-           let resp =
-             perform_request t (Http.request ~headers ~body meth uri)
-           in
-           set_slot conn "body" (Rstr (Http.body_to_string resp.Http.resp_body));
-           set_slot conn "status" (Rint resp.Http.resp_status)
-       | None ->
-           set_slot conn "body" (Rstr "");
-           set_slot conn "status" (Rint 400));
-    if name = "getResponseCode" then
-      Option.value (slot conn "status") ~default:(Rint 200)
-    else Robj conn
-  end
-  (* ---------------- raw sockets (§4 extension) ---------------- *)
-  else if is ~cls:Api.java_socket ~name:"<init>" then begin
-    let o = req_obj () in
-    set_slot o "host" (arg 0);
-    set_slot o "port" (arg 1);
-    Rnull
-  end
-  else if is ~cls:Api.java_socket ~name:"getOutputStream" then begin
-    let os = new_obj Api.output_stream in
-    set_slot os "sock" (Robj (req_obj ()));
-    Robj os
-  end
-  else if is ~cls:Api.java_socket ~name:"getInputStream" then begin
-    let sock = req_obj () in
-    (if slot sock "body" = None then begin
-       let wire = to_string (Option.value (slot sock "wire") ~default:(Rstr "")) in
-       let host = to_string (Option.value (slot sock "host") ~default:(Rstr "")) in
-       (* "METHOD path HTTP/1.1\r\nheaders\r\n\r\nbody" *)
-       match String.index_opt wire ' ' with
-       | Some sp -> (
-           let meth_s = String.sub wire 0 sp in
-           let rest = String.sub wire (sp + 1) (String.length wire - sp - 1) in
-           match (Http.meth_of_string meth_s, String.index_opt rest ' ') with
-           | Some meth, Some sp2 -> (
-               let path = String.sub rest 0 sp2 in
-               match Uri.of_string_opt ("http://" ^ host ^ path) with
-               | Some uri ->
-                   let resp = perform_request t (Http.request meth uri) in
-                   set_slot sock "body"
-                     (Rstr (Http.body_to_string resp.Http.resp_body))
-               | None -> set_slot sock "body" (Rstr ""))
-           | _, _ -> set_slot sock "body" (Rstr ""))
-       | None -> set_slot sock "body" (Rstr "")
-     end);
-    Robj sock
-  end
-  (* ---------------- volley ---------------- *)
-  else if is ~cls:Api.request_queue ~name:"<init>" then Rnull
-  else if is ~cls:Api.string_request ~name:"<init>" then begin
-    let o = req_obj () in
-    set_slot o "meth" (arg 0);
-    set_slot o "uri" (arg 1);
-    set_slot o "listener" (arg 2);
-    Rnull
-  end
-  else if is ~cls:Api.request_queue ~name:"add" then begin
-    (match arg 0 with
-    | Robj req -> (
-        let uri_s = to_string (Option.value (slot req "uri") ~default:(Rstr "")) in
-        let meth =
-          Option.value
-            (Http.meth_of_string
-               (to_string (Option.value (slot req "meth") ~default:(Rstr "GET"))))
-            ~default:Http.GET
-        in
-        match Uri.of_string_opt uri_s with
-        | Some uri ->
-            let resp = perform_request t (Http.request meth uri) in
-            let body_str = Http.body_to_string resp.Http.resp_body in
-            (match slot req "listener" with
-            | Some (Robj l) -> (
-                match
-                  Prog.find_method t.prog
-                    { Ir.id_cls = l.ro_cls; id_name = "onResponse" }
-                with
-                | Some cb ->
-                    ignore (exec_method t cb ~this:(Some (Robj l)) ~args:[ Rstr body_str ])
-                | None -> ())
-            | _ -> ())
-        | None -> ())
-    | _ -> ());
-    Rnull
-  end
-  (* ---------------- okhttp ---------------- *)
-  else if is ~cls:Api.okhttp_client ~name:"<init>" then Rnull
-  else if is ~cls:Api.okhttp_builder ~name:"<init>" then begin
-    set_slot (req_obj ()) "meth" (Rstr "GET");
-    Rnull
-  end
-  else if is ~cls:Api.okhttp_builder ~name:"url" then begin
-    set_slot (req_obj ()) "uri" (arg 0);
-    Robj (req_obj ())
-  end
-  else if is ~cls:Api.okhttp_builder ~name:"header" then begin
-    set_slot (req_obj ()) ("h:" ^ str_arg 0) (arg 1);
-    Robj (req_obj ())
-  end
-  else if
-    is ~cls:Api.okhttp_builder ~name:"post" || is ~cls:Api.okhttp_builder ~name:"put"
-    || is ~cls:Api.okhttp_builder ~name:"delete"
-  then begin
-    let o = req_obj () in
-    set_slot o "meth" (Rstr (String.uppercase_ascii name));
-    set_slot o "rbody" (arg 0);
-    Robj o
-  end
-  else if is ~cls:Api.okhttp_body ~name:"create" then begin
-    let o = new_obj Api.okhttp_body in
-    set_slot o "content" (Rstr (str_arg 0));
-    Robj o
-  end
-  else if is ~cls:Api.okhttp_builder ~name:"build" then begin
-    let o = req_obj () in
-    let r = new_obj Api.okhttp_request in
-    Hashtbl.iter (fun k v -> Hashtbl.replace r.ro_slots k v) o.ro_slots;
-    Robj r
-  end
-  else if is ~cls:Api.okhttp_client ~name:"newCall" then begin
-    let c = new_obj Api.okhttp_call in
-    set_slot c "req" (arg 0);
-    Robj c
-  end
-  else if is ~cls:Api.okhttp_call ~name:"execute" then begin
-    match slot (req_obj ()) "req" with
-    | Some (Robj req) ->
-        let uri_s = to_string (Option.value (slot req "uri") ~default:(Rstr "")) in
-        let meth =
-          Option.value
-            (Http.meth_of_string
-               (to_string (Option.value (slot req "meth") ~default:(Rstr "GET"))))
-            ~default:Http.GET
-        in
-        let headers = collect_headers req in
-        let body =
-          match slot req "rbody" with
-          | Some (Robj rb) -> (
-              match slot rb "content" with
-              | Some (Rstr s) -> body_of_written s
-              | _ -> Http.No_body)
-          | _ -> Http.No_body
-        in
-        (match Uri.of_string_opt uri_s with
-        | Some uri ->
-            let resp = perform_request t (Http.request ~headers ~body meth uri) in
-            let r = new_obj Api.okhttp_response in
-            set_slot r "body" (Rstr (Http.body_to_string resp.Http.resp_body));
-            Robj r
-        | None -> Robj (new_obj Api.okhttp_response))
-    | _ -> Robj (new_obj Api.okhttp_response)
-  end
-  else if is ~cls:Api.okhttp_response ~name:"body" then Robj (req_obj ())
-  else if is ~cls:Api.okhttp_response_body ~name:"string" then
-    Option.value (slot (req_obj ()) "body") ~default:(Rstr "")
-  (* ---------------- media player ---------------- *)
-  else if is ~cls:Api.media_player ~name:"<init>" then Rnull
-  else if is ~cls:Api.media_player ~name:"setDataSource" then begin
-    (match Uri.of_string_opt (str_arg 0) with
-    | Some uri -> ignore (perform_request t (Http.request Http.GET uri))
-    | None -> ());
-    Rnull
-  end
-  else if is ~cls:Api.media_player ~name:"prepare" || is ~cls:Api.media_player ~name:"start"
-  then Rnull
-  (* ---------------- JSON ---------------- *)
-  else if is ~cls:Api.json_object ~name:"<init>" then begin
-    let o = req_obj () in
-    (match args with
-    | [] -> set_slot o "json" (Rjson (Json.Obj []))
-    | v :: _ -> (
-        match Json.of_string_opt (to_string v) with
-        | Some j -> set_slot o "json" (Rjson j)
-        | None -> set_slot o "json" (Rjson (Json.Obj []))));
-    Rnull
-  end
-  else if is ~cls:Api.json_array ~name:"<init>" then begin
-    let o = req_obj () in
-    (match args with
-    | [] -> set_slot o "json" (Rjson (Json.List []))
-    | v :: _ -> (
-        match Json.of_string_opt (to_string v) with
-        | Some j -> set_slot o "json" (Rjson j)
-        | None -> set_slot o "json" (Rjson (Json.List []))));
-    Rnull
-  end
-  else if is ~cls:Api.json_object ~name:"put" then begin
-    let o = req_obj () in
-    let fields =
-      match slot o "json" with Some (Rjson (Json.Obj fs)) -> fs | _ -> []
-    in
-    let v =
-      match arg 1 with
-      | Rint n -> Json.Int n
-      | Rbool b -> Json.Bool b
-      | Rjson j -> j
-      | Robj jo -> (
-          match slot jo "json" with Some (Rjson j) -> j | _ -> Json.Null)
-      | other -> Json.Str (to_string other)
-    in
-    set_slot o "json" (Rjson (Json.Obj (fields @ [ (str_arg 0, v) ])));
-    Robj o
-  end
-  else if is ~cls:Api.json_array ~name:"put" then begin
-    let o = req_obj () in
-    let items =
-      match slot o "json" with Some (Rjson (Json.List l)) -> l | _ -> []
-    in
-    let v =
+  | Res_string -> (
       match arg 0 with
-      | Rint n -> Json.Int n
-      | Rbool b -> Json.Bool b
-      | Rjson j -> j
-      | other -> Json.Str (to_string other)
-    in
-    set_slot o "json" (Rjson (Json.List (items @ [ v ])));
-    Robj o
-  end
-  else if
-    is ~cls:Api.json_object ~name:"toString" || is ~cls:Api.json_array ~name:"toString"
-  then
-    (match slot (req_obj ()) "json" with
-    | Some (Rjson j) -> Rstr (Json.to_string j)
-    | _ -> Rstr "{}")
-  else if
-    List.mem name
-      [ "getString"; "optString"; "getInt"; "getBoolean"; "getJSONObject";
-        "getJSONArray"; "has"; "length" ]
-    && (is ~cls:Api.json_object ~name || is ~cls:Api.json_array ~name)
-  then begin
-    let j = match slot (req_obj ()) "json" with Some (Rjson j) -> j | _ -> Json.Null in
-    let lookup () =
-      match (arg 0, j) with
-      | Rstr k, Json.Obj _ -> Json.member k j
-      | Rint idx, Json.List items -> List.nth_opt items idx
-      | _, _ -> None
-    in
-    match name with
-    | "getString" | "optString" -> (
-        match lookup () with
-        | Some (Json.Str s) -> Rstr s
-        | Some v -> Rstr (Json.to_string v)
-        | None -> Rstr "")
-    | "getInt" -> (
-        match lookup () with Some (Json.Int n) -> Rint n | _ -> Rint 0)
-    | "getBoolean" -> (
-        match lookup () with Some (Json.Bool b) -> Rbool b | _ -> Rbool false)
-    | "getJSONObject" | "getJSONArray" -> (
-        let inner = new_obj i.Ir.iref.Ir.mcls in
-        (match lookup () with
-        | Some v -> set_slot inner "json" (Rjson v)
-        | None -> set_slot inner "json" (Rjson Json.Null));
-        Robj inner)
-    | "has" -> Rbool (lookup () <> None)
-    | "length" -> (
-        match j with Json.List items -> Rint (List.length items) | _ -> Rint 0)
-    | _ -> Rnull
-  end
+      | Rint id -> Rstr (Option.value (Apk.resource_string t.apk id) ~default:"")
+      | _ -> Rstr "")
+  | Get_resources -> Robj (new_obj Api.resources)
+  | Find_view -> Robj (new_obj Api.view)
+  | Edit_text_get -> Rstr (t.input ())
+  | On_click -> register "click"
+  | Timer_schedule -> register "timer"
+  | Push_subscribe -> register "push"
+  | Location_updates -> register "location"
+  | Location_lat -> Rstr "37.566"
+  | Location_lon -> Rstr "126.978"
+  | Set_text | Log | Framework_init | Noop -> Rnull
+  (* ---------------- containers ---------------- *)
+  | List_init ->
+      set_slot (req_obj ()) "n" (Rint 0);
+      Rnull
+  | List_add ->
+      let o = req_obj () in
+      let n = match slot o "n" with Some (Rint n) -> n | _ -> 0 in
+      set_slot o (string_of_int n) (arg 0);
+      set_slot o "n" (Rint (n + 1));
+      Rbool true
+  | List_get -> (
+      match arg 0 with
+      | Rint idx -> Option.value (slot (req_obj ()) (string_of_int idx)) ~default:Rnull
+      | _ -> Rnull)
+  | List_size -> (match slot (req_obj ()) "n" with Some (Rint n) -> Rint n | _ -> Rint 0)
+  | Map_init -> Rnull
+  | Map_put ->
+      set_slot (req_obj ()) ("k:" ^ str_arg 0) (arg 1);
+      Rnull
+  | Map_get -> Option.value (slot (req_obj ()) ("k:" ^ str_arg 0)) ~default:Rnull
+  (* ---------------- org.apache.http ---------------- *)
+  | Request_init ->
+      set_slot (req_obj ()) "uri" (arg 0);
+      Rnull
+  | Add_header ->
+      set_slot (req_obj ()) ("h:" ^ str_arg 0) (arg 1);
+      Rnull
+  | Set_entity ->
+      set_slot (req_obj ()) "entity" (arg 0);
+      Rnull
+  | String_entity_init ->
+      set_slot (req_obj ()) "content" (Rstr (str_arg 0));
+      Rnull
+  | Form_entity_init ->
+      set_slot (req_obj ()) "params" (arg 0);
+      Rnull
+  | Pair_init ->
+      let o = req_obj () in
+      set_slot o "k" (arg 0);
+      set_slot o "v" (arg 1);
+      Rnull
+  | Apache_execute -> (
+      match arg 0 with
+      | Robj req -> Robj (apache_execute t req)
+      | _ -> fail "execute without request")
+  | Get_entity | Get_content -> Robj (req_obj ())
+  | Read_stream -> (
+      match arg 0 with
+      | Robj o -> Option.value (slot o "body") ~default:(Rstr "")
+      | _ -> Rstr "")
+  (* ---------------- HttpURLConnection ---------------- *)
+  | Url_init ->
+      set_slot (req_obj ()) "uri" (arg 0);
+      Rnull
+  | Open_connection ->
+      let conn = new_obj Api.http_url_connection in
+      (match base_obj with
+      | Some u -> (
+          match slot u "uri" with Some v -> set_slot conn "uri" v | None -> ())
+      | None -> ());
+      set_slot conn "meth" (Rstr "GET");
+      Robj conn
+  | Set_method ->
+      set_slot (req_obj ()) "meth" (arg 0);
+      Rnull
+  | Conn_output ->
+      let os = new_obj Api.output_stream in
+      set_slot os "conn" (Robj (req_obj ()));
+      Robj os
+  | Stream_write ->
+      (match (slot (req_obj ()) "conn", slot (req_obj ()) "sock") with
+      | Some (Robj conn), _ -> set_slot conn "wbody" (Rstr (str_arg 0))
+      | _, Some (Robj sock) ->
+          let cur = match slot sock "wire" with Some (Rstr s) -> s | _ -> "" in
+          set_slot sock "wire" (Rstr (cur ^ str_arg 0))
+      | _, _ -> ());
+      Rnull
+  | Conn_input | Conn_code ->
+      let conn = req_obj () in
+      (* Perform the exchange once per connection. *)
+      (if slot conn "body" = None then
+         let uri_s = to_string (Option.value (slot conn "uri") ~default:(Rstr "")) in
+         let meth =
+           Option.value
+             (Http.meth_of_string
+                (to_string (Option.value (slot conn "meth") ~default:(Rstr "GET"))))
+             ~default:Http.GET
+         in
+         let headers = collect_headers conn in
+         let body =
+           match slot conn "wbody" with
+           | Some (Rstr s) -> body_of_written s
+           | _ -> Http.No_body
+         in
+         match Uri.of_string_opt uri_s with
+         | Some uri ->
+             let resp =
+               perform_request t (Http.request ~headers ~body meth uri)
+             in
+             set_slot conn "body" (Rstr (Http.body_to_string resp.Http.resp_body));
+             set_slot conn "status" (Rint resp.Http.resp_status)
+         | None ->
+             set_slot conn "body" (Rstr "");
+             set_slot conn "status" (Rint 400));
+      if m = Libmodel.Conn_code then Option.value (slot conn "status") ~default:(Rint 200)
+      else Robj conn
+  (* ---------------- raw sockets (§4 extension) ---------------- *)
+  | Socket_init ->
+      let o = req_obj () in
+      set_slot o "host" (arg 0);
+      set_slot o "port" (arg 1);
+      Rnull
+  | Socket_output ->
+      let os = new_obj Api.output_stream in
+      set_slot os "sock" (Robj (req_obj ()));
+      Robj os
+  | Socket_input ->
+      let sock = req_obj () in
+      (if slot sock "body" = None then begin
+         let wire = to_string (Option.value (slot sock "wire") ~default:(Rstr "")) in
+         let host = to_string (Option.value (slot sock "host") ~default:(Rstr "")) in
+         (* "METHOD path HTTP/1.1\r\nheaders\r\n\r\nbody" *)
+         match String.index_opt wire ' ' with
+         | Some sp -> (
+             let meth_s = String.sub wire 0 sp in
+             let rest = String.sub wire (sp + 1) (String.length wire - sp - 1) in
+             match (Http.meth_of_string meth_s, String.index_opt rest ' ') with
+             | Some meth, Some sp2 -> (
+                 let path = String.sub rest 0 sp2 in
+                 match Uri.of_string_opt ("http://" ^ host ^ path) with
+                 | Some uri ->
+                     let resp = perform_request t (Http.request meth uri) in
+                     set_slot sock "body"
+                       (Rstr (Http.body_to_string resp.Http.resp_body))
+                 | None -> set_slot sock "body" (Rstr ""))
+             | _, _ -> set_slot sock "body" (Rstr ""))
+         | None -> set_slot sock "body" (Rstr "")
+       end);
+      Robj sock
+  (* ---------------- volley ---------------- *)
+  | Volley_request_init ->
+      let o = req_obj () in
+      set_slot o "meth" (arg 0);
+      set_slot o "uri" (arg 1);
+      set_slot o "listener" (arg 2);
+      Rnull
+  | Volley_add ->
+      (match arg 0 with
+      | Robj req -> (
+          let uri_s = to_string (Option.value (slot req "uri") ~default:(Rstr "")) in
+          let meth =
+            Option.value
+              (Http.meth_of_string
+                 (to_string (Option.value (slot req "meth") ~default:(Rstr "GET"))))
+              ~default:Http.GET
+          in
+          match Uri.of_string_opt uri_s with
+          | Some uri ->
+              let resp = perform_request t (Http.request meth uri) in
+              let body_str = Http.body_to_string resp.Http.resp_body in
+              (match slot req "listener" with
+              | Some (Robj l) -> (
+                  match
+                    Prog.find_method t.prog
+                      { Ir.id_cls = l.ro_cls; id_name = "onResponse" }
+                  with
+                  | Some cb ->
+                      ignore (exec_method t cb ~this:(Some (Robj l)) ~args:[ Rstr body_str ])
+                  | None -> ())
+              | _ -> ())
+          | None -> ())
+      | _ -> ());
+      Rnull
+  (* ---------------- okhttp ---------------- *)
+  | Ok_builder_init ->
+      set_slot (req_obj ()) "meth" (Rstr "GET");
+      Rnull
+  | Ok_url ->
+      set_slot (req_obj ()) "uri" (arg 0);
+      Robj (req_obj ())
+  | Ok_header ->
+      set_slot (req_obj ()) ("h:" ^ str_arg 0) (arg 1);
+      Robj (req_obj ())
+  | Ok_method ->
+      let o = req_obj () in
+      set_slot o "meth" (Rstr (String.uppercase_ascii name));
+      set_slot o "rbody" (arg 0);
+      Robj o
+  | Ok_body_create ->
+      let o = new_obj Api.okhttp_body in
+      set_slot o "content" (Rstr (str_arg 0));
+      Robj o
+  | Ok_build ->
+      let o = req_obj () in
+      let r = new_obj Api.okhttp_request in
+      Hashtbl.iter (fun k v -> Hashtbl.replace r.ro_slots k v) o.ro_slots;
+      Robj r
+  | Ok_new_call ->
+      let c = new_obj Api.okhttp_call in
+      set_slot c "req" (arg 0);
+      Robj c
+  | Ok_execute -> (
+      match slot (req_obj ()) "req" with
+      | Some (Robj req) ->
+          let uri_s = to_string (Option.value (slot req "uri") ~default:(Rstr "")) in
+          let meth =
+            Option.value
+              (Http.meth_of_string
+                 (to_string (Option.value (slot req "meth") ~default:(Rstr "GET"))))
+              ~default:Http.GET
+          in
+          let headers = collect_headers req in
+          let body =
+            match slot req "rbody" with
+            | Some (Robj rb) -> (
+                match slot rb "content" with
+                | Some (Rstr s) -> body_of_written s
+                | _ -> Http.No_body)
+            | _ -> Http.No_body
+          in
+          (match Uri.of_string_opt uri_s with
+          | Some uri ->
+              let resp = perform_request t (Http.request ~headers ~body meth uri) in
+              let r = new_obj Api.okhttp_response in
+              set_slot r "body" (Rstr (Http.body_to_string resp.Http.resp_body));
+              Robj r
+          | None -> Robj (new_obj Api.okhttp_response))
+      | _ -> Robj (new_obj Api.okhttp_response))
+  | Ok_response_body -> Robj (req_obj ())
+  | Ok_body_string -> Option.value (slot (req_obj ()) "body") ~default:(Rstr "")
+  (* ---------------- media player ---------------- *)
+  | Media_source ->
+      (match Uri.of_string_opt (str_arg 0) with
+      | Some uri -> ignore (perform_request t (Http.request Http.GET uri))
+      | None -> ());
+      Rnull
+  (* ---------------- JSON ---------------- *)
+  | Json_obj_init ->
+      let o = req_obj () in
+      (match args with
+      | [] -> set_slot o "json" (Rjson (Json.Obj []))
+      | v :: _ -> (
+          match Json.of_string_opt (to_string v) with
+          | Some j -> set_slot o "json" (Rjson j)
+          | None -> set_slot o "json" (Rjson (Json.Obj []))));
+      Rnull
+  | Json_arr_init ->
+      let o = req_obj () in
+      (match args with
+      | [] -> set_slot o "json" (Rjson (Json.List []))
+      | v :: _ -> (
+          match Json.of_string_opt (to_string v) with
+          | Some j -> set_slot o "json" (Rjson j)
+          | None -> set_slot o "json" (Rjson (Json.List []))));
+      Rnull
+  | Json_obj_put ->
+      let o = req_obj () in
+      let fields =
+        match slot o "json" with Some (Rjson (Json.Obj fs)) -> fs | _ -> []
+      in
+      let v =
+        match arg 1 with
+        | Rint n -> Json.Int n
+        | Rbool b -> Json.Bool b
+        | Rjson j -> j
+        | Robj jo -> (
+            match slot jo "json" with Some (Rjson j) -> j | _ -> Json.Null)
+        | other -> Json.Str (to_string other)
+      in
+      set_slot o "json" (Rjson (Json.Obj (fields @ [ (str_arg 0, v) ])));
+      Robj o
+  | Json_arr_put ->
+      let o = req_obj () in
+      let items =
+        match slot o "json" with Some (Rjson (Json.List l)) -> l | _ -> []
+      in
+      let v =
+        match arg 0 with
+        | Rint n -> Json.Int n
+        | Rbool b -> Json.Bool b
+        | Rjson j -> j
+        | other -> Json.Str (to_string other)
+      in
+      set_slot o "json" (Rjson (Json.List (items @ [ v ])));
+      Robj o
+  | Json_to_string -> (
+      match slot (req_obj ()) "json" with
+      | Some (Rjson j) -> Rstr (Json.to_string j)
+      | _ -> Rstr "{}")
+  | Json_get -> (
+      let j = match slot (req_obj ()) "json" with Some (Rjson j) -> j | _ -> Json.Null in
+      let lookup () =
+        match (arg 0, j) with
+        | Rstr k, Json.Obj _ -> Json.member k j
+        | Rint idx, Json.List items -> List.nth_opt items idx
+        | _, _ -> None
+      in
+      match name with
+      | "getString" | "optString" -> (
+          match lookup () with
+          | Some (Json.Str s) -> Rstr s
+          | Some v -> Rstr (Json.to_string v)
+          | None -> Rstr "")
+      | "getInt" -> (
+          match lookup () with Some (Json.Int n) -> Rint n | _ -> Rint 0)
+      | "getBoolean" -> (
+          match lookup () with Some (Json.Bool b) -> Rbool b | _ -> Rbool false)
+      | "getJSONObject" | "getJSONArray" ->
+          let inner = new_obj i.Ir.iref.Ir.mcls in
+          (match lookup () with
+          | Some v -> set_slot inner "json" (Rjson v)
+          | None -> set_slot inner "json" (Rjson Json.Null));
+          Robj inner
+      | "has" -> Rbool (lookup () <> None)
+      | "length" -> (
+          match j with Json.List items -> Rint (List.length items) | _ -> Rint 0)
+      | _ -> Rnull)
   (* ---------------- gson ---------------- *)
-  else if is ~cls:Api.gson ~name:"<init>" then Rnull
-  else if is ~cls:Api.gson ~name:"toJson" then begin
-    match arg 0 with
-    | Robj o ->
-        let fields =
-          Hashtbl.fold
-            (fun k v acc ->
+  | Gson_to_json -> (
+      match arg 0 with
+      | Robj o ->
+          let fields =
+            Hashtbl.fold
+              (fun k v acc ->
+                match v with
+                | Rint n -> (k, Json.Int n) :: acc
+                | Rbool b -> (k, Json.Bool b) :: acc
+                | other -> (k, Json.Str (to_string other)) :: acc)
+              o.ro_slots []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+          in
+          Rstr (Json.to_string (Json.Obj fields))
+      | _ -> Rstr "{}")
+  | Gson_from_json ->
+      let o = new_obj (str_arg 1) in
+      (match Json.of_string_opt (str_arg 0) with
+      | Some (Json.Obj fields) ->
+          List.iter
+            (fun (k, v) ->
               match v with
-              | Rint n -> (k, Json.Int n) :: acc
-              | Rbool b -> (k, Json.Bool b) :: acc
-              | other -> (k, Json.Str (to_string other)) :: acc)
-            o.ro_slots []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        Rstr (Json.to_string (Json.Obj fields))
-    | _ -> Rstr "{}"
-  end
-  else if is ~cls:Api.gson ~name:"fromJson" then begin
-    let o = new_obj (str_arg 1) in
-    (match Json.of_string_opt (str_arg 0) with
-    | Some (Json.Obj fields) ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | Json.Int n -> set_slot o k (Rint n)
-            | Json.Bool b -> set_slot o k (Rbool b)
-            | Json.Str s -> set_slot o k (Rstr s)
-            | other -> set_slot o k (Rjson other))
-          fields
-    | _ -> ());
-    Robj o
-  end
+              | Json.Int n -> set_slot o k (Rint n)
+              | Json.Bool b -> set_slot o k (Rbool b)
+              | Json.Str s -> set_slot o k (Rstr s)
+              | other -> set_slot o k (Rjson other))
+            fields
+      | _ -> ());
+      Robj o
   (* ---------------- XML ---------------- *)
-  else if is ~cls:Api.xml_parser ~name:"parse" then begin
-    match Xml.of_string_opt (str_arg 0) with
-    | Some e -> Rxml e
-    | None -> Rxml (Xml.element "empty" [])
-  end
-  else if is ~cls:Api.xml_element ~name:"getChild" then begin
-    match base with
-    | Some (Rxml e) -> (
-        let tag = str_arg 0 in
-        let child =
-          List.find_map
-            (function
-              | Xml.Elem c when c.Xml.tag = tag -> Some c
-              | _ -> None)
-            e.Xml.children
-        in
-        match child with
-        | Some c -> Rxml c
-        | None -> Rxml (Xml.element tag []))
-    | _ -> Rxml (Xml.element (str_arg 0) [])
-  end
-  else if is ~cls:Api.xml_element ~name:"getChildren" then begin
-    let tag = str_arg 0 in
-    let l = new_obj Api.array_list in
-    let children =
+  | Xml_parse -> (
+      match Xml.of_string_opt (str_arg 0) with
+      | Some e -> Rxml e
+      | None -> Rxml (Xml.element "empty" []))
+  | Xml_child -> (
+      match base with
+      | Some (Rxml e) -> (
+          let tag = str_arg 0 in
+          let child =
+            List.find_map
+              (function
+                | Xml.Elem c when c.Xml.tag = tag -> Some c
+                | _ -> None)
+              e.Xml.children
+          in
+          match child with
+          | Some c -> Rxml c
+          | None -> Rxml (Xml.element tag []))
+      | _ -> Rxml (Xml.element (str_arg 0) []))
+  | Xml_children ->
+      let tag = str_arg 0 in
+      let l = new_obj Api.array_list in
+      let children =
+        match base with
+        | Some (Rxml e) ->
+            List.filter_map
+              (function Xml.Elem c when c.Xml.tag = tag -> Some c | _ -> None)
+              e.Xml.children
+        | _ -> []
+      in
+      set_slot l "n" (Rint (List.length children));
+      List.iteri (fun idx c -> set_slot l (string_of_int idx) (Rxml c)) children;
+      Robj l
+  | Xml_attr -> (
       match base with
       | Some (Rxml e) ->
-          List.filter_map
-            (function Xml.Elem c when c.Xml.tag = tag -> Some c | _ -> None)
-            e.Xml.children
-      | _ -> []
-    in
-    set_slot l "n" (Rint (List.length children));
-    List.iteri (fun idx c -> set_slot l (string_of_int idx) (Rxml c)) children;
-    Robj l
-  end
-  else if is ~cls:Api.xml_element ~name:"getAttribute" then begin
-    match base with
-    | Some (Rxml e) ->
-        Rstr (Option.value (List.assoc_opt (str_arg 0) e.Xml.attrs) ~default:"")
-    | _ -> Rstr ""
-  end
-  else if is ~cls:Api.xml_element ~name:"getText" then begin
-    match base with
-    | Some (Rxml e) ->
-        Rstr
-          (String.concat ""
-             (List.filter_map
-                (function Xml.Text s -> Some s | Xml.Elem _ -> None)
-                e.Xml.children))
-    | _ -> Rstr ""
-  end
+          Rstr (Option.value (List.assoc_opt (str_arg 0) e.Xml.attrs) ~default:"")
+      | _ -> Rstr "")
+  | Xml_text -> (
+      match base with
+      | Some (Rxml e) ->
+          Rstr
+            (String.concat ""
+               (List.filter_map
+                  (function Xml.Text s -> Some s | Xml.Elem _ -> None)
+                  e.Xml.children))
+      | _ -> Rstr "")
   (* ---------------- SQLite ---------------- *)
-  else if is ~cls:Api.sqlite_database ~name:"<init>" then Rnull
-  else if
-    is ~cls:Api.sqlite_database ~name:"insert" || is ~cls:Api.sqlite_database ~name:"update"
-  then begin
-    let table = str_arg 0 in
-    let row =
+  | Db_write ->
+      let table = str_arg 0 in
+      let row =
+        match Hashtbl.find_opt t.db table with
+        | Some r -> r
+        | None ->
+            let r = Hashtbl.create 4 in
+            Hashtbl.replace t.db table r;
+            r
+      in
+      (match arg 1 with
+      | Robj cv ->
+          Hashtbl.iter
+            (fun k v ->
+              if String.length k > 2 && String.sub k 0 2 = "k:" then
+                Hashtbl.replace row
+                  (String.sub k 2 (String.length k - 2))
+                  (to_string v))
+            cv.ro_slots
+      | _ -> ());
+      Rnull
+  | Db_query ->
+      let c = new_obj Api.cursor in
+      set_slot c "table" (Rstr (str_arg 0));
+      Robj c
+  | Cursor_get -> (
+      let table =
+        to_string (Option.value (slot (req_obj ()) "table") ~default:(Rstr ""))
+      in
       match Hashtbl.find_opt t.db table with
-      | Some r -> r
-      | None ->
-          let r = Hashtbl.create 4 in
-          Hashtbl.replace t.db table r;
-          r
-    in
-    (match arg 1 with
-    | Robj cv ->
-        Hashtbl.iter
-          (fun k v ->
-            if String.length k > 2 && String.sub k 0 2 = "k:" then
-              Hashtbl.replace row
-                (String.sub k 2 (String.length k - 2))
-                (to_string v))
-          cv.ro_slots
-    | _ -> ());
-    Rnull
-  end
-  else if is ~cls:Api.sqlite_database ~name:"query" then begin
-    let c = new_obj Api.cursor in
-    set_slot c "table" (Rstr (str_arg 0));
-    Robj c
-  end
-  else if is ~cls:Api.cursor ~name:"getString" then begin
-    let table =
-      to_string (Option.value (slot (req_obj ()) "table") ~default:(Rstr ""))
-    in
-    match Hashtbl.find_opt t.db table with
-    | Some row -> Rstr (Option.value (Hashtbl.find_opt row (str_arg 0)) ~default:"")
-    | None -> Rstr ""
-  end
-  else if is ~cls:Api.cursor ~name:"moveToNext" then Rbool false
+      | Some row -> Rstr (Option.value (Hashtbl.find_opt row (str_arg 0)) ~default:"")
+      | None -> Rstr "")
+  | Cursor_next -> Rbool false
   (* ---------------- intents ---------------- *)
-  else if is ~cls:Api.intent ~name:"<init>" then begin
-    set_slot (req_obj ()) "action" (arg 0);
-    Rnull
-  end
-  else if is ~cls:Api.intent ~name:"putExtra" then begin
-    set_slot (req_obj ()) ("x:" ^ str_arg 0) (arg 1);
-    Rnull
-  end
-  else if is ~cls:Api.intent ~name:"getExtra" then
-    Option.value (slot (req_obj ()) ("x:" ^ str_arg 0)) ~default:(Rstr "")
-  else if is ~cls:Api.context ~name:"startService" then begin
-    (* Dispatch to the intent service named by the intent's action: the
-       implicit control flow Extractocol does not model (§4). *)
-    (match arg 0 with
-    | Robj it -> (
-        let action = to_string (Option.value (slot it "action") ~default:(Rstr "")) in
-        match
-          Prog.find_method t.prog { Ir.id_cls = action; id_name = "onHandleIntent" }
-        with
-        | Some handler ->
-            let svc = new_obj action in
-            (match base with
-            | Some act -> set_slot svc "act" act
-            | None -> ());
-            ignore (exec_method t handler ~this:(Some (Robj svc)) ~args:[ Robj it ])
-        | None -> ())
-    | _ -> ());
-    Rnull
-  end
-  else fail "unmodelled library call %s.%s" i.Ir.iref.Ir.mcls name
+  | Intent_init ->
+      set_slot (req_obj ()) "action" (arg 0);
+      Rnull
+  | Intent_put ->
+      set_slot (req_obj ()) ("x:" ^ str_arg 0) (arg 1);
+      Rnull
+  | Intent_get -> Option.value (slot (req_obj ()) ("x:" ^ str_arg 0)) ~default:(Rstr "")
+  | Start_service ->
+      (* Dispatch to the intent service named by the intent's action: the
+         implicit control flow Extractocol does not model (§4). *)
+      (match arg 0 with
+      | Robj it -> (
+          let action = to_string (Option.value (slot it "action") ~default:(Rstr "")) in
+          match
+            Prog.find_method t.prog { Ir.id_cls = action; id_name = "onHandleIntent" }
+          with
+          | Some handler ->
+              let svc = new_obj action in
+              (match base with
+              | Some act -> set_slot svc "act" act
+              | None -> ());
+              ignore (exec_method t handler ~this:(Some (Robj svc)) ~args:[ Robj it ])
+          | None -> ())
+      | _ -> ());
+      Rnull
 
 (** Collect "h:"-prefixed header slots of a request-like object. *)
 and collect_headers (o : robj) : (string * string) list =

@@ -96,86 +96,116 @@ let okhttp_call = "okhttp3.Call"
 let okhttp_response = "okhttp3.Response"
 let okhttp_response_body = "okhttp3.ResponseBody"
 
-(** All modelled library classes, with superclass links where app classes
-    subclass framework classes.  Bodies are empty: library behaviour comes
-    from semantic models, never from analyzing library code. *)
-let library_classes : Ir.cls list =
-  let c ?super name =
-    {
-      Ir.c_name = name;
-      c_super = super;
-      c_fields = [];
-      c_methods = [];
-      c_library = true;
-    }
+type model = Libmodel.t
+
+(* The class pool and the library-model table in one list: every modelled
+   library class, its superclass link where app classes subclass framework
+   classes, and each modelled method with its behaviour.  A class inherits
+   the entries of its library superclasses.  Bodies are empty: library
+   behaviour comes from semantic models, never from analyzing library
+   code. *)
+let pool : (Ir.cls * (string * model) list) list =
+  let open Libmodel in
+  let c ?super name methods =
+    ( { Ir.c_name = name; c_super = super; c_fields = []; c_methods = []; c_library = true },
+      methods )
+  in
+  let json =
+    List.map
+      (fun n -> (n, Json_get))
+      [ "getString"; "optString"; "getInt"; "getBoolean"; "getJSONObject";
+        "getJSONArray"; "has"; "length" ]
   in
   [
-    c java_object;
-    c string_builder;
-    c java_string;
-    c java_integer;
-    c url_encoder;
-    c java_url;
-    c http_url_connection;
-    c java_socket;
-    c input_stream;
-    c output_stream;
-    c io_utils;
-    c http_request_base;
-    c ~super:http_request_base http_get;
-    c ~super:http_request_base http_post;
-    c ~super:http_request_base http_put;
-    c ~super:http_request_base http_delete;
-    c http_client;
-    c ~super:http_client default_http_client;
-    c http_response;
-    c http_entity;
-    c entity_utils;
-    c ~super:http_entity string_entity;
-    c ~super:http_entity form_entity;
-    c name_value_pair;
-    c array_list;
-    c hash_map;
-    c json_object;
-    c json_array;
-    c gson;
-    c xml_parser;
-    c xml_element;
-    c activity;
-    c resources;
-    c view;
-    c on_click_listener;
-    c async_task;
-    c sqlite_database;
-    c content_values;
-    c cursor;
-    c media_player;
-    c text_view;
-    c edit_text;
-    c location_manager;
-    c location;
-    c location_listener;
-    c android_log;
-    c intent;
-    c context;
-    c intent_service;
-    c java_class;
-    c reflect_method;
-    c timer;
-    c timer_task;
-    c firebase_messaging;
-    c messaging_service;
-    c request_queue;
-    c string_request;
-    c volley_listener;
-    c okhttp_client;
-    c okhttp_request;
-    c okhttp_builder;
-    c okhttp_body;
-    c okhttp_call;
-    c okhttp_response;
-    c okhttp_response_body;
+    c java_object [];
+    c string_builder [ ("<init>", Sb_init); ("append", Sb_append); ("toString", Sb_to_string) ];
+    c java_string
+      [ ("valueOf", Str_value_of); ("concat", Str_concat); ("trim", Str_trim);
+        ("equals", Str_equals); ("length", Str_length) ];
+    c java_integer [ ("parseInt", Int_parse); ("toString", Int_to_string) ];
+    c url_encoder [ ("encode", Url_encode) ];
+    c java_url [ ("<init>", Url_init); ("openConnection", Open_connection) ];
+    c http_url_connection
+      [ ("setRequestMethod", Set_method); ("setRequestProperty", Add_header);
+        ("getOutputStream", Conn_output); ("getInputStream", Conn_input);
+        ("getResponseCode", Conn_code) ];
+    c java_socket
+      [ ("<init>", Socket_init); ("getOutputStream", Socket_output);
+        ("getInputStream", Socket_input) ];
+    c input_stream [];
+    c output_stream [ ("write", Stream_write); ("close", Noop) ];
+    c io_utils [ ("toString", Read_stream) ];
+    c http_request_base
+      [ ("setHeader", Add_header); ("addHeader", Add_header); ("setEntity", Set_entity) ];
+    c ~super:http_request_base http_get [ ("<init>", Request_init) ];
+    c ~super:http_request_base http_post [ ("<init>", Request_init) ];
+    c ~super:http_request_base http_put [ ("<init>", Request_init) ];
+    c ~super:http_request_base http_delete [ ("<init>", Request_init) ];
+    c http_client [ ("execute", Apache_execute) ];
+    c ~super:http_client default_http_client [ ("<init>", Noop) ];
+    c http_response [ ("getEntity", Get_entity) ];
+    c http_entity [ ("getContent", Get_content) ];
+    c entity_utils [ ("toString", Read_stream) ];
+    c ~super:http_entity string_entity [ ("<init>", String_entity_init) ];
+    c ~super:http_entity form_entity [ ("<init>", Form_entity_init) ];
+    c name_value_pair [ ("<init>", Pair_init) ];
+    c array_list
+      [ ("<init>", List_init); ("add", List_add); ("get", List_get); ("size", List_size) ];
+    c hash_map [ ("<init>", Map_init); ("put", Map_put); ("get", Map_get) ];
+    c json_object
+      ([ ("<init>", Json_obj_init); ("put", Json_obj_put); ("toString", Json_to_string) ] @ json);
+    c json_array
+      ([ ("<init>", Json_arr_init); ("put", Json_arr_put); ("toString", Json_to_string) ] @ json);
+    c gson [ ("<init>", Noop); ("toJson", Gson_to_json); ("fromJson", Gson_from_json) ];
+    c xml_parser [ ("parse", Xml_parse) ];
+    c xml_element
+      [ ("getChild", Xml_child); ("getChildren", Xml_children);
+        ("getAttribute", Xml_attr); ("getText", Xml_text) ];
+    c activity [ ("getResources", Get_resources); ("findViewById", Find_view) ];
+    c resources [ ("getString", Res_string) ];
+    c view [ ("setOnClickListener", On_click) ];
+    c on_click_listener [];
+    c async_task [ ("execute", Async_execute) ];
+    c sqlite_database
+      [ ("<init>", Noop); ("insert", Db_write); ("update", Db_write); ("query", Db_query) ];
+    c content_values [ ("<init>", Map_init); ("put", Map_put) ];
+    c cursor [ ("getString", Cursor_get); ("moveToNext", Cursor_next) ];
+    c media_player
+      [ ("<init>", Noop); ("setDataSource", Media_source); ("prepare", Noop); ("start", Noop) ];
+    c text_view [ ("<init>", Framework_init); ("setText", Set_text) ];
+    c edit_text [ ("<init>", Noop); ("getText", Edit_text_get) ];
+    c location_manager
+      [ ("<init>", Framework_init); ("requestLocationUpdates", Location_updates) ];
+    c location [ ("getLat", Location_lat); ("getLon", Location_lon) ];
+    c location_listener [];
+    c android_log [ ("d", Log); ("e", Log) ];
+    c intent [ ("<init>", Intent_init); ("putExtra", Intent_put); ("getExtra", Intent_get) ];
+    c context [ ("startService", Start_service) ];
+    c intent_service [];
+    c java_class
+      [ ("forName", Class_for_name); ("newInstance", New_instance); ("getMethod", Get_method) ];
+    c reflect_method [ ("invoke", Method_invoke) ];
+    c timer [ ("<init>", Noop); ("schedule", Timer_schedule) ];
+    c timer_task [];
+    c firebase_messaging [ ("subscribe", Push_subscribe) ];
+    c messaging_service [];
+    c request_queue [ ("<init>", Noop); ("add", Volley_add) ];
+    c string_request [ ("<init>", Volley_request_init) ];
+    c volley_listener [];
+    c okhttp_client [ ("<init>", Noop); ("newCall", Ok_new_call) ];
+    c okhttp_request [];
+    c okhttp_builder
+      [ ("<init>", Ok_builder_init); ("url", Ok_url); ("header", Ok_header);
+        ("post", Ok_method); ("put", Ok_method); ("delete", Ok_method); ("build", Ok_build) ];
+    c okhttp_body [ ("create", Ok_body_create) ];
+    c okhttp_call [ ("execute", Ok_execute) ];
+    c okhttp_response [ ("body", Ok_response_body) ];
+    c okhttp_response_body [ ("string", Ok_body_string) ];
   ]
+
+(** All modelled library classes, with superclass links where app classes
+    subclass framework classes. *)
+let library_classes : Ir.cls list = List.map fst pool
 
 let library_class_names =
   List.map (fun c -> c.Ir.c_name) library_classes
@@ -205,14 +235,33 @@ let rec library_subclass ~sub ~super =
   | Some s -> library_subclass ~sub:s ~super
   | None -> false
 
-(** Matches an invoke against class + method name.  The class matches when
-    either the method reference's class or the receiver's static class is
-    [cls] or a library subclass of [cls] (e.g. [DefaultHttpClient.execute]
-    matches [HttpClient.execute]). *)
-let invoke_is (i : Ir.invoke) ~cls ~name =
-  i.Ir.iref.Ir.mname = name
-  && (library_subclass ~sub:i.Ir.iref.Ir.mcls ~super:cls
-     ||
-     match i.Ir.ibase with
-     | Some { Ir.vty = Ir.Obj c; _ } -> library_subclass ~sub:c ~super:cls
-     | Some _ | None -> false)
+(* The table flattened over the library super links: (class, method) to
+   model, a class's own entry shadowing an inherited one. *)
+let table : (string * string, model) Hashtbl.t =
+  let h = Hashtbl.create 256 in
+  let methods name =
+    List.find_map (fun (c, ms) -> if c.Ir.c_name = name then Some ms else None) pool
+  in
+  let rec add cls from =
+    List.iter
+      (fun (name, m) -> if not (Hashtbl.mem h (cls, name)) then Hashtbl.add h (cls, name) m)
+      (Option.value (methods from) ~default:[]);
+    Option.iter (add cls) (library_super from)
+  in
+  List.iter (fun cls -> add cls cls) library_class_names;
+  h
+
+let lookup ~cls ~name = Hashtbl.find_opt table (cls, name)
+
+let model_of (i : Ir.invoke) =
+  let name = i.Ir.iref.Ir.mname in
+  match lookup ~cls:i.Ir.iref.Ir.mcls ~name with
+  | Some _ as m -> m
+  | None -> (
+      match i.Ir.ibase with
+      | Some { Ir.vty = Ir.Obj cls; _ } -> lookup ~cls ~name
+      | Some _ | None -> None)
+
+let method_names p =
+  Hashtbl.fold (fun (_, name) m acc -> if p m then name :: acc else acc) table []
+  |> List.sort_uniq String.compare

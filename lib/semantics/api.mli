@@ -1,11 +1,14 @@
-(** Names of the modelled library API surface.
+(** The modelled library API surface: the class names, the library class
+    pool, and the library-model table.
 
-    These constants are the single point of truth for every class the
-    semantic models, demarcation registry, taint models, deobfuscation
-    catalog, code generator and runtime agree on.  Bodies of library
-    classes are empty: library behaviour comes from semantic models,
-    never from analyzing library code (the paper's §4 approach of
-    modelling framework semantics instead of framework code). *)
+    The class-name constants are shared by the semantic models, the
+    deobfuscation catalog, the code generator and the runtime.  Bodies of
+    library classes are empty: library behaviour comes from semantic
+    models, never from analyzing library code (the paper's §4 approach of
+    modelling framework semantics instead of framework code).  The table
+    maps each modelled (class, method) to its {!Libmodel.t} behaviour;
+    every semantics resolves a call once with {!model_of} and matches on
+    the result. *)
 
 module Ir = Extr_ir.Types
 
@@ -116,8 +119,20 @@ val library_super : string -> string option
 val library_subclass : sub:string -> super:string -> bool
 (** Does library class [sub] equal or extend library class [super]? *)
 
-val invoke_is : Ir.invoke -> cls:string -> name:string -> bool
-(** Matches an invoke against class + method name.  The class matches
-    when either the method reference's class or the receiver's static
-    class is [cls] or a library subclass of [cls] (e.g.
-    [DefaultHttpClient.execute] matches [HttpClient.execute]). *)
+(** {1 The library-model table} *)
+
+type model = Libmodel.t
+
+val lookup : cls:string -> name:string -> model option
+(** The model of method [name] on library class [cls], inherited entries
+    included ([DefaultHttpClient.execute] is [HttpClient.execute]). *)
+
+val model_of : Ir.invoke -> model option
+(** The model a call resolves to: the {!lookup} of the method reference's
+    class, else of the receiver's static class.  [None] for application
+    calls and unmodelled library calls. *)
+
+val method_names : (model -> bool) -> string list
+(** Distinct method names, sorted, of the table entries whose model
+    satisfies the predicate: the method-index keys under which a caller
+    finds every candidate call site. *)

@@ -30,56 +30,40 @@ let callbacks_on_arg prog (value : Ir.value) names =
       | None -> [])
   | Ir.Const _ -> []
 
-(* Every invoke name [resolve] can answer for.  The call graph finds
-   candidate implicit-caller sites by looking these names up in the
-   method index, so a new [resolve] arm MUST register its trigger here or
-   its edges become invisible to caller queries. *)
-let trigger_names =
-  [
-    "execute";
-    "schedule";
-    "setOnClickListener";
-    "add";
-    "<init>";
-    "requestLocationUpdates";
-    "subscribe";
-  ]
+(* Where a modelled call hands control back to the app: the value that
+   carries the listener and the callbacks the library invokes on it. *)
+type carrier = Receiver | Arg of int
+
+let listener : Api.model -> (carrier * string list) option = function
+  | Libmodel.Async_execute ->
+      (* execute(param) → doInBackground(param) → onPostExecute(result) *)
+      Some (Receiver, [ "doInBackground"; "onPostExecute" ])
+  | Libmodel.Timer_schedule -> Some (Arg 0, [ "run" ])
+  | Libmodel.On_click -> Some (Arg 0, [ "onClick" ])
+  | Libmodel.Volley_add ->
+      (* The request object's listener (constructor argument) is resolved
+         separately; the request's own class may also define onResponse
+         when apps subclass StringRequest. *)
+      Some (Arg 0, [ "onResponse" ])
+  | Libmodel.Volley_request_init ->
+      (* new StringRequest(method, url, listener) registers the listener. *)
+      Some (Arg 2, [ "onResponse" ])
+  | Libmodel.Location_updates -> Some (Arg 0, [ "onLocationChanged" ])
+  | Libmodel.Push_subscribe -> Some (Arg 0, [ "onMessage" ])
+  | _ -> None
+
+let trigger_names = Api.method_names (fun m -> listener m <> None)
 
 let resolve : Extr_cfg.Callgraph.callback_resolver =
  fun prog invoke ->
-  let arg i = List.nth_opt invoke.Ir.iargs i in
-  let on_arg i names =
-    match arg i with Some v -> callbacks_on_arg prog v names | None -> []
+  let on_value v names =
+    match v with Some v -> callbacks_on_arg prog v names | None -> []
   in
-  let on_base names =
-    match invoke.Ir.ibase with
-    | Some v -> (
-        match var_class v with
-        | Some cls -> List.concat_map (method_if_exists prog cls) names
-        | None -> [])
-    | None -> []
-  in
-  if Api.invoke_is invoke ~cls:Api.async_task ~name:"execute" then
-    (* execute(param) → doInBackground(param) → onPostExecute(result) *)
-    on_base [ "doInBackground"; "onPostExecute" ]
-  else if Api.invoke_is invoke ~cls:Api.timer ~name:"schedule" then
-    on_arg 0 [ "run" ]
-  else if Api.invoke_is invoke ~cls:Api.view ~name:"setOnClickListener" then
-    on_arg 0 [ "onClick" ]
-  else if Api.invoke_is invoke ~cls:Api.request_queue ~name:"add" then
-    (* The request object's listener (constructor argument) is resolved
-       separately; the request's own class may also define onResponse when
-       apps subclass StringRequest. *)
-    on_arg 0 [ "onResponse" ]
-  else if Api.invoke_is invoke ~cls:Api.string_request ~name:"<init>" then
-    (* new StringRequest(method, url, listener) registers the listener. *)
-    on_arg 2 [ "onResponse" ]
-  else if
-    Api.invoke_is invoke ~cls:Api.location_manager ~name:"requestLocationUpdates"
-  then on_arg 0 [ "onLocationChanged" ]
-  else if Api.invoke_is invoke ~cls:Api.firebase_messaging ~name:"subscribe" then
-    on_arg 0 [ "onMessage" ]
-  else []
+  match Option.bind (Api.model_of invoke) listener with
+  | Some (Receiver, names) ->
+      on_value (Option.map (fun b -> Ir.Local b) invoke.Ir.ibase) names
+  | Some (Arg i, names) -> on_value (List.nth_opt invoke.Ir.iargs i) names
+  | None -> []
 
 (** The listener class carried by a Volley-style request object: the class
     of the third constructor argument of [new StringRequest(m, url, l)].
@@ -92,7 +76,7 @@ let listener_of_request prog (meth : Ir.meth) (req_var : Ir.var) :
       match Ir.stmt_invoke stmt with
       | Some ({ Ir.ikind = Ir.Special; ibase = Some b; _ } as i)
         when b.Ir.vname = req_var.Ir.vname
-             && Api.invoke_is i ~cls:Api.string_request ~name:"<init>" -> (
+             && Api.model_of i = Some Libmodel.Volley_request_init -> (
           match List.nth_opt i.Ir.iargs 2 with
           | Some (Ir.Local l) -> (
               match var_class l with

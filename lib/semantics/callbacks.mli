@@ -11,9 +11,10 @@ val resolve : Extr_cfg.Callgraph.callback_resolver
 (** The callback resolver wired into call-graph construction. *)
 
 val trigger_names : string list
-(** Invoke names [resolve] can return callbacks for — the
-    [callback_triggers] the call graph needs to find candidate
-    implicit-edge sites through the method index. *)
+(** Method names, from the library-model table, of every call [resolve]
+    can return callbacks for — the [callback_triggers] the call graph
+    needs to find candidate implicit-edge sites through the method
+    index. *)
 
 val listener_of_request :
   Prog.t -> Ir.meth -> Ir.var -> Ir.method_id list

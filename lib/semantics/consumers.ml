@@ -22,15 +22,14 @@ let sink_to_string = function
     and the indices of the arguments that must be tainted for the
     consumption to be response-derived ([None] index set means the receiver). *)
 let find (i : Ir.invoke) : (sink * int list) option =
-  let is = Api.invoke_is i in
   let const_str idx =
     match List.nth_opt i.Ir.iargs idx with
     | Some (Ir.Const (Ir.Cstr s)) -> s
     | Some _ | None -> "*"
   in
-  if is ~cls:Api.media_player ~name:"setDataSource" then Some (Media_player, [ 0 ])
-  else if is ~cls:Api.sqlite_database ~name:"insert" || is ~cls:Api.sqlite_database ~name:"update"
-  then Some (Database (const_str 0), [ 1 ])
-  else if is ~cls:Api.text_view ~name:"setText" then Some (Ui_text, [ 0 ])
-  else if is ~cls:Api.output_stream ~name:"write" then Some (File_output, [ 0 ])
-  else None
+  match Api.model_of i with
+  | Some Libmodel.Media_source -> Some (Media_player, [ 0 ])
+  | Some Libmodel.Db_write -> Some (Database (const_str 0), [ 1 ])
+  | Some Libmodel.Set_text -> Some (Ui_text, [ 0 ])
+  | Some Libmodel.Stream_write -> Some (File_output, [ 0 ])
+  | Some _ | None -> None

@@ -95,14 +95,25 @@ let registry : t list =
     };
   ]
 
-(** Invoked-method names appearing in the registry — the index keys the
+(* The registry keyed by library model.  Every registered point must be
+   a table entry, or it could never match a call. *)
+let by_model : (Api.model * t) list =
+  List.map
+    (fun dp ->
+      match Api.lookup ~cls:dp.dp_cls ~name:dp.dp_meth with
+      | Some m -> (m, dp)
+      | None -> invalid_arg ("Demarcation: no library model for " ^ dp.dp_desc))
+    registry
+
+(** Invoked-method names of the demarcation models — the index keys the
     demand-driven slicer scans for demarcation-point candidates. *)
-let method_names =
-  List.sort_uniq String.compare (List.map (fun d -> d.dp_meth) registry)
+let method_names = Api.method_names (fun m -> List.mem_assoc m by_model)
 
 (** Find the demarcation point matching an invoke, if any. *)
 let find (i : Ir.invoke) : t option =
-  List.find_opt (fun dp -> Api.invoke_is i ~cls:dp.dp_cls ~name:dp.dp_meth) registry
+  match Api.model_of i with
+  | Some m -> List.assoc_opt m by_model
+  | None -> None
 
 let is_demarcation i = find i <> None
 

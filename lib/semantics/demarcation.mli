@@ -33,10 +33,13 @@ val registry : t list
     and android.media. *)
 
 val method_names : string list
-(** Distinct invoked-method names of the registry, sorted — the index
-    keys demand-driven demarcation discovery scans. *)
+(** Distinct method names, sorted, of the library-model table entries that
+    are demarcation points — the index keys demand-driven demarcation
+    discovery scans. *)
 
 val find : Ir.invoke -> t option
+(** The registry entry of the call's library model, if it is one. *)
+
 val is_demarcation : Ir.invoke -> bool
 
 val stats : unit -> int * int

@@ -31,40 +31,34 @@ let const_str_arg (i : Ir.invoke) idx =
 let transfer (i : Ir.invoke) ~base_tainted ~args_tainted : effect =
   let any_arg = List.exists Fun.id args_tainted in
   let any_input = base_tainted || any_arg in
-  let is = Api.invoke_is i in
-  (* Sanitizers / non-flows: logging and pure predicates do not carry
-     protocol payloads onward. *)
-  if is ~cls:Api.android_log ~name:"d" || is ~cls:Api.android_log ~name:"e" then
-    no_effect
-  else if is ~cls:Api.java_string ~name:"equals" then no_effect
-  else if is ~cls:Api.resources ~name:"getString" then
-    (* Resource strings are constants from the APK, never tainted. *)
-    no_effect
-  else if is ~cls:Api.sqlite_database ~name:"insert" || is ~cls:Api.sqlite_database ~name:"update"
-  then
-    (* insert(table, values): tainted values taint the table store. *)
-    { no_effect with db_write = (if any_arg then const_str_arg i 0 else None) }
-  else if is ~cls:Api.sqlite_database ~name:"query" then
-    (* query(table) returns a cursor reading the table store. *)
-    { no_effect with db_read = const_str_arg i 0; taint_base = false }
-  else
-    (* Default model: data flows from inputs to output and accumulates in
-       the receiver for builder/container-style APIs.  This is the paper's
-       open-ended propagation — all statements touching tainted objects
-       join the slice. *)
-    {
-      no_effect with
-      taint_ret = any_input;
-      taint_base = any_arg && i.Ir.ibase <> None;
-    }
+  match Api.model_of i with
+  | Some Libmodel.(Log | Str_equals | Res_string) ->
+      (* Sanitizers / non-flows: logging and pure predicates do not carry
+         protocol payloads onward, and resource strings are constants from
+         the APK, never tainted. *)
+      no_effect
+  | Some Libmodel.Db_write ->
+      (* insert(table, values): tainted values taint the table store. *)
+      { no_effect with db_write = (if any_arg then const_str_arg i 0 else None) }
+  | Some Libmodel.Db_query ->
+      (* query(table) returns a cursor reading the table store. *)
+      { no_effect with db_read = const_str_arg i 0; taint_base = false }
+  | Some _ | None ->
+      (* Default model: data flows from inputs to output and accumulates in
+         the receiver for builder/container-style APIs.  This is the paper's
+         open-ended propagation — all statements touching tainted objects
+         join the slice. *)
+      {
+        no_effect with
+        taint_ret = any_input;
+        taint_base = any_arg && i.Ir.ibase <> None;
+      }
 
 (** Privacy/QoE-relevant origination sources (§2: "if the app streams data
     from the microphone or camera, we might infer that the traffic is of
     high priority").  Returns a tag when the call's result originates from
     such a source. *)
 let source_tag (i : Ir.invoke) : string option =
-  let is = Api.invoke_is i in
-  if is ~cls:Api.location ~name:"getLat" || is ~cls:Api.location ~name:"getLon" then
-    Some "gps"
-  else if is ~cls:Api.location_manager ~name:"getLastKnownLocation" then Some "gps"
-  else None
+  match Api.model_of i with
+  | Some Libmodel.(Location_lat | Location_lon) -> Some "gps"
+  | Some _ | None -> None

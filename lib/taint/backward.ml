@@ -18,6 +18,7 @@ module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
+module Libmodel = Extr_semantics.Libmodel
 module Metrics = Extr_telemetry.Metrics
 module Profile = Extr_telemetry.Profile
 module Provenance = Extr_provenance.Provenance
@@ -250,42 +251,39 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def_relevant :
   if app_callees = [] then begin
     (* Library call, inverted semantic model: a relevant output makes all
        inputs relevant. *)
-    let is = Api.invoke_is i in
     let db_arg idx =
       match List.nth_opt i.Ir.iargs idx with
       | Some (Ir.Const (Ir.Cstr s)) -> Some s
       | Some _ | None -> None
     in
-    if (is ~cls:Api.sqlite_database ~name:"insert" || is ~cls:Api.sqlite_database ~name:"update")
-       && match db_arg 0 with
-          | Some table -> Fact.Set.mem (Fact.Fdb table) set
-          | None -> false
-    then begin
-      (* A relevant table store makes the inserted values relevant. *)
-      touched := true;
-      List.iter (fun v -> List.iter (fun f -> gen := Fact.Set.add f !gen) (value_fact mid v)) i.Ir.iargs
-    end
-    else if is ~cls:Api.sqlite_database ~name:"query" && def_relevant then begin
-      touched := true;
-      match db_arg 0 with
-      | Some table -> gen := Fact.Set.add (Fact.Fdb table) !gen
-      | None -> ()
-    end
-    else if is ~cls:Api.resources ~name:"getString" then begin
-      (* Resource lookup: the result is an APK constant; keep the statement
-         in the slice (the signature builder resolves the constant) but do
-         not propagate into the integer id. *)
-      if def_relevant then touched := true
-    end
-    else if def_relevant || base_relevant then begin
-      touched := true;
-      (match i.Ir.ibase with
-      | Some b -> gen := Fact.Set.add (Fact.local mid b) !gen
-      | None -> ());
-      List.iter
-        (fun v -> List.iter (fun f -> gen := Fact.Set.add f !gen) (value_fact mid v))
-        i.Ir.iargs
-    end
+    match Api.model_of i with
+    | Some Libmodel.Db_write
+      when (match db_arg 0 with
+           | Some table -> Fact.Set.mem (Fact.Fdb table) set
+           | None -> false) ->
+        (* A relevant table store makes the inserted values relevant. *)
+        touched := true;
+        List.iter (fun v -> List.iter (fun f -> gen := Fact.Set.add f !gen) (value_fact mid v)) i.Ir.iargs
+    | Some Libmodel.Db_query when def_relevant -> (
+        touched := true;
+        match db_arg 0 with
+        | Some table -> gen := Fact.Set.add (Fact.Fdb table) !gen
+        | None -> ())
+    | Some Libmodel.Res_string ->
+        (* Resource lookup: the result is an APK constant; keep the
+           statement in the slice (the signature builder resolves the
+           constant) but do not propagate into the integer id. *)
+        if def_relevant then touched := true
+    | Some _ | None ->
+        if def_relevant || base_relevant then begin
+          touched := true;
+          (match i.Ir.ibase with
+          | Some b -> gen := Fact.Set.add (Fact.local mid b) !gen
+          | None -> ());
+          List.iter
+            (fun v -> List.iter (fun f -> gen := Fact.Set.add f !gen) (value_fact mid v))
+            i.Ir.iargs
+        end
   end
   else begin
     (* Application callees. *)

@@ -1,11 +1,13 @@
-(* Semantic-model tests: demarcation-point matching (including library
-   subclassing), implicit-callback resolution, taint transfer models,
-   consumer sinks, and the §3.4 library de-obfuscation. *)
+(* Semantic-model tests: library-model resolution (including library
+   subclassing and the receiver class), demarcation points,
+   implicit-callback resolution, taint transfer models, consumer sinks,
+   and the §3.4 library de-obfuscation. *)
 
 module Ir = Extr_ir.Types
 module B = Extr_ir.Builder
 module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
+module Libmodel = Extr_semantics.Libmodel
 module Demarcation = Extr_semantics.Demarcation
 module Callbacks = Extr_semantics.Callbacks
 module Taint_model = Extr_semantics.Taint_model
@@ -13,6 +15,7 @@ module Consumers = Extr_semantics.Consumers
 module Apk = Extr_apk.Apk
 module Obfuscator = Extr_apk.Obfuscator
 module Deobfuscator = Extr_apk.Deobfuscator
+module Corpus = Extr_corpus.Corpus
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -21,20 +24,71 @@ let tc name f = Alcotest.test_case name `Quick f
 (* API matching                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_invoke_is_direct () =
-  let sb = B.local "sb" (Ir.Obj Api.string_builder) in
-  let i = B.virtual_call sb Api.string_builder "append" [ B.vstr "x" ] in
-  check Alcotest.bool "direct class" true
-    (Api.invoke_is i ~cls:Api.string_builder ~name:"append");
-  check Alcotest.bool "wrong name" false
-    (Api.invoke_is i ~cls:Api.string_builder ~name:"toString")
+let resolves what expect i =
+  check Alcotest.bool what true (Api.model_of i = expect)
 
-let test_invoke_is_subclass () =
-  (* DefaultHttpClient.execute matches the HttpClient interface. *)
+let test_model_of_direct () =
+  let sb = B.local "sb" (Ir.Obj Api.string_builder) in
+  resolves "direct class" (Some Libmodel.Sb_append)
+    (B.virtual_call sb Api.string_builder "append" [ B.vstr "x" ]);
+  resolves "method name selects the entry" (Some Libmodel.Sb_to_string)
+    (B.virtual_call sb Api.string_builder "toString" [])
+
+let test_model_of_subclass () =
+  (* DefaultHttpClient.execute inherits the HttpClient interface's entry. *)
   let c = B.local "c" (Ir.Obj Api.default_http_client) in
-  let i = B.virtual_call c Api.default_http_client "execute" [ B.vstr "r" ] in
-  check Alcotest.bool "library subclass matches" true
-    (Api.invoke_is i ~cls:Api.http_client ~name:"execute")
+  resolves "library subclass" (Some Libmodel.Apache_execute)
+    (B.virtual_call c Api.default_http_client "execute" [ B.vstr "r" ])
+
+let test_model_of_receiver () =
+  (* Object.toString has no entry; the receiver's static class does. *)
+  let sb = B.local "sb" (Ir.Obj Api.string_builder) in
+  resolves "receiver class" (Some Libmodel.Sb_to_string)
+    (B.virtual_call sb Api.java_object "toString" [])
+
+let test_model_of_unmodelled () =
+  let sb = B.local "sb" (Ir.Obj Api.string_builder) in
+  resolves "unmodelled library method" None
+    (B.virtual_call sb Api.string_builder "reverse" []);
+  let a = B.local "a" (Ir.Obj "com.example.A") in
+  resolves "application call" None (B.virtual_call a "com.example.A" "toString" [])
+
+(* Every invoke of the case studies, Table 1 and 50 generated apps: a
+   call on a library class resolves, and the method reference and the
+   receiver never name two different models, so which of [model_of]'s two
+   lookups runs first cannot change a result. *)
+let test_model_of_corpus () =
+  let calls = ref 0 in
+  let check_call app (i : Ir.invoke) =
+    let cls = i.Ir.iref.Ir.mcls and name = i.Ir.iref.Ir.mname in
+    if Api.is_library_class cls then begin
+      incr calls;
+      if Api.model_of i = None then Alcotest.failf "%s: %s.%s unresolved" app cls name
+    end;
+    match (Api.lookup ~cls ~name, i.Ir.ibase) with
+    | Some by_ref, Some { Ir.vty = Ir.Obj recv; _ } -> (
+        match Api.lookup ~cls:recv ~name with
+        | Some by_recv when by_recv <> by_ref ->
+            Alcotest.failf "%s: %s.%s on a %s names two models" app cls name recv
+        | Some _ | None -> ())
+    | _, _ -> ()
+  in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let apk = Lazy.force e.Corpus.c_apk in
+      List.iter
+        (fun (c : Ir.cls) ->
+          List.iter
+            (fun (m : Ir.meth) ->
+              Array.iter
+                (fun stmt ->
+                  Option.iter (check_call e.Corpus.c_app.Extr_corpus.Spec.a_name)
+                    (Ir.stmt_invoke stmt))
+                m.Ir.m_body)
+            c.Ir.c_methods)
+        apk.Apk.program.Ir.p_classes)
+    (Corpus.case_studies () @ Corpus.table1 () @ Corpus.generated ~seed:1 ~count:50);
+  check Alcotest.bool "library calls seen" true (!calls > 1000)
 
 let test_library_subclass () =
   check Alcotest.bool "HttpGet extends request base" true
@@ -416,8 +470,11 @@ let () =
     [
       ( "api",
         [
-          tc "invoke_is direct" test_invoke_is_direct;
-          tc "invoke_is subclass" test_invoke_is_subclass;
+          tc "model_of direct" test_model_of_direct;
+          tc "model_of subclass" test_model_of_subclass;
+          tc "model_of receiver class" test_model_of_receiver;
+          tc "model_of unmodelled" test_model_of_unmodelled;
+          tc "model_of corpus calls" test_model_of_corpus;
           tc "library subclass" test_library_subclass;
         ] );
       ( "demarcation",
