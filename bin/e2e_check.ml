@@ -74,13 +74,11 @@ let root = ref ""
 let shared_dir () = Filename.concat !root "shared"
 let path ck name = Filename.concat ck.ck_dir name
 
-(* Run the CLI with stdout and stderr into DIR/LABEL.out.  [env]
-   prefixes a shell variable assignment — the EXTRACTOCOL_INJECT channel
-   must work without any command-line flag. *)
-let exec ?(env = "") ck ~dir label args =
+(* Run the CLI with stdout and stderr into DIR/LABEL.out. *)
+let exec ck ~dir label args =
   let out = Filename.concat dir (label ^ ".out") in
   let cmd = Filename.quote_command ck.ck_exe args ~stdout:out ~stderr:out in
-  (Sys.command (if env = "" then cmd else env ^ " " ^ cmd), out)
+  (Sys.command cmd, out)
 
 let check_exit ck label ~expect (code, out) =
   if code <> expect then
@@ -88,8 +86,8 @@ let check_exit ck label ~expect (code, out) =
   read_file out
 
 (* A run private to the scenario: demand [expect], return the output. *)
-let run ?env ck ~expect label args =
-  check_exit ck label ~expect (exec ?env ck ~dir:ck.ck_dir label args)
+let run ck ~expect label args =
+  check_exit ck label ~expect (exec ck ~dir:ck.ck_dir label args)
 
 (* The flags of an --all run over DIR/LABEL.jsonl and DIR/LABEL-cache. *)
 let corpus ~dir ~jobs label =
@@ -282,7 +280,7 @@ let kill_and_resume ck ~jobs =
   let lifecycle = corpus ~dir:ck.ck_dir ~jobs "lifecycle" in
   ignore
     (run ck ~expect:99 "killed"
-       (lifecycle @ [ "--crash-at"; "pipeline.interpretation@2" ]));
+       (lifecycle @ [ "--inject"; "pipeline.interpretation@2:kill" ]));
   let resumed = path ck "resumed.json" in
   expect_text ck ~needle:"[resumed]"
     (run ck ~expect:0 "resumed"
@@ -320,8 +318,8 @@ let resume ck =
       (count ss "cache.misses");
   expect_text ck ~needle:"quarantined: radio reddit"
     (run ck ~expect:2 "quarantined"
-       (warm_cache @ [ "--force-crash"; "radio reddit" ]))
-    "force-crashed app missing from the quarantine list";
+       (warm_cache @ [ "--inject"; "app.crash:radio reddit" ]))
+    "app.crash target missing from the quarantine list";
   ignore
     (run ck ~expect:3 "degraded"
        [ "--all"; "--jobs"; "1"; "--max-steps"; "500"; "--retries"; "1" ])
@@ -595,7 +593,7 @@ let shard ck =
       else begin
         let n = min 2 per_shard.(k - 1) in
         shard_run ~expect:99 "killed" k ~journal ~cache
-          [ "--crash-at"; Printf.sprintf "pipeline.interpretation@%d" n ];
+          [ "--inject"; Printf.sprintf "pipeline.interpretation@%d:kill" n ];
         shard_run ~expect:0 "resumed" k ~journal ~cache [ "--resume" ];
         (* A resumed shard's snapshot covers only its second run, so the
            metrics union takes an uninterrupted run of the same shard. *)
@@ -764,7 +762,7 @@ let fault ck =
       fail ck "expected one hung@ Retried and one hung@ Crashed record, \
                found %d and %d"
         (List.length retried) (List.length crashed));
-  (* 3: a torn record mid-journal (the kill-point makes later appends
+  (* 3: a torn record mid-journal (the injected kill makes later appends
      glue onto the torn half).  The resume drops and reports it and
      recovers the app without trusting the damaged line: only the
      cached/attempts bookkeeping may differ from the clean run.  The
@@ -776,8 +774,8 @@ let fault ck =
   in
   ignore
     (run ck ~expect:99 "torn"
-       (torn @ [ "--inject"; "journal.append@3:torn"; "--crash-at";
-                 "pipeline.interpretation@4" ]));
+       (torn @ [ "--inject"; "journal.append@3:torn"; "--inject";
+                 "pipeline.interpretation@4:kill" ]));
   let out =
     run ck ~expect:0 "resumed"
       (torn @ [ "--resume"; "--report-out"; p "resumed.json" ])
@@ -828,12 +826,12 @@ let fault ck =
   audit ~expect:0 ~needle:"all artifacts verified clean" "healed-verify"
     ~cache:clean_cache (p "clean.jsonl")
     "cache did not heal: audit still failing after the warm run";
-  (* 5: ENOSPC on the report write, armed through the environment: exit
-     1, no report, no orphaned temp. *)
+  (* 5: ENOSPC on the report write: exit 1, no report, no orphaned
+     temp. *)
   expect_text ck ~needle:"cannot write output"
-    (run ck ~env:"EXTRACTOCOL_INJECT='export.write:enospc'" ~expect:1
-       "enospc"
-       ([ "--all"; "--jobs"; "1"; "--report-out"; p "enospc.json" ]
+    (run ck ~expect:1 "enospc"
+       ([ "--all"; "--jobs"; "1"; "--inject"; "export.write:enospc";
+          "--report-out"; p "enospc.json" ]
        @ clean_cache @ gen))
     "injected ENOSPC produced no write error";
   if Sys.file_exists (p "enospc.json") then
@@ -856,7 +854,9 @@ let fault ck =
 (* ------------------------------------------------------------------ *)
 
 (* cmdliner reports a doc-markup error in the manual text and still exits
-   0, so the text is what gets checked. *)
+   0, so the text is what gets checked.  Flag values the parser accepts
+   but the run cannot honour are refused with exit 1 before any app is
+   analyzed, so no summary footer is printed. *)
 let help ck =
   let manual label args =
     let text = run ck ~expect:0 label (args @ [ "--help=plain" ]) in
@@ -870,7 +870,24 @@ let help ck =
   List.iter
     (fun needle ->
       expect_text ck ~needle main ("--help does not show " ^ needle))
-    [ "hung@PHASE"; "SITE[@N][:MODE]" ]
+    [
+      "hung@PHASE"; "SITE[@N][:MODE]"; "pipeline.interpretation@2:kill";
+      "app.crash:APP"; "worker.exit:APP";
+    ];
+  List.iter
+    (fun (label, flag, args) ->
+      let out = run ck ~expect:1 label args in
+      expect_text ck ~needle:flag out
+        (Printf.sprintf "the %s refusal does not name %s" label flag);
+      if contains ~needle:" apps: " out then
+        fail ck "%s was refused only after the corpus ran" label)
+    [
+      ("gen", "--gen", [ "--all"; "--gen=-1" ]);
+      ("merge-gen", "--gen", [ "merge"; "--gen=-1"; "--journal"; "none" ]);
+      ( "hang-timeout", "--hang-timeout",
+        [ "--all"; "--jobs"; "2"; "--gen"; "4"; "--hang-timeout=0" ] );
+      ("jobs", "--jobs", [ "--all"; "--gen"; "4"; "--jobs=-3" ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

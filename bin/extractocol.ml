@@ -32,7 +32,7 @@ open Cmdliner
      3   analysis completed, but with degradations or unmatched requests
          (for `merge`: artifacts were quarantined during the merge)
      4   `merge` only: shards or apps are missing — the merge is partial
-     99  an injected --crash-at kill-point fired (test hook)
+     99  an injected kill fired at a pipeline phase (--inject test hook)
      130 SIGINT/SIGTERM interrupted a corpus run (partial results printed) *)
 let exit_ok = 0
 let exit_usage = 1
@@ -278,20 +278,6 @@ let print_result (a : Runner.app_result) =
         Fmt.epr "%s@." crash.Resilience.Barrier.cr_backtrace)
     a.Runner.ar_crash
 
-let parse_crash_at spec =
-  let phase, occ =
-    match String.index_opt spec '@' with
-    | None -> (spec, "1")
-    | Some i ->
-        ( String.sub spec 0 i,
-          String.sub spec (i + 1) (String.length spec - i - 1) )
-  in
-  match int_of_string_opt occ with
-  | Some n when n >= 1 && phase <> "" -> (phase, n)
-  | _ ->
-      Fmt.epr "invalid --crash-at %S (expected PHASE or PHASE@N)@." spec;
-      exit exit_usage
-
 (* The corpus a run (or a merge) covers: Table 1 plus the case studies by
    default, or --gen COUNT synthetic apps from the seeded parametric
    generator.  The corpus tag folds the generator's identity into the
@@ -299,23 +285,21 @@ let parse_crash_at spec =
    never mingle with the real corpus' under the same pipeline flags. *)
 let corpus_of_flags gen gen_seed =
   match gen with
+  | Some count when count < 0 ->
+      Fmt.epr "--gen %d: COUNT must not be negative@." count;
+      exit exit_usage
   | Some count ->
       ( Corpus.generated ~seed:gen_seed ~count,
         Some (Printf.sprintf "gen=%d:%d" gen_seed count) )
   | None -> (all_entries (), None)
 
-let run_all limits force_crash journal resume cache_dir report_out crash_at
-    retries jobs shard gen gen_seed metrics_out trace_out hotspots profile_out
-    progress hang_timeout =
-  (* Arm the injected kill-point before anything runs: the Nth entry to
-     the named pipeline phase terminates the process with exit 99,
-     leaving the journal mid-run — exactly what --resume recovers from. *)
-  Option.iter
-    (fun spec ->
-      let phase, occurrence = parse_crash_at spec in
-      Resilience.Barrier.set_kill_point ~phase ~occurrence (fun () ->
-          raise (Resilience.Barrier.Killed exit_killed)))
-    crash_at;
+let run_all limits journal resume cache_dir report_out retries jobs shard gen
+    gen_seed metrics_out trace_out hotspots profile_out progress hang_timeout =
+  if jobs < 0 then begin
+    Fmt.epr "--jobs %d: N must not be negative@." jobs;
+    exit exit_usage
+  end;
+  let entries, corpus_tag = corpus_of_flags gen gen_seed in
   if metrics_out <> None then
     Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
   (* Workers inherit the enabled tracer across fork and ship their spans
@@ -351,14 +335,12 @@ let run_all limits force_crash journal resume cache_dir report_out crash_at
       ro_journal = journal;
       ro_resume = resume;
       ro_cache_dir = cache_dir;
-      ro_force_crash = force_crash;
       ro_jobs = (if jobs = 0 then Pool.default_jobs () else jobs);
       ro_shard = shard;
-      ro_corpus_tag = snd (corpus_of_flags gen gen_seed);
+      ro_corpus_tag = corpus_tag;
       ro_hang_timeout = hang_timeout;
     }
   in
-  let entries = fst (corpus_of_flags gen gen_seed) in
   (* The heartbeat writes to stderr (a rewriting line on a terminal,
      periodic lines otherwise); the summary table keeps stdout. *)
   let live =
@@ -377,17 +359,15 @@ let run_all limits force_crash journal resume cache_dir report_out crash_at
   Fmt.pr "%-28s %-11s %5s %13s %8s %8s@." "app" "status" "txs" "degradations"
     "attempts" "elapsed";
   match
-    try
-      Runner.run
-        ~on_result:(fun r ->
-          print_result r;
-          Option.iter (fun p -> Progress.on_result p r) live)
-        ~on_journal:(fun ev ->
-          Option.iter (fun p -> Progress.on_journal p ev) live)
-        ~on_state:(fun ~busy ~idle ~pending ->
-          Option.iter (fun p -> Progress.on_state p ~busy ~idle ~pending) live)
-        options entries
-    with Resilience.Barrier.Killed n -> exit n
+    Runner.run
+      ~on_result:(fun r ->
+        print_result r;
+        Option.iter (fun p -> Progress.on_result p r) live)
+      ~on_journal:(fun ev ->
+        Option.iter (fun p -> Progress.on_journal p ev) live)
+      ~on_state:(fun ~busy ~idle ~pending ->
+        Option.iter (fun p -> Progress.on_state p ~busy ~idle ~pending) live)
+      options entries
   with
   | Error msg ->
       Fmt.epr "%s@." msg;
@@ -634,14 +614,6 @@ let all_flag =
   in
   Arg.(value & flag & info [ "all" ] ~doc)
 
-let force_crash_arg =
-  let doc =
-    "Raise an artificial exception while analyzing APP (test hook for the\n\
-     $(b,--all) fault barrier and the quarantine path)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "force-crash" ] ~docv:"APP" ~doc)
-
 let journal_arg =
   let doc =
     "Write-ahead journal for $(b,--all): one JSONL record per per-app\n\
@@ -680,18 +652,6 @@ let report_out_arg =
   Arg.(
     value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
 
-let crash_at_arg =
-  let doc =
-    "Kill the process (exit 99) the Nth time the named pipeline phase\n\
-     starts during an $(b,--all) run — e.g.\n\
-     $(b,pipeline.interpretation@2).  Test hook for $(b,--resume): the\n\
-     journal survives the kill."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "crash-at" ] ~docv:"PHASE[@N]" ~doc)
-
 let retries_arg =
   let doc =
     "Maximum attempts per app on the degrade-and-retry ladder: an app\n\
@@ -710,7 +670,7 @@ let jobs_arg =
      parallel, one per forked worker, with results reported in corpus\n\
      order (the report is byte-identical to a sequential run).  0 (the\n\
      default) uses the machine's available parallelism; 1 runs\n\
-     sequentially in-process."
+     sequentially in-process; a negative N is refused."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -767,8 +727,8 @@ let hang_timeout_arg =
     "Arm the hung-worker watchdog for $(b,--all --jobs N): a worker\n\
      silent (no heartbeat, event or result) for longer than this many\n\
      seconds is killed, its app retried once on a fresh worker, then\n\
-     quarantined under the $(i,hung@PHASE) crash taxonomy.  Off by\n\
-     default."
+     quarantined under the $(i,hung@PHASE) crash taxonomy.  SECONDS\n\
+     must be positive.  Off by default."
   in
   Arg.(
     value
@@ -777,14 +737,18 @@ let hang_timeout_arg =
 
 let inject_arg =
   let doc =
-    "Inject an environment fault at a named site (repeatable):\n\
-     $(i,SITE[@N][:MODE]) arms the Nth (default first) hit of\n\
-     $(i,SITE) with $(i,MODE) — e.g.\n\
+    "Inject a fault at a named site (repeatable; the test hook behind\n\
+     every failure contract): $(i,SITE[@N][:MODE]) arms the Nth\n\
+     (default first) hit of $(i,SITE) with $(i,MODE).  Every pipeline\n\
+     phase is a site: $(b,pipeline.interpretation@2:kill) kills the\n\
+     process (exit 99) the 2nd time that phase starts, leaving the\n\
+     journal for $(b,--resume).  $(b,app.crash:APP) crashes every\n\
+     attempt at $(i,APP), which is quarantined (exit 2);\n\
+     $(b,worker.exit:APP) and $(b,worker.spin:APP) make the worker\n\
+     analyzing $(i,APP) exit or wedge.  Environment faults:\n\
      $(b,export.write:enospc), $(b,journal.append@3:torn),\n\
-     $(b,store.read:bitflip), $(b,pool.frame), or\n\
-     $(b,worker.spin:APP) to wedge the worker analyzing $(i,APP).\n\
-     Test hook; the $(b,EXTRACTOCOL_INJECT) environment variable takes\n\
-     the same comma-separated specs."
+     $(b,store.read:bitflip), $(b,pool.frame).  Counts are per\n\
+     process; forked workers inherit the plan."
   in
   Arg.(
     value & opt_all string [] & info [ "inject" ] ~docv:"SPEC" ~doc)
@@ -823,7 +787,9 @@ let exits =
          apps are missing (listed in the envelope's $(i,missing_shards[]) / \
          $(i,missing_apps[]) members).";
     Cmd.Exit.info exit_killed
-      ~doc:"an injected $(b,--crash-at) kill-point fired (test hook).";
+      ~doc:
+        "an injected kill fired at a pipeline phase \
+         ($(b,--inject) $(i,PHASE@N:kill), test hook).";
     Cmd.Exit.info exit_interrupted
       ~doc:
         "SIGINT/SIGTERM stopped an $(b,--all) run; the journal was flushed \
@@ -836,9 +802,9 @@ let analyze_term =
     const
       (fun log_level list name scope async intents obf obf_libs limple json
            dot trace trace_out metrics_out profile hotspots profile_out
-           explain provenance_out max_steps max_depth deadline all force_crash
-           journal resume cache_dir report_out crash_at retries jobs shard gen
-           gen_seed progress hang_timeout inject ->
+           explain provenance_out max_steps max_depth deadline all journal
+           resume cache_dir report_out retries jobs shard gen gen_seed progress
+           hang_timeout inject ->
         setup_logs log_level;
         arm_injections inject;
         let limits =
@@ -848,23 +814,25 @@ let analyze_term =
             bl_deadline_s = deadline;
           }
         in
-        if list then list_apps ()
-        else if all then
-          run_all limits force_crash journal resume cache_dir report_out
-            crash_at retries jobs shard gen gen_seed metrics_out trace_out
-            hotspots profile_out progress hang_timeout
-        else
-          analyze_app name scope async intents obf obf_libs limple json dot
-            trace trace_out metrics_out profile hotspots profile_out explain
-            provenance_out limits)
+        try
+          if list then list_apps ()
+          else if all then
+            run_all limits journal resume cache_dir report_out retries jobs
+              shard gen gen_seed metrics_out trace_out hotspots profile_out
+              progress hang_timeout
+          else
+            analyze_app name scope async intents obf obf_libs limple json dot
+              trace trace_out metrics_out profile hotspots profile_out explain
+              provenance_out limits
+        with Resilience.Barrier.Killed -> exit_killed)
     $ log_level_arg $ list_flag $ name_arg $ scope_arg $ async_flag
     $ intents_flag $ obfuscate_flag $ obf_libs_flag $ limple_arg $ json_flag
     $ dot_flag $ trace_arg $ trace_out_arg $ metrics_out_arg $ profile_flag
     $ hotspots_arg $ profile_out_arg $ explain_arg $ provenance_out_arg
-    $ max_steps_arg $ max_depth_arg $ deadline_arg $ all_flag
-    $ force_crash_arg $ journal_arg $ resume_flag $ cache_dir_arg
-    $ report_out_arg $ crash_at_arg $ retries_arg $ jobs_arg $ shard_arg
-    $ gen_arg $ gen_seed_arg $ progress_flag $ hang_timeout_arg $ inject_arg)
+    $ max_steps_arg $ max_depth_arg $ deadline_arg $ all_flag $ journal_arg
+    $ resume_flag $ cache_dir_arg $ report_out_arg $ retries_arg $ jobs_arg
+    $ shard_arg $ gen_arg $ gen_seed_arg $ progress_flag $ hang_timeout_arg
+    $ inject_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats: offline run reconstruction from artifacts                    *)
@@ -1170,10 +1138,6 @@ let analyze_cmd =
   Cmd.v (Cmd.info "extractocol" ~version:"1.0" ~doc ~exits) analyze_term
 
 let () =
-  (* EXTRACTOCOL_INJECT: the fault-injection env channel, so the check
-     binaries can arm faults in a child extractocol without rebuilding
-     its command line. *)
-  Fault.init_from_env ();
   let positional_app =
     Array.length Sys.argv > 1
     && String.length Sys.argv.(1) > 0

@@ -188,7 +188,7 @@ let worker_main ~task_r ~res_w ~worker ~farewell =
       loop ()
     with
     | Closed | Unix.Unix_error (Unix.EPIPE, _, _) -> 0
-    | Barrier.Killed n -> n
+    | Barrier.Killed -> 99
     | Barrier.Interrupted -> 130
     | _ -> 70
   in
@@ -299,7 +299,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
     let respawns = ref (8 + (2 * ntasks)) in
     let workers = ref [] in
     let worker_count = ref 0 in
-    let kill_code = ref None in
+    let killed = ref false in
     (* A task whose worker hangs is requeued once through the retry
        ladder; a second hang quarantines it — the same
        escalate-then-give-up shape the in-process ladder applies to
@@ -479,11 +479,9 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
          and journal events for the task it died on. *)
       drain_frames w;
       close_fds w;
-      (match st with
-      | Unix.WEXITED 99 -> kill_code := Some 99
-      | _ -> ());
+      if st = Unix.WEXITED 99 then killed := true;
       (match w.ws_task with
-      | Some i when !kill_code = None -> (
+      | Some i when not !killed -> (
           w.ws_task <- None;
           match w.ws_hung with
           | Some phase when not (Hashtbl.mem hang_requeued i) ->
@@ -519,7 +517,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
               Log.warn (fun m -> m "task %d: %s" i reason);
               on_result i (on_death ~task:i ~cause:(Died reason)))
       | _ -> ());
-      if !kill_code = None && !pending <> [] then begin
+      if (not !killed) && !pending <> [] then begin
         if !respawns > 0 then begin
           decr respawns;
           Metrics.incr m_respawns;
@@ -540,7 +538,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
           observe_queue ()
         end
       end;
-      if !kill_code = None then begin
+      if not !killed then begin
         dispatch_idle ();
         notify_state ()
       end
@@ -594,7 +592,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
                     end)
                   !workers
           in
-          while !remaining > 0 && !kill_code = None do
+          while !remaining > 0 && not !killed do
             let live = List.filter (fun w -> w.ws_alive) !workers in
             let fds = List.map (fun w -> w.ws_res_r) live in
             let readable, _, _ =
@@ -622,30 +620,29 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
             check_hangs ()
           done
         with
-        | () -> (
-            match !kill_code with
-            | Some n ->
-                (* A kill-point simulates the whole process dying: take
-                   the rest of the pool down with it and let the barrier
-                   exception carry the exit code up. *)
-                terminate Sys.sigkill;
-                raise (Barrier.Killed n)
-            | None ->
-                (* Every worker has been sent Down_quit (its dispatch
-                   after the last result found the queue empty); drain
-                   the farewell frames they send on the way out, then
-                   wait for the exits. *)
-                List.iter
-                  (fun w ->
-                    if w.ws_alive then begin
-                      w.ws_alive <- false;
-                      drain_until_eof w;
-                      ignore (reap w);
-                      close_fds w
-                    end)
-                  !workers;
-                notify_state ();
-                Completed)
+        | () ->
+            if !killed then begin
+              (* An injected kill simulates the whole process dying:
+                 take the rest of the pool down with it and re-raise
+                 the barrier exception in the coordinator. *)
+              terminate Sys.sigkill;
+              raise Barrier.Killed
+            end;
+            (* Every worker has been sent Down_quit (its dispatch after
+               the last result found the queue empty); drain the
+               farewell frames they send on the way out, then wait for
+               the exits. *)
+            List.iter
+              (fun w ->
+                if w.ws_alive then begin
+                  w.ws_alive <- false;
+                  drain_until_eof w;
+                  ignore (reap w);
+                  close_fds w
+                end)
+              !workers;
+            notify_state ();
+            Completed
         | exception Barrier.Interrupted ->
             terminate Sys.sigterm;
             Interrupted)

@@ -19,13 +19,14 @@
       process.
 
     Fault containment mirrors the in-process barrier: a worker that dies
-    (signal, [_exit], kill-point) costs only its in-flight task — the
+    (signal, [_exit], injected kill) costs only its in-flight task — the
     coordinator synthesizes a result for it via [on_death] and respawns
     a replacement while other workers keep running.  Two control paths
     cross the pool the same way they cross
     {!Extr_resilience.Resilience.Barrier.protect}: a worker exiting with
-    code 99 (an injected kill-point) makes the coordinator kill the
-    remaining workers and re-raise [Barrier.Killed 99], and
+    code 99 (it raised [Barrier.Killed]: an injected kill at a phase
+    site) makes the coordinator kill the remaining workers and re-raise
+    [Barrier.Killed], and
     [Barrier.Interrupted] raised in the coordinator (SIGINT/SIGTERM)
     terminates the workers and returns [Interrupted].
 
@@ -120,7 +121,7 @@ val run :
     A worker death with a task in flight synthesizes that task's result
     via [on_death] (after delivering any events the worker sent first)
     and respawns a worker if tasks are still pending.  Exit code 99
-    propagates as [Barrier.Killed 99] (see module doc).  Workers ignore
+    propagates as [Barrier.Killed] (see module doc).  Workers ignore
     SIGINT and die on SIGTERM, so an operator ^C interrupts the
     coordinator only; it then terminates the pool and returns
     [Interrupted] — results already handed to [on_result] stand, the

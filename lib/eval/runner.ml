@@ -48,10 +48,8 @@ type options = {
   ro_journal : string option;
   ro_resume : bool;
   ro_cache_dir : string option;
-  ro_force_crash : string option;
   ro_sleep : Clock.sleep;
   ro_jobs : int;
-  ro_worker_kill : string option;
   ro_shard : (int * int) option;
   ro_corpus_tag : string option;
   ro_hang_timeout : float option;  (* pool watchdog; None = off *)
@@ -65,10 +63,8 @@ let default_options =
     ro_journal = None;
     ro_resume = false;
     ro_cache_dir = None;
-    ro_force_crash = None;
     ro_sleep = Clock.sleep_wall;
     ro_jobs = 1;
-    ro_worker_kill = None;
     ro_shard = None;
     ro_corpus_tag = None;
     ro_hang_timeout = None;
@@ -195,8 +191,6 @@ let inspect_report_json data =
       | _ -> None)
   | Some _ | None -> None
 
-let forced_crash_message = "forced crash (--force-crash test hook)"
-
 (* Analyze one corpus entry end to end: materialize the app (behind the
    fault barrier — a malformed synthetic spec must quarantine this app,
    not abort the corpus), consult the cache, drive the retry ladder and
@@ -251,12 +245,13 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
       (quarantined crash "" 1, "")
   | Result.Ok (apk, key) -> (
       let key_s = Store.key_to_string key in
-      (* A force-crashed app must actually crash: the hook simulates an
-         app the pipeline dies on, and a cached result would dodge the
+      (* An injected app.crash must actually crash: it simulates an app
+         the pipeline dies on, and a cached result would dodge the
          simulation (and with it the quarantine path under test). *)
+      let injected = Fault.fire ~arg:id "app.crash" <> None in
       let cache_hit =
         match cache with
-        | _ when o.ro_force_crash = Some id -> None
+        | _ when injected -> None
         | None -> None
         | Some c -> (
             match Store.find c key with
@@ -305,8 +300,7 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
                 let opts = { o.ro_pipeline with Pipeline.op_limits = limits } in
                 match
                   Barrier.protect ~app:id (fun () ->
-                      if o.ro_force_crash = Some id then
-                        failwith forced_crash_message;
+                      if injected then failwith "injected crash (app.crash)";
                       Pipeline.analyze ~options:opts apk)
                 with
                 | Result.Ok a ->
@@ -473,9 +467,7 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
           let id, e = entries.(i) in
           if o.ro_heartbeat then
             Barrier.set_observer (fun p -> beat ~phase:p);
-          (match o.ro_worker_kill with
-          | Some k when k = id -> Unix._exit 86
-          | _ -> ());
+          if Fault.fire ~arg:id "worker.exit" <> None then Unix._exit 86;
           (* Injected wedge: spin without heartbeats so the watchdog has
              something to catch.  The mode string targets one app. *)
           (match Fault.fire ~arg:id "worker.spin" with
@@ -581,18 +573,22 @@ let run ?(on_result = fun (_ : app_result) -> ())
      cache keys stay shard-independent (merge unions them), the journal
      does not (shard 2 must not resume shard 1's journal). *)
   let jconfig = journal_fingerprint o in
-  let shard_ok =
-    match o.ro_shard with
-    | None -> Result.Ok ()
-    | Some (k, n) when k >= 1 && k <= n -> Result.Ok ()
-    | Some (k, n) ->
+  (* [not (t > 0.)] also refuses nan: a watchdog that cannot tell
+     silence from work would quarantine healthy apps. *)
+  let options_ok =
+    match (o.ro_shard, o.ro_hang_timeout) with
+    | Some (k, n), _ when k < 1 || k > n ->
         Result.Error
           (Printf.sprintf "--shard %d/%d: K must be between 1 and N" k n)
+    | _, Some t when not (t > 0.) ->
+        Result.Error
+          (Printf.sprintf "--hang-timeout %g: SECONDS must be positive" t)
+    | _ -> Result.Ok ()
   in
   (* Open the cache first: a bad --cache-dir is a usage error, not
      something to discover halfway through the corpus. *)
   let cache =
-    match shard_ok with
+    match options_ok with
     | Result.Error msg -> Result.Error msg
     | Result.Ok () -> (
         match o.ro_cache_dir with

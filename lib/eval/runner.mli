@@ -27,16 +27,12 @@ type options = {
   ro_journal : string option;  (** write-ahead journal path *)
   ro_resume : bool;  (** replay the journal, skip finished apps *)
   ro_cache_dir : string option;  (** content-addressed result cache *)
-  ro_force_crash : string option;  (** crash this app (test hook) *)
   ro_sleep : Clock.sleep;  (** retry backoff; injectable for tests *)
   ro_jobs : int;
       (** worker processes for the corpus ({!Pool}); [<= 1] runs
           sequentially in-process.  Not part of the configuration
           fingerprint: parallelism never changes results, so journals
           and caches are shared freely across jobs settings *)
-  ro_worker_kill : string option;
-      (** test hook: a forked worker dispatched this app [_exit]s
-          immediately, simulating a worker death mid-app *)
   ro_shard : (int * int) option;
       (** [Some (k, n)]: run only the k-th of n deterministic corpus
           slices (1-based), partitioned by {!shard_index}.  Not part of
@@ -54,7 +50,8 @@ type options = {
           worker silent longer than this many wall-clock seconds is
           SIGKILLed, its app requeued once, then quarantined under the
           [hung\@PHASE] taxonomy.  [None] (the default) disables the
-          watchdog.  Not part of the configuration fingerprint — like
+          watchdog; a value that is not positive is refused by {!run}.
+          Not part of the configuration fingerprint — like
           [ro_jobs], it changes scheduling, never results *)
   ro_heartbeat : bool;
       (** ship a heartbeat frame on every pipeline phase transition
@@ -156,11 +153,12 @@ val run :
     [ro_jobs > 1], where completed-but-out-of-order results are held
     back until every earlier app has resolved, so reports stay
     byte-identical across jobs settings.  [Error] is a usage-level
-    failure: a resume with no/invalid journal or a mismatched
+    failure: an out-of-range [ro_shard] or a [ro_hang_timeout] that is
+    not positive, a resume with no/invalid journal or a mismatched
     configuration fingerprint, or an unusable cache/journal path.
-    {!Resilience.Barrier.Killed} propagates (injected kill-points must
-    terminate the process — under the pool, a worker exiting 99 takes
-    the coordinator down the same way);
+    {!Resilience.Barrier.Killed} propagates (an injected kill at a
+    phase site must terminate the process — under the pool, a worker
+    exiting 99 takes the coordinator down the same way);
     {!Resilience.Barrier.Interrupted} is caught and yields a partial
     [run] with [rn_interrupted] set.
 
@@ -181,7 +179,12 @@ val run :
     to kill quarantines its app under crash phase ["hung@PHASE"]
     instead (after one free requeue, journaled as a [Retried] event
     with reason ["hung@PHASE"]) — the taxonomy keeps silent wedges
-    distinct from crashes in every downstream report. *)
+    distinct from crashes in every downstream report.
+
+    The {!Extr_resilience.Fault} sites [app.crash] (fired once per app,
+    before the cache probe: every attempt crashes), [worker.exit] and
+    [worker.spin] (fired in the worker wrapper) take the app id as
+    their argument. *)
 
 val report_json :
   ?extra:(string * string) list -> config:string -> run -> string

@@ -1,16 +1,16 @@
-(* Environment fault injection: a deterministic plan of named sites.
+(* Fault injection: a deterministic plan of named sites.
    See the .mli for the grammar and matching rules; this file is a flat
    list of armed entries consulted by instrumented call sites. *)
 
 module Metrics = Extr_telemetry.Metrics
 module Export = Extr_telemetry.Export
 
-let src = Logs.Src.create "extractocol.fault" ~doc:"Environment fault injection"
+let src = Logs.Src.create "extractocol.fault" ~doc:"Fault injection"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
 let m_injected =
-  Metrics.counter ~help:"environment faults fired by the injection plan"
+  Metrics.counter ~help:"faults fired by the injection plan"
     "fault.injected"
 
 type entry = {
@@ -24,14 +24,6 @@ type entry = {
 let plan : entry list ref = ref []
 
 let reset () = plan := []
-let active () = !plan <> []
-
-let describe () =
-  List.map
-    (fun e ->
-      Printf.sprintf "%s@%d%s" e.fe_site e.fe_occurrence
-        (if e.fe_mode = "" then "" else ":" ^ e.fe_mode))
-    !plan
 
 let fire ?arg site =
   let matches e =
@@ -113,18 +105,3 @@ let arm_spec spec =
   | Result.Ok (site, occurrence, mode) ->
       arm ~site ~occurrence ~mode ();
       Result.Ok ()
-
-let env_var = "EXTRACTOCOL_INJECT"
-
-let init_from_env () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> ()
-  | Some specs ->
-      List.iter
-        (fun spec ->
-          if String.trim spec <> "" then
-            match arm_spec spec with
-            | Result.Ok () -> ()
-            | Result.Error msg ->
-                Log.warn (fun m -> m "%s: %s (ignored)" env_var msg))
-        (String.split_on_char ',' specs)

@@ -1,16 +1,17 @@
-(** Environment fault injection — the system-level analog of
-    [--crash-at].
+(** Fault injection: the one registry every failure test goes through.
 
-    Where the kill-point simulates the {e process} dying at a pipeline
-    phase boundary, the fault plan simulates the {e environment}
-    misbehaving at a named site: a write that hits ENOSPC, a journal
-    record torn mid-file, a cache entry rotting on disk, a worker pipe
-    delivering half a frame, a worker spinning forever.  Sites are
-    consulted by production code paths
-    ({!Extr_telemetry.Export.write_file} via a hook, {!Journal.append},
-    [Store] reads/writes, the pool's framing layer and its worker
-    wrapper), so an armed plan exercises exactly the code a real fault
-    would.
+    The plan simulates the process, a worker or the environment failing
+    at a named site: the process dying at a pipeline phase boundary, an
+    app the pipeline always crashes on, a worker exiting or spinning
+    mid-app, a write that hits ENOSPC, a journal record torn mid-file, a
+    cache entry rotting on disk, a worker pipe delivering half a frame.
+    Sites are consulted by production code paths
+    ({!Resilience.Barrier.set_phase},
+    {!Extr_telemetry.Export.write_file} via a hook, {!Journal.append},
+    [Store] reads/writes, the runner's per-app lifecycle, the pool's
+    framing layer and its worker wrapper), so an armed plan exercises
+    exactly the code a real fault would.  The CLI arms it with
+    [--inject]; tests call {!arm}.
 
     The plan is deterministic: an entry [SITE\@N:MODE] fires on the
     [N]th matching hit of [SITE] in this process and then disarms
@@ -20,21 +21,20 @@
     the site ([enospc], [short], [orphan] for [export.write]; [torn],
     [bitflip], [drop] for [journal.append]; [bitflip], [miss] for
     [store.read]; [bitflip], [drop] for [store.write]; ignored by
-    [pool.frame]).  For sites that pass an [arg] to {!fire} (the worker
-    spin-hang site passes the app id), a non-empty mode is instead a
-    target filter: only hits whose [arg] equals it match.
+    [pool.frame]).  Every pipeline phase name is a site too
+    ([pipeline.interpretation\@2:kill]): firing raises
+    {!Resilience.Barrier.Killed}, whatever the mode.  For sites that
+    pass an [arg] to {!fire} — the app id, at [app.crash] (every
+    attempt at the app crashes, so it is quarantined), [worker.exit]
+    (the worker [_exit]s 86) and [worker.spin] (the worker spins
+    without heartbeats) — a non-empty mode is instead a target filter:
+    only hits whose [arg] equals it match.
 
     Armed faults count into the ["fault.injected"] metric (labelled by
     site) when the registry is enabled. *)
 
 val reset : unit -> unit
 (** Disarm everything (tests). *)
-
-val active : unit -> bool
-(** Is any entry armed (fired or not)? *)
-
-val describe : unit -> string list
-(** The armed plan, one [SITE\@N:MODE] string per entry. *)
 
 val arm : site:string -> ?occurrence:int -> ?mode:string -> unit -> unit
 (** Arm one entry: fire on the [occurrence]th (default 1st) matching
@@ -52,13 +52,3 @@ val fire : ?arg:string -> string -> string option
     Entries with a non-empty mode only match a hit carrying an equal
     [arg]; entries whose mode is empty match any hit.  Instrumented
     call sites must treat [None] as "no fault" at zero cost. *)
-
-val env_var : string
-(** ["EXTRACTOCOL_INJECT"]: comma-separated specs, read by
-    {!init_from_env} — the override used to reach check binaries and
-    forked children that never see the [--inject] flag. *)
-
-val init_from_env : unit -> unit
-(** Arm every spec in {!env_var} (if set).  Malformed specs are logged
-    and skipped — an injection plan must never abort the run it is
-    trying to stress. *)

@@ -186,24 +186,13 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Barrier = struct
-  exception Killed of int
+  exception Killed
   exception Interrupted
 
   (* The pipeline stamps its current Figure-2 phase here so a crash can
      be attributed to the stage that raised, without threading state
      through every call. *)
   let current_phase = ref "init"
-
-  (* Injected kill-point (--crash-at): simulate the process dying at a
-     phase boundary.  [Some (phase, n, action)] runs [action] the [n]th
-     time [phase] is entered; the CLI's action exits the process, so a
-     journaled run is cut off exactly as a kill -9 would cut it. *)
-  let kill_point : (string * int * (unit -> unit)) option ref = ref None
-
-  let set_kill_point ~phase:p ~occurrence action =
-    kill_point := Some (p, occurrence, action)
-
-  let clear_kill_point () = kill_point := None
 
   (* Phase observer: the pool's worker wrapper registers a heartbeat
      sender here, so every phase transition doubles as a liveness
@@ -212,17 +201,13 @@ module Barrier = struct
   let set_observer f = observer := f
   let clear_observer () = observer := fun _ -> ()
 
+  (* Every phase name is also a fault site: an armed [PHASE@N:kill]
+     simulates the process dying at that phase boundary, so a journaled
+     run is cut off exactly as a kill -9 would cut it. *)
   let set_phase p =
     current_phase := p;
     !observer p;
-    match !kill_point with
-    | Some (kp, n, action) when kp = p ->
-        if n <= 1 then begin
-          clear_kill_point ();
-          action ()
-        end
-        else kill_point := Some (kp, n - 1, action)
-    | Some _ | None -> ()
+    if Fault.fire p <> None then raise Killed
 
   let phase () = !current_phase
 
@@ -246,10 +231,10 @@ module Barrier = struct
     | v ->
         restore ();
         Ok v
-    (* Control exceptions cross the barrier: a kill-point or an operator
-       interrupt must stop the whole corpus run, not be misreported as
-       one app's crash. *)
-    | exception ((Killed _ | Interrupted) as e) ->
+    (* Control exceptions cross the barrier: an injected kill or an
+       operator interrupt must stop the whole corpus run, not be
+       misreported as one app's crash. *)
+    | exception ((Killed | Interrupted) as e) ->
         restore ();
         raise e
     | exception exn ->

@@ -94,9 +94,10 @@ module Degrade : sig
 end
 
 module Barrier : sig
-  exception Killed of int
-  (** Raised by an injected kill-point ([--crash-at]); carries the exit
-      code the process should die with.  Crosses {!protect}. *)
+  exception Killed
+  (** Raised by {!set_phase} when the fault plan fires at the phase's
+      site ([--inject PHASE\@N:kill]); the process dies with exit 99.
+      Crosses {!protect}. *)
 
   exception Interrupted
   (** Raised from a SIGINT/SIGTERM handler to unwind a corpus run for a
@@ -104,8 +105,9 @@ module Barrier : sig
 
   val set_phase : string -> unit
   (** Stamp the currently-running pipeline phase (crash attribution).
-      Notifies the {!set_observer} callback, then fires the kill-point
-      when one is armed for this phase. *)
+      Notifies the {!set_observer} callback, then counts a hit at the
+      {!Fault} site named by the phase and raises {!Killed} if it
+      fires. *)
 
   val set_observer : (string -> unit) -> unit
   (** Register a phase-transition observer (at most one).  The pool's
@@ -114,14 +116,6 @@ module Barrier : sig
       signals for the coordinator's hung-worker watchdog. *)
 
   val clear_observer : unit -> unit
-
-  val set_kill_point :
-    phase:string -> occurrence:int -> (unit -> unit) -> unit
-  (** Arm a kill-point: run the action the [occurrence]th time
-      {!set_phase} enters [phase] (then disarm).  The CLI's action
-      raises {!Killed}; tests can substitute their own. *)
-
-  val clear_kill_point : unit -> unit
 
   val phase : unit -> string
 

@@ -12,6 +12,7 @@ module Budget = Resilience.Budget
 module Barrier = Resilience.Barrier
 module Retry = Extr_resilience.Retry
 module Journal = Extr_resilience.Journal
+module Fault = Extr_resilience.Fault
 module Store = Extr_store.Store
 module Runner = Extr_eval.Runner
 module Clock = Extr_telemetry.Clock
@@ -556,24 +557,34 @@ let test_runner_clean_run () =
       check Alcotest.bool "has a report" true (a.Runner.ar_report_json <> None))
     r.Runner.rn_results
 
+(* The injected crash reaches a pool worker through the plan it
+   inherits on fork, so the same contract holds at both widths; the
+   coordinator's own copy never fires under the pool, hence the reset
+   after each run. *)
 let test_runner_quarantine_exit_code () =
   let es = entries () in
   let victim = (List.hd es).Corpus.c_app.Spec.a_name in
-  let o = { (quiet_options ()) with Runner.ro_force_crash = Some victim } in
-  let r = run_ok o es in
-  check Alcotest.int "exit code 2" 2 (Runner.exit_code r);
-  check Alcotest.(list string) "victim quarantined" [ victim ]
-    r.Runner.rn_quarantined;
-  match r.Runner.rn_results with
-  | q :: rest ->
-      check Alcotest.bool "crash recorded" true (q.Runner.ar_crash <> None);
-      check Alcotest.int "one crash retry" 2 q.Runner.ar_attempts;
-      List.iter
-        (fun (a : Runner.app_result) ->
-          check Alcotest.bool "others unaffected" true
-            (a.Runner.ar_status <> Runner.Quarantined))
-        rest
-  | [] -> Alcotest.fail "no results"
+  List.iter
+    (fun jobs ->
+      Fault.arm ~site:"app.crash" ~mode:victim ();
+      let r =
+        Fun.protect ~finally:Fault.reset (fun () ->
+            run_ok { (quiet_options ()) with Runner.ro_jobs = jobs } es)
+      in
+      check Alcotest.int "exit code 2" 2 (Runner.exit_code r);
+      check Alcotest.(list string) "victim quarantined" [ victim ]
+        r.Runner.rn_quarantined;
+      match r.Runner.rn_results with
+      | q :: rest ->
+          check Alcotest.bool "crash recorded" true (q.Runner.ar_crash <> None);
+          check Alcotest.int "one crash retry" 2 q.Runner.ar_attempts;
+          List.iter
+            (fun (a : Runner.app_result) ->
+              check Alcotest.bool "others unaffected" true
+                (a.Runner.ar_status <> Runner.Quarantined))
+            rest
+      | [] -> Alcotest.fail "no results")
+    [ 1; 2 ]
 
 let test_runner_degraded_exit_code () =
   let o = quiet_options () in
@@ -619,14 +630,13 @@ let test_runner_resume_byte_identical () =
     }
   in
   (* Kill the run inside the second app's interpretation phase. *)
-  Barrier.set_kill_point ~phase:"pipeline.interpretation" ~occurrence:2
-    (fun () -> raise (Barrier.Killed 99));
+  Fault.arm ~site:"pipeline.interpretation" ~occurrence:2 ~mode:"kill" ();
   (match Runner.run o (entries ()) with
-  | exception Barrier.Killed 99 -> ()
+  | exception Barrier.Killed -> ()
   | _ ->
-      Barrier.clear_kill_point ();
+      Fault.reset ();
       Alcotest.fail "kill-point did not fire");
-  Barrier.clear_kill_point ();
+  Fault.reset ();
   let resumed = run_ok { o with Runner.ro_resume = true } (entries ()) in
   (match resumed.Runner.rn_results with
   | first :: second :: _ ->
@@ -671,15 +681,33 @@ let test_runner_resume_refuses_config_mismatch () =
 let test_runner_interrupt_partial () =
   let o = quiet_options () in
   (* A SIGINT mid-corpus surfaces as Barrier.Interrupted; the runner must
-     return the completed prefix, flagged, with the documented exit. *)
-  Barrier.set_kill_point ~phase:"pipeline.interpretation" ~occurrence:2
-    (fun () -> raise Barrier.Interrupted);
+     return the completed prefix, flagged, with the documented exit.
+     The handler raises wherever the process happens to be, so raise it
+     from the phase observer at the 2nd interpretation phase. *)
+  let seen = ref 0 in
+  Barrier.set_observer (fun p ->
+      if p = "pipeline.interpretation" then begin
+        incr seen;
+        if !seen = 2 then raise Barrier.Interrupted
+      end);
   let r = run_ok o (entries ()) in
-  Barrier.clear_kill_point ();
+  Barrier.clear_observer ();
   check Alcotest.bool "interrupted flag" true r.Runner.rn_interrupted;
   check Alcotest.int "only the first app completed" 1
     (List.length r.Runner.rn_results);
   check Alcotest.int "exit code 130" 130 (Runner.exit_code r)
+
+let test_runner_rejects_bad_hang_timeout () =
+  List.iter
+    (fun t ->
+      match
+        Runner.run
+          { (quiet_options ()) with Runner.ro_hang_timeout = Some t }
+          (entries ())
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "--hang-timeout %g accepted" t)
+    [ 0.; -1.; Float.nan ]
 
 let test_runner_materialization_crash_quarantined () =
   (* APK materialization (Lazy.force + cache keying) runs inside the
@@ -765,10 +793,11 @@ let test_pool_byte_identical () =
 let test_pool_worker_death_quarantines () =
   let es = pool_entries () in
   let victim = (List.nth es 2).Corpus.c_app.Spec.a_name in
-  let o =
-    { (quiet_options ()) with Runner.ro_jobs = 2; ro_worker_kill = Some victim }
+  Fault.arm ~site:"worker.exit" ~mode:victim ();
+  let r =
+    Fun.protect ~finally:Fault.reset (fun () ->
+        run_ok { (quiet_options ()) with Runner.ro_jobs = 2 } es)
   in
-  let r = run_ok o es in
   check Alcotest.int "exit code 2" 2 (Runner.exit_code r);
   check Alcotest.(list string) "only the in-flight app quarantined" [ victim ]
     r.Runner.rn_quarantined;
@@ -797,16 +826,15 @@ let test_pool_kill_resume_byte_identical () =
     }
   in
   (* 4 tasks over 2 workers: some worker runs a second app and trips the
-     per-process kill-point (inherited through fork), exits 99, and the
-     coordinator re-raises Killed 99 after tearing the pool down. *)
-  Barrier.set_kill_point ~phase:"pipeline.interpretation" ~occurrence:2
-    (fun () -> raise (Barrier.Killed 99));
+     per-process kill (the plan is inherited through fork), exits 99, and
+     the coordinator re-raises Killed after tearing the pool down. *)
+  Fault.arm ~site:"pipeline.interpretation" ~occurrence:2 ~mode:"kill" ();
   (match Runner.run o es with
-  | exception Barrier.Killed 99 -> ()
+  | exception Barrier.Killed -> ()
   | _ ->
-      Barrier.clear_kill_point ();
+      Fault.reset ();
       Alcotest.fail "kill-point did not fire under the pool");
-  Barrier.clear_kill_point ();
+  Fault.reset ();
   let resumed = run_ok { o with Runner.ro_resume = true } es in
   check Alcotest.bool "journal restored at least one app" true
     (List.exists
@@ -882,6 +910,8 @@ let () =
           tc "resume refuses a changed configuration"
             test_runner_resume_refuses_config_mismatch;
           tc "interrupt returns partial results" test_runner_interrupt_partial;
+          tc "hang timeout that is not positive refused"
+            test_runner_rejects_bad_hang_timeout;
           tc "materialization crash quarantined behind the barrier"
             test_runner_materialization_crash_quarantined;
           tc "warm cache recovers degradations"

@@ -15,26 +15,24 @@ let tc name f = Alcotest.test_case name `Quick f
 (* ------------------------------------------------------------------ *)
 
 let test_parse () =
-  check
-    (Alcotest.result
-       (Alcotest.triple Alcotest.string Alcotest.int Alcotest.string)
-       Alcotest.string)
-    "bare site" (Ok ("export.write", 1, ""))
+  let spec = Alcotest.(result (triple string int string) string) in
+  check spec "bare site"
+    (Ok ("export.write", 1, ""))
     (Fault.parse "export.write");
-  check
-    (Alcotest.result
-       (Alcotest.triple Alcotest.string Alcotest.int Alcotest.string)
-       Alcotest.string)
-    "site, occurrence and mode"
+  check spec "site, occurrence and mode"
     (Ok ("journal.append", 3, "torn"))
     (Fault.parse "journal.append@3:torn");
-  check
-    (Alcotest.result
-       (Alcotest.triple Alcotest.string Alcotest.int Alcotest.string)
-       Alcotest.string)
+  check spec
     "mode may contain spaces and colons keep splitting at the first"
     (Ok ("worker.spin", 1, "radio reddit"))
     (Fault.parse "worker.spin:radio reddit");
+  check spec
+    "a phase site with an occurrence and the kill mode"
+    (Ok ("pipeline.interpretation", 2, "kill"))
+    (Fault.parse "pipeline.interpretation@2:kill");
+  check spec "an app-targeted site"
+    (Ok ("app.crash", 1, "radio reddit"))
+    (Fault.parse "app.crash:radio reddit");
   (match Fault.parse "@2:torn" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty site must not parse");
