@@ -108,6 +108,21 @@ let write_profile_out lanes path =
 let print_hotspots k =
   Fmt.epr "%a" (Telemetry.Export.pp_hotspots ~k) Telemetry.Profile.default
 
+(* The one rule that turns the recorders on, in single-app and --all
+   mode alike: the tracer for every output that weighs spans (the Chrome
+   trace, the --profile table, and the folded export and phase rollup of
+   the method profiler), the metrics registry for --metrics-out and the
+   --profile summary, and the method profiler for --hotspots and
+   --profile-out.  Forked --all workers inherit the flags and ship what
+   they record back with each result. *)
+let enable_telemetry ~trace_out ~metrics_out ~profile ~hotspots ~profile_out =
+  let profiling = hotspots <> None || profile_out <> None in
+  if trace_out <> None || profile || profiling then
+    Telemetry.Span.set_enabled Telemetry.Span.default true;
+  if metrics_out <> None || profile then
+    Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
+  if profiling then Telemetry.Profile.set_enabled Telemetry.Profile.default true
+
 let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
     trace trace_out metrics_out profile hotspots profile_out explain
     provenance_out limits =
@@ -160,18 +175,7 @@ let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
       op_limits = limits;
     }
   in
-  let profiling_on = hotspots <> None || profile_out <> None in
-  let telemetry_on =
-    trace_out <> None || metrics_out <> None || profile || profiling_on
-  in
-  if telemetry_on then begin
-    Telemetry.Span.set_enabled Telemetry.Span.default true;
-    Telemetry.Metrics.set_enabled Telemetry.Metrics.default true
-  end;
-  (* The method-level profiler needs the span tracer too: the folded
-     export and the per-phase rollup weigh phase spans. *)
-  if profiling_on then
-    Telemetry.Profile.set_enabled Telemetry.Profile.default true;
+  enable_telemetry ~trace_out ~metrics_out ~profile ~hotspots ~profile_out;
   let provenance_on = explain <> None || provenance_out <> None in
   if provenance_on then Provenance.set_enabled Provenance.default true;
   let analysis = Pipeline.analyze ~options apk in
@@ -300,20 +304,8 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
     exit exit_usage
   end;
   let entries, corpus_tag = corpus_of_flags gen gen_seed in
-  if metrics_out <> None then
-    Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
-  (* Workers inherit the enabled tracer across fork and ship their spans
-     back with each result; the coordinator's own spans become the
-     "coordinator" lane of the merged trace. *)
-  if trace_out <> None then
-    Telemetry.Span.set_enabled Telemetry.Span.default true;
-  (* Workers inherit the enabled profiler across fork and ship their
-     per-task profile deltas back with each result; the coordinator
-     merges them, so the aggregate matches a --jobs 1 run exactly. *)
-  if hotspots <> None || profile_out <> None then begin
-    Telemetry.Profile.set_enabled Telemetry.Profile.default true;
-    Telemetry.Span.set_enabled Telemetry.Span.default true
-  end;
+  enable_telemetry ~trace_out ~metrics_out ~profile:false ~hotspots
+    ~profile_out;
   (* SIGINT/SIGTERM unwind the run as Barrier.Interrupted: the runner
      returns the partial results, the journal is already flushed (every
      append is atomic), and we still print the table below. *)

@@ -118,19 +118,13 @@ let recv fd =
   let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
   Marshal.from_bytes (read_exact fd n) 0
 
-(* Worker -> coordinator; coordinator -> worker.  [Up_bye] is the
-   clean-shutdown leg: the worker's answer to [Down_quit], carrying
-   whatever telemetry it buffered since its last result (spans, metric
-   deltas) so nothing recorded between tasks dies with the process.
-   [Up_beat] is a heartbeat: the current pipeline phase, sent by the
-   worker wrapper on every phase transition so the coordinator's
-   watchdog can tell "busy" from "hung" — and attribute a hang to the
-   phase the worker last entered. *)
-type ('e, 'r, 'f) up =
-  | Up_event of 'e
-  | Up_done of int * 'r
-  | Up_bye of 'f
-  | Up_beat of string
+(* Worker -> coordinator; coordinator -> worker.  [Up_beat] is a
+   heartbeat: the current pipeline phase, sent by the worker wrapper on
+   every phase transition so the coordinator's watchdog can tell "busy"
+   from "hung" — and attribute a hang to the phase the worker last
+   entered.  A worker answers [Down_quit] (or EOF) by exiting 0 without
+   sending anything. *)
+type ('e, 'r) up = Up_event of 'e | Up_done of int * 'r | Up_beat of string
 
 type down = Down_task of int | Down_quit
 
@@ -149,7 +143,7 @@ type death_cause =
 (* Runs in the forked child; never returns.  [Unix._exit] everywhere:
    the child must not flush channels or run at_exit hooks it inherited
    from the coordinator. *)
-let worker_main ~task_r ~res_w ~worker ~farewell =
+let worker_main ~task_r ~res_w ~worker =
   (* SIGINT interrupts the coordinator only (it terminates us with
      SIGTERM, restored to its default lethal disposition here — the
      CLI's inherited handler would raise inside analysis instead).
@@ -164,9 +158,7 @@ let worker_main ~task_r ~res_w ~worker ~farewell =
     try
       let rec loop () =
         match (recv task_r : down) with
-        | Down_quit ->
-            send res_w (Up_bye (farewell ()));
-            0
+        | Down_quit -> 0
         | Down_task i -> (
             let r = worker ~emit ~beat i in
             match Fault.fire "pool.frame" with
@@ -214,7 +206,7 @@ type wstate = {
   mutable ws_hung : string option;  (* phase at watchdog kill *)
 }
 
-let spawn ~clock ~next_id ~siblings ~worker ~farewell =
+let spawn ~clock ~next_id ~siblings ~worker =
   let task_r, task_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
   (* Anything buffered pre-fork would otherwise be written twice. *)
@@ -235,7 +227,7 @@ let spawn ~clock ~next_id ~siblings ~worker ~farewell =
             (try Unix.close w.ws_res_r with Unix.Unix_error _ -> ())
           end)
         siblings;
-      worker_main ~task_r ~res_w ~worker ~farewell
+      worker_main ~task_r ~res_w ~worker
   | pid ->
       Unix.close task_r;
       Unix.close res_w;
@@ -264,7 +256,7 @@ let describe_status = function
 let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
     ?(on_state = fun ~busy:(_ : int) ~idle:(_ : int) ~pending:(_ : int) -> ())
     ?hang_timeout ?(on_hang = fun ~task:(_ : int) ~phase:(_ : string) -> ())
-    ~jobs ~tasks ~worker ~farewell ~on_event ~on_bye ~on_death ~on_result () =
+    ~jobs ~tasks ~worker ~on_event ~on_death ~on_result () =
   let ntasks = List.length tasks in
   if ntasks = 0 then Completed
   else begin
@@ -385,10 +377,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
     in
     let new_worker () =
       incr worker_count;
-      let w =
-        spawn ~clock ~next_id:!worker_count ~siblings:!workers ~worker
-          ~farewell
-      in
+      let w = spawn ~clock ~next_id:!worker_count ~siblings:!workers ~worker in
       workers := w :: !workers;
       dispatch w
     in
@@ -403,9 +392,8 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
            if len - !pos - 4 < n then raise Exit;
            let payload = String.sub s (!pos + 4) n in
            pos := !pos + 4 + n;
-           match (Marshal.from_string payload 0 : ('e, 'r, 'f) up) with
+           match (Marshal.from_string payload 0 : ('e, 'r) up) with
            | Up_event e -> on_event e
-           | Up_bye f -> on_bye f
            | Up_beat phase ->
                w.ws_phase <- phase;
                Metrics.incr m_heartbeats
@@ -430,46 +418,6 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
         Buffer.clear w.ws_buf;
         Buffer.add_substring w.ws_buf s !pos (len - !pos)
       end
-    in
-    (* Read [w]'s pipe to EOF, delivering everything still in flight —
-       the clean-shutdown path uses this to collect each worker's
-       [Up_bye] after the select loop has already seen the last task
-       result.  Bounded by the same watchdog discipline as the select
-       loop: a worker wedged in its farewell (or anywhere between
-       Down_quit and EOF) is SIGKILLed after the deadline instead of
-       hanging the whole run on its Up_bye. *)
-    let drain_until_eof w =
-      let deadline_s =
-        match hang_timeout with Some t -> t | None -> 10.0
-      in
-      let chunk = Bytes.create 65536 in
-      let t0 = clock () in
-      let killed = ref false in
-      let rec go () =
-        if (not !killed) && clock () -. t0 > deadline_s then begin
-          killed := true;
-          Metrics.incr m_hangs;
-          Log.warn (fun m ->
-              m "worker %d (pid %d) silent for %.1fs during shutdown; killing"
-                w.ws_id w.ws_pid deadline_s);
-          try Unix.kill w.ws_pid Sys.sigkill with Unix.Unix_error _ -> ()
-        end;
-        match Unix.select [ w.ws_res_r ] [] [] tick with
-        | [], _, _ -> go ()
-        | _ -> (
-            match Unix.read w.ws_res_r chunk 0 (Bytes.length chunk) with
-            | 0 -> ()
-            | k ->
-                Buffer.add_subbytes w.ws_buf chunk 0 k;
-                drain_frames w;
-                go ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-            | exception Unix.Unix_error _ -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      go ();
-      drain_frames w
     in
     let handle_death w =
       w.ws_alive <- false;
@@ -543,14 +491,18 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
         notify_state ()
       end
     in
-    let terminate signal =
+    (* Pipes close before the reap: a worker still blocked on its task
+       pipe then reads EOF and exits. *)
+    let stop ?signal () =
       List.iter
         (fun w ->
           if w.ws_alive then begin
             w.ws_alive <- false;
-            (try Unix.kill w.ws_pid signal with Unix.Unix_error _ -> ());
-            ignore (reap w);
-            close_fds w
+            Option.iter
+              (fun sg -> try Unix.kill w.ws_pid sg with Unix.Unix_error _ -> ())
+              signal;
+            close_fds w;
+            ignore (reap w)
           end)
         !workers
     in
@@ -625,25 +577,17 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
               (* An injected kill simulates the whole process dying:
                  take the rest of the pool down with it and re-raise
                  the barrier exception in the coordinator. *)
-              terminate Sys.sigkill;
+              stop ~signal:Sys.sigkill ();
               raise Barrier.Killed
             end;
-            (* Every worker has been sent Down_quit (its dispatch after
-               the last result found the queue empty); drain the
-               farewell frames they send on the way out, then wait for
-               the exits. *)
-            List.iter
-              (fun w ->
-                if w.ws_alive then begin
-                  w.ws_alive <- false;
-                  drain_until_eof w;
-                  ignore (reap w);
-                  close_fds w
-                end)
-              !workers;
+            (* Every live worker has delivered its last result and been
+               sent Down_quit (its dispatch after that result found the
+               queue empty).  It exits 0 on Down_quit or EOF and sends
+               nothing after either, so no signal and nothing to read. *)
+            stop ();
             notify_state ();
             Completed
         | exception Barrier.Interrupted ->
-            terminate Sys.sigterm;
+            stop ~signal:Sys.sigterm ();
             Interrupted)
   end

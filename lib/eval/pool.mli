@@ -13,10 +13,10 @@
     - {b workers} are forked copies that run [worker] on one task at a
       time and report back over their result pipe: zero or more [emit]
       events (journaled by the coordinator in arrival order) followed by
-      the task's result, and — on clean shutdown — one [farewell]
-      payload carrying whatever telemetry the worker buffered after its
-      last result, so nothing recorded between tasks dies with the
-      process.
+      the task's result.  Anything a worker must hand back about a task
+      (the runner's telemetry delta, for one) rides in that result;
+      nothing runs in a worker between tasks, and it sends nothing when
+      told to quit.
 
     Fault containment mirrors the in-process barrier: a worker that dies
     (signal, [_exit], injected kill) costs only its in-flight task — the
@@ -61,18 +61,16 @@ val run :
   jobs:int ->
   tasks:int list ->
   worker:(emit:('e -> unit) -> beat:(phase:string -> unit) -> int -> 'r) ->
-  farewell:(unit -> 'f) ->
   on_event:('e -> unit) ->
-  on_bye:('f -> unit) ->
   on_death:(task:int -> cause:death_cause -> 'r) ->
   on_result:(int -> 'r -> unit) ->
   unit ->
   outcome
-(** [run ~jobs ~tasks ~worker ~farewell ~on_event ~on_bye ~on_death
-    ~on_result ()] forks up to [min jobs (List.length tasks)] workers
-    and runs [worker ~emit i] in a child process for every [i] in
-    [tasks], dispatching dynamically (a worker takes the next pending
-    task as soon as it finishes one).
+(** [run ~jobs ~tasks ~worker ~on_event ~on_death ~on_result ()] forks
+    up to [min jobs (List.length tasks)] workers and runs
+    [worker ~emit i] in a child process for every [i] in [tasks],
+    dispatching dynamically (a worker takes the next pending task as
+    soon as it finishes one).
 
     [deps i] lists task indices that must resolve (result delivered, or
     written off by a worker death) before [i] may be dispatched — the
@@ -85,13 +83,10 @@ val run :
     In the coordinator, [on_event] fires for every event a worker
     [emit]ted, in per-worker send order; [on_result i r] fires once per
     task, in completion order — the caller reorders if it needs corpus
-    order.  When a worker is told to quit it evaluates [farewell ()]
-    in the child and ships the value back as its last frame; [on_bye]
-    fires for it in the coordinator before [run] returns.  Workers that
-    die instead of quitting send no farewell — [on_bye] fires zero or
-    one time per worker, only on the clean path.  Events, results and
-    farewells are framed [Marshal] messages, so ['e], ['r] and ['f]
-    must be closure-free.
+    order.  Events and results are framed [Marshal] messages, so ['e]
+    and ['r] must be closure-free.  Once every task has resolved, each
+    live worker has been told to quit; [run] closes its pipes and reaps
+    it before returning.
 
     [on_state ~busy ~idle ~pending] fires in the coordinator after
     every scheduling event (dispatch, task resolution, worker death)
@@ -113,10 +108,7 @@ val run :
     [Hung {hd_phase; hd_silent_s}] so the caller can quarantine it
     under a [hung\@PHASE] taxonomy distinct from crashes.  Detection
     latency is at most [hang_timeout + tick], i.e. well within 2x the
-    timeout.  The clean-shutdown [Up_bye] collection honors the same
-    discipline: a worker wedged between [Down_quit] and EOF is killed
-    after the timeout (10s when no watchdog is armed) instead of
-    hanging the run.
+    timeout.
 
     A worker death with a task in flight synthesizes that task's result
     via [on_death] (after delivering any events the worker sent first)

@@ -18,7 +18,6 @@ module Clock = Extr_telemetry.Clock
 module Metrics = Extr_telemetry.Metrics
 module Span = Extr_telemetry.Span
 module Profile = Extr_telemetry.Profile
-module Provenance = Extr_provenance.Provenance
 module Json = Extr_httpmodel.Json
 
 let src = Logs.Src.create "extractocol.runner" ~doc:"Durable corpus runner"
@@ -191,6 +190,45 @@ let inspect_report_json data =
       | _ -> None)
   | Some _ | None -> None
 
+(* The result of an app that never produced a report: [crash] is the
+   failure that quarantined it. *)
+let quarantined_result ~resumed id attempts crash =
+  {
+    ar_app = id;
+    ar_status = Quarantined;
+    ar_cached = false;
+    ar_resumed = resumed;
+    ar_attempts = attempts;
+    ar_txs = 0;
+    ar_degradations = [];
+    ar_elapsed_s = 0.0;
+    ar_crash = Some crash;
+    ar_report_json = None;
+  }
+
+(* A crash known only by its phase and message (a worker death, or a
+   journal or envelope record read back): it has no backtrace. *)
+let crash_record id ~phase ~exn =
+  { Barrier.cr_app = id; cr_phase = phase; cr_exn = exn; cr_backtrace = "" }
+
+let crashed id (crash : Barrier.crash) =
+  Journal.Crashed
+    { ev_app = id; ev_phase = crash.Barrier.cr_phase; ev_exn = crash.cr_exn }
+
+(* Journal a quarantined app's Finished record and return its result. *)
+let quarantine ~jot id key_s attempts crash =
+  jot
+    (Journal.Finished
+       {
+         ev_app = id;
+         ev_key = key_s;
+         ev_status = status_name Quarantined;
+         ev_cached = false;
+         ev_attempts = attempts;
+         ev_txs = 0;
+       });
+  quarantined_result ~resumed:false id attempts crash
+
 (* Analyze one corpus entry end to end: materialize the app (behind the
    fault barrier — a malformed synthetic spec must quarantine this app,
    not abort the corpus), consult the cache, drive the retry ladder and
@@ -204,30 +242,6 @@ let inspect_report_json data =
    relies on. *)
 let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
     app_result * string =
-  let quarantined crash key_s attempts =
-    jot
-      (Journal.Finished
-         {
-           ev_app = id;
-           ev_key = key_s;
-           ev_status = status_name Quarantined;
-           ev_cached = false;
-           ev_attempts = attempts;
-           ev_txs = 0;
-         });
-    {
-      ar_app = id;
-      ar_status = Quarantined;
-      ar_cached = false;
-      ar_resumed = false;
-      ar_attempts = attempts;
-      ar_txs = 0;
-      ar_degradations = [];
-      ar_elapsed_s = 0.0;
-      ar_crash = Some crash;
-      ar_report_json = None;
-    }
-  in
   match
     Barrier.protect ~app:id (fun () ->
         Barrier.set_phase "codegen";
@@ -235,14 +249,8 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
         (apk, Store.key ~config apk))
   with
   | Result.Error crash ->
-      jot
-        (Journal.Crashed
-           {
-             ev_app = id;
-             ev_phase = crash.Barrier.cr_phase;
-             ev_exn = crash.Barrier.cr_exn;
-           });
-      (quarantined crash "" 1, "")
+      jot (crashed id crash);
+      (quarantine ~jot id "" 1 crash, "")
   | Result.Ok (apk, key) -> (
       let key_s = Store.key_to_string key in
       (* An injected app.crash must actually crash: it simulates an app
@@ -263,7 +271,6 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
       in
       match cache_hit with
       | Some (data, status, txs, degradations) ->
-          Provenance.record_cache_hit Provenance.default ~app:id ~key:key_s;
           jot
             (Journal.Finished
                {
@@ -309,13 +316,7 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
                       Result.Ok (Retry.Clean a)
                     else Result.Ok (Retry.Degraded a)
                 | Result.Error crash ->
-                    jot
-                      (Journal.Crashed
-                         {
-                           ev_app = id;
-                           ev_phase = crash.Barrier.cr_phase;
-                           ev_exn = crash.Barrier.cr_exn;
-                         });
+                    jot (crashed id crash);
                     Result.Error crash)
           in
           let finish status (a : Pipeline.analysis) attempts =
@@ -355,20 +356,29 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
           match outcome with
           | Retry.Succeeded (a, n) -> (finish Ok a n, key_s)
           | Retry.Still_degraded (a, n) -> (finish Degraded a n, key_s)
-          | Retry.Quarantined (crash, n) -> (quarantined crash key_s n, key_s)))
+          | Retry.Quarantined (crash, n) ->
+              (quarantine ~jot id key_s n crash, key_s)))
+
+(* One pool task's telemetry: what the worker's metrics registry,
+   tracer and method profiler recorded between the task's start reset
+   and its end. *)
+type delta = {
+  d_pid : int;
+  d_samples : Metrics.sample list;
+  d_spans : Span.span list;
+  d_profile : Profile.snapshot;
+}
 
 (* Parallel corpus execution over the fork pool.  The coordinator owns
    the journal (workers [emit] events over their pipe), the cache writes
    (workers send the serialized report back; storing after the Finished
    event is journaled preserves the sequential crash-consistency order)
-   and the metrics registry (each worker resets the inherited registry
-   before its task and ships the per-task delta back for merging).
-
-   Workers also ship telemetry: the spans their tracer recorded during
-   the task ride along with each result, and whatever accumulates after
-   the last result comes back in the farewell frame on clean shutdown.
-   The coordinator buckets shipped spans by worker pid — one trace lane
-   per worker — and returns the lanes for the CLI's merged trace export.
+   and the telemetry recorders.  A worker resets the recorders it
+   inherited when a task starts and snapshots them into one [delta] when
+   it ends; the delta rides with the task's result.  The coordinator
+   merges the metrics and profile rows into its own recorders and
+   buckets the spans by worker pid — one trace lane per worker — for
+   the CLI's merged trace export.  A worker death ships no delta.
 
    Results are published in corpus order no matter when they complete:
    each finished slot waits until every earlier slot is filled, so
@@ -431,23 +441,13 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
   let worker_spans : (int, Span.span list list ref) Hashtbl.t =
     Hashtbl.create 8
   in
-  let add_spans pid spans =
-    if spans <> [] then
-      match Hashtbl.find_opt worker_spans pid with
-      | Some l -> l := spans :: !l
-      | None -> Hashtbl.replace worker_spans pid (ref [ spans ])
-  in
-  (* Everything the worker's telemetry recorded since its last shipment,
-     cleared so the next shipment is again a pure delta.  Runs in the
-     worker; the coordinator merges the frames it receives. *)
-  let take_telemetry () =
-    let samples = Metrics.snapshot Metrics.default in
-    let spans = Span.spans Span.default in
-    let profile = Profile.snapshot Profile.default in
-    Metrics.reset Metrics.default;
-    Span.reset Span.default;
-    Profile.reset Profile.default;
-    (samples, spans, profile, Unix.getpid ())
+  let fold_delta d =
+    Metrics.merge_samples Metrics.default d.d_samples;
+    Profile.merge Profile.default d.d_profile;
+    if d.d_spans <> [] then
+      match Hashtbl.find_opt worker_spans d.d_pid with
+      | Some l -> l := d.d_spans :: !l
+      | None -> Hashtbl.replace worker_spans d.d_pid (ref [ d.d_spans ])
   in
   let outcome =
     if tasks = [] then Pool.Completed
@@ -477,24 +477,25 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
                 Unix.sleepf 0.01
               done
           | None -> ());
-          (* The registry and tracer were inherited from the coordinator
-             (or hold the previous task's residue before the first
-             take_telemetry); reset so the shipment is exactly this
-             task's delta. *)
+          (* The recorders hold what the coordinator recorded before the
+             fork, or the previous task's delta; reset so the snapshot
+             below is exactly this task's. *)
           Metrics.reset Metrics.default;
           Span.reset Span.default;
           Profile.reset Profile.default;
           let r, key_s =
             run_app ~jot:emit ~do_store:(fun _ _ -> ()) ~cache o ~config id e
           in
-          let samples, spans, profile, pid = take_telemetry () in
-          (r, key_s, samples, spans, profile, pid))
-        ~farewell:take_telemetry
+          ( r,
+            key_s,
+            Some
+              {
+                d_pid = Unix.getpid ();
+                d_samples = Metrics.snapshot Metrics.default;
+                d_spans = Span.spans Span.default;
+                d_profile = Profile.snapshot Profile.default;
+              } ))
         ~on_event:jot
-        ~on_bye:(fun (samples, spans, profile, pid) ->
-          Metrics.merge_samples Metrics.default samples;
-          Profile.merge Profile.default profile;
-          add_spans pid spans)
         ~on_death:(fun ~task:i ~cause ->
           let id, _ = entries.(i) in
           let phase, reason =
@@ -505,47 +506,11 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
                   Printf.sprintf "no heartbeat for %.1fs; killed by watchdog"
                     hd_silent_s )
           in
-          jot
-            (Journal.Crashed
-               { ev_app = id; ev_phase = phase; ev_exn = reason });
-          jot
-            (Journal.Finished
-               {
-                 ev_app = id;
-                 ev_key = "";
-                 ev_status = status_name Quarantined;
-                 ev_cached = false;
-                 ev_attempts = 1;
-                 ev_txs = 0;
-               });
-          ( {
-              ar_app = id;
-              ar_status = Quarantined;
-              ar_cached = false;
-              ar_resumed = false;
-              ar_attempts = 1;
-              ar_txs = 0;
-              ar_degradations = [];
-              ar_elapsed_s = 0.0;
-              ar_crash =
-                Some
-                  {
-                    Barrier.cr_app = id;
-                    cr_exn = reason;
-                    cr_phase = phase;
-                    cr_backtrace = "";
-                  };
-              ar_report_json = None;
-            },
-            "",
-            [],
-            [],
-            { Profile.sn_entries = []; sn_wastes = [] },
-            0 ))
-        ~on_result:(fun i (r, key_s, samples, spans, profile, pid) ->
-          Metrics.merge_samples Metrics.default samples;
-          Profile.merge Profile.default profile;
-          add_spans pid spans;
+          let crash = crash_record id ~phase ~exn:reason in
+          jot (crashed id crash);
+          (quarantine ~jot id "" 1 crash, "", None))
+        ~on_result:(fun i (r, key_s, delta) ->
+          Option.iter fold_delta delta;
           (match (cache, r.ar_report_json) with
           | Some c, Some data when not r.ar_cached -> (
               match Store.key_of_string key_s with
@@ -662,25 +627,8 @@ let run ?(on_result = fun (_ : app_result) -> ())
                   | None -> ("?", "crash record missing from journal")
                 in
                 Some
-                  {
-                    ar_app = app;
-                    ar_status = Quarantined;
-                    ar_cached = false;
-                    ar_resumed = true;
-                    ar_attempts = ev_attempts;
-                    ar_txs = 0;
-                    ar_degradations = [];
-                    ar_elapsed_s = 0.0;
-                    ar_crash =
-                      Some
-                        {
-                          Barrier.cr_app = app;
-                          cr_exn = exn_s;
-                          cr_phase = phase;
-                          cr_backtrace = "";
-                        };
-                    ar_report_json = None;
-                  }
+                  (quarantined_result ~resumed:true app ev_attempts
+                     (crash_record app ~phase ~exn:exn_s))
             | Some status -> (
                 let entry =
                   match (cache, Store.key_of_string ev_key) with
@@ -854,12 +802,8 @@ let envelope_of_json contents =
           | None -> (0, [])
         in
         let crash c =
-          {
-            Barrier.cr_app = ar_app;
-            cr_phase = Option.value ~default:"" (Json.str_member "phase" c);
-            cr_exn = Option.value ~default:"" (Json.str_member "exn" c);
-            cr_backtrace = "";
-          }
+          let field k = Option.value ~default:"" (Json.str_member k c) in
+          crash_record ar_app ~phase:(field "phase") ~exn:(field "exn")
         in
         Some
           {

@@ -171,11 +171,11 @@ val run :
 
     Under [ro_jobs > 1] the work is spread over forked workers
     ({!Pool}): the coordinator alone appends to the journal and the
-    cache, workers ship events, reports, per-task metrics deltas and
-    their tracer's spans back over pipes (plus a farewell shipment on
-    clean shutdown), and a worker death quarantines only its in-flight
-    app (crash phase ["worker"]) while a replacement worker is
-    respawned.  With [ro_hang_timeout] set, a worker the watchdog had
+    cache, workers ship events and reports back over pipes, each
+    report with one telemetry delta (the metrics samples, spans and
+    profile rows its task recorded, merged by the coordinator), and a
+    worker death quarantines only its in-flight app (crash phase
+    ["worker"]) while a replacement worker is respawned.  With [ro_hang_timeout] set, a worker the watchdog had
     to kill quarantines its app under crash phase ["hung@PHASE"]
     instead (after one free requeue, journaled as a [Retried] event
     with reason ["hung@PHASE"]) — the taxonomy keeps silent wedges

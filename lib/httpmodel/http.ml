@@ -103,4 +103,3 @@ type trace_entry = { te_tx : transaction; te_trigger : trigger }
 type trace = { tr_app : string; tr_entries : trace_entry list }
 
 let trace_requests tr = List.map (fun e -> e.te_tx.tx_request) tr.tr_entries
-let trace_responses tr = List.map (fun e -> e.te_tx.tx_response) tr.tr_entries

@@ -63,4 +63,3 @@ type trace_entry = { te_tx : transaction; te_trigger : trigger }
 type trace = { tr_app : string; tr_entries : trace_entry list }
 
 val trace_requests : trace -> request list
-val trace_responses : trace -> response list

@@ -140,9 +140,6 @@ type validation_error = {
   ve_msg : string;
 }
 
-let pp_validation_error fmt e =
-  Format.fprintf fmt "%a:%d: %s" Method_id.pp e.ve_meth e.ve_idx e.ve_msg
-
 (** Check structural well-formedness: every branch target is a defined label,
     every used local is a parameter, [this], or defined somewhere in the body,
     and constructors invoked on classes that exist. *)

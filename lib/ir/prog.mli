@@ -43,8 +43,6 @@ type validation_error = {
   ve_msg : string;
 }
 
-val pp_validation_error : Format.formatter -> validation_error -> unit
-
 val validate : t -> validation_error list
 (** Structural checks: branch targets defined, locals defined, constructed
     classes known. *)

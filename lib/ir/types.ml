@@ -134,14 +134,6 @@ type stmt_id = { sid_meth : method_id; sid_idx : int }
 let method_id_of_meth (m : meth) = { id_cls = m.m_cls; id_name = m.m_name }
 let method_id_of_ref (r : method_ref) = { id_cls = r.mcls; id_name = r.mname }
 
-let ref_of_meth (m : meth) =
-  {
-    mcls = m.m_cls;
-    mname = m.m_name;
-    mret = m.m_ret;
-    nargs = List.length m.m_params;
-  }
-
 (** [this] receiver variable for instance methods of class [cls]. *)
 let this_var cls = { vname = "this"; vty = Obj cls }
 

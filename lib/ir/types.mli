@@ -135,7 +135,6 @@ type stmt_id = { sid_meth : method_id; sid_idx : int }
 
 val method_id_of_meth : meth -> method_id
 val method_id_of_ref : method_ref -> method_id
-val ref_of_meth : meth -> method_ref
 
 val this_var : string -> var
 (** [this] receiver variable for instance methods of class [cls]. *)

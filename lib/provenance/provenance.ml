@@ -75,12 +75,6 @@ type degradation_evidence = {
   dv_detail : string;
 }
 
-(** A result served from the content-addressed cache instead of a fresh
-    pipeline run: the evidence trail must say the conclusions were
-    reused, and under which address, or a cached report looks freshly
-    derived. *)
-type cache_evidence = { ce_app : string; ce_key : string }
-
 type t = {
   mutable enabled : bool;
   (* Slice steps are keyed by the owning demarcation-point statement so
@@ -92,7 +86,6 @@ type t = {
   mutable pairs : pair_evidence list;
   mutable deps : dep_evidence list;
   mutable degradations : degradation_evidence list;
-  mutable cache_hits : cache_evidence list;
 }
 
 let create ?(enabled = false) () =
@@ -105,7 +98,6 @@ let create ?(enabled = false) () =
     pairs = [];
     deps = [];
     degradations = [];
-    cache_hits = [];
   }
 
 let default = create ()
@@ -119,8 +111,7 @@ let reset t =
   t.fragments <- [];
   t.pairs <- [];
   t.deps <- [];
-  t.degradations <- [];
-  t.cache_hits <- []
+  t.degradations <- []
 
 (* ------------------------------------------------------------------ *)
 (* Recording (every function checks [enabled] first)                   *)
@@ -167,10 +158,6 @@ let record_degradation t ~phase ~reason detail =
       { dv_phase = phase; dv_reason = reason; dv_detail = detail }
       :: t.degradations
 
-let record_cache_hit t ~app ~key =
-  if t.enabled then
-    t.cache_hits <- { ce_app = app; ce_key = key } :: t.cache_hits
-
 (* ------------------------------------------------------------------ *)
 (* Queries (chronological order restored)                              *)
 (* ------------------------------------------------------------------ *)
@@ -203,4 +190,3 @@ let deps_of t ?(aliases = []) tx =
   List.rev (List.filter (fun d -> List.mem d.de_tx ids) t.deps)
 
 let degradations t = List.rev t.degradations
-let cache_hits t = List.rev t.cache_hits

@@ -54,10 +54,6 @@ type degradation_evidence = {
 (** A phase that bailed before finishing its work: evidence that a
     conclusion may be incomplete, not just how it was reached. *)
 
-type cache_evidence = { ce_app : string; ce_key : string }
-(** A result served from the content-addressed cache rather than a fresh
-    pipeline run, with the cache address it was reused under. *)
-
 type t
 
 val create : ?enabled:bool -> unit -> t
@@ -94,10 +90,6 @@ val record_dep :
 
 val record_degradation : t -> phase:string -> reason:string -> string -> unit
 
-val record_cache_hit : t -> app:string -> key:string -> unit
-(** Note that [app]'s report was restored from the result cache under
-    [key] instead of being derived by the pipeline. *)
-
 (** {2 Queries} — chronological order. *)
 
 val slice_steps : t -> dp:Ir.stmt_id -> (Ir.stmt_id * slice_step) list
@@ -113,4 +105,3 @@ val fragments_of : t -> ?aliases:(int * int) list -> int -> fragment list
 val pairs_of : t -> dp:Ir.stmt_id -> pair_evidence list
 val deps_of : t -> ?aliases:(int * int) list -> int -> dep_evidence list
 val degradations : t -> degradation_evidence list
-val cache_hits : t -> cache_evidence list

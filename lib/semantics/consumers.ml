@@ -12,12 +12,6 @@ type sink =
   | Ui_text
   | File_output
 
-let sink_to_string = function
-  | Media_player -> "media-player"
-  | Database t -> "database:" ^ t
-  | Ui_text -> "ui-text"
-  | File_output -> "file"
-
 (** Which arguments of the invoke flow into which sink.  Returns the sink
     and the indices of the arguments that must be tainted for the
     consumption to be response-derived ([None] index set means the receiver). *)

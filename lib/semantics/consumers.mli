@@ -9,8 +9,6 @@ type sink =
   | Ui_text
   | File_output
 
-val sink_to_string : sink -> string
-
 val find : Ir.invoke -> (sink * int list) option
 (** The sink an invoke feeds, with the indices of the arguments that must
     be response-derived for the consumption to count. *)

@@ -68,15 +68,6 @@ let pp_request_sig fmt r =
   | Bnone -> ()
   | b -> Fmt.pf fmt " body: %a" pp_body_sig b
 
-let pp_response_sig fmt p =
-  Fmt.pf fmt "%a" pp_body_sig p.ps_body;
-  match p.ps_consumers with
-  | [] -> ()
-  | cs ->
-      Fmt.pf fmt " -> %a"
-        (Fmt.list ~sep:Fmt.comma (Fmt.of_to_string consumer_to_string))
-        cs
-
 (* ------------------------------------------------------------------ *)
 (* Matching against concrete traffic                                  *)
 (* ------------------------------------------------------------------ *)
@@ -113,9 +104,6 @@ let request_matches (s : request_sig) (r : Http.request) =
          | None -> false)
        s.rs_headers
   && body_matches s.rs_body r.req_body
-
-let response_matches (s : response_sig) (r : Http.response) =
-  body_matches s.ps_body r.resp_body
 
 (* ------------------------------------------------------------------ *)
 (* Keyword extraction (Figure 7)                                      *)
@@ -184,9 +172,3 @@ let body_byte_account (s : body_sig) (b : Http.body) =
       | None -> (0, 0, String.length t))
   | (Bnone | Bopaque), b -> (0, 0, total b)
   | (Bquery _ | Bjson _ | Bxml _ | Btext _), b -> (0, 0, total b)
-
-(** Account the bytes of a concrete URI against the URI signature. *)
-let uri_byte_account (s : Strsig.t) (u : Uri.t) =
-  match Strsig.byte_counts s (Uri.to_string u) with
-  | Some (c, w) -> (c, w, 0)
-  | None -> (0, 0, String.length (Uri.to_string u))

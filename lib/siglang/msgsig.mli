@@ -41,7 +41,6 @@ val body_sig_kind : body_sig -> string
 
 val pp_body_sig : Format.formatter -> body_sig -> unit
 val pp_request_sig : Format.formatter -> request_sig -> unit
-val pp_response_sig : Format.formatter -> response_sig -> unit
 
 (** {1 Matching against concrete traffic (§5.1 signature validity)} *)
 
@@ -50,8 +49,6 @@ val body_matches : body_sig -> Http.body -> bool
 val request_matches : request_sig -> Http.request -> bool
 (** Full request match: method equality, URI match through the compiled
     regex engine, required headers, and body. *)
-
-val response_matches : response_sig -> Http.response -> bool
 
 (** {1 Keyword extraction (Figure 7)} *)
 
@@ -70,6 +67,3 @@ val request_body_keywords : request_sig -> string list
 
 val body_byte_account : body_sig -> Http.body -> int * int * int
 (** [(r_k, r_v, r_n)] for a concrete body against a body signature. *)
-
-val uri_byte_account : Strsig.t -> Uri.t -> int * int * int
-(** Byte accounting of a concrete URI against the URI signature. *)

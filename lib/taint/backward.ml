@@ -554,8 +554,3 @@ let run ?budget t =
 let touched_stmts t =
   Hashtbl.fold (fun sid () acc -> Ir.Stmt_set.add sid acc) t.touched
     Ir.Stmt_set.empty
-
-let facts_at t (sid : Ir.stmt_id) =
-  match Hashtbl.find_opt t.after sid.Ir.sid_meth with
-  | Some arr when sid.Ir.sid_idx < Array.length arr -> arr.(sid.Ir.sid_idx)
-  | Some _ | None -> Fact.Set.empty

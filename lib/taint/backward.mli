@@ -33,5 +33,3 @@ val touched_stmts : t -> Ir.Stmt_set.t
 val all_facts : t -> Fact.Set.t
 (** Union of every fact seen anywhere, including globals that reached
     method entries — the heap carriers the §3.4 heuristic restarts from. *)
-
-val facts_at : t -> Ir.stmt_id -> Fact.Set.t

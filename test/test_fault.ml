@@ -88,9 +88,7 @@ let test_watchdog_requeues_then_quarantines () =
           done
         end;
         i * 10)
-      ~farewell:(fun () -> ())
       ~on_event:(fun (_ : unit) -> ())
-      ~on_bye:(fun () -> ())
       ~on_death:(fun ~task ~cause ->
         match cause with
         | Pool.Hung { hd_phase; _ } ->
@@ -117,34 +115,6 @@ let test_watchdog_requeues_then_quarantines () =
         (i * 10) (Hashtbl.find results i))
     [ 1; 2; 3 ]
 
-(* A worker that answers its tasks but wedges during farewell must not
-   hang the clean-shutdown drain: the bounded Up_bye collection kills it
-   after the timeout and the run still completes. *)
-let test_farewell_wedge_bounded () =
-  let results = ref [] in
-  let byes = ref 0 in
-  let outcome =
-    Pool.run ~jobs:1 ~tasks:[ 0; 1 ] ~hang_timeout:0.3
-      ~worker:(fun ~emit:_ ~beat:_ i -> i)
-      ~farewell:(fun () ->
-        while true do
-          Unix.sleepf 0.01
-        done)
-      ~on_event:(fun (_ : unit) -> ())
-      ~on_bye:(fun () -> incr byes)
-      ~on_death:(fun ~task:_ ~cause:_ -> -1)
-      ~on_result:(fun i r -> results := (i, r) :: !results)
-      ()
-  in
-  check Alcotest.bool "run completes despite the wedged farewell" true
-    (outcome = Pool.Completed);
-  check
-    Alcotest.(list (pair int int))
-    "every task still resolved"
-    [ (0, 0); (1, 1) ]
-    (List.sort compare !results);
-  check Alcotest.int "no farewell from the wedged worker" 0 !byes
-
 (* Heartbeats keep a slow-but-alive worker off the watchdog's kill
    list: a task longer than the timeout survives as long as it beats. *)
 let test_heartbeat_defers_the_watchdog () =
@@ -156,9 +126,7 @@ let test_heartbeat_defers_the_watchdog () =
           beat ~phase:"slow-but-alive"
         done;
         i)
-      ~farewell:(fun () -> ())
       ~on_event:(fun (_ : unit) -> ())
-      ~on_bye:(fun () -> ())
       ~on_death:(fun ~task:_ ~cause:_ ->
         Alcotest.fail "a beating worker must never be killed")
       ~on_result:(fun _ r ->
@@ -181,7 +149,6 @@ let () =
         [
           tc "wedged task requeued once then quarantined hung"
             test_watchdog_requeues_then_quarantines;
-          tc "farewell wedge cannot hang shutdown" test_farewell_wedge_bounded;
           tc "heartbeats defer the watchdog" test_heartbeat_defers_the_watchdog;
         ] );
     ]

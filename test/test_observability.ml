@@ -5,6 +5,7 @@
 
 module Clock = Extr_telemetry.Clock
 module Metrics = Extr_telemetry.Metrics
+module Span = Extr_telemetry.Span
 module Export = Extr_telemetry.Export
 module Profile = Extr_telemetry.Profile
 module Journal = Extr_resilience.Journal
@@ -394,25 +395,33 @@ let test_progress_rate_limit () =
     (String.length last >= 14 && String.sub last 0 14 = "progress: [5/5")
 
 (* ------------------------------------------------------------------ *)
-(* Profile aggregation across jobs settings                           *)
+(* Telemetry aggregation across jobs settings                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The pool ships per-task profile deltas and merges them by addition,
-   so a --jobs 4 corpus run must agree with --jobs 1 on every count
-   (phase, method, fuel, visits, facts, waste rows).  Wall times are
-   sums of per-worker measurements — merged, never compared. *)
-let profile_counts jobs =
-  let entries =
-    match Corpus.case_studies () with
-    | a :: b :: c :: d :: _ -> [ a; b; c; d ]
-    | es -> es
+(* The pool ships one telemetry delta per task and the coordinator
+   merges it, so a --jobs 4 corpus run must agree with --jobs 1 on every
+   count each recorder keeps: the counter series (outside the pool.*
+   scheduler series, which only the pool records), the span names of
+   the coordinator lane plus every worker lane, and the profile's
+   method and waste rows.  The coordinator records one counter and one
+   span of its own before the run; a worker must never ship them back,
+   even one that never gets a task.  Wall times are sums of per-worker
+   measurements — merged, never compared. *)
+let m_pre_run = Metrics.counter "test.coordinator.pre_run"
+
+let aggregates jobs entries =
+  let recorders on =
+    Metrics.set_enabled Metrics.default on;
+    Span.set_enabled Span.default on;
+    Profile.set_enabled Profile.default on;
+    Metrics.reset Metrics.default;
+    Span.reset Span.default;
+    Profile.reset Profile.default
   in
-  Profile.reset Profile.default;
-  Profile.set_enabled Profile.default true;
-  Fun.protect ~finally:(fun () ->
-      Profile.set_enabled Profile.default false;
-      Profile.reset Profile.default)
-  @@ fun () ->
+  recorders true;
+  Fun.protect ~finally:(fun () -> recorders false) @@ fun () ->
+  Metrics.incr m_pre_run;
+  Span.with_span "test.coordinator.pre_run" ignore;
   let options =
     {
       Runner.default_options with
@@ -420,9 +429,29 @@ let profile_counts jobs =
       ro_sleep = fst (Clock.sleep_recording ());
     }
   in
-  (match Runner.run options entries with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  let run =
+    match Runner.run options entries with
+    | Ok run -> run
+    | Error e -> Alcotest.fail e
+  in
+  let counters =
+    List.filter_map
+      (fun (s : Metrics.sample) ->
+        if s.sa_kind <> `Counter || String.starts_with ~prefix:"pool." s.sa_name
+        then None
+        else
+          Some
+            (Printf.sprintf "%s{%s} %d" s.sa_name
+               (String.concat ","
+                  (List.map (fun (k, v) -> k ^ "=" ^ v) s.sa_labels))
+               s.sa_count))
+      (Metrics.snapshot Metrics.default)
+  in
+  let spans =
+    Span.spans Span.default :: List.map snd run.Runner.rn_worker_spans
+    |> List.concat_map (List.map (fun (sp : Span.span) -> sp.Span.sp_name))
+    |> List.sort compare
+  in
   let counts =
     List.map
       (fun (e : Profile.entry) ->
@@ -437,18 +466,49 @@ let profile_counts jobs =
           w.w_touched w.w_contributing)
       (Profile.wastes Profile.default)
   in
-  (counts, wastes)
+  ( (counters, spans, counts, wastes),
+    Metrics.value Metrics.default "pool.tasks.dispatched" )
 
-let test_profile_jobs_deterministic () =
-  let c1, w1 = profile_counts 1 in
-  let c4, w4 = profile_counts 4 in
-  check Alcotest.bool "profiler saw methods" true (c1 <> []);
-  check Alcotest.bool "profiler saw waste rows" true (w1 <> []);
+(* Jobs 1 against jobs 4 on [entries]; returns the jobs-4 dispatch count. *)
+let check_jobs_agree what entries =
+  let (c1, s1, p1, w1), _ = aggregates 1 entries in
+  let (c4, s4, p4, w4), dispatched = aggregates 4 entries in
+  let says claim = Printf.sprintf "%s: %s" what claim in
+  check Alcotest.bool (says "pre-run counter recorded") true
+    (List.mem "test.coordinator.pre_run{} 1" c1);
+  check Alcotest.bool (says "profiler saw methods") true (p1 <> []);
+  check Alcotest.bool (says "profiler saw waste rows") true (w1 <> []);
   check
     Alcotest.(list string)
-    "method counts identical across jobs settings" c1 c4;
-  check Alcotest.(list string) "waste rows identical across jobs settings" w1
-    w4
+    (says "counters identical across jobs settings")
+    c1 c4;
+  check
+    Alcotest.(list string)
+    (says "span names identical across jobs settings")
+    s1 s4;
+  check
+    Alcotest.(list string)
+    (says "method counts identical across jobs settings")
+    p1 p4;
+  check
+    Alcotest.(list string)
+    (says "waste rows identical across jobs settings")
+    w1 w4;
+  dispatched
+
+(* The four case studies, then four copies of the first: copies share a
+   name, so they run as a chain and some of the four workers never get a
+   task. *)
+let test_jobs_aggregates_agree () =
+  let studies =
+    match Corpus.case_studies () with
+    | a :: b :: c :: d :: _ -> [ a; b; c; d ]
+    | es -> es
+  in
+  ignore (check_jobs_agree "case studies" studies);
+  let chain = List.init 4 (fun _ -> List.hd studies) in
+  check (Alcotest.float 0.) "namesake chain: one dispatch per task" 4.
+    (check_jobs_agree "namesake chain" chain)
 
 let () =
   Alcotest.run "observability"
@@ -479,6 +539,6 @@ let () =
       ( "profile",
         [
           tc "jobs 1 and jobs 4 aggregates agree on every count"
-            test_profile_jobs_deterministic;
+            test_jobs_aggregates_agree;
         ] );
     ]
