@@ -887,6 +887,8 @@ let help ck =
       ( "hang-timeout", "--hang-timeout",
         [ "--all"; "--jobs"; "2"; "--gen"; "4"; "--hang-timeout=0" ] );
       ("jobs", "--jobs", [ "--all"; "--gen"; "4"; "--jobs=-3" ]);
+      ( "journal", "--journal",
+        [ "--all"; "--gen"; "3"; "--journal"; path ck "missing/j.jsonl" ] );
     ]
 
 (* ------------------------------------------------------------------ *)

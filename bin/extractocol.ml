@@ -307,8 +307,8 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
   enable_telemetry ~trace_out ~metrics_out ~profile:false ~hotspots
     ~profile_out;
   (* SIGINT/SIGTERM unwind the run as Barrier.Interrupted: the runner
-     returns the partial results, the journal is already flushed (every
-     append is atomic), and we still print the table below. *)
+     commits what it has read, returns the partial results, and we
+     still print the table below. *)
   List.iter
     (fun s ->
       Sys.set_signal s
@@ -355,8 +355,8 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
       ~on_result:(fun r ->
         print_result r;
         Option.iter (fun p -> Progress.on_result p r) live)
-      ~on_journal:(fun ev ->
-        Option.iter (fun p -> Progress.on_journal p ev) live)
+      ~on_journal:(fun ~at ev ->
+        Option.iter (fun p -> Progress.on_journal p ~at ev) live)
       ~on_state:(fun ~busy ~idle ~pending ->
         Option.iter (fun p -> Progress.on_state p ~busy ~idle ~pending) live)
       options entries

@@ -248,6 +248,11 @@ let spawn ~clock ~next_id ~siblings ~worker =
         ws_hung = None;
       }
 
+(* Group commit: the longest an event or a result waits for the commit
+   that publishes it.  20 ms is far below a cold app's analysis and caps
+   the fsyncs at 50 a second however fast results arrive. *)
+let commit_window = 0.02
+
 let describe_status = function
   | Unix.WEXITED n -> Printf.sprintf "worker exited with code %d" n
   | Unix.WSIGNALED sg -> Printf.sprintf "worker killed by signal %d" sg
@@ -256,7 +261,8 @@ let describe_status = function
 let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
     ?(on_state = fun ~busy:(_ : int) ~idle:(_ : int) ~pending:(_ : int) -> ())
     ?hang_timeout ?(on_hang = fun ~task:(_ : int) ~phase:(_ : string) -> ())
-    ~jobs ~tasks ~worker ~on_event ~on_death ~on_result () =
+    ?(commit = fun () -> ()) ~jobs ~tasks ~worker ~on_event ~on_death
+    ~on_result () =
   let ntasks = List.length tasks in
   if ntasks = 0 then Completed
   else begin
@@ -285,7 +291,22 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
       in
       go [] !pending
     in
+    (* Tasks whose result has not arrived yet. *)
     let remaining = ref ntasks in
+    (* Group commit.  Results wait in [held], in completion order, until
+       a commit publishes them; [uncommitted_since] is the arrival time
+       of the oldest event or result no commit has covered yet. *)
+    let held = Queue.create () in
+    let uncommitted_since = ref None in
+    let died = ref false in
+    let note_uncommitted () =
+      if !uncommitted_since = None then uncommitted_since := Some (clock ())
+    in
+    let arrive i r =
+      decr remaining;
+      Queue.push (i, r) held;
+      note_uncommitted ()
+    in
     (* Respawn budget: generous for real worker deaths, finite so a
        worker that dies on spawn cannot fork-loop forever. *)
     let respawns = ref (8 + (2 * ntasks)) in
@@ -393,7 +414,9 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
            let payload = String.sub s (!pos + 4) n in
            pos := !pos + 4 + n;
            match (Marshal.from_string payload 0 : ('e, 'r) up) with
-           | Up_event e -> on_event e
+           | Up_event e ->
+               on_event e;
+               note_uncommitted ()
            | Up_beat phase ->
                w.ws_phase <- phase;
                Metrics.incr m_heartbeats
@@ -407,11 +430,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
                | None -> ());
                w.ws_busy_since <- None;
                w.ws_idle_since <- now;
-               decr remaining;
-               Hashtbl.replace resolved i ();
-               on_result i r;
-               dispatch_idle ();
-               notify_state ()
+               arrive i r
          done
        with Exit -> ());
       if !pos > 0 then begin
@@ -431,6 +450,10 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
       (match w.ws_task with
       | Some i when not !killed -> (
           w.ws_task <- None;
+          (* A death costs its task: commit now, so the death result is
+             published, and a requeue journaled, without waiting. *)
+          died := true;
+          note_uncommitted ();
           match w.ws_hung with
           | Some phase when not (Hashtbl.mem hang_requeued i) ->
               (* First hang: give the task one more worker.  The fault
@@ -446,24 +469,20 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
               observe_queue ();
               on_hang ~task:i ~phase
           | Some phase ->
-              decr remaining;
-              Hashtbl.replace resolved i ();
               Metrics.incr m_deaths;
               let silent_s =
                 match hang_timeout with Some t -> t | None -> 0.0
               in
               Log.warn (fun m ->
                   m "task %d: worker hung in %s again; quarantining" i phase);
-              on_result i
+              arrive i
                 (on_death ~task:i
                    ~cause:(Hung { hd_phase = phase; hd_silent_s = silent_s }))
           | None ->
-              decr remaining;
-              Hashtbl.replace resolved i ();
               Metrics.incr m_deaths;
               let reason = describe_status st in
               Log.warn (fun m -> m "task %d: %s" i reason);
-              on_result i (on_death ~task:i ~cause:(Died reason)))
+              arrive i (on_death ~task:i ~cause:(Died reason)))
       | _ -> ());
       if (not !killed) && !pending <> [] then begin
         if !respawns > 0 then begin
@@ -476,9 +495,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
              forever against a worker that dies on arrival. *)
           List.iter
             (fun i ->
-              decr remaining;
-              Hashtbl.replace resolved i ();
-              on_result i
+              arrive i
                 (on_death ~task:i
                    ~cause:(Died "worker pool: respawn budget exhausted")))
             !pending;
@@ -490,6 +507,34 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
         dispatch_idle ();
         notify_state ()
       end
+    in
+    (* A commit is due when waiting longer would cost more than the
+       fsync saves: the window has closed, nothing is left to wait for,
+       a worker idles on a task blocked behind a held result (namesake
+       entries must still hit the cache), or a worker died with a task
+       in flight. *)
+    let commit_due () =
+      match !uncommitted_since with
+      | None -> false
+      | Some t0 ->
+          !remaining = 0 || !died
+          || clock () -. t0 >= commit_window
+          || (!pending <> [] && (not (Queue.is_empty held))
+             && List.exists (fun w -> w.ws_alive && w.ws_task = None) !workers)
+    in
+    (* One commit, then the results it covers, in completion order.  A
+       held task resolves for [deps] only here.  Each result leaves the
+       queue before [on_result] runs, so an interrupt raised inside it
+       cannot deliver it twice. *)
+    let publish () =
+      uncommitted_since := None;
+      died := false;
+      commit ();
+      while not (Queue.is_empty held) do
+        let i, r = Queue.pop held in
+        Hashtbl.replace resolved i ();
+        on_result i r
+      done
     in
     (* Pipes close before the reap: a worker still blocked on its task
        pipe then reads EOF and exits. *)
@@ -544,11 +589,25 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
                     end)
                   !workers
           in
-          while !remaining > 0 && not !killed do
+          (* One turn: read every frame that is ready, hand its events
+             to [on_event], dispatch each worker whose result arrived as
+             soon as its frames are read, and only then commit, if a
+             commit is due.  While anything is uncommitted the select
+             waits at most for the rest of the window. *)
+          while
+            (!remaining > 0 || not (Queue.is_empty held)) && not !killed
+          do
             let live = List.filter (fun w -> w.ws_alive) !workers in
             let fds = List.map (fun w -> w.ws_res_r) live in
+            let timeout =
+              match !uncommitted_since with
+              | None -> tick
+              | Some t0 ->
+                  Float.max 0.
+                    (Float.min tick (t0 +. commit_window -. clock ()))
+            in
             let readable, _, _ =
-              try Unix.select fds [] [] tick
+              try Unix.select fds [] [] timeout
               with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
             in
             List.iter
@@ -566,17 +625,27 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
                         w.ws_seen <- clock ();
                         Buffer.add_subbytes w.ws_buf chunk 0 k;
                         drain_frames w;
-                        if w.ws_alive && w.ws_task = None then dispatch w
+                        if w.ws_alive && w.ws_task = None then begin
+                          dispatch w;
+                          notify_state ()
+                        end
                     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
               readable;
-            check_hangs ()
+            check_hangs ();
+            if commit_due () && not !killed then begin
+              publish ();
+              dispatch_idle ();
+              notify_state ()
+            end
           done
         with
         | () ->
             if !killed then begin
               (* An injected kill simulates the whole process dying:
-                 take the rest of the pool down with it and re-raise
-                 the barrier exception in the coordinator. *)
+                 commit what was read, take the rest of the pool down
+                 with it and re-raise the barrier exception in the
+                 coordinator. *)
+              publish ();
               stop ~signal:Sys.sigkill ();
               raise Barrier.Killed
             end;
@@ -588,6 +657,7 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
             notify_state ();
             Completed
         | exception Barrier.Interrupted ->
+            publish ();
             stop ~signal:Sys.sigterm ();
             Interrupted)
   end

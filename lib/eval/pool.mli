@@ -13,10 +13,11 @@
     - {b workers} are forked copies that run [worker] on one task at a
       time and report back over their result pipe: zero or more [emit]
       events (journaled by the coordinator in arrival order) followed by
-      the task's result.  Anything a worker must hand back about a task
-      (the runner's telemetry delta, for one) rides in that result;
-      nothing runs in a worker between tasks, and it sends nothing when
-      told to quit.
+      the task's result.  A worker gets its next task as soon as its
+      result arrives, before the coordinator commits anything.
+      Anything a worker must hand back about a task (the runner's
+      telemetry delta, for one) rides in that result; nothing runs in
+      a worker between tasks, and it sends nothing when told to quit.
 
     Fault containment mirrors the in-process barrier: a worker that dies
     (signal, [_exit], injected kill) costs only its in-flight task — the
@@ -58,6 +59,7 @@ val run :
   ?on_state:(busy:int -> idle:int -> pending:int -> unit) ->
   ?hang_timeout:float ->
   ?on_hang:(task:int -> phase:string -> unit) ->
+  ?commit:(unit -> unit) ->
   jobs:int ->
   tasks:int list ->
   worker:(emit:('e -> unit) -> beat:(phase:string -> unit) -> int -> 'r) ->
@@ -72,11 +74,12 @@ val run :
     dispatching dynamically (a worker takes the next pending task as
     soon as it finishes one).
 
-    [deps i] lists task indices that must resolve (result delivered, or
-    written off by a worker death) before [i] may be dispatched — the
-    runner uses this to serialize corpus entries that share a cache key,
-    so intra-run cache hits land on the same entries as a sequential
-    run.  Indices not in [tasks] are treated as already resolved.
+    [deps i] lists task indices that must resolve (result handed to
+    [on_result], or written off by a worker death) before [i] may be
+    dispatched — the runner uses this to serialize corpus entries that
+    share a cache key, so intra-run cache hits land on the same entries
+    as a sequential run.  Indices not in [tasks] are treated as already
+    resolved.
     Dependencies must be acyclic; tasks are otherwise started in [tasks]
     order as workers free up.
 
@@ -87,6 +90,24 @@ val run :
     and ['r] must be closure-free.  Once every task has resolved, each
     live worker has been told to quit; [run] closes its pipes and reaps
     it before returning.
+
+    {b Group commit.}  The coordinator publishes in commits instead of
+    one result at a time, so the caller's [commit] (default: nothing)
+    can make everything a commit covers durable with one fsync.
+    Results, those [on_death] synthesizes included, are held in
+    completion order.  In each turn of the select loop the coordinator
+    reads every frame that is ready, hands each event to [on_event] at
+    once and dispatches each worker whose result arrived as soon as its
+    frames are read, so no worker waits for a commit; then, only if a
+    commit is due, it calls [commit ()] once and hands the held results
+    to [on_result].  A commit is due when the oldest uncommitted event
+    or result is one window (20 ms) old, when the last task has
+    arrived, when an idle worker waits while tasks are pending and a
+    result is held (a dependency may be among them), when a worker died
+    with a task in flight, and before an injected kill or an interrupt
+    stops the pool.  While anything is uncommitted, the select waits at
+    most for the rest of the window.  A held task counts as resolved
+    for [deps] only once it is handed over.
 
     [on_state ~busy ~idle ~pending] fires in the coordinator after
     every scheduling event (dispatch, task resolution, worker death)
@@ -116,6 +137,6 @@ val run :
     propagates as [Barrier.Killed] (see module doc).  Workers ignore
     SIGINT and die on SIGTERM, so an operator ^C interrupts the
     coordinator only; it then terminates the pool and returns
-    [Interrupted] — results already handed to [on_result] stand, the
-    rest are abandoned exactly like the sequential runner's interrupt
-    path. *)
+    [Interrupted] — held results are committed and handed over first;
+    results handed to [on_result] stand, the rest are abandoned exactly
+    like the sequential runner's interrupt path. *)

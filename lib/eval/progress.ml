@@ -14,10 +14,10 @@ type t = {
   pg_emit : string -> unit;
   pg_min_interval_s : float;  (* Lines-mode rate limit *)
   pg_total : int;
-  (* ETA inputs: when each in-flight app started (receipt-time clock —
-     the same instant the journal stamps), and how long finished apps
-     took.  Cached and resumed apps never produce a Started record, so
-     they don't pollute the per-app average. *)
+  (* ETA inputs: when each in-flight app started (its Started record's
+     write time), and how long finished apps took.  Cached and resumed
+     apps never produce a Started record, so they don't pollute the
+     per-app average. *)
   pg_started : (string, float) Hashtbl.t;
   mutable pg_durations_sum : float;
   mutable pg_durations_n : int;
@@ -116,15 +116,15 @@ let render ?(force = false) t =
         end
   end
 
-let on_journal t ev =
+let on_journal t ~at ev =
   (match ev with
   | Journal.Started { ev_app; ev_attempt = 1; _ } ->
-      Hashtbl.replace t.pg_started ev_app (t.pg_clock ())
+      Hashtbl.replace t.pg_started ev_app at
   | Journal.Finished { ev_app; _ } -> (
       match Hashtbl.find_opt t.pg_started ev_app with
       | Some t0 ->
           Hashtbl.remove t.pg_started ev_app;
-          t.pg_durations_sum <- t.pg_durations_sum +. (t.pg_clock () -. t0);
+          t.pg_durations_sum <- t.pg_durations_sum +. (at -. t0);
           t.pg_durations_n <- t.pg_durations_n + 1
       | None -> ())
   | Journal.Crashed { ev_phase; _ }

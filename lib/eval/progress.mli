@@ -16,9 +16,10 @@
     counts, the pool's busy/idle/queued shape (once a pool has reported
     state — sequential runs omit it) and an ETA.  The ETA averages the
     per-app wall time of apps seen end to end — the same
-    started→finished pairing the journal records, observed at receipt
-    time — spread over the remaining apps and the currently busy
-    workers; it reads [--] until the first app finishes. *)
+    started→finished pairing the journal records, timed by the
+    records' write times — spread over the remaining apps and the
+    currently busy workers; it reads [--] until the first app
+    finishes. *)
 
 type mode = Tty | Lines
 
@@ -35,8 +36,11 @@ val create :
 (** [create ~mode ~total ~emit ()] — [total] is the corpus size;
     [min_interval_s] (default 2.0) only affects [Lines] mode. *)
 
-val on_journal : t -> Extr_resilience.Journal.event -> unit
-(** Feed a lifecycle event (pair with {!Runner.run}'s [on_journal]). *)
+val on_journal : t -> at:float -> Extr_resilience.Journal.event -> unit
+(** Feed a lifecycle event written at [at] (pair with {!Runner.run}'s
+    [on_journal]).  The ETA times apps by [at], not by the progress
+    clock, because a pooled run publishes records in commits, later
+    than it writes them. *)
 
 val on_result : t -> Runner.app_result -> unit
 (** Feed a published result (pair with [on_result]). *)

@@ -41,6 +41,10 @@ let m_journal_dropped =
     ~help:"corrupt journal records dropped (and re-run) on --resume"
     "journal.records.dropped"
 
+let m_cache_write_failures =
+  Metrics.counter ~help:"cache entries a failed write left out"
+    "cache.write_failures"
+
 type options = {
   ro_pipeline : Pipeline.options;
   ro_policy : Retry.policy;
@@ -215,6 +219,16 @@ let crashed id (crash : Barrier.crash) =
   Journal.Crashed
     { ev_app = id; ev_phase = crash.Barrier.cr_phase; ev_exn = crash.cr_exn }
 
+(* A cache entry only saves work: a write that fails (a full disk) loses
+   the entry, which [--resume] and the next run recompute, and the run
+   goes on.  [Store.store] itself still raises, so [merge --cache-out]
+   can refuse an output it could not write. *)
+let store_entry cache id key data =
+  try Store.store cache key data
+  with Sys_error msg ->
+    Metrics.incr m_cache_write_failures;
+    Log.warn (fun m -> m "%s: cache entry not written (%s)" id msg)
+
 (* Journal a quarantined app's Finished record and return its result. *)
 let quarantine ~jot id key_s attempts crash =
   jot
@@ -371,14 +385,18 @@ type delta = {
 
 (* Parallel corpus execution over the fork pool.  The coordinator owns
    the journal (workers [emit] events over their pipe), the cache writes
-   (workers send the serialized report back; storing after the Finished
-   event is journaled preserves the sequential crash-consistency order)
-   and the telemetry recorders.  A worker resets the recorders it
-   inherited when a task starts and snapshots them into one [delta] when
-   it ends; the delta rides with the task's result.  The coordinator
-   merges the metrics and profile rows into its own recorders and
-   buckets the spans by worker pid — one trace lane per worker — for
-   the CLI's merged trace export.  A worker death ships no delta.
+   (workers send the serialized report back) and the telemetry
+   recorders.  It group-commits: [jot] writes each event to the journal
+   as it is read, and the pool calls [commit] — one fsync, then the
+   observers — before it hands over the results the commit covers, so
+   every cache write and published result follows the fsync of its
+   Finished record, the order resume relies on.  A worker resets the
+   recorders it inherited when a task starts and snapshots them into
+   one [delta] when it ends; the delta rides with the task's result.
+   The coordinator merges the metrics and profile rows into its own
+   recorders and buckets the spans by worker pid — one trace lane per
+   worker — for the CLI's merged trace export.  A worker death ships
+   no delta.
 
    Results are published in corpus order no matter when they complete:
    each finished slot waits until every earlier slot is filled, so
@@ -386,7 +404,7 @@ type delta = {
    byte-identical to a --jobs 1 run.  On interrupt only the contiguous
    emitted prefix is returned — the same partial-table shape the
    sequential path produces. *)
-let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
+let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
     (o : options) (entries : (string * Corpus.entry) array) :
     app_result list * bool * (int * Span.span list) list =
   let n = Array.length entries in
@@ -461,6 +479,7 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
           jot
             (Journal.Retried
                { ev_app = id; ev_attempt = 2; ev_reason = "hung@" ^ phase }))
+        ~commit
         ~jobs:(min o.ro_jobs (List.length tasks))
         ~tasks
         ~worker:(fun ~emit ~beat i ->
@@ -514,7 +533,7 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
           (match (cache, r.ar_report_json) with
           | Some c, Some data when not r.ar_cached -> (
               match Store.key_of_string key_s with
-              | Some k -> Store.store c k data
+              | Some k -> store_entry c r.ar_app k data
               | None -> ())
           | _ -> ());
           slots.(i) <- Some r;
@@ -530,7 +549,7 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
   (List.rev !acc, outcome = Pool.Interrupted, lanes)
 
 let run ?(on_result = fun (_ : app_result) -> ())
-    ?(on_journal = fun (_ : Journal.event) -> ())
+    ?(on_journal = fun ~at:(_ : float) (_ : Journal.event) -> ())
     ?(on_state = fun ~busy:(_ : int) ~idle:(_ : int) ~pending:(_ : int) -> ())
     (o : options) (entries : Corpus.entry list) : (run, string) result =
   let config = config_fingerprint o in
@@ -593,18 +612,43 @@ let run ?(on_result = fun (_ : app_result) -> ())
               events;
             Result.Ok (Some j, Journal.finished events, crashes))
     | false, None -> Result.Ok (None, [], Hashtbl.create 0)
-    | false, Some path ->
-        Result.Ok
-          (Some (Journal.create ~path ~config:jconfig ()), [], Hashtbl.create 0)
+    | false, Some path -> (
+        (* An unwritable path is a usage error, like a bad --cache-dir. *)
+        match Journal.create ~path ~config:jconfig () with
+        | j -> Result.Ok (Some j, [], Hashtbl.create 0)
+        | exception Sys_error msg -> Result.Error ("--journal: " ^ msg))
   in
   match (cache, journal) with
   | Result.Error msg, _ | _, Result.Error msg -> Result.Error msg
   | Result.Ok cache, Result.Ok (journal, done_map, past_crashes) ->
-      (* Journal first (fsync'd), observer second — the progress display
-         must never see an event the journal could still lose. *)
+      (* Journal first, observer second — the progress display must
+         never see an event the journal could still lose.  [write] hands
+         an event to the journal and queues it with its write time (the
+         journal's stamp, or the time it was seen when there is no
+         journal); [commit] fsyncs once and then shows the observer
+         every queued event in order.  The sequential [jot] commits
+         every event; the pool commits once per window. *)
+      let unpublished = Queue.create () in
+      let write ev =
+        let at =
+          match journal with
+          | Some j -> Journal.write j ev
+          | None -> Clock.wall ()
+        in
+        Queue.push (at, ev) unpublished
+      in
+      let commit () =
+        if not (Queue.is_empty unpublished) then begin
+          Option.iter Journal.sync journal;
+          while not (Queue.is_empty unpublished) do
+            let at, ev = Queue.pop unpublished in
+            on_journal ~at ev
+          done
+        end
+      in
       let jot ev =
-        Option.iter (fun j -> Journal.append j ev) journal;
-        on_journal ev
+        write ev;
+        commit ()
       in
       let on_result r =
         if r.ar_cached then Metrics.incr m_cache_hits;
@@ -685,9 +729,10 @@ let run ?(on_result = fun (_ : app_result) -> ())
         else None
       in
       let results, interrupted, worker_spans =
+        Fun.protect ~finally:commit @@ fun () ->
         if o.ro_jobs > 1 && List.length identified > 1 then
-          run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state o
-            (Array.of_list identified)
+          run_pooled ~jot:write ~commit ~try_restore ~cache ~config ~on_result
+            ~on_state o (Array.of_list identified)
         else begin
           let results = ref [] in
           let interrupted = ref false in
@@ -701,16 +746,17 @@ let run ?(on_result = fun (_ : app_result) -> ())
                        fst
                          (run_app ~jot
                             ~do_store:(fun k d ->
-                              Option.iter (fun c -> Store.store c k d) cache)
+                              Option.iter (fun c -> store_entry c id k d) cache)
                             ~cache o ~config id e)
                  in
                  results := res :: !results;
                  on_result res)
                identified
            with Barrier.Interrupted ->
-             (* Journal appends are fsync'd and already on disk; nothing
-                to flush.  Return what completed so the caller can print
-                the partial table. *)
+             (* Every record was synced before its observer saw it, and
+                anything written but not yet committed is committed on
+                the way out.  Return what completed so the caller can
+                print the partial table. *)
              interrupted := true);
           (List.rev !results, !interrupted, [])
         end

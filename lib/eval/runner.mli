@@ -143,7 +143,7 @@ val exit_code : run -> int
 
 val run :
   ?on_result:(app_result -> unit) ->
-  ?on_journal:(Journal.event -> unit) ->
+  ?on_journal:(at:float -> Journal.event -> unit) ->
   ?on_state:(busy:int -> idle:int -> pending:int -> unit) ->
   options ->
   Corpus.entry list ->
@@ -155,18 +155,25 @@ val run :
     byte-identical across jobs settings.  [Error] is a usage-level
     failure: an out-of-range [ro_shard] or a [ro_hang_timeout] that is
     not positive, a resume with no/invalid journal or a mismatched
-    configuration fingerprint, or an unusable cache/journal path.
+    configuration fingerprint, or an unusable cache/journal path (the
+    message names [--journal] for a journal that cannot be created).
+    A cache entry that fails to write is not an error: the run warns,
+    counts it in ["cache.write_failures"] and goes on without it.
     {!Resilience.Barrier.Killed} propagates (an injected kill at a
     phase site must terminate the process — under the pool, a worker
     exiting 99 takes the coordinator down the same way);
     {!Resilience.Barrier.Interrupted} is caught and yields a partial
     [run] with [rn_interrupted] set.
 
-    [on_journal] observes every lifecycle event in coordinator arrival
-    order (after the journal append, when one is configured — an
-    observer never sees an event the journal could still lose), whether
-    or not a journal is configured; the live progress display feeds on
-    it.  [on_state] relays the pool's scheduling state (see
+    [on_journal ~at] observes every lifecycle event in coordinator
+    arrival order, whether or not a journal is configured; the live
+    progress display feeds on it.  With a journal, an observer never
+    sees an event the journal could still lose: it fires after the
+    fsync that covers the record, and [at] is the record's journal
+    stamp.  Without one, [at] is the time the runner saw the event.
+    Under [ro_jobs > 1] events are published in commits (see
+    {!Pool.run}), so [at] can precede the call by up to a commit
+    window.  [on_state] relays the pool's scheduling state (see
     {!Pool.run}); it never fires for sequential runs.
 
     Under [ro_jobs > 1] the work is spread over forked workers

@@ -7,7 +7,7 @@
     cache entry rotting on disk, a worker pipe delivering half a frame.
     Sites are consulted by production code paths
     ({!Resilience.Barrier.set_phase},
-    {!Extr_telemetry.Export.write_file} via a hook, {!Journal.append},
+    {!Extr_telemetry.Export.write_file} via a hook, {!Journal.write},
     [Store] reads/writes, the runner's per-app lifecycle, the pool's
     framing layer and its worker wrapper), so an armed plan exercises
     exactly the code a real fault would.  The CLI arms it with

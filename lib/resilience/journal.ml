@@ -1,8 +1,10 @@
-(* Write-ahead journal: true append-only JSONL on an open channel,
-   fsync'd per record (see the .mli for the durability contract). *)
+(* Write-ahead journal: true append-only JSONL on an open channel.
+   [write] hands a record to the kernel, [sync] makes everything written
+   so far durable (see the .mli for the durability contract). *)
 
 module Json = Extr_httpmodel.Json
 module Clock = Extr_telemetry.Clock
+module Metrics = Extr_telemetry.Metrics
 
 let src = Logs.Src.create "extractocol.journal" ~doc:"Corpus-run write-ahead journal"
 
@@ -99,17 +101,17 @@ let event_of_json j =
       Some (Finished { ev_app; ev_key; ev_status; ev_cached; ev_attempts; ev_txs })
   | Some _ | None -> None
 
-(* Each record is stamped with the journal clock when appended, so an
+(* Each record is stamped with the journal clock when written, so an
    offline reader ([read], the stats subcommand) can reconstruct wall
    time per app and the run's ETA from the file alone.  Readers treat
    the stamp as optional: journals written before stamping existed still
-   load. *)
+   load.  [merge] carries stamps over from its source journals. *)
 let timestamp_of_json j = Json.num_member "t" j
 
-let stamp t json =
-  match json with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("t", Json.Float (t.jn_clock ())) ])
-  | other -> other
+let with_stamp stamp json =
+  match (stamp, json) with
+  | Some t, Json.Obj fields -> Json.Obj (fields @ [ ("t", Json.Float t) ])
+  | _, other -> other
 
 let header config =
   Json.Obj [ ("event", Json.Str "run-started"); ("config", Json.Str config) ]
@@ -168,22 +170,38 @@ let pp_anomaly fmt a = Fmt.pf fmt "line %d: %s" a.an_line a.an_reason
 (* Lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Push the channel buffer to the kernel and the kernel's to the disk.
+(* The header's fsync is not counted, so the counter adds up across
+   the shards of a sequential run like the records it covers. *)
+let m_fsyncs =
+  Metrics.counter
+    ~help:
+      "journal fsyncs of event records: one per record sequentially, one \
+       per pool commit"
+    "journal.fsyncs"
+
+(* Push the kernel's copy of everything written so far to the disk.
    fsync can fail on exotic filesystems (EINVAL on pipes in tests);
    losing durability there beats aborting the run. *)
-let sync oc =
-  Out_channel.flush oc;
+let fsync oc =
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
 
+let sync t =
+  Metrics.incr m_fsyncs;
+  fsync t.jn_oc
+
+(* Hand a record to the kernel: a process killed after this loses
+   nothing, only a power loss before the next [sync] can. *)
 let write_line oc line =
   Out_channel.output_string oc line;
   Out_channel.output_char oc '\n';
-  sync oc
+  Out_channel.flush oc
 
 let create ?(clock = Clock.wall) ~path ~config () =
   let oc = Out_channel.open_text path in
   let t = { jn_path = path; jn_config = config; jn_oc = oc; jn_clock = clock } in
-  write_line oc (seal_line (Json.to_string (stamp t (header config))));
+  write_line oc
+    (seal_line (Json.to_string (with_stamp (Some (clock ())) (header config))));
+  fsync oc;
   t
 
 let split_lines s = String.split_on_char '\n' s
@@ -317,32 +335,35 @@ let load ?(clock = Clock.wall) ~path ~config () =
                   List.map snd timestamped,
                   anomalies )))
 
-let append t ev =
-  let line = seal_line (Json.to_string (stamp t (json_of_event ev))) in
-  match Fault.fire "journal.append" with
+let write t ev =
+  let at = t.jn_clock () in
+  let line =
+    seal_line (Json.to_string (with_stamp (Some at) (json_of_event ev)))
+  in
+  (match Fault.fire "journal.append" with
   | Some "torn" ->
-      (* Half a record and no newline: once later appends land after
+      (* Half a record and no newline: once later records land after
          it, the tear sits mid-file glued to the next record — the
          checksum is what catches it. *)
       Out_channel.output_string t.jn_oc
         (String.sub line 0 (String.length line / 2));
-      sync t.jn_oc
+      Out_channel.flush t.jn_oc
   | Some "bitflip" ->
       let b = Bytes.of_string line in
       let i = Bytes.length b / 2 in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
       write_line t.jn_oc (Bytes.to_string b)
   | Some "drop" -> ()
-  | Some _ | None -> write_line t.jn_oc line
+  | Some _ | None -> write_line t.jn_oc line);
+  at
 
-(* Offline serialization, format-identical to the live appender, so the
+let append t ev =
+  ignore (write t ev : float);
+  sync t
+
+(* Offline serialization, format-identical to the live writer, so the
    merge subcommand can write a unioned journal that stats / a further
    merge read back exactly like one the runner wrote. *)
-let with_stamp stamp json =
-  match (stamp, json) with
-  | Some t, Json.Obj fields -> Json.Obj (fields @ [ ("t", Json.Float t) ])
-  | _, other -> other
-
 let header_line ?stamp ~config () =
   seal_line (Json.to_string (with_stamp stamp (header config)))
 

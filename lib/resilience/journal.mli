@@ -10,11 +10,26 @@
     is refused, because the journaled results would not match what the
     new configuration produces.
 
-    Appends are O(1): the journal holds an open out-channel and each
-    event is one line written at end-of-file and fsync'd before the
-    append returns.  A kill mid-append can leave at most one torn
-    trailing line, which {!load} tolerates (the partial line is dropped
-    and the file truncated back to the last complete record).
+    Records are O(1) to add: the journal holds an open out-channel and
+    each event is one line written at end-of-file.  Durability comes in
+    two steps.  {!write} hands the record to the kernel, so a process
+    killed after it returns loses nothing; {!sync} is one fsync, which
+    makes every record written so far survive a power loss too.  A kill
+    mid-write can leave at most one torn trailing line, which {!load}
+    tolerates (the partial line is dropped and the file truncated back
+    to the last complete record).
+
+    {b The contract.}  A record is synced before anything is published
+    from it: before an observer sees it, before its app's cache entry
+    is written, and before the app's result is published.  A power loss
+    can therefore lose only records nobody has seen, and [--resume]
+    re-runs those apps.  Sequential runs publish each record as it
+    happens, so they sync after every record, as {!append} does.  The
+    pooled coordinator writes each record as it reads it and syncs once
+    per commit window, publishing the window's records and results
+    after the fsync (the [commit] callback of [Pool.run]).  The
+    ["journal.fsyncs"] counter counts every {!sync}; the header's own
+    fsync at {!create} is not counted.
 
     Every line additionally carries a content checksum (a final ["c"]
     member covering the rest of the line), so {e mid-file} corruption —
@@ -106,16 +121,26 @@ val header_line : ?stamp:float -> config:string -> unit -> string
     verbatim. *)
 
 val line_of_event : ?stamp:float -> event -> string
-(** One event record (no trailing newline) exactly as {!append} writes
+(** One event record (no trailing newline) exactly as {!write} writes
     it, with an optional explicit timestamp carried over from the source
     journal. *)
 
+val write : t -> event -> float
+(** Record an event: one sealed JSONL line, stamped with the journal
+    clock, written at end-of-file and handed to the kernel (no fsync),
+    so the event survives a kill of this process but not yet a power
+    loss.  Returns the record's stamp.  O(1) in the journal size.
+    Consults the {!Fault} site ["journal.append"] (modes [torn],
+    [bitflip], [drop]) so environment faults can be injected between
+    the event and the disk. *)
+
+val sync : t -> unit
+(** One fsync: every record written so far survives a power loss.
+    Counted in ["journal.fsyncs"]. *)
+
 val append : t -> event -> unit
-(** Record an event: one sealed JSONL line appended and fsync'd before
-    this returns, so the event survives any subsequent kill.  O(1) in
-    the journal size.  Consults the {!Fault} site ["journal.append"]
-    (modes [torn], [bitflip], [drop]) so environment faults can be
-    injected between the event and the disk. *)
+(** [write] then [sync]: the event survives anything once this
+    returns. *)
 
 val path : t -> string
 

@@ -709,6 +709,23 @@ let test_runner_rejects_bad_hang_timeout () =
       | Ok _ -> Alcotest.failf "--hang-timeout %g accepted" t)
     [ 0.; -1.; Float.nan ]
 
+(* An unwritable --journal is a usage error like a bad --cache-dir:
+   refused, naming the flag, before any app runs. *)
+let test_runner_rejects_unwritable_journal () =
+  let path = Filename.concat (tmp_dir ()) "missing/journal.jsonl" in
+  let ran = ref 0 in
+  match
+    Runner.run
+      ~on_result:(fun _ -> incr ran)
+      { (quiet_options ()) with Runner.ro_journal = Some path }
+      (entries ())
+  with
+  | Error msg ->
+      check Alcotest.bool "the message names --journal" true
+        (String.length msg >= 9 && String.sub msg 0 9 = "--journal");
+      check Alcotest.int "no app ran" 0 !ran
+  | Ok _ -> Alcotest.fail "an unwritable journal was accepted"
+
 let test_runner_materialization_crash_quarantined () =
   (* APK materialization (Lazy.force + cache keying) runs inside the
      fault barrier: a malformed spec must quarantine that app with a
@@ -854,6 +871,96 @@ let test_pool_kill_resume_byte_identical () =
   check Alcotest.string "byte-identical report envelope" (report o2 cold)
     (report o resumed)
 
+(* Group commit, observed from outside: every record an observer sees,
+   and every published result's Finished record, is already in the
+   journal file; and the pool syncs no more often than a sequential run
+   would, once per record. *)
+let test_pool_publishes_only_journaled_records () =
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "journal.jsonl" in
+  let records () =
+    match Journal.read ~path with
+    | Ok (_, records, _) -> List.map snd records
+    | Error e -> Alcotest.fail e
+  in
+  let o =
+    {
+      (quiet_options ()) with
+      Runner.ro_jobs = 2;
+      ro_journal = Some path;
+      ro_cache_dir = Some (Filename.concat dir "cache");
+    }
+  in
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  let observed = ref 0 in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Metrics.set_enabled Metrics.default false)
+      (fun () ->
+        match
+          Runner.run
+            ~on_journal:(fun ~at:_ ev ->
+              incr observed;
+              if not (List.mem ev (records ())) then
+                Alcotest.failf "observer saw an unjournaled record: %s"
+                  (Fmt.str "%a" Journal.pp_event ev))
+            ~on_result:(fun a ->
+              if
+                not
+                  (List.exists
+                     (function
+                       | Journal.Finished f -> f.ev_app = a.Runner.ar_app
+                       | _ -> false)
+                     (records ()))
+              then
+                Alcotest.failf "%s published before its Finished record"
+                  a.Runner.ar_app)
+            o
+            (Corpus.generated ~seed:1 ~count:12)
+        with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e)
+  in
+  check Alcotest.int "every app published" 12 (List.length r.Runner.rn_results);
+  let n = List.length (records ()) in
+  check Alcotest.int "the observer saw every record" n !observed;
+  let fsyncs = int_of_float (Metrics.value Metrics.default "journal.fsyncs") in
+  check Alcotest.bool
+    (Printf.sprintf "1 <= %d fsyncs <= %d records" fsyncs n)
+    true
+    (fsyncs >= 1 && fsyncs <= n)
+
+(* A cache write that fails costs only its entry: the run finishes
+   clean, its envelope equals an uncached run's, and the failed write
+   leaves no temp file behind.  The store runs in the coordinator at
+   both widths, where the one-shot fault is armed. *)
+let test_cache_write_failure_costs_only_the_entry () =
+  let es = pool_entries () in
+  let o = quiet_options () in
+  let uncached = report o (run_ok o es) in
+  List.iter
+    (fun jobs ->
+      let dir = tmp_dir () in
+      Fault.arm ~site:"export.write" ~mode:"enospc" ();
+      let r =
+        Fun.protect ~finally:Fault.reset (fun () ->
+            run_ok
+              { o with Runner.ro_jobs = jobs; ro_cache_dir = Some dir }
+              es)
+      in
+      let files = Array.to_list (Sys.readdir dir) in
+      let with_suffix x =
+        List.filter (fun f -> Filename.check_suffix f x) files
+      in
+      check Alcotest.int "exit code 0" 0 (Runner.exit_code r);
+      check Alcotest.string "envelope equals an uncached run's" uncached
+        (report o r);
+      check Alcotest.int "every other entry written" 3
+        (List.length (with_suffix ".json"));
+      check Alcotest.(list string) "no temp file left" [] (with_suffix ".tmp"))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "durability"
     [
@@ -912,6 +1019,8 @@ let () =
           tc "interrupt returns partial results" test_runner_interrupt_partial;
           tc "hang timeout that is not positive refused"
             test_runner_rejects_bad_hang_timeout;
+          tc "unwritable journal refused"
+            test_runner_rejects_unwritable_journal;
           tc "materialization crash quarantined behind the barrier"
             test_runner_materialization_crash_quarantined;
           tc "warm cache recovers degradations"
@@ -923,6 +1032,10 @@ let () =
             test_pool_byte_identical;
           tc "worker death quarantines only the in-flight app"
             test_pool_worker_death_quarantines;
+          tc "observers and results follow the journal"
+            test_pool_publishes_only_journaled_records;
+          tc "a failed cache write costs only its entry"
+            test_cache_write_failure_costs_only_the_entry;
           tc "parallel kill + resume is byte-identical"
             test_pool_kill_resume_byte_identical;
         ] );

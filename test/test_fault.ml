@@ -1,11 +1,13 @@
-(* The fault-injection plan and the pool's hung-worker watchdog.  The
-   plan tests are pure; the watchdog tests fork real workers through
-   Pool.run with a wedged task and assert detection, requeue-once, and
-   the Hung quarantine — all on sub-second timeouts so the suite stays
-   fast. *)
+(* The fault-injection plan, the pool's hung-worker watchdog and its
+   group-commit contract.  The plan tests are pure; the watchdog tests
+   fork real workers through Pool.run with a wedged task and assert
+   detection, requeue-once, and the Hung quarantine — all on sub-second
+   timeouts so the suite stays fast.  The commit tests fork real workers
+   under a clock that stands still, so no commit window ever closes. *)
 
 module Fault = Extr_resilience.Fault
 module Pool = Extr_eval.Pool
+module Clock = Extr_telemetry.Clock
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -135,6 +137,83 @@ let test_heartbeat_defers_the_watchdog () =
   in
   check Alcotest.bool "run completes" true (outcome = Pool.Completed)
 
+(* ------------------------------------------------------------------ *)
+(* Group commit                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* What the coordinator did, in order: an event handed to [on_event], a
+   [commit ()], a result handed to [on_result].  Each task emits one
+   event when it starts.  Time stands still, so every commit in the log
+   was forced by a rule other than the window.  [on_result] leaves a
+   marker file, as the runner leaves a cache entry, and a task whose
+   dependency's marker is missing when it starts says so in its event
+   ("event 1 early"); the commit takes 50 ms, as an fsync may, so a
+   task dispatched before its dependency is handed over would start
+   early. *)
+let commit_log ?(deps = fun (_ : int) -> []) ~jobs tasks =
+  let clock, _advance = Clock.manual () in
+  let dir = Filename.temp_file "commit" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let marker i = Filename.concat dir (string_of_int i) in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let outcome =
+    Pool.run ~deps ~clock ~jobs ~tasks
+      ~commit:(fun () ->
+        note "commit";
+        Unix.sleepf 0.05)
+      ~worker:(fun ~emit ~beat:_ i ->
+        let early =
+          List.exists (fun d -> not (Sys.file_exists (marker d))) (deps i)
+        in
+        emit (Printf.sprintf "event %d%s" i (if early then " early" else ""));
+        i)
+      ~on_event:note
+      ~on_death:(fun ~task:_ ~cause:_ -> Alcotest.fail "no worker may die")
+      ~on_result:(fun i _ ->
+        Out_channel.with_open_text (marker i) ignore;
+        note (Printf.sprintf "result %d" i))
+      ()
+  in
+  check Alcotest.bool "run completes" true (outcome = Pool.Completed);
+  List.iter (fun i -> Sys.remove (marker i)) tasks;
+  Sys.rmdir dir;
+  List.rev !log
+
+let kind s = List.hd (String.split_on_char ' ' s)
+
+(* Independent tasks never force a commit before the last result: one
+   commit covers every event, and every result waits for it. *)
+let test_one_commit_covers_independent_tasks () =
+  let log = commit_log ~jobs:2 (List.init 8 Fun.id) in
+  check
+    Alcotest.(list string)
+    "8 events, one commit, then 8 results"
+    (List.init 8 (fun _ -> "event")
+    @ [ "commit" ]
+    @ List.init 8 (fun _ -> "result"))
+    (List.map kind log)
+
+(* A chain cannot wait for the window: the idle worker's next task hangs
+   on the held result, so each task is committed and handed over before
+   its successor starts, and no successor starts early. *)
+let test_chain_commits_per_task () =
+  let log =
+    commit_log ~deps:(fun i -> if i = 0 then [] else [ i - 1 ]) ~jobs:2
+      [ 0; 1; 2; 3 ]
+  in
+  check
+    Alcotest.(list string)
+    "each task's event follows its predecessor's result"
+    (List.concat_map
+       (fun i ->
+         [
+           Printf.sprintf "event %d" i; "commit"; Printf.sprintf "result %d" i;
+         ])
+       [ 0; 1; 2; 3 ])
+    log
+
 let () =
   Alcotest.run "fault"
     [
@@ -150,5 +229,12 @@ let () =
           tc "wedged task requeued once then quarantined hung"
             test_watchdog_requeues_then_quarantines;
           tc "heartbeats defer the watchdog" test_heartbeat_defers_the_watchdog;
+        ] );
+      ( "pool",
+        [
+          tc "one commit covers independent tasks"
+            test_one_commit_covers_independent_tasks;
+          tc "a dependency chain commits once per task"
+            test_chain_commits_per_task;
         ] );
     ]

@@ -329,8 +329,8 @@ let test_progress_lines_mode () =
       ~emit ()
   in
   Progress.on_state p ~busy:2 ~idle:0 ~pending:1;
-  Progress.on_journal p (started "a");
-  Progress.on_journal p (finished "a");
+  Progress.on_journal p ~at:1.0 (started "a");
+  Progress.on_journal p ~at:3.0 (finished "a");
   Progress.on_result p (app_result "a");
   Progress.finish p;
   let out = Buffer.contents buf in
@@ -342,8 +342,8 @@ let test_progress_lines_mode () =
   check Alcotest.bool "structured lines" true (has "progress: ");
   check Alcotest.bool "counts" true (has "[1/3] 1 ok");
   check Alcotest.bool "worker shape" true (has "workers 2 busy/0 idle, 1 queued");
-  (* One app took 2 clock ticks (started->finished), 2 busy workers, 2
-     remaining: eta = 2 * 2 / 2 = 2s. *)
+  (* One app took 2 s (started->finished), 2 busy workers, 2 remaining:
+     eta = 2 * 2 / 2 = 2s. *)
   check Alcotest.bool "eta from journal pairs" true (has "eta 2s");
   check Alcotest.bool "no tty control sequences" false (has "\r")
 
@@ -369,6 +369,29 @@ let test_progress_tty_mode () =
   (* finish clears the line so the summary table lands cleanly. *)
   check Alcotest.string "final clear" "\r\x1b[K"
     (String.sub out (String.length out - 4) 4)
+
+(* A pooled run publishes records in commits, after it writes them: an
+   app is timed by its records' write times, not by when the observer
+   sees them.  Both records arrive at one instant, written 3 s apart. *)
+let test_progress_times_apps_by_write_time () =
+  let buf, emit = collect () in
+  let clock, _advance = Clock.manual ~start:50.0 () in
+  let p =
+    Progress.create ~clock ~min_interval_s:0.0 ~mode:Progress.Lines ~total:2
+      ~emit ()
+  in
+  Progress.on_journal p ~at:10.0 (started "a");
+  Progress.on_journal p ~at:13.0 (finished "a");
+  Progress.on_result p (app_result "a");
+  Progress.finish p;
+  let out = Buffer.contents buf in
+  let has needle =
+    let n = String.length needle and h = String.length out in
+    let rec go i = i + n <= h && (String.sub out i n = needle || go (i + 1)) in
+    go 0
+  in
+  (* A 3 s mean over 1 remaining app at width 1. *)
+  check Alcotest.bool "3 s mean from write times" true (has "eta 3s")
 
 let test_progress_rate_limit () =
   (* Lines mode must not emit on every event: with a 10s interval and a
@@ -535,6 +558,8 @@ let () =
           tc "structured lines off-tty" test_progress_lines_mode;
           tc "rewriting line on tty" test_progress_tty_mode;
           tc "rate limiting" test_progress_rate_limit;
+          tc "apps timed by record write time"
+            test_progress_times_apps_by_write_time;
         ] );
       ( "profile",
         [
