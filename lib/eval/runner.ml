@@ -408,6 +408,13 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
     (o : options) (entries : (string * Corpus.entry) array) :
     app_result list * bool * (int * Span.span list) list =
   let n = Array.length entries in
+  let ids = Array.map fst entries in
+  (* A worker takes each task's entry out of its own copy of this array:
+     the APK the entry's lazy forced must not stay reachable once the
+     task is done, or a worker's heap grows with every app it runs.  A
+     worker never runs a task twice; a requeued task runs in a fresh
+     fork of the coordinator, whose copy is whole. *)
+  let untaken = Array.map (fun (_, e) -> Some e) entries in
   let slots = Array.make n None in
   let emitted = ref 0 in
   let acc = ref [] in
@@ -475,7 +482,7 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
         ~on_state
         ?hang_timeout:o.ro_hang_timeout
         ~on_hang:(fun ~task:i ~phase ->
-          let id, _ = entries.(i) in
+          let id = ids.(i) in
           jot
             (Journal.Retried
                { ev_app = id; ev_attempt = 2; ev_reason = "hung@" ^ phase }))
@@ -483,7 +490,9 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
         ~jobs:(min o.ro_jobs (List.length tasks))
         ~tasks
         ~worker:(fun ~emit ~beat i ->
-          let id, e = entries.(i) in
+          let id = ids.(i) in
+          let e = Option.get untaken.(i) in
+          untaken.(i) <- None;
           if o.ro_heartbeat then
             Barrier.set_observer (fun p -> beat ~phase:p);
           if Fault.fire ~arg:id "worker.exit" <> None then Unix._exit 86;
@@ -516,7 +525,7 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
               } ))
         ~on_event:jot
         ~on_death:(fun ~task:i ~cause ->
-          let id, _ = entries.(i) in
+          let id = ids.(i) in
           let phase, reason =
             match cause with
             | Pool.Died reason -> ("worker", reason)

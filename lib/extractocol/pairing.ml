@@ -58,27 +58,39 @@ let stmts_in_methods (stmts : Ir.Stmt_set.t) (methods : Ir.Method_set.t) =
   Ir.Stmt_set.filter (fun sid -> Ir.Method_set.mem sid.Ir.sid_meth methods) stmts
 
 (** Disjoint-segment pairing: one pair per divergence head, containing only
-    the statements exclusive to that head's reach. *)
+    the statements exclusive to that head's reach.  Slices are looked up
+    by DP statement, and each head's reach is computed once per app. *)
 let pair_disjoint (prog : Prog.t) cg (slices : Slicer.result) : pair list =
   ignore prog;
+  let by_dp (sls : Slicer.slice list) =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (sl : Slicer.slice) ->
+        let dp = sl.Slicer.sl_dp.Slicer.dp_stmt in
+        if not (Hashtbl.mem tbl dp) then Hashtbl.add tbl dp sl)
+      sls;
+    Hashtbl.find_opt tbl
+  in
+  let request = by_dp slices.Slicer.r_request in
+  let response = by_dp slices.Slicer.r_response in
+  let reach =
+    let memo = Hashtbl.create 16 in
+    fun h ->
+      match Hashtbl.find_opt memo h with
+      | Some r -> r
+      | None ->
+          let r = reach_down cg h in
+          Hashtbl.add memo h r;
+          r
+  in
   let pairs =
     List.concat_map
       (fun (dp : Slicer.dp_site) ->
-      let request =
-        List.find_opt
-          (fun (sl : Slicer.slice) -> sl.Slicer.sl_dp.Slicer.dp_stmt = dp.Slicer.dp_stmt)
-          slices.Slicer.r_request
-      in
-      let response =
-        List.find_opt
-          (fun (sl : Slicer.slice) -> sl.Slicer.sl_dp.Slicer.dp_stmt = dp.Slicer.dp_stmt)
-          slices.Slicer.r_response
-      in
-      match (request, response) with
+      match (request dp.Slicer.dp_stmt, response dp.Slicer.dp_stmt) with
       | Some req, Some resp ->
           let heads = divergence_heads cg dp in
           Metrics.observe m_contexts (float_of_int (List.length heads));
-          let reaches = List.map (fun h -> (h, reach_down cg h)) heads in
+          let reaches = List.map (fun h -> (h, reach h)) heads in
           List.map
             (fun (h, own_reach) ->
               (* Statements in methods reachable from this head but not

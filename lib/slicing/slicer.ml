@@ -7,7 +7,9 @@
      - object-aware augmentation: initialization context of objects used in
        forward slices;
      - the asynchronous-event heuristic (§3.4): backward propagation from
-       setter statements of heap objects that carry request parts.  *)
+       setter statements of heap objects that carry request parts.
+   The request slices of all demarcation points come from one backward
+   engine whose facts carry the points they serve. *)
 
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
@@ -117,66 +119,97 @@ let field_store_sites (ix : Index.t) (fields : (string * string) list) =
          let mid = s.Index.fs_stmt.Ir.sid_meth in
          (s.Index.fs_stmt, Fact.local_path mid s.Index.fs_var s.Index.fs_field.Ir.fname))
 
-let request_slice ?budget ~async_heuristic ~async_iterations prog cg
-    (dp : dp_site) : slice =
-  let engine = Backward.create prog cg in
-  (match request_root dp with
-  | Some v ->
-      Backward.inject_at engine dp.dp_stmt
-        [ Fact.local dp.dp_stmt.Ir.sid_meth v ]
-  | None -> ());
+(** The request slices of all DPs from one backward engine, whose facts
+    carry the DPs they serve (bit k: the k-th DP of [dps]). *)
+let request_slices ?budget ~async_heuristic ~async_iterations prog cg
+    (dps : dp_site array) : slice list =
+  let n = Array.length dps in
+  let engine = Backward.create ~dps:n prog cg in
+  Array.iteri
+    (fun k dp ->
+      match request_root dp with
+      | Some v ->
+          Backward.inject_at ~dps:[ k ] engine dp.dp_stmt
+            [ Fact.local dp.dp_stmt.Ir.sid_meth v ]
+      | None -> ())
+    dps;
   Backward.run ?budget engine;
-  let stmts, async_setters =
-    if not async_heuristic then (Backward.touched_stmts engine, [])
-    else begin
-      (* §3.4: for each heap object carrying request parts, restart
-         backward propagation from its setter statements.  The default is
-         one hop; the paper's multiple-iterations variant repeats until no
-         new heap carriers appear (bounded by [async_iterations]).  The
-         engine is resumed, not rebuilt: the fixpoint already reached is a
-         sound intermediate point of the extended one (injections only
-         grow), so resuming converges to the identical fixpoint without
-         re-deriving the whole first round. *)
-      let rec iterate k setters known_fields =
-        let fields =
-          List.sort_uniq compare (Fact.field_facts (Backward.all_facts engine))
+  (* §3.4: for each heap object carrying request parts, restart backward
+     propagation from its setter statements.  The default is one hop; the
+     paper's multiple-iterations variant repeats until no new heap
+     carriers appear (bounded by [async_iterations]).  Each DP iterates
+     on its own: its carriers are the field facts that carry its bit, a
+     setter of field f is injected for the DPs whose carriers include f,
+     and a DP stops when its carriers stop changing or it runs out of
+     hops.  The engine is resumed, not rebuilt: the fixpoint already
+     reached is a sound intermediate point of the extended one
+     (injections only grow), so resuming converges to the identical
+     fixpoint.  A tripped budget ends the heuristic: the slices are
+     already under-approximate, and the degradation is recorded once. *)
+  let known = Array.make n [] in
+  (if async_heuristic then
+     let hops = Array.make n (max 1 async_iterations) in
+     let rec round () =
+       let carriers = Backward.facts_by_dp engine in
+       let iterating = ref [] in
+       let by_field = Hashtbl.create 16 in
+       for k = n - 1 downto 0 do
+         let fields = List.sort_uniq compare (Fact.field_facts carriers.(k)) in
+         if hops.(k) > 0 && fields <> known.(k) then begin
+           hops.(k) <- hops.(k) - 1;
+           known.(k) <- fields;
+           iterating := k :: !iterating;
+           List.iter
+             (fun f ->
+               Hashtbl.replace by_field f
+                 (k :: Option.value (Hashtbl.find_opt by_field f) ~default:[]))
+             fields
+         end
+         else hops.(k) <- 0
+       done;
+       if !iterating <> [] then begin
+         Hashtbl.iter
+           (fun field dps ->
+             List.iter
+               (fun (sid, fact) -> Backward.inject_at ~dps engine sid [ fact ])
+               (field_store_sites (Callgraph.index cg) [ field ]))
+           by_field;
+         Backward.run ?budget ~counted:!iterating engine;
+         if Backward.pending engine = 0 then round ()
+       end
+     in
+     if Backward.pending engine = 0 then round ());
+  let touched = Backward.touched_by_dp engine in
+  List.mapi
+    (fun k dp ->
+      let stmts = touched.(k) in
+      if Provenance.is_enabled Provenance.default then begin
+        let dp_sid = dp.dp_stmt in
+        Provenance.record_slice_step Provenance.default ~dp:dp_sid ~stmt:dp_sid
+          Provenance.Dp_discovered;
+        let setter_sids =
+          List.map fst (field_store_sites (Callgraph.index cg) known.(k))
         in
-        if k <= 0 || fields = known_fields then
-          (Backward.touched_stmts engine, setters)
-        else begin
-          let setters' = field_store_sites (Callgraph.index cg) fields in
-          List.iter
-            (fun (sid, fact) -> Backward.inject_at engine sid [ fact ])
-            setters';
-          Backward.run ?budget engine;
-          iterate (k - 1) setters' fields
-        end
-      in
-      iterate (max 1 async_iterations) [] []
-    end
-  in
-  if Provenance.is_enabled Provenance.default then begin
-    let dp_sid = dp.dp_stmt in
-    Provenance.record_slice_step Provenance.default ~dp:dp_sid ~stmt:dp_sid
-      Provenance.Dp_discovered;
-    let setter_sids = List.map fst async_setters in
-    List.iter
-      (fun sid ->
-        Provenance.record_slice_step Provenance.default ~dp:dp_sid ~stmt:sid
-          Provenance.Async_setter)
-      setter_sids;
-    (* Set membership, not List.mem: the touched set times the setter list
-       made this loop quadratic with --explain on. *)
-    let setter_set = Ir.Stmt_set.of_list setter_sids in
-    Ir.Stmt_set.iter
-      (fun sid ->
-        if (not (Ir.Stmt_id.equal sid dp_sid)) && not (Ir.Stmt_set.mem sid setter_set)
-        then
-          Provenance.record_slice_step Provenance.default ~dp:dp_sid ~stmt:sid
-            Provenance.Backward_taint)
-      stmts
-  end;
-  { sl_dp = dp; sl_stmts = Ir.Stmt_set.add dp.dp_stmt stmts }
+        List.iter
+          (fun sid ->
+            Provenance.record_slice_step Provenance.default ~dp:dp_sid ~stmt:sid
+              Provenance.Async_setter)
+          setter_sids;
+        (* Set membership, not List.mem: the touched set times the setter
+           list made this loop quadratic with --explain on. *)
+        let setter_set = Ir.Stmt_set.of_list setter_sids in
+        Ir.Stmt_set.iter
+          (fun sid ->
+            if
+              (not (Ir.Stmt_id.equal sid dp_sid))
+              && not (Ir.Stmt_set.mem sid setter_set)
+            then
+              Provenance.record_slice_step Provenance.default ~dp:dp_sid
+                ~stmt:sid Provenance.Backward_taint)
+          stmts
+      end;
+      { sl_dp = dp; sl_stmts = Ir.Stmt_set.add dp.dp_stmt stmts })
+    (Array.to_list dps)
 
 (* ------------------------------------------------------------------ *)
 (* Response (forward) slices                                          *)
@@ -238,15 +271,50 @@ let response_slice ?budget prog cg (dp : dp_site) : slice =
 (* Object-aware slice augmentation (§3.1)                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Def/use index of one method for augmentation: the statements that
+   define each variable — or, defining nothing, call through it as the
+   receiver (constructors, builder appends mutate the object) — and the
+   statements that write each instance field. *)
+type aug_index = {
+  ax_body : Ir.stmt array;
+  ax_defs : (string, int list) Hashtbl.t;
+  ax_writers : (string * string, int list) Hashtbl.t;
+}
+
+let aug_index_of (m : Ir.meth) =
+  let defs = Hashtbl.create 16 and writers = Hashtbl.create 8 in
+  let push tbl k idx =
+    Hashtbl.replace tbl k
+      (idx :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  in
+  Array.iteri
+    (fun idx stmt ->
+      match (Ir.stmt_def stmt, stmt) with
+      | Some v, _ -> push defs v.Ir.vname idx
+      | None, Ir.Assign (Ir.Lfield (_, f), _) ->
+          push writers (f.Ir.fcls, f.Ir.fname) idx
+      | None, Ir.InvokeStmt { Ir.ibase = Some b; _ } -> push defs b.Ir.vname idx
+      | None, _ -> ())
+    m.Ir.m_body;
+  { ax_body = m.Ir.m_body; ax_defs = defs; ax_writers = writers }
+
 (** Augment a forward slice with the complete context of the objects it
-    uses: repeatedly add statements (in the same methods) that define a
-    variable or write a field that an already-included statement reads,
-    until no statements are added. *)
-let augment_response_slice prog (sl : slice) : slice =
+    uses: add the statements (in the same methods) that define a variable
+    or write a field that an included statement reads, closing the slice
+    with a worklist.  [index] gives each method's def/use index, shared
+    by every slice of the run. *)
+let augment_response_slice index (sl : slice) : slice =
+  let by_method = Hashtbl.create 16 in
+  Ir.Stmt_set.iter
+    (fun sid ->
+      let mid = sid.Ir.sid_meth in
+      Hashtbl.replace by_method mid
+        (sid.Ir.sid_idx
+        :: Option.value (Hashtbl.find_opt by_method mid) ~default:[]))
+    sl.sl_stmts;
   let methods =
-    Ir.Stmt_set.fold
-      (fun sid acc -> Ir.Method_set.add sid.Ir.sid_meth acc)
-      sl.sl_stmts Ir.Method_set.empty
+    Hashtbl.fold (fun mid _ acc -> Ir.Method_set.add mid acc) by_method
+      Ir.Method_set.empty
   in
   let included = ref sl.sl_stmts in
   let prof =
@@ -254,59 +322,45 @@ let augment_response_slice prog (sl : slice) : slice =
   in
   (* Augmentation never crosses a method boundary (uses and the defining
      statements added for them live in the same body), so each method
-     closes independently — a local fixpoint per method reaches the same
-     closure as the old global re-scan-everything loop, without rescanning
-     stable methods every time any method grows. *)
+     closes on its own. *)
   Ir.Method_set.iter
     (fun mid ->
       Profile.visit prof mid;
-      match Prog.find_method prog mid with
+      match index mid with
       | None -> ()
-      | Some m ->
-          let changed = ref true in
-          while !changed do
-            changed := false;
-            (* Variables and fields read by included statements of m. *)
-            let used_vars = Hashtbl.create 16 in
-            let used_fields = Hashtbl.create 16 in
-            Array.iteri
-              (fun idx stmt ->
-                let sid = { Ir.sid_meth = mid; sid_idx = idx } in
-                if Ir.Stmt_set.mem sid !included then begin
-                  List.iter
-                    (fun (v : Ir.var) -> Hashtbl.replace used_vars v.Ir.vname ())
-                    (Ir.stmt_uses stmt);
-                  match stmt with
-                  | Ir.Assign (_, Ir.IField (_, f)) ->
-                      Hashtbl.replace used_fields (f.Ir.fcls, f.Ir.fname) ()
-                  | _ -> ()
-                end)
-              m.Ir.m_body;
-            (* Add defining statements not yet included. *)
-            Array.iteri
-              (fun idx stmt ->
-                let sid = { Ir.sid_meth = mid; sid_idx = idx } in
-                if not (Ir.Stmt_set.mem sid !included) then begin
-                  let defines_used =
-                    match Ir.stmt_def stmt with
-                    | Some v -> Hashtbl.mem used_vars v.Ir.vname
-                    | None -> (
-                        match stmt with
-                        | Ir.Assign (Ir.Lfield (_, f), _) ->
-                            Hashtbl.mem used_fields (f.Ir.fcls, f.Ir.fname)
-                        | Ir.InvokeStmt { Ir.ibase = Some b; _ } ->
-                            (* Mutating calls on used objects (constructors,
-                               builder appends) complete the object context. *)
-                            Hashtbl.mem used_vars b.Ir.vname
-                        | _ -> false)
-                  in
-                  if defines_used then begin
-                    included := Ir.Stmt_set.add sid !included;
-                    Profile.add_facts prof 1;
-                    changed := true
-                  end
-                end)
-              m.Ir.m_body
+      | Some ix ->
+          let work = ref (Hashtbl.find by_method mid) in
+          let add idx =
+            let sid = { Ir.sid_meth = mid; sid_idx = idx } in
+            if not (Ir.Stmt_set.mem sid !included) then begin
+              included := Ir.Stmt_set.add sid !included;
+              Profile.add_facts prof 1;
+              work := idx :: !work
+            end
+          in
+          (* A variable or field pulls in its defining statements the
+             first time an included statement reads it; later readers
+             find them included already. *)
+          let used_vars = Hashtbl.create 16 and used_fields = Hashtbl.create 8 in
+          let use tbl seen k =
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.add seen k ();
+              Option.iter (List.iter add) (Hashtbl.find_opt tbl k)
+            end
+          in
+          while !work <> [] do
+            let idx = List.hd !work in
+            work := List.tl !work;
+            if idx < Array.length ix.ax_body then begin
+              let stmt = ix.ax_body.(idx) in
+              List.iter
+                (fun (v : Ir.var) -> use ix.ax_defs used_vars v.Ir.vname)
+                (Ir.stmt_uses stmt);
+              match stmt with
+              | Ir.Assign (_, Ir.IField (_, f)) ->
+                  use ix.ax_writers used_fields (f.Ir.fcls, f.Ir.fname)
+              | _ -> ()
+            end
           done)
     methods;
   Profile.close prof;
@@ -332,7 +386,8 @@ type options = {
   opt_scope : string option;  (** class-prefix scope (§5.3) *)
   opt_budget : Resilience.Budget.t option;
       (** shared per-run budget the taint engines spend from; [None]
-          gives each engine its own historical 2M-step bound *)
+          gives each engine its own historical 2M-step bound — the one
+          backward engine included *)
 }
 
 let default_options =
@@ -357,16 +412,23 @@ let run ?(options = default_options) (prog : Prog.t) (cg : Callgraph.t) : result
         (float_of_int (Ir.Stmt_set.cardinal sl.sl_stmts))
   in
   let request =
-    List.map
-      (fun dp ->
-        let sl =
-          request_slice ?budget:options.opt_budget
-            ~async_heuristic:options.opt_async_heuristic
-            ~async_iterations:options.opt_async_iterations prog cg dp
-        in
-        observe_size "request" sl;
-        sl)
-      dps
+    if dps = [] then []
+    else
+      request_slices ?budget:options.opt_budget
+        ~async_heuristic:options.opt_async_heuristic
+        ~async_iterations:options.opt_async_iterations prog cg
+        (Array.of_list dps)
+  in
+  List.iter (observe_size "request") request;
+  let aug_index =
+    let memo = Hashtbl.create 64 in
+    fun mid ->
+      match Hashtbl.find_opt memo mid with
+      | Some ix -> ix
+      | None ->
+          let ix = Option.map aug_index_of (Prog.find_method prog mid) in
+          Hashtbl.add memo mid ix;
+          ix
   in
   let response =
     List.map
@@ -374,7 +436,7 @@ let run ?(options = default_options) (prog : Prog.t) (cg : Callgraph.t) : result
         let sl = response_slice ?budget:options.opt_budget prog cg dp in
         let sl =
           if options.opt_augmentation then begin
-            let augmented = augment_response_slice prog sl in
+            let augmented = augment_response_slice aug_index sl in
             if telemetry then
               Metrics.incr m_augmented
                 ~by:

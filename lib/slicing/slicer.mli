@@ -1,7 +1,13 @@
 (** Network-aware program slicing (§3.1).  For every demarcation point in
     the application: the backward (request) slice, the forward (response)
     slice, object-aware augmentation, and the asynchronous-event heuristic
-    (§3.4). *)
+    (§3.4).
+
+    One backward engine computes the request slices of all the app's
+    demarcation points at once — its facts carry the set of points they
+    serve — and each slice is exactly what an engine for that point alone
+    computes.  Response slices keep one forward engine per point, and
+    augmentation shares one def/use index per method across them. *)
 
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
@@ -34,10 +40,6 @@ val find_demarcation_points : ?scope:string -> Extr_ir.Index.t -> dp_site list
     scan order; [scope] restricts discovery to classes with the given
     prefix (§5.3). *)
 
-val augment_response_slice : Prog.t -> slice -> slice
-(** Object-aware augmentation (§3.1): add the initialization context of
-    objects the forward slice uses, to a fixed point. *)
-
 type options = {
   opt_async_heuristic : bool;  (** §3.4 heuristic (on for closed-source) *)
   opt_async_iterations : int;
@@ -47,7 +49,8 @@ type options = {
   opt_scope : string option;  (** class-prefix scope (§5.3) *)
   opt_budget : Resilience.Budget.t option;
       (** shared per-run budget the taint engines spend from; [None]
-          gives each engine its own historical 2M-step bound *)
+          gives each engine its own historical 2M-step bound — the one
+          backward engine included *)
 }
 
 val default_options : options

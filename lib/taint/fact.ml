@@ -55,6 +55,12 @@ module Set = Set.Make (struct
   let compare = compare
 end)
 
+module Map = Map.Make (struct
+  type nonrec t = t
+
+  let compare = compare
+end)
+
 let local mid v = Flocal (mid, v.Ir.vname, [])
 let local_path mid v fname = Flocal (mid, v.Ir.vname, [ fname ])
 
@@ -116,3 +122,39 @@ let field_facts s =
       | Ffield (c, n) -> (c, n) :: acc
       | Fstatic _ | Flocal _ | Fdb _ -> acc)
     s []
+
+(* ------------------------------------------------------------------ *)
+(* Fact-keyed maps                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Fold the bindings rooted at (method, variable name): contiguous in
+    the key order, so one ordered lookup finds the first, and a miss —
+    the common case — allocates no enumeration. *)
+let fold_root f m mid name acc =
+  let root = Flocal (mid, name, []) in
+  let rooted = function
+    | Flocal (m', n, _) -> Ir.Method_id.equal m' mid && String.equal n name
+    | Ffield _ | Fstatic _ | Fdb _ -> false
+  in
+  match Map.find_first_opt (fun k -> compare k root >= 0) m with
+  | Some (k, _) when rooted k ->
+      let rec go seq acc =
+        match seq () with
+        | Seq.Cons ((k, v), rest) when rooted k -> go rest (f k v acc)
+        | Seq.Cons _ | Seq.Nil -> acc
+      in
+      go (Map.to_seq_from root m) acc
+  | Some _ | None -> acc
+
+(** The bindings of global facts — an ordered split, as {!globals}. *)
+let globals_map m =
+  match Map.max_binding_opt m with
+  | None | Some (Flocal _, _) -> Map.empty
+  | Some _ -> (
+      let first = Ffield ("", "") in
+      let _, present, above = Map.split first m in
+      match present with Some v -> Map.add first v above | None -> above)
+
+(** Remove every binding rooted at the local, as {!kill_local}. *)
+let kill_local_map m mid (v : Ir.var) =
+  fold_root (fun k _ acc -> Map.remove k acc) m mid v.Ir.vname m

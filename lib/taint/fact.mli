@@ -19,6 +19,10 @@ val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 
+module Map : Map.S with type key = t
+(** Fact-keyed maps, in the set order: the backward engine maps each fact
+    to the demarcation points it serves. *)
+
 val local : Ir.method_id -> Ir.var -> t
 (** Fact for a plain local. *)
 
@@ -30,9 +34,6 @@ val local_tainted : Set.t -> Ir.method_id -> Ir.var -> bool
 
 val local_or_path_tainted : Set.t -> Ir.method_id -> Ir.var -> bool
 (** Is any access path rooted at the local tainted? *)
-
-val root_tainted : Set.t -> Ir.method_id -> string -> bool
-(** Same, by variable name — one ordered lookup, not a set scan. *)
 
 val globals : Set.t -> Set.t
 (** The global (field/static/db) facts — an ordered split, not a filter
@@ -47,3 +48,14 @@ val kill_local : Set.t -> Ir.method_id -> Ir.var -> Set.t
 val field_facts : Set.t -> (string * string) list
 (** The instance-field facts present — the heap objects the asynchronous-
     event heuristic (§3.4) restarts propagation from. *)
+
+val fold_root :
+  (t -> 'a -> 'b -> 'b) -> 'a Map.t -> Ir.method_id -> string -> 'b -> 'b
+(** Fold the bindings of every access path rooted at (method, variable
+    name), in key order. *)
+
+val globals_map : 'a Map.t -> 'a Map.t
+(** The bindings of the global facts, as {!globals}. *)
+
+val kill_local_map : 'a Map.t -> Ir.method_id -> Ir.var -> 'a Map.t
+(** Remove every binding rooted at the local, as {!kill_local}. *)

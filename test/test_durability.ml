@@ -807,6 +807,36 @@ let test_pool_byte_identical () =
   check Alcotest.string "byte-identical report envelope" (report o seq)
     (report o par)
 
+(* A pool worker must not keep a finished task's APK reachable, or its
+   heap grows with every app it runs.  Each entry's lazy first checks,
+   after a full major collection, that the APK an earlier task forced in
+   the same process is gone, then registers its own; a leak fails the
+   lazy, and the app is quarantined.  The entry list is built in the
+   call, so the test itself holds none of it. *)
+let test_pool_workers_drop_finished_apks () =
+  let last = Weak.create 1 in
+  let watched (e : Corpus.entry) =
+    let app = e.Corpus.c_app in
+    {
+      e with
+      Corpus.c_apk =
+        lazy
+          (Gc.full_major ();
+           if Weak.check last 0 then
+             failwith "an earlier task's APK is still reachable";
+           let apk = Corpus.apk_of_app app in
+           Weak.set last 0 (Some apk);
+           apk);
+    }
+  in
+  let r =
+    run_ok
+      { (quiet_options ()) with Runner.ro_jobs = 2 }
+      (List.map watched (Corpus.generated ~seed:7 ~count:8))
+  in
+  check Alcotest.(list string) "no app quarantined" [] r.Runner.rn_quarantined;
+  check Alcotest.int "every app ran" 8 (List.length r.Runner.rn_results)
+
 let test_pool_worker_death_quarantines () =
   let es = pool_entries () in
   let victim = (List.nth es 2).Corpus.c_app.Spec.a_name in
@@ -1032,6 +1062,8 @@ let () =
             test_pool_byte_identical;
           tc "worker death quarantines only the in-flight app"
             test_pool_worker_death_quarantines;
+          tc "workers drop the APKs of finished tasks"
+            test_pool_workers_drop_finished_apks;
           tc "observers and results follow the journal"
             test_pool_publishes_only_journaled_records;
           tc "a failed cache write costs only its entry"

@@ -404,7 +404,22 @@ let test_starved_pipeline_degrades () =
   Metrics.set_enabled Metrics.default false;
   check Alcotest.bool "starved Pinterest reports degradations" true
     (starved.Pipeline.an_report.Report.rp_degradations <> []);
-  check Alcotest.bool "and counts them in pipeline.degradations" true counted
+  check Alcotest.bool "and counts them in pipeline.degradations" true counted;
+  (* One backward engine serves all 150 DPs: it trips once, and the
+     §3.4 rounds stop there, so one degradation carries its pending
+     work. *)
+  match
+    List.filter
+      (fun (d : Resilience.Degrade.degradation) ->
+        d.Resilience.Degrade.dg_phase = "slicing.backward")
+      starved.Pipeline.an_report.Report.rp_degradations
+  with
+  | [ d ] ->
+      check Alcotest.bool "backward work left" true
+        (d.Resilience.Degrade.dg_work_left > 0)
+  | ds ->
+      Alcotest.failf "%d slicing.backward degradations, expected one"
+        (List.length ds)
 
 let test_default_limits_do_not_degrade () =
   (* The same app under default limits: governance must be invisible. *)

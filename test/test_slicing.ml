@@ -13,6 +13,12 @@ module Slicer = Extr_slicing.Slicer
 module Pipeline = Extr_extractocol.Pipeline
 module Corpus = Extr_corpus.Corpus
 module Spec = Extr_corpus.Spec
+module Apk = Extr_apk.Apk
+module Index = Extr_ir.Index
+module Pairing = Extr_extractocol.Pairing
+module Fact = Extr_taint.Fact
+module Backward = Extr_taint.Backward
+module Metrics = Extr_telemetry.Metrics
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -260,6 +266,396 @@ let test_all_dp_stats () =
   let n_dps, n_classes = Demarcation.stats () in
   check Alcotest.bool "registry populated" true (n_dps >= 6 && n_classes >= 5)
 
+(* ------------------------------------------------------------------ *)
+(* Golden digests                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let show_mid (m : Ir.method_id) = m.Ir.id_cls ^ "." ^ m.Ir.id_name
+
+let show_sid (s : Ir.stmt_id) =
+  Printf.sprintf "%s:%d" (show_mid s.Ir.sid_meth) s.Ir.sid_idx
+
+let show_stmts set =
+  String.concat " " (List.map show_sid (Ir.Stmt_set.elements set))
+
+let graph_of (apk : Apk.t) =
+  let prog =
+    Prog.of_program (Pipeline.with_library_classes apk.Apk.program)
+  in
+  ( prog,
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog )
+
+let digest_lines f entries =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let prog, cg = graph_of (Lazy.force e.Corpus.c_apk) in
+      f buf e prog cg)
+    entries;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Every DP's request slice (DP statement plus its sorted statements),
+   with the §3.4 heuristic off and on, over 89 apps: the case studies,
+   Table 1 and [generated ~seed:1 ~count:50].  Computed with one
+   backward engine per DP, before the engine was batched; any change to
+   how facts are tagged with the DPs they serve moves it. *)
+let test_golden_request_slices () =
+  let lines buf _ prog cg =
+    List.iter
+      (fun async ->
+        let options =
+          {
+            Slicer.default_options with
+            Slicer.opt_async_heuristic = async;
+            opt_augmentation = false;
+          }
+        in
+        List.iter
+          (fun (sl : Slicer.slice) ->
+            Buffer.add_string buf
+              (Printf.sprintf "%b %s: %s\n" async
+                 (show_sid sl.Slicer.sl_dp.Slicer.dp_stmt)
+                 (show_stmts sl.Slicer.sl_stmts)))
+          (Slicer.run ~options prog cg).Slicer.r_request)
+      [ false; true ]
+  in
+  check Alcotest.string "request slices of 89 apps"
+    "168f70f2859259d1c4d7952365d41cb9"
+    (digest_lines lines
+       (Corpus.case_studies () @ Corpus.table1 ()
+       @ Corpus.generated ~seed:1 ~count:50))
+
+(* Every disjoint pair (DP, head, both segments) of the case studies and
+   Table 1, each app under its pipeline configuration (§3.4 heuristic on
+   for closed-source apps).  Computed before pairing was keyed by DP. *)
+let test_golden_pairs () =
+  let lines buf (e : Corpus.entry) prog cg =
+    let options =
+      {
+        Slicer.default_options with
+        Slicer.opt_async_heuristic = e.Corpus.c_app.Spec.a_closed;
+      }
+    in
+    List.iter
+      (fun (p : Pairing.pair) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%s %s\n req: %s\n resp: %s\n"
+             (show_sid p.Pairing.pr_dp.Slicer.dp_stmt)
+             (show_mid p.Pairing.pr_head)
+             (show_stmts p.Pairing.pr_request_segment)
+             (show_stmts p.Pairing.pr_response_segment)))
+      (Pairing.pair_disjoint prog cg (Slicer.run ~options prog cg))
+  in
+  check Alcotest.string "pairs of 39 apps" "ddcbbf23246a1fbada356e6e9b3930ee"
+    (digest_lines lines (Corpus.case_studies () @ Corpus.table1 ()))
+
+(* ------------------------------------------------------------------ *)
+(* Object-aware augmentation against a whole-body rescan               *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: per method, rescan the whole body for the variables and
+   fields the included statements read, then for the statements defining
+   them, until a rescan adds nothing. *)
+let rescan_augment prog (stmts : Ir.Stmt_set.t) =
+  let included = ref stmts in
+  Ir.Method_set.iter
+    (fun mid ->
+      match Prog.find_method prog mid with
+      | None -> ()
+      | Some m ->
+          let changed = ref true in
+          while !changed do
+            changed := false;
+            let used_vars = Hashtbl.create 16 and used_fields = Hashtbl.create 16 in
+            Array.iteri
+              (fun idx stmt ->
+                if Ir.Stmt_set.mem { Ir.sid_meth = mid; sid_idx = idx } !included
+                then begin
+                  List.iter
+                    (fun (v : Ir.var) -> Hashtbl.replace used_vars v.Ir.vname ())
+                    (Ir.stmt_uses stmt);
+                  match stmt with
+                  | Ir.Assign (_, Ir.IField (_, f)) ->
+                      Hashtbl.replace used_fields (f.Ir.fcls, f.Ir.fname) ()
+                  | _ -> ()
+                end)
+              m.Ir.m_body;
+            Array.iteri
+              (fun idx stmt ->
+                let sid = { Ir.sid_meth = mid; sid_idx = idx } in
+                let defines_used =
+                  match Ir.stmt_def stmt with
+                  | Some v -> Hashtbl.mem used_vars v.Ir.vname
+                  | None -> (
+                      match stmt with
+                      | Ir.Assign (Ir.Lfield (_, f), _) ->
+                          Hashtbl.mem used_fields (f.Ir.fcls, f.Ir.fname)
+                      | Ir.InvokeStmt { Ir.ibase = Some b; _ } ->
+                          Hashtbl.mem used_vars b.Ir.vname
+                      | _ -> false)
+                in
+                if defines_used && not (Ir.Stmt_set.mem sid !included) then begin
+                  included := Ir.Stmt_set.add sid !included;
+                  changed := true
+                end)
+              m.Ir.m_body
+          done)
+    (Ir.Stmt_set.fold
+       (fun sid acc -> Ir.Method_set.add sid.Ir.sid_meth acc)
+       stmts Ir.Method_set.empty);
+  !included
+
+let test_augmentation_equals_rescan () =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let prog, cg = graph_of (Lazy.force e.Corpus.c_apk) in
+      let response aug =
+        (Slicer.run
+           ~options:{ Slicer.default_options with Slicer.opt_augmentation = aug }
+           prog cg)
+          .Slicer.r_response
+      in
+      List.iter2
+        (fun (plain : Slicer.slice) (augmented : Slicer.slice) ->
+          check Alcotest.string
+            (Printf.sprintf "%s: augmented slice of %s" e.Corpus.c_app.Spec.a_name
+               (show_sid plain.Slicer.sl_dp.Slicer.dp_stmt))
+            (show_stmts (rescan_augment prog plain.Slicer.sl_stmts))
+            (show_stmts augmented.Slicer.sl_stmts))
+        (response false) (response true))
+    (Corpus.case_studies () @ Corpus.table1 ()
+    @ Corpus.generated ~seed:1 ~count:50)
+
+(* ------------------------------------------------------------------ *)
+(* One backward engine for every DP                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: one engine for one DP, through the one-DP API, with the
+   §3.4 heuristic restarting from the setters of every field fact the DP
+   carries until its fields stop changing or its hops run out. *)
+let single_request_slice ~iterations prog cg (dp : Slicer.dp_site) =
+  let engine = Backward.create prog cg in
+  let root =
+    match dp.Slicer.dp_info.Demarcation.dp_request with
+    | Demarcation.Arg i -> (
+        match List.nth_opt dp.Slicer.dp_invoke.Ir.iargs i with
+        | Some (Ir.Local v) -> Some v
+        | Some (Ir.Const _) | None -> None)
+    | Demarcation.Recv -> dp.Slicer.dp_invoke.Ir.ibase
+  in
+  let dp_sid = dp.Slicer.dp_stmt in
+  Option.iter
+    (fun v -> Backward.inject_at engine dp_sid [ Fact.local dp_sid.Ir.sid_meth v ])
+    root;
+  Backward.run engine;
+  let rec iterate hops known =
+    let fields =
+      List.sort_uniq compare (Fact.field_facts (Backward.all_facts engine))
+    in
+    if hops > 0 && fields <> known then begin
+      List.iter
+        (fun (st : Index.store) ->
+          Backward.inject_at engine st.Index.fs_stmt
+            [
+              Fact.local_path st.Index.fs_stmt.Ir.sid_meth st.Index.fs_var
+                st.Index.fs_field.Ir.fname;
+            ])
+        (List.concat_map (Index.field_stores (Callgraph.index cg)) fields);
+      Backward.run engine;
+      iterate (hops - 1) fields
+    end
+  in
+  iterate (max 1 iterations) [];
+  Ir.Stmt_set.add dp_sid (Backward.touched_stmts engine)
+
+let backward_facts () =
+  List.fold_left
+    (fun n (s : Metrics.sample) ->
+      if s.Metrics.sa_name = "taint.backward.facts" then n + s.Metrics.sa_count
+      else n)
+    0
+    (Metrics.snapshot Metrics.default)
+
+(* Run [f] with metrics on and return its [taint.backward.facts]. *)
+let counting_facts f =
+  Metrics.set_enabled Metrics.default true;
+  Metrics.reset Metrics.default;
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled Metrics.default false)
+    (fun () ->
+      let r = f () in
+      (r, backward_facts ()))
+
+(* Each DP's slice from the batched engine against the DP's own engine,
+   and the facts counter against the sum of the single runs. *)
+let check_batched_equals_single ~iterations name prog cg =
+  let options =
+    {
+      Slicer.default_options with
+      Slicer.opt_async_heuristic = true;
+      opt_async_iterations = iterations;
+      opt_augmentation = false;
+    }
+  in
+  let batched, batched_facts =
+    counting_facts (fun () -> (Slicer.run ~options prog cg).Slicer.r_request)
+  in
+  let singles, single_facts =
+    counting_facts (fun () ->
+        List.map
+          (fun (sl : Slicer.slice) ->
+            single_request_slice ~iterations prog cg sl.Slicer.sl_dp)
+          batched)
+  in
+  List.iter2
+    (fun (sl : Slicer.slice) single ->
+      check Alcotest.string
+        (Printf.sprintf "%s, %d hops: slice of %s" name iterations
+           (show_sid sl.Slicer.sl_dp.Slicer.dp_stmt))
+        (show_stmts single) (show_stmts sl.Slicer.sl_stmts))
+    batched singles;
+  check Alcotest.int
+    (Printf.sprintf "%s, %d hops: facts counter" name iterations)
+    single_facts batched_facts
+
+let test_batched_equals_single () =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let prog, cg = graph_of (Lazy.force e.Corpus.c_apk) in
+      List.iter
+        (fun iterations ->
+          check_batched_equals_single ~iterations e.Corpus.c_app.Spec.a_name
+            prog cg)
+        [ 1; 3 ])
+    (Corpus.case_studies () @ Corpus.table1 ()
+    @ Corpus.generated ~seed:1 ~count:50
+    @ Corpus.generated ~seed:3 ~count:50)
+
+(* Two DPs whose request parts cross a different number of asynchronous
+   hops, sent one after the other from the same task, so the backward
+   flow of the second crosses the statements of the first.  DP [deep]
+   sends field [fb]; [fb] is derived from [fa] in one timer task and
+   [fa] is built from a literal in another, so the heuristic needs two
+   hops to reach the literal.  DP [shallow] sends field [fc], set in a
+   third task: one hop.  No caller chain connects any two handlers, so
+   only setter restarts bridge them. *)
+let hops_program () =
+  let cls = "com.hop.Main" in
+  let act_ty = Ir.Obj cls in
+  let field name = { Ir.fcls = cls; fname = name; fty = Ir.Str } in
+  let holder_field c = { Ir.fcls = c; fname = "act"; fty = act_ty } in
+  let holder_init c =
+    B.mk_meth ~cls:c ~name:"<init>" ~params:[ B.local "a" act_ty ] ~ret:Ir.Void
+      (fun b ->
+        B.set_field b (Ir.this_var c) (holder_field c)
+          (Ir.Local (B.local "a" act_ty)))
+  in
+  let act_of b c = B.get_field b (Ir.this_var c) (holder_field c) in
+  let concat b parts =
+    let sb = B.new_obj b Api.string_builder [] in
+    List.iter
+      (fun v ->
+        B.call b
+          (B.virtual_call ~ret:(Ir.Obj Api.string_builder) sb Api.string_builder
+             "append" [ v ]))
+      parts;
+    B.call_ret b Ir.Str
+      (B.virtual_call ~ret:Ir.Str sb Api.string_builder "toString" [])
+  in
+  (* [task c body]: a timer task class whose run() gets the activity. *)
+  let task c body =
+    B.mk_cls ~super:Api.timer_task
+      ~fields:[ B.mk_field "act" act_ty ]
+      c
+      [
+        holder_init c;
+        B.mk_meth ~cls:c ~name:"run" ~params:[] ~ret:Ir.Void (fun b ->
+            body b (act_of b c));
+      ]
+  in
+  let send b url =
+    let req = B.new_obj b Api.http_get [ B.vl url ] in
+    let client = B.new_obj b Api.default_http_client [] in
+    B.call b (B.virtual_call client Api.http_client "execute" [ B.vl req ])
+  in
+  let schedule name task_cls =
+    B.mk_meth ~cls ~name ~params:[] ~ret:Ir.Void (fun b ->
+        let t = B.new_obj b Api.timer [] in
+        let h = B.new_obj b task_cls [ Ir.Local (Ir.this_var cls) ] in
+        B.call b (B.virtual_call t Api.timer "schedule" [ B.vl h; B.vint 10 ]))
+  in
+  let classes =
+    [
+      B.mk_cls ~super:Api.activity
+        ~fields:
+          [ B.mk_field "fa" Ir.Str; B.mk_field "fb" Ir.Str; B.mk_field "fc" Ir.Str ]
+        cls
+        [
+          schedule "onStart" "com.hop.A";
+          schedule "onCreate" "com.hop.B";
+          schedule "onResume" "com.hop.C";
+          schedule "onPause" "com.hop.Send";
+        ];
+      task "com.hop.A" (fun b act ->
+          B.set_field b act (field "fa")
+            (Ir.Local (concat b [ B.vstr "zone=" ])));
+      task "com.hop.B" (fun b act ->
+          let a = B.get_field b act (field "fa") in
+          B.set_field b act (field "fb")
+            (Ir.Local (concat b [ B.vl a; B.vstr "&v=2" ])));
+      task "com.hop.C" (fun b act ->
+          B.set_field b act (field "fc")
+            (Ir.Local (concat b [ B.vstr "page=1" ])));
+      task "com.hop.Send" (fun b act ->
+          let deep = B.get_field b act (field "fb") in
+          send b (concat b [ B.vstr "http://hop.example/deep?"; B.vl deep ]);
+          let shallow = B.get_field b act (field "fc") in
+          send b (concat b [ B.vstr "http://hop.example/shallow?"; B.vl shallow ]));
+    ]
+  in
+  let prog =
+    Prog.of_program
+      (Pipeline.with_library_classes { Ir.p_classes = classes; p_entries = [] })
+  in
+  ( prog,
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog )
+
+let test_batched_different_hops () =
+  let prog, cg = hops_program () in
+  let slices iterations =
+    (Slicer.run
+       ~options:
+         {
+           Slicer.default_options with
+           Slicer.opt_async_heuristic = true;
+           opt_async_iterations = iterations;
+         }
+       prog cg)
+      .Slicer.r_request
+  in
+  let in_class cls (sl : Slicer.slice) =
+    Ir.Stmt_set.exists
+      (fun sid -> sid.Ir.sid_meth.Ir.id_cls = cls)
+      sl.Slicer.sl_stmts
+  in
+  match (slices 1, slices 3) with
+  | [ deep1; shallow1 ], [ deep3; shallow3 ] ->
+      check Alcotest.bool "one hop reaches fb's setter" true
+        (in_class "com.hop.B" deep1);
+      check Alcotest.bool "one hop misses fa's setter" false
+        (in_class "com.hop.A" deep1);
+      check Alcotest.bool "the second hop reaches fa's setter" true
+        (in_class "com.hop.A" deep3);
+      check Alcotest.bool "the shallow DP needs one hop" true
+        (Ir.Stmt_set.equal shallow1.Slicer.sl_stmts shallow3.Slicer.sl_stmts
+        && in_class "com.hop.C" shallow1);
+      check Alcotest.bool "no hop crosses to the other DP's chain" false
+        (in_class "com.hop.C" deep3 || in_class "com.hop.B" shallow3);
+      check_batched_equals_single ~iterations:3 "hops" prog cg
+  | _ -> Alcotest.fail "expected two DPs in com.hop.Send, deep first"
+
 let () =
   Alcotest.run "slicing"
     [
@@ -282,5 +678,17 @@ let () =
           tc "fraction" test_slice_fraction_below_one;
           tc "augmentation monotone" test_augmentation_monotone;
           tc "diode fraction (fig 3)" test_diode_fraction_near_paper;
+          tc "augmentation equals rescan (89 apps)"
+            test_augmentation_equals_rescan;
+        ] );
+      ( "golden",
+        [
+          tc "request slices digest (89 apps)" test_golden_request_slices;
+          tc "pairs digest (39 apps)" test_golden_pairs;
+        ] );
+      ( "batched",
+        [
+          tc "equals one engine per DP (189 apps)" test_batched_equals_single;
+          tc "DPs with different hop counts" test_batched_different_hops;
         ] );
     ]
