@@ -179,8 +179,8 @@ let run_fig5 () =
   let naive = Pairing.pair_naive analysis.Pipeline.an_slices in
   Fmt.pf fmt "  naive information-flow pairing candidates: %d (cross-paired)@\n"
     (List.length naive);
-  Fmt.pf fmt "  disjoint-segment pairs: %d@\n"
-    (List.length analysis.Pipeline.an_pairs);
+  let pairs = Lazy.force analysis.Pipeline.an_pairs in
+  Fmt.pf fmt "  disjoint-segment pairs: %d@\n" (List.length pairs);
   List.iter
     (fun (p : Pairing.pair) ->
       Fmt.pf fmt
@@ -188,7 +188,7 @@ let run_fig5 () =
         (Ir.Method_id.to_string p.Pairing.pr_head)
         (Ir.Stmt_set.cardinal p.Pairing.pr_request_segment)
         (Ir.Stmt_set.cardinal p.Pairing.pr_response_segment))
-    analysis.Pipeline.an_pairs;
+    pairs;
   Fmt.pf fmt "@\n"
 
 (* ------------------------------------------------------------------ *)

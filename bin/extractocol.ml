@@ -734,7 +734,8 @@ let inject_arg =
      (default first) hit of $(i,SITE) with $(i,MODE).  Every pipeline\n\
      phase is a site: $(b,pipeline.interpretation@2:kill) kills the\n\
      process (exit 99) the 2nd time that phase starts, leaving the\n\
-     journal for $(b,--resume).  $(b,app.crash:APP) crashes every\n\
+     journal for $(b,--resume); $(b,pipeline.pairing) starts only on\n\
+     runs that record metrics or provenance.  $(b,app.crash:APP) crashes every\n\
      attempt at $(i,APP), which is quarantined (exit 2);\n\
      $(b,worker.exit:APP) and $(b,worker.spin:APP) make the worker\n\
      analyzing $(i,APP) exit or wedge.  Environment faults:\n\

@@ -65,8 +65,31 @@ type t = {
   succs_memo : (Ir.method_id, int list array) Hashtbl.t;
 }
 
-(* One method's call-site records: statements in order, the direct (CHA)
-   record before the implicit (callback) record at the same statement. *)
+(* One invoke's call-site records: the direct (CHA) record before the
+   implicit (callback) record. *)
+let resolve_invoke t (sid : Ir.stmt_id) (invoke : Ir.invoke) =
+  let direct = Prog.callees t.prog invoke |> List.map Ir.method_id_of_meth in
+  let implicit = t.resolver t.prog invoke in
+  (* Keep only callbacks that exist as application methods. *)
+  let implicit =
+    List.filter
+      (fun id ->
+        match Prog.find_method t.prog id with
+        | Some _ -> not (List.mem id direct)
+        | None -> false)
+      implicit
+  in
+  let implicit_record =
+    if implicit = [] then []
+    else
+      [ { cs_stmt = sid; cs_invoke = invoke; cs_callees = implicit; cs_implicit = true } ]
+  in
+  if direct = [] then implicit_record
+  else
+    { cs_stmt = sid; cs_invoke = invoke; cs_callees = direct; cs_implicit = false }
+    :: implicit_record
+
+(* One method's call-site records, statements in order. *)
 let resolve_method t (mid : Ir.method_id) : resolved =
   match Hashtbl.find_opt t.resolved_tbl mid with
   | Some r -> r
@@ -82,32 +105,9 @@ let resolve_method t (mid : Ir.method_id) : resolved =
               match Ir.stmt_invoke stmt with
               | None -> ()
               | Some invoke ->
-                  let sid = { Ir.sid_meth = mid; sid_idx = idx } in
-                  let direct =
-                    Prog.callees t.prog invoke |> List.map Ir.method_id_of_meth
+                  let records =
+                    resolve_invoke t { Ir.sid_meth = mid; sid_idx = idx } invoke
                   in
-                  let implicit = t.resolver t.prog invoke in
-                  (* Keep only callbacks that exist as application methods. *)
-                  let implicit =
-                    List.filter
-                      (fun id ->
-                        match Prog.find_method t.prog id with
-                        | Some _ -> not (List.mem id direct)
-                        | None -> false)
-                      implicit
-                  in
-                  let records = ref [] in
-                  if direct <> [] then
-                    records :=
-                      { cs_stmt = sid; cs_invoke = invoke; cs_callees = direct;
-                        cs_implicit = false }
-                      :: !records;
-                  if implicit <> [] then
-                    records :=
-                      { cs_stmt = sid; cs_invoke = invoke; cs_callees = implicit;
-                        cs_implicit = true }
-                      :: !records;
-                  let records = List.rev !records in
                   by_idx.(idx) <- records;
                   sites := List.rev_append records !sites)
             m.Ir.m_body;
@@ -132,6 +132,8 @@ let lazy_build ?(callback_resolver = no_callbacks) ?(callback_triggers = [])
 
 let callsites t mid = (resolve_method t mid).rs_sites
 
+let sites_by_stmt t mid = (resolve_method t mid).rs_by_idx
+
 let callsite_at t (sid : Ir.stmt_id) =
   let r = resolve_method t sid.Ir.sid_meth in
   if sid.Ir.sid_idx >= 0 && sid.Ir.sid_idx < Array.length r.rs_by_idx then
@@ -139,13 +141,20 @@ let callsite_at t (sid : Ir.stmt_id) =
   else []
 
 (* [f callee (ordinal, site)] once per occurrence of a callee among the
-   call-site records at one indexed site. *)
-let iter_hits t f (s : Index.site) =
+   call-site records at one indexed site, given those records. *)
+let iter_records f (s : Index.site) records =
   List.iter
     (fun cs ->
       List.iter (fun c -> f c (s.Index.st_ord, s.Index.st_stmt)) cs.cs_callees)
-    (callsite_at t s.Index.st_stmt)
+    records
 
+let iter_hits t f (s : Index.site) =
+  iter_records f s (callsite_at t s.Index.st_stmt)
+
+(* Trigger names include ["<init>"], so their sites sit in most methods:
+   each is resolved on its own (or read off its method, when that is
+   resolved already), which leaves the method unresolved until something
+   visits it. *)
 let trigger_hits t =
   match t.trigger_hits with
   | Some m -> m
@@ -156,7 +165,15 @@ let trigger_hits t =
           (hit :: Option.value (Hashtbl.find_opt map c) ~default:[])
       in
       List.iter
-        (fun name -> List.iter (iter_hits t add) (Index.sites_invoking t.index name))
+        (fun name ->
+          List.iter
+            (fun (s : Index.site) ->
+              let sid = s.Index.st_stmt in
+              iter_records add s
+                (match Hashtbl.find_opt t.resolved_tbl sid.Ir.sid_meth with
+                | Some r -> r.rs_by_idx.(sid.Ir.sid_idx)
+                | None -> resolve_invoke t sid s.Index.st_invoke))
+            (Index.sites_invoking t.index name))
         (List.sort_uniq String.compare t.trigger_names);
       t.trigger_hits <- Some map;
       map

@@ -37,6 +37,11 @@ val lazy_build :
 val callsites : t -> Ir.method_id -> callsite list
 (** Call sites inside a method (resolved on first visit). *)
 
+val sites_by_stmt : t -> Ir.method_id -> callsite list array
+(** A method's call-site records indexed by statement (resolved on first
+    visit; empty for a method the program lacks), for engines that keep
+    one method's records at hand across its statements. *)
+
 val callsite_at : t -> Ir.stmt_id -> callsite list
 (** Call-site records anchored at one statement (possibly one explicit
     and one implicit).  O(1) after the statement's method is resolved. *)

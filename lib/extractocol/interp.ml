@@ -80,6 +80,26 @@ type pending = {
   mutable pe_heap : heap option;  (** heap at the end of the registering run *)
 }
 
+(* A call site's resolution, kept in its method's plan: the library model
+   on the first visit, the application callees (explicit edges) on first
+   need — an [AsyncTask.execute] never asks the call graph. *)
+type call = {
+  c_model : Libmodel.t option;
+  mutable c_callees : Ir.method_id list option;
+}
+
+(* What executing a method needs besides the state, built on its first
+   call: the CFG, the block order, which blocks head loops, and its call
+   sites by statement. *)
+type plan = {
+  pl_meth : Ir.meth;
+  pl_cfg : Cfg.t;
+  pl_order : int list;  (** blocks in visiting order *)
+  pl_header : bool array;  (** loop-header blocks *)
+  pl_has_loops : bool;
+  pl_calls : call option array;
+}
+
 type t = {
   prog : Prog.t;
   cg : Callgraph.t;
@@ -99,7 +119,7 @@ type t = {
   mutable active : Ir.Method_set.t;  (** recursion guard *)
   mutable steps : int;  (** statements interpreted (telemetry) *)
   budget : Resilience.Budget.t;  (** fuel / depth / deadline governance *)
-  cfg_cache : (Ir.method_id, Cfg.t) Hashtbl.t;
+  plans : (Ir.method_id, plan option) Hashtbl.t;
   prof : Ir.method_id Profile.cursor;
       (** per-method cost attribution; statement-granular visits mean the
           time between two statements is charged to the method executing
@@ -221,21 +241,56 @@ let create ?(options = default_options) ?budget ?slices prog cg (apk : Apk.t) :
     active = Ir.Method_set.empty;
     steps = 0;
     budget;
-    cfg_cache = Hashtbl.create 32;
+    plans = Hashtbl.create 32;
     prof =
       Profile.cursor ~phase:"interpretation" ~render:Ir.Method_id.to_string ();
   }
 
-let cfg_of t mid =
-  match Hashtbl.find_opt t.cfg_cache mid with
-  | Some c -> Some c
-  | None -> (
-      match Prog.find_method t.prog mid with
-      | Some m ->
-          let c = Cfg.build m in
-          Hashtbl.replace t.cfg_cache mid c;
-          Some c
-      | None -> None)
+let plan_of t mid =
+  match Hashtbl.find_opt t.plans mid with
+  | Some p -> p
+  | None ->
+      let p =
+        Option.map
+          (fun (m : Ir.meth) ->
+            let cfg = Cfg.build m in
+            let order = Cfg.topological_order cfg in
+            let { Cfg.headers; _ } = Cfg.loops cfg in
+            let header = Array.make (Cfg.n_blocks cfg) false in
+            List.iter (fun b -> header.(b) <- true) headers;
+            {
+              pl_meth = m;
+              pl_cfg = cfg;
+              pl_order = (if t.opts.io_naive_order then List.rev order else order);
+              pl_header = header;
+              pl_has_loops = headers <> [] || t.opts.io_naive_order;
+              pl_calls = Array.make (Array.length m.Ir.m_body) None;
+            })
+          (Prog.find_method t.prog mid)
+      in
+      Hashtbl.add t.plans mid p;
+      p
+
+let call_at plan idx (i : Ir.invoke) =
+  match plan.pl_calls.(idx) with
+  | Some c -> c
+  | None ->
+      let c = { c_model = Api.model_of i; c_callees = None } in
+      plan.pl_calls.(idx) <- Some c;
+      c
+
+let callees_at t c (sid : Ir.stmt_id) =
+  match c.c_callees with
+  | Some l -> l
+  | None ->
+      let l =
+        List.concat_map
+          (fun cs ->
+            if cs.Callgraph.cs_implicit then [] else cs.Callgraph.cs_callees)
+          (Callgraph.callsite_at t.cg sid)
+      in
+      c.c_callees <- Some l;
+      l
 
 (* ------------------------------------------------------------------ *)
 (* Transaction anchoring                                              *)
@@ -388,8 +443,9 @@ let rec exec_method t ~depth ~(heap : heap) (mid : Ir.method_id)
     || Ir.Method_set.mem mid t.active
   then (Vtop, heap)
   else
-    match (Prog.find_method t.prog mid, cfg_of t mid) with
-    | Some meth, Some cfg ->
+    match plan_of t mid with
+    | Some plan ->
+        let meth = plan.pl_meth and cfg = plan.pl_cfg in
         t.active <- Ir.Method_set.add mid t.active;
         let initial =
           let vars = ref Env.empty in
@@ -401,17 +457,13 @@ let rec exec_method t ~depth ~(heap : heap) (mid : Ir.method_id)
           (match this with Some v -> vars := Env.add "this" v !vars | None -> ());
           { vars = !vars; sheap = heap }
         in
-        let order = Cfg.topological_order cfg in
-        let order = if t.opts.io_naive_order then List.rev order else order in
-        let { Cfg.headers; _ } = Cfg.loops cfg in
-        let has_loops = headers <> [] || t.opts.io_naive_order in
         let nb = Cfg.n_blocks cfg in
         let block_out : state option array = Array.make nb None in
         let header_in : state option array = Array.make nb None in
         let rets : (Absval.t * heap) list ref = ref [] in
         let passes =
           if t.opts.io_naive_order then max 20 t.opts.io_loop_passes
-          else if has_loops then t.opts.io_loop_passes
+          else if plan.pl_has_loops then t.opts.io_loop_passes
           else 1
         in
         let changed = ref true in
@@ -426,7 +478,7 @@ let rec exec_method t ~depth ~(heap : heap) (mid : Ir.method_id)
                 List.filter_map (fun p -> block_out.(p)) cfg.Cfg.preds.(b)
               in
               let state_in =
-                if List.mem b headers then begin
+                if plan.pl_header.(b) then begin
                   (* Loop headers widen each incoming state against the
                      previous header state so textual growth becomes rep
                      instead of an ever-growing disjunction (§3.2). *)
@@ -457,13 +509,13 @@ let rec exec_method t ~depth ~(heap : heap) (mid : Ir.method_id)
                   | _, [] -> { initial with vars = Env.empty }
                   | _, s :: ss -> List.fold_left merge_states s ss
               in
-              let out = exec_block t ~depth mid meth cfg b state_in rets in
+              let out = exec_block t ~depth mid plan b state_in rets in
               match block_out.(b) with
               | Some prev when states_equal prev out -> ()
               | Some _ | None ->
                   block_out.(b) <- Some out;
                   changed := true)
-            order
+            plan.pl_order
         done;
         t.active <- Ir.Method_set.remove mid t.active;
         (* Merge the return values and exit heaps. *)
@@ -493,58 +545,58 @@ let rec exec_method t ~depth ~(heap : heap) (mid : Ir.method_id)
                 r rest
         in
         (ret_val, exit_heap)
-    | _, _ -> (Vtop, heap)
+    | None -> (Vtop, heap)
 
-and exec_block t ~depth mid meth cfg b (state_in : state) rets : state =
+and exec_block t ~depth mid plan b (state_in : state) rets : state =
   (* Budget exhaustion bails at block granularity: a block either runs
      whole or not at all, so no partially-updated signature database is
      ever merged downstream.  (The old per-statement fuel guard silently
      skipped individual statements mid-block, corrupting env/heap state.) *)
   if not (Resilience.Budget.alive t.budget) then state_in
   else begin
-  let body = meth.Ir.m_body in
+  let body = plan.pl_meth.Ir.m_body in
   let href = ref state_in.sheap in
   let vars = ref state_in.vars in
-  List.iter
-    (fun idx ->
-      ignore (Resilience.Budget.spend t.budget : bool);
-      t.steps <- t.steps + 1;
-      Profile.visit t.prof mid;
-      Profile.spend t.prof 1;
-      begin
-        let sid = { Ir.sid_meth = mid; sid_idx = idx } in
-        match body.(idx) with
-        | Ir.Assign (lhs, rhs) -> (
-            let v = eval_expr t ~depth href !vars sid rhs in
-            match lhs with
-            | Ir.Lvar x -> vars := Env.add x.Ir.vname v !vars
-            | Ir.Lfield (x, f) -> (
-                match Env.find_opt x.Ir.vname !vars with
-                | Some (Vobj o) -> hset href o f.Ir.fname v
-                | Some _ | None -> ())
-            | Ir.Lsfield f -> Hashtbl.replace t.statics (f.Ir.fcls, f.Ir.fname) v
-            | Ir.Lelem (a, _) -> (
-                match Env.find_opt a.Ir.vname !vars with
-                | Some (Vobj o) ->
-                    let items =
-                      match hslot href o "items" with
-                      | Some (Vlist l) -> l
-                      | _ -> []
-                    in
-                    hset href o "items" (Vlist (items @ [ v ]))
-                | Some _ | None -> ()))
-        | Ir.InvokeStmt i -> ignore (eval_invoke t ~depth href !vars sid i)
-        | Ir.Return v ->
-            (match v with
-            | Some value -> rets := (eval_value !vars value, !href) :: !rets
-            | None -> rets := (Vnull, !href) :: !rets)
-        | Ir.If _ | Ir.Goto _ | Ir.Lab _ | Ir.Nop -> ()
-      end)
-    (Cfg.block_stmts cfg b);
+  let blk = plan.pl_cfg.Cfg.blocks.(b) in
+  for idx = blk.Cfg.b_first to blk.Cfg.b_last do
+    ignore (Resilience.Budget.spend t.budget : bool);
+    t.steps <- t.steps + 1;
+    Profile.visit t.prof mid;
+    Profile.spend t.prof 1;
+    begin
+      let sid = { Ir.sid_meth = mid; sid_idx = idx } in
+      match body.(idx) with
+      | Ir.Assign (lhs, rhs) -> (
+          let v = eval_expr t ~depth plan href !vars sid rhs in
+          match lhs with
+          | Ir.Lvar x -> vars := Env.add x.Ir.vname v !vars
+          | Ir.Lfield (x, f) -> (
+              match Env.find_opt x.Ir.vname !vars with
+              | Some (Vobj o) -> hset href o f.Ir.fname v
+              | Some _ | None -> ())
+          | Ir.Lsfield f -> Hashtbl.replace t.statics (f.Ir.fcls, f.Ir.fname) v
+          | Ir.Lelem (a, _) -> (
+              match Env.find_opt a.Ir.vname !vars with
+              | Some (Vobj o) ->
+                  let items =
+                    match hslot href o "items" with
+                    | Some (Vlist l) -> l
+                    | _ -> []
+                  in
+                  hset href o "items" (Vlist (items @ [ v ]))
+              | Some _ | None -> ()))
+      | Ir.InvokeStmt i -> ignore (eval_invoke t ~depth plan href !vars sid i)
+      | Ir.Return v ->
+          (match v with
+          | Some value -> rets := (eval_value !vars value, !href) :: !rets
+          | None -> rets := (Vnull, !href) :: !rets)
+      | Ir.If _ | Ir.Goto _ | Ir.Lab _ | Ir.Nop -> ()
+    end
+  done;
   { vars = !vars; sheap = !href }
   end
 
-and eval_expr t ~depth href vars sid (e : Ir.expr) : Absval.t =
+and eval_expr t ~depth plan href vars sid (e : Ir.expr) : Absval.t =
   match e with
   | Ir.Val v -> eval_value vars v
   | Ir.Binop (op, a, b) -> eval_binop op (eval_value vars a) (eval_value vars b)
@@ -573,14 +625,16 @@ and eval_expr t ~depth href vars sid (e : Ir.expr) : Absval.t =
       | Some _ | None -> Vtop)
   | Ir.ALen _ -> Vint None
   | Ir.Cast (_, v) -> eval_value vars v
-  | Ir.Invoke i -> eval_invoke t ~depth href vars sid i
+  | Ir.Invoke i -> eval_invoke t ~depth plan href vars sid i
 
-and eval_invoke t ~depth href vars (sid : Ir.stmt_id) (i : Ir.invoke) : Absval.t =
+and eval_invoke t ~depth plan href vars (sid : Ir.stmt_id) (i : Ir.invoke) :
+    Absval.t =
   let base = Option.map (fun b -> eval_value vars (Ir.Local b)) i.Ir.ibase in
   let args = List.map (eval_value vars) i.Ir.iargs in
   (* AsyncTask chaining: execute(args) → doInBackground(args) →
      onPostExecute(result). *)
-  let model = Api.model_of i in
+  let call = call_at plan sid.Ir.sid_idx i in
+  let model = call.c_model in
   if model = Some Libmodel.Async_execute then begin
     match base with
     | Some (Vobj o) ->
@@ -594,14 +648,7 @@ and eval_invoke t ~depth href vars (sid : Ir.stmt_id) (i : Ir.invoke) : Absval.t
     | Some _ | None -> Vnull
   end
   else begin
-    let sites = Callgraph.callsite_at t.cg sid in
-    let app_callees =
-      List.concat_map
-        (fun cs ->
-          if cs.Callgraph.cs_implicit then [] else cs.Callgraph.cs_callees)
-        sites
-    in
-    match (app_callees, model) with
+    match (callees_at t call sid, model) with
     | [], Some m -> (
         match Api_sem.call (api_ctx t ~depth ~href ~sid) ~sid m i ~base ~args with
         | Some v ->

@@ -18,6 +18,7 @@ module Span = Extr_telemetry.Span
 module Metrics = Extr_telemetry.Metrics
 module Profile = Extr_telemetry.Profile
 module Resilience = Extr_resilience.Resilience
+module Provenance = Extr_provenance.Provenance
 
 let src = Logs.Src.create "extractocol.pipeline" ~doc:"Extractocol pipeline stages"
 
@@ -137,7 +138,7 @@ type analysis = {
   an_cg : Callgraph.t;
   an_slices : Slicer.result;
   an_txs : Txn.t list;  (** raw (pre-dedup) transactions *)
-  an_pairs : Pairing.pair list;
+  an_pairs : Pairing.pair list Lazy.t;
   an_report : Report.t;
 }
 
@@ -237,7 +238,14 @@ let analyze ?(options = default_options) (apk : Apk.t) : analysis =
             && String.sub cls 0 (String.length prefix) = prefix)
           txs
   in
-  let pairs = phase "pairing" @@ fun () -> Pairing.pair_disjoint prog cg slices in
+  (* No report byte depends on the disjoint pairs: they justify
+     transactions in the provenance record (--explain) and feed the
+     pairing.pairs series, so only a run recording either pairs here. *)
+  let pairs = lazy (Pairing.pair_disjoint prog cg slices) in
+  if
+    Provenance.is_enabled Provenance.default
+    || Metrics.is_enabled Metrics.default
+  then ignore (phase "pairing" (fun () -> Lazy.force pairs));
   (* Depth clipping is non-sticky (it only widens the clipped calls), but
      it still means some call chains were not followed to the end. *)
   if Resilience.Budget.depth_clipped budget then

@@ -42,14 +42,19 @@ type analysis = {
   an_cg : Callgraph.t;
   an_slices : Slicer.result;
   an_txs : Txn.t list;  (** raw (pre-dedup) transactions *)
-  an_pairs : Pairing.pair list;
+  an_pairs : Pairing.pair list Lazy.t;
+      (** the disjoint pairs (§3.3); {!analyze} forces them, in the
+          ["pipeline.pairing"] phase, only when the provenance recorder or
+          the metrics registry is on, since no report byte reads them *)
   an_report : Report.t;
 }
 
 val phase_names : string list
 (** The Figure 2 stages in execution order.  {!analyze} records one
     telemetry span named ["pipeline.<phase>"] per stage (nested under
-    ["pipeline.analyze"]) when the default tracer is enabled. *)
+    ["pipeline.analyze"]) when the default tracer is enabled; the
+    ["pairing"] stage runs only when something reads its pairs (see
+    {!analysis}). *)
 
 val with_library_classes : Ir.program -> Ir.program
 (** Ensure the modelled library classes are present (needed to resolve

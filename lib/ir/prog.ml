@@ -7,9 +7,12 @@ type t = {
   program : program;
   classes : (string, cls) Hashtbl.t;
   methods : meth Method_map.t;
-  subclasses_memo : (string, string list) Hashtbl.t;
-      (** receiver class → CHA candidate set; computing it walks the whole
-          class table, and [callees] asks for it on every virtual invoke *)
+  mutable below : (string, string list) Hashtbl.t option;
+      (** class → every class under it (inclusive): the CHA candidate
+          sets, built on the first [subclasses] query *)
+  callees_memo : (invoke_kind * string * string, meth list) Hashtbl.t;
+      (** [callees] per (kind, receiver class, method name) — all that its
+          answer depends on; most invokes of an app repeat a key *)
 }
 
 let of_program (p : program) =
@@ -23,13 +26,17 @@ let of_program (p : program) =
           acc c.c_methods)
       Method_map.empty p.p_classes
   in
-  { program = p; classes; methods; subclasses_memo = Hashtbl.create 64 }
+  {
+    program = p;
+    classes;
+    methods;
+    below = None;
+    callees_memo = Hashtbl.create 256;
+  }
 
 let find_class t name = Hashtbl.find_opt t.classes name
 
 let find_method t (id : method_id) = Method_map.find_opt id t.methods
-
-let find_method_ref t (r : method_ref) = find_method t (method_id_of_ref r)
 
 (** Walk the superclass chain from [cls] upward, inclusive.  Corrupt
     class data can declare a superclass cycle; the walk cuts it at the
@@ -63,57 +70,76 @@ let resolve_virtual t ~cls ~mname =
   walk (ancestry t cls)
 
 (** All subclasses of [cls] present in the program (inclusive), used for
-    CHA-style call-graph construction.  Memoized per receiver class: the
-    walk over the whole class table ran on every virtual invoke and
-    dominated call-graph resolution. *)
+    CHA-style call-graph construction: the classes whose ancestry holds
+    [cls], in reverse order of a fold over the class table.  One walk up
+    from every class files it under each of its ancestors, so a query is
+    one lookup instead of an [is_subclass] test of every class. *)
 let subclasses t cls =
-  match Hashtbl.find_opt t.subclasses_memo cls with
-  | Some l -> l
-  | None ->
-      let l =
+  let below =
+    match t.below with
+    | Some b -> b
+    | None ->
+        let b = Hashtbl.create 64 in
         Hashtbl.fold
-          (fun name _ acc ->
-            if is_subclass t ~sub:name ~super:cls then name :: acc else acc)
-          t.classes []
-      in
-      Hashtbl.add t.subclasses_memo cls l;
-      l
+          (fun name _ () ->
+            List.iter
+              (fun anc ->
+                Hashtbl.replace b anc
+                  (name :: Option.value (Hashtbl.find_opt b anc) ~default:[]))
+              (ancestry t name))
+          t.classes ();
+        t.below <- Some b;
+        b
+  in
+  Option.value (Hashtbl.find_opt below cls) ~default:[]
 
 (** CHA resolution of an invoke: the set of concrete methods it may reach.
     Virtual calls consider every subclass override; static and special calls
     resolve to a single target.  Library methods are excluded — they are
-    handled by semantic models, not analyzed. *)
+    handled by semantic models, not analyzed.  The answer depends only on
+    the kind, the receiver class (the declared class for static and
+    special calls) and the method name, so it is memoized on those. *)
 let callees t (i : invoke) : meth list =
-  let app_only m =
-    match find_class t m.m_cls with
-    | Some c when not c.c_library -> true
-    | Some _ | None -> false
+  let cls =
+    match (i.ikind, i.ibase) with
+    | Virtual, Some { vty = Obj c; _ } -> c
+    | (Virtual | Static | Special), _ -> i.iref.mcls
   in
-  match i.ikind with
-  | Static | Special -> (
-      match find_method_ref t i.iref with
-      | Some m when app_only m -> [ m ]
-      | Some _ | None -> [])
-  | Virtual ->
-      let receiver_cls =
-        match i.ibase with Some { vty = Obj c; _ } -> c | Some _ | None -> i.iref.mcls
+  let key = (i.ikind, cls, i.iref.mname) in
+  match Hashtbl.find_opt t.callees_memo key with
+  | Some ms -> ms
+  | None ->
+      let app_only m =
+        match find_class t m.m_cls with
+        | Some c when not c.c_library -> true
+        | Some _ | None -> false
       in
-      let candidates = subclasses t receiver_cls in
-      let defining =
-        List.filter_map
-          (fun c -> find_method t { id_cls = c; id_name = i.iref.mname })
-          candidates
+      let ms =
+        match i.ikind with
+        | Static | Special -> (
+            match find_method t { id_cls = cls; id_name = i.iref.mname } with
+            | Some m when app_only m -> [ m ]
+            | Some _ | None -> [])
+        | Virtual ->
+            let defining =
+              List.filter_map
+                (fun c -> find_method t { id_cls = c; id_name = i.iref.mname })
+                (subclasses t cls)
+            in
+            let defining =
+              (* If no subclass defines it, fall back to superclass
+                 resolution. *)
+              match defining with
+              | [] -> (
+                  match resolve_virtual t ~cls ~mname:i.iref.mname with
+                  | Some m -> [ m ]
+                  | None -> [])
+              | ms -> ms
+            in
+            List.filter app_only defining
       in
-      let defining =
-        (* If no subclass defines it, fall back to superclass resolution. *)
-        match defining with
-        | [] -> (
-            match resolve_virtual t ~cls:receiver_cls ~mname:i.iref.mname with
-            | Some m -> [ m ]
-            | None -> [])
-        | ms -> ms
-      in
-      List.filter app_only defining
+      Hashtbl.add t.callees_memo key ms;
+      ms
 
 let app_methods t =
   Method_map.fold

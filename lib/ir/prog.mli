@@ -9,7 +9,6 @@ val of_program : program -> t
 
 val find_class : t -> string -> cls option
 val find_method : t -> method_id -> meth option
-val find_method_ref : t -> method_ref -> meth option
 
 val ancestry : t -> string -> string list
 (** The superclass chain from a class upward, inclusive. *)
@@ -24,7 +23,8 @@ val subclasses : t -> string -> string list
 
 val callees : t -> invoke -> meth list
 (** CHA resolution of an invoke to concrete application methods; library
-    methods are excluded (they are handled by semantic models). *)
+    methods are excluded (they are handled by semantic models).
+    Memoized per (invoke kind, receiver class, method name). *)
 
 val app_methods : t -> meth list
 (** All methods of non-library classes. *)

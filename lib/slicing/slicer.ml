@@ -150,11 +150,11 @@ let request_slices ?budget ~async_heuristic ~async_iterations prog cg
   (if async_heuristic then
      let hops = Array.make n (max 1 async_iterations) in
      let rec round () =
-       let carriers = Backward.facts_by_dp engine in
+       let carriers = Backward.field_carriers engine in
        let iterating = ref [] in
        let by_field = Hashtbl.create 16 in
        for k = n - 1 downto 0 do
-         let fields = List.sort_uniq compare (Fact.field_facts carriers.(k)) in
+         let fields = carriers.(k) in
          if hops.(k) > 0 && fields <> known.(k) then begin
            hops.(k) <- hops.(k) - 1;
            known.(k) <- fields;

@@ -16,7 +16,9 @@
    [onCreate] that registers every listener) is walked once, not once
    per DP.
 
-   The fixpoint state lives in hash tables and the worklist is
+   The fixpoint state lives in one record per method (a slot: after-sets,
+   pending flags, touched DP sets, relevant parameters, entry globals),
+   found with one table lookup per method visit, and the worklist is
    deduplicated (a statement whose after-set grows while it is already
    queued is transferred once, against the merged set).  Chaotic
    iteration over monotone transfers reaches the same fixpoint in any
@@ -87,13 +89,23 @@ end = struct
     let rec pop w n = if w = 0 then n else pop (w land (w - 1)) (n + 1) in
     Array.fold_left (fun n w -> pop w n) 0 a
 
+  (* Index of the lowest set bit of a nonzero word, by halving. *)
+  let lowest w =
+    let rec go w k step =
+      if step = 0 then k
+      else if w land ((1 lsl step) - 1) = 0 then go (w lsr step) (k + step) (step / 2)
+      else go w k (step / 2)
+    in
+    go w 0 32
+
   let iter f a =
     Array.iteri
       (fun i w ->
-        if w <> 0 then
-          for j = 0 to width - 1 do
-            if w land (1 lsl j) <> 0 then f ((i * width) + j)
-          done)
+        let w = ref w in
+        while !w <> 0 do
+          f ((i * width) + lowest !w);
+          w := !w land (!w - 1)
+        done)
       a
 end
 
@@ -129,8 +141,9 @@ let restrict ?(out = false) (m : facts) b : facts =
    statement justify its slice membership — those of the DPs the
    statement was touched for.  Rendering a fact allocates, so the enabled
    flag is read before any formatting happens. *)
-let record_gen sid (gen : facts) touched =
+let record_gen mid idx (gen : facts) touched =
   if Provenance.is_enabled Provenance.default then
+    let sid = { Ir.sid_meth = mid; sid_idx = idx } in
     Fact.Map.iter
       (fun f b ->
         if not (Tags.is_empty (Tags.inter b touched)) then
@@ -147,116 +160,102 @@ let m_facts =
     ~help:"distinct facts alive after backward propagation, summed over DPs"
     "taint.backward.facts"
 
+(* One method's share of the fixpoint state.  The arrays are indexed by
+   statement and sized [max 1 (body length)]; a method the program does
+   not define gets a slot that transfers nothing. *)
+type slot = {
+  mid : Ir.method_id;
+  meth : Ir.meth option;
+  body : Ir.stmt array;
+  after : facts array;
+      (** facts relevant after each statement (reverse-flow entry set) *)
+  pending : bool array;
+      (** per-statement pending flags (the deduplicated worklist) *)
+  mutable count : int;  (** pending flags set *)
+  touched : Tags.t array;  (** DPs each statement is in the slice of *)
+  mutable params : (string * Tags.t) list;
+      (** parameters (or "this") found relevant at method entry *)
+  mutable entry_globals : facts;
+      (** global facts alive at the method entry, flowing back to callers *)
+  returns : int list Lazy.t;  (** [Cfg.return_indices] *)
+  preds : int list array option Lazy.t;
+      (** statement predecessors, from the call graph's shared memo *)
+  sites : Callgraph.callsite list array Lazy.t;
+      (** call-site records by statement; resolving them is the call
+          graph's work, so it waits for the first invoke transfer *)
+  mutable transparent : bool option;  (** see [globals_transparent] *)
+}
+
 type t = {
   prog : Prog.t;
   cg : Callgraph.t;
   dps : int;  (** the DPs served are 0 .. dps - 1 *)
-  after : (Ir.method_id, facts array) Hashtbl.t;
-      (** facts relevant after each statement (reverse-flow entry set) *)
-  param_relevant : (Ir.method_id * string, Tags.t) Hashtbl.t;
-      (** callee parameters (or "this") found relevant at method entry *)
-  entry_globals : (Ir.method_id, facts) Hashtbl.t;
-      (** global facts alive at method entries, flowing back to callers *)
-  touched : (Ir.stmt_id, Tags.t) Hashtbl.t;
-  queue : Ir.method_id Queue.t;  (** methods with pending statements *)
-  pending : (Ir.method_id, bool array) Hashtbl.t;
-      (** per-statement pending flags (the deduplicated worklist) *)
-  pending_count : (Ir.method_id, int ref) Hashtbl.t;
+  slots : (Ir.method_id, slot) Hashtbl.t;
+  queue : slot Queue.t;  (** methods with pending statements *)
   mutable facts_acc : facts;
       (** running union of every fact ever merged anywhere — keeps
           [all_facts] and the per-DP carriers of the async heuristic a
           fold over one map *)
-  meths : (Ir.method_id, Ir.meth option) Hashtbl.t;
-      (** [Prog.find_method] memo — hit on every worklist step *)
-  returns : (Ir.method_id, int list) Hashtbl.t;
-      (** [Cfg.return_indices] memo — hit per app-callee invoke transfer *)
-  transparent : (Ir.method_id, bool) Hashtbl.t;
-      (** methods that pure-global injections pass through unchanged —
-          see [globals_transparent] *)
   prof : Ir.method_id Profile.cursor;
       (** per-method cost attribution for the fixpoint loop *)
 }
 
-(* Predecessor arrays come from the call graph's shared per-method memo,
-   which the forward engines of the run share too. *)
 let create ?(dps = 1) prog cg =
   {
     prog;
     cg;
     dps;
-    after = Hashtbl.create 64;
-    param_relevant = Hashtbl.create 32;
-    entry_globals = Hashtbl.create 32;
-    touched = Hashtbl.create 128;
+    slots = Hashtbl.create 64;
     queue = Queue.create ();
     facts_acc = Fact.Map.empty;
-    pending = Hashtbl.create 64;
-    pending_count = Hashtbl.create 64;
-    meths = Hashtbl.create 64;
-    returns = Hashtbl.create 32;
-    transparent = Hashtbl.create 64;
     prof =
       Profile.cursor ~phase:"slicing.backward" ~render:Ir.Method_id.to_string
         ();
   }
 
-let meth_of t mid =
-  match Hashtbl.find_opt t.meths mid with
-  | Some m -> m
+let slot_of t mid =
+  match Hashtbl.find_opt t.slots mid with
+  | Some s -> s
   | None ->
-      let m = Prog.find_method t.prog mid in
-      Hashtbl.add t.meths mid m;
-      m
+      let meth = Prog.find_method t.prog mid in
+      let body = match meth with Some m -> m.Ir.m_body | None -> [||] in
+      let n = max 1 (Array.length body) in
+      let s =
+        {
+          mid;
+          meth;
+          body;
+          after = Array.make n Fact.Map.empty;
+          pending = Array.make n false;
+          count = 0;
+          touched = Array.make n Tags.empty;
+          params = [];
+          entry_globals = Fact.Map.empty;
+          returns =
+            lazy
+              (match meth with
+              | Some m -> Extr_cfg.Cfg.return_indices m
+              | None -> []);
+          preds = lazy (Callgraph.stmt_preds t.cg mid);
+          sites = lazy (Callgraph.sites_by_stmt t.cg mid);
+          transparent = None;
+        }
+      in
+      Hashtbl.add t.slots mid s;
+      s
 
-let body_of t mid =
-  match meth_of t mid with Some m -> m.Ir.m_body | None -> [||]
-
-let returns_of t mid (m : Ir.meth) =
-  match Hashtbl.find_opt t.returns mid with
-  | Some r -> r
-  | None ->
-      let r = Extr_cfg.Cfg.return_indices m in
-      Hashtbl.add t.returns mid r;
-      r
-
-let after_array t mid =
-  match Hashtbl.find_opt t.after mid with
-  | Some arr -> arr
-  | None ->
-      let arr = Array.make (max 1 (Array.length (body_of t mid))) Fact.Map.empty in
-      Hashtbl.add t.after mid arr;
-      arr
-
-let param_tags t mid p =
-  match Hashtbl.find_opt t.param_relevant (mid, p) with
-  | Some b -> b
-  | None -> Tags.empty
+let param_tags s p =
+  match List.assoc_opt p s.params with Some b -> b | None -> Tags.empty
 
 (* The worklist is a queue of methods, each with per-statement pending
    flags.  Draining a method sweeps its flags from the highest index down
    — the direction reverse flow moves — so a fact wave crosses the whole
    body in one pass instead of one growth-requeue cycle per statement. *)
-let enqueue t mid idx =
-  let flags =
-    match Hashtbl.find_opt t.pending mid with
-    | Some f -> f
-    | None ->
-        let f = Array.make (max 1 (Array.length (body_of t mid))) false in
-        Hashtbl.add t.pending mid f;
-        f
-  in
-  if idx < Array.length flags && not flags.(idx) then begin
-    flags.(idx) <- true;
-    let count =
-      match Hashtbl.find_opt t.pending_count mid with
-      | Some c -> c
-      | None ->
-          let c = ref 0 in
-          Hashtbl.add t.pending_count mid c;
-          c
-    in
-    if !count = 0 then Queue.add mid t.queue;
-    incr count
+let enqueue t s idx =
+  if idx < Array.length s.pending && not s.pending.(idx) then begin
+    s.pending.(idx) <- true;
+    if s.count = 0 then Queue.add s t.queue;
+    s.count <- s.count + 1
   end
 
 (* The bindings [facts] adds to [dst], each with its DPs in both: at
@@ -280,14 +279,12 @@ let add_to_acc t f x =
 (* [~carried]: every binding of [facts] is in the running union already —
    a transfer's output, whose facts come from its after-set or from its
    gen, which the transfer adds itself ([gen_out]). *)
-let merge_at ?(carried = false) t mid idx (facts : facts) =
-  let body = body_of t mid in
-  if idx >= 0 && idx < Array.length body && not (Fact.Map.is_empty facts) then begin
-    let arr = after_array t mid in
-    let dst = arr.(idx) in
+let merge_at ?(carried = false) t s idx (facts : facts) =
+  if idx >= 0 && idx < Array.length s.body && not (Fact.Map.is_empty facts) then begin
+    let dst = s.after.(idx) in
     let grew =
       if Fact.Map.is_empty dst then begin
-        arr.(idx) <- facts;
+        s.after.(idx) <- facts;
         if not carried then Fact.Map.iter (add_to_acc t) facts;
         true
       end
@@ -295,7 +292,7 @@ let merge_at ?(carried = false) t mid idx (facts : facts) =
         match grown dst facts with
         | [] -> false
         | added ->
-            arr.(idx) <-
+            s.after.(idx) <-
               List.fold_left (fun m (f, x) -> Fact.Map.add f x m) dst added;
             if not carried then List.iter (fun (f, x) -> add_to_acc t f x) added;
             true
@@ -304,7 +301,7 @@ let merge_at ?(carried = false) t mid idx (facts : facts) =
       (* A fact-set growth event, charged to the method the engine is
          currently transferring (the producer). *)
       Profile.add_facts t.prof 1;
-      enqueue t mid idx
+      enqueue t s idx
     end
   end
 
@@ -317,7 +314,7 @@ let dp_tags t dps =
 
 (** Inject facts as relevant at (i.e. just after) the given statement. *)
 let inject_at ?(dps = [ 0 ]) t (sid : Ir.stmt_id) facts =
-  merge_at t sid.Ir.sid_meth sid.Ir.sid_idx (tag facts (dp_tags t dps))
+  merge_at t (slot_of t sid.Ir.sid_meth) sid.Ir.sid_idx (tag facts (dp_tags t dps))
 
 (* A method is transparent to pure-global injections when propagating
    Ffield/Fstatic/Fdb facts through it provably changes nothing: globals
@@ -329,14 +326,14 @@ let inject_at ?(dps = [ 0 ]) t (sid : Ir.stmt_id) facts =
    It is what makes the filler bulk of an app (inert UI helpers) cost
    nothing during slicing. *)
 let globals_transparent t callee =
-  match Hashtbl.find_opt t.transparent callee with
+  match callee.transparent with
   | Some b -> b
   | None ->
       let b =
-        match meth_of t callee with
+        match callee.meth with
         | None -> true
         | Some m ->
-            Callgraph.callsites t.cg callee = []
+            Callgraph.callsites t.cg callee.mid = []
             && Array.for_all
                  (fun stmt ->
                    match stmt with
@@ -348,7 +345,7 @@ let globals_transparent t callee =
                        | None -> true))
                  m.Ir.m_body
       in
-      Hashtbl.add t.transparent callee b;
+      callee.transparent <- Some b;
       b
 
 let value_fact mid = function
@@ -376,8 +373,8 @@ let expr_gen mid (e : Ir.expr) : Fact.t list =
 
 (* [def]: the DPs for which the call's result is relevant.  Returns the
    generated facts and the DPs the statement is touched for. *)
-let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def :
-    facts * Tags.t =
+let handle_invoke t s idx set (i : Ir.invoke) ~def : facts * Tags.t =
+  let mid = s.mid in
   let base_fact () =
     match i.Ir.ibase with Some b -> [ Fact.local mid b ] | None -> []
   in
@@ -392,7 +389,10 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def :
       gen := union !gen (tag (fs ()) b)
     end
   in
-  let sites = Callgraph.callsite_at t.cg sid in
+  let sites =
+    let by_stmt = Lazy.force s.sites in
+    if idx < Array.length by_stmt then by_stmt.(idx) else []
+  in
   let app_callees = List.concat_map (fun cs -> cs.Callgraph.cs_callees) sites in
   if app_callees = [] then begin
     (* Library call, inverted semantic model: a relevant output (or
@@ -436,10 +436,11 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def :
     let globals = Fact.globals_map set in
     List.iter
       (fun callee_id ->
-        match meth_of t callee_id with
+        let cs = slot_of t callee_id in
+        match cs.meth with
         | None -> ()
         | Some callee ->
-            let returns = returns_of t callee_id callee in
+            let returns = Lazy.force cs.returns in
             (* A relevant call result pulls the callee's returned values
                into the backward flow; the DPs' globals travel with it. *)
             if not (Tags.is_empty def) then begin
@@ -449,9 +450,9 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def :
                 (fun r ->
                   match callee.Ir.m_body.(r) with
                   | Ir.Return (Some (Ir.Local rv)) ->
-                      merge_at t callee_id r
+                      merge_at t cs r
                         (Fact.Map.add (Fact.local callee_id rv) def g)
-                  | Ir.Return _ -> merge_at t callee_id r g
+                  | Ir.Return _ -> merge_at t cs r g
                   | _ -> ())
                 returns
             end;
@@ -462,8 +463,8 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def :
             in
             if
               (not (Fact.Map.is_empty g))
-              && not (globals_transparent t callee_id)
-            then List.iter (fun r -> merge_at ~carried:true t callee_id r g) returns;
+              && not (globals_transparent t cs)
+            then List.iter (fun r -> merge_at ~carried:true t cs r g) returns;
             (* Parameters already known relevant in the callee make the
                corresponding caller arguments relevant. *)
             List.iteri
@@ -473,14 +474,12 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) ~def :
                     match List.nth_opt i.Ir.iargs k with
                     | Some v -> value_fact mid v
                     | None -> [])
-                  (param_tags t callee_id p.Ir.vname))
+                  (param_tags cs p.Ir.vname))
               callee.Ir.m_params;
-            add base_fact (param_tags t callee_id "this");
+            add base_fact (param_tags cs "this");
             (* Globals alive at the callee entry flow back to before the
                call. *)
-            Option.iter
-              (fun g -> gen := union !gen g)
-              (Hashtbl.find_opt t.entry_globals callee_id))
+            gen := union !gen cs.entry_globals)
       app_callees
   end;
   (!gen, !touched)
@@ -494,19 +493,17 @@ let rhs_gen mid = function Ir.Invoke _ -> [] | e -> expr_gen mid e
 (* [~merged]: the output flows into at least one predecessor, which puts
    the generated facts in an after-set — so they join the running union
    here, and the merges of the output skip it. *)
-let transfer t mid idx (stmt : Ir.stmt) (set : facts) ~merged : facts =
-  let sid = { Ir.sid_meth = mid; sid_idx = idx } in
+let transfer t s idx (stmt : Ir.stmt) (set : facts) ~merged : facts =
+  let mid = s.mid in
   let gen_out set gen =
     if merged then Fact.Map.iter (add_to_acc t) gen;
     union set gen
   in
   let touch b gen =
     if not (Tags.is_empty b) then begin
-      (match Hashtbl.find_opt t.touched sid with
-      | Some old when Tags.subset b old -> ()
-      | Some old -> Hashtbl.replace t.touched sid (Tags.union old b)
-      | None -> Hashtbl.replace t.touched sid b);
-      record_gen sid gen b
+      let old = s.touched.(idx) in
+      if not (Tags.subset b old) then s.touched.(idx) <- Tags.union old b;
+      record_gen mid idx gen b
     end
   in
   (* Every fact a kill removes carries only DPs of the condition that
@@ -515,7 +512,7 @@ let transfer t mid idx (stmt : Ir.stmt) (set : facts) ~merged : facts =
   match stmt with
   | Ir.Assign (Ir.Lvar v, Ir.Invoke i) ->
       let def = root_tags set mid v.Ir.vname in
-      let gen, b = handle_invoke t mid set sid i ~def in
+      let gen, b = handle_invoke t s idx set i ~def in
       touch b gen;
       (* Kill the definition after using it. *)
       let killed =
@@ -562,7 +559,7 @@ let transfer t mid idx (stmt : Ir.stmt) (set : facts) ~merged : facts =
         gen_out set gen
       end
   | Ir.InvokeStmt i ->
-      let gen, b = handle_invoke t mid set sid i ~def:Tags.empty in
+      let gen, b = handle_invoke t s idx set i ~def:Tags.empty in
       touch b gen;
       gen_out set gen
   | Ir.Return _ | Ir.If _ | Ir.Goto _ | Ir.Lab _ | Ir.Nop -> set
@@ -571,31 +568,30 @@ let transfer t mid idx (stmt : Ir.stmt) (set : facts) ~merged : facts =
 (* Fixpoint                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let record_entry t mid (out : facts) =
+let record_entry t s (out : facts) =
   (* Reverse flow reached the method entry: record relevant parameters and
      globals, notify callers. *)
-  match meth_of t mid with
+  match s.meth with
   | None -> ()
   | Some m ->
+      let mid = s.mid in
       let changed = ref false in
       let param p =
         let b = root_tags out mid p in
-        let prev = param_tags t mid p in
+        let prev = param_tags s p in
         if not (Tags.subset b prev) then begin
-          Hashtbl.replace t.param_relevant (mid, p) (Tags.union prev b);
+          s.params <- (p, Tags.union prev b) :: List.remove_assoc p s.params;
           changed := true
         end
       in
       if not m.Ir.m_static then param "this";
       List.iter (fun (p : Ir.var) -> param p.Ir.vname) m.Ir.m_params;
       let globals = Fact.globals_map out in
-      let prev =
-        Option.value (Hashtbl.find_opt t.entry_globals mid) ~default:Fact.Map.empty
-      in
+      let prev = s.entry_globals in
       let added = grown prev globals in
       if added <> [] then begin
-        Hashtbl.replace t.entry_globals mid
-          (List.fold_left (fun m (f, x) -> Fact.Map.add f x m) prev added);
+        s.entry_globals <-
+          List.fold_left (fun m (f, x) -> Fact.Map.add f x m) prev added;
         (* Entry globals derive from a transfer's output, whose generated
            facts may never be merged into any statement (entry statements
            have no predecessors) — fold them into the running union here. *)
@@ -604,7 +600,7 @@ let record_entry t mid (out : facts) =
       end;
       if !changed then
         List.iter
-          (fun sid -> enqueue t sid.Ir.sid_meth sid.Ir.sid_idx)
+          (fun sid -> enqueue t (slot_of t sid.Ir.sid_meth) sid.Ir.sid_idx)
           (Callgraph.callers t.cg mid)
 
 (* Standalone engines (tests, direct API use) get a private fuel-only
@@ -619,8 +615,7 @@ let standalone_budget () =
       }
     ()
 
-let pending t =
-  Hashtbl.fold (fun _ c acc -> acc + !c) t.pending_count 0
+let pending t = Hashtbl.fold (fun _ s acc -> acc + s.count) t.slots 0
 
 let run ?budget ?counted t =
   let budget =
@@ -628,44 +623,40 @@ let run ?budget ?counted t =
   in
   let steps = ref 0 in
   let stopped = ref false in
-  let drain mid =
-    match
-      (Hashtbl.find_opt t.pending mid, Hashtbl.find_opt t.pending_count mid)
-    with
-    | Some flags, Some count when !count > 0 ->
-        let body = body_of t mid in
-        let arr = after_array t mid in
-        let preds = Callgraph.stmt_preds t.cg mid in
-        while !count > 0 && not !stopped do
-          (* One downward sweep; facts merged below the cursor are caught
-             in the same pass, merges above it start the next wave. *)
-          let idx = ref (Array.length flags - 1) in
-          while !idx >= 0 && not !stopped do
-            (if flags.(!idx) then
-               if Resilience.Budget.spend budget then begin
-                 flags.(!idx) <- false;
-                 decr count;
-                 incr steps;
-                 Profile.visit t.prof mid;
-                 Profile.spend t.prof 1;
-                 if !idx < Array.length body then begin
-                   match preds with
-                   | None -> ()
-                   | Some pred_arr ->
-                       let into = pred_arr.(!idx) in
-                       let out =
-                         transfer t mid !idx body.(!idx) arr.(!idx)
-                           ~merged:(into <> [])
-                       in
-                       if into = [] || !idx = 0 then record_entry t mid out;
-                       List.iter (fun p -> merge_at ~carried:true t mid p out) into
-                 end
+  let drain s =
+    if s.count > 0 then begin
+      let preds = Lazy.force s.preds in
+      let flags = s.pending in
+      while s.count > 0 && not !stopped do
+        (* One downward sweep; facts merged below the cursor are caught
+           in the same pass, merges above it start the next wave. *)
+        let idx = ref (Array.length flags - 1) in
+        while !idx >= 0 && not !stopped do
+          (if flags.(!idx) then
+             if Resilience.Budget.spend budget then begin
+               flags.(!idx) <- false;
+               s.count <- s.count - 1;
+               incr steps;
+               Profile.visit t.prof s.mid;
+               Profile.spend t.prof 1;
+               if !idx < Array.length s.body then begin
+                 match preds with
+                 | None -> ()
+                 | Some pred_arr ->
+                     let into = pred_arr.(!idx) in
+                     let out =
+                       transfer t s !idx s.body.(!idx) s.after.(!idx)
+                         ~merged:(into <> [])
+                     in
+                     if into = [] || !idx = 0 then record_entry t s out;
+                     List.iter (fun p -> merge_at ~carried:true t s p out) into
                end
-               else stopped := true);
-            decr idx
-          done
+             end
+             else stopped := true);
+          decr idx
         done
-    | _ -> ()
+      done
+    end
   in
   while (not (Queue.is_empty t.queue)) && not !stopped do
     drain (Queue.pop t.queue)
@@ -695,23 +686,43 @@ let run ?budget ?counted t =
            t.facts_acc 0)
   end
 
+(* Fold [f] over every touched statement with its DPs. *)
+let fold_touched f t acc =
+  Hashtbl.fold
+    (fun _ s acc ->
+      let acc = ref acc in
+      Array.iteri
+        (fun idx b ->
+          if not (Tags.is_empty b) then
+            acc := f { Ir.sid_meth = s.mid; sid_idx = idx } b !acc)
+        s.touched;
+      !acc)
+    t.slots acc
+
 let touched_stmts t =
-  Hashtbl.fold (fun sid _ acc -> Ir.Stmt_set.add sid acc) t.touched
-    Ir.Stmt_set.empty
+  fold_touched (fun sid _ acc -> Ir.Stmt_set.add sid acc) t Ir.Stmt_set.empty
 
 let all_facts t =
   Fact.Map.fold (fun f _ acc -> Fact.Set.add f acc) t.facts_acc Fact.Set.empty
 
 let touched_by_dp t =
   let by_dp = Array.make t.dps Ir.Stmt_set.empty in
-  Hashtbl.iter
-    (fun sid b -> Tags.iter (fun k -> by_dp.(k) <- Ir.Stmt_set.add sid by_dp.(k)) b)
-    t.touched;
+  fold_touched
+    (fun sid b () -> Tags.iter (fun k -> by_dp.(k) <- Ir.Stmt_set.add sid by_dp.(k)) b)
+    t ();
   by_dp
 
-let facts_by_dp t =
-  let by_dp = Array.make t.dps Fact.Set.empty in
-  Fact.Map.iter
-    (fun f b -> Tags.iter (fun k -> by_dp.(k) <- Fact.Set.add f by_dp.(k)) b)
-    t.facts_acc;
-  by_dp
+(* [Ffield] keys are contiguous in the fact order ([Ffield ("", "")] is
+   their least), so only that range of the running union is walked, in
+   ascending order. *)
+let field_carriers t =
+  let by_dp = Array.make t.dps [] in
+  let rec go seq =
+    match seq () with
+    | Seq.Cons ((Fact.Ffield (c, f), b), rest) ->
+        Tags.iter (fun k -> by_dp.(k) <- (c, f) :: by_dp.(k)) b;
+        go rest
+    | Seq.Cons _ | Seq.Nil -> ()
+  in
+  go (Fact.Map.to_seq_from (Fact.Ffield ("", "")) t.facts_acc);
+  Array.map List.rev by_dp

@@ -51,5 +51,7 @@ val touched_by_dp : t -> Ir.Stmt_set.t array
 (** Element k: the statements touched for DP k — its request slice,
     without the DP statement itself. *)
 
-val facts_by_dp : t -> Fact.Set.t array
-(** Element k: {!all_facts} restricted to DP k. *)
+val field_carriers : t -> (string * string) list array
+(** Element k: the instance fields [(class, field)] of the [Ffield] facts
+    in {!all_facts} that serve DP k, ascending and without duplicates —
+    the heap carriers the §3.4 heuristic restarts DP k from. *)

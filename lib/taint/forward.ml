@@ -4,7 +4,9 @@
    tainted object — the forward (response) slice.  Handled by FlowDroid's
    default tainting rules in the paper; reimplemented here over Limple.
 
-   Like the backward engine, the fixpoint state lives in hash tables and
+   Like the backward engine, the fixpoint state lives in one record per
+   method (a slot: before-sets, pending flags, touched marks, return taint
+   and exit globals), found with one table lookup per method visit, and
    the worklist is deduplicated: chaotic iteration over monotone
    transfers reaches the same fixpoint in any order, so only the step
    count changes. *)
@@ -21,21 +23,18 @@ module Resilience = Extr_resilience.Resilience
 
 (* Evidence chain (provenance): facts the transfer derived at a statement.
    The enabled flag is read before any fact is rendered. *)
-let record_new sid (facts : Fact.t list) =
+let record_new mid idx (facts : Fact.t list) =
   if Provenance.is_enabled Provenance.default then
+    let sid = { Ir.sid_meth = mid; sid_idx = idx } in
     List.iter
       (fun f ->
         Provenance.record_fact_edge Provenance.default ~dir:`Forward ~stmt:sid
           (Format.asprintf "%a" Fact.pp f))
       facts
 
-let record_new_set sid (facts : Fact.Set.t) =
+let record_new_set mid idx (facts : Fact.Set.t) =
   if Provenance.is_enabled Provenance.default then
-    Fact.Set.iter
-      (fun f ->
-        Provenance.record_fact_edge Provenance.default ~dir:`Forward ~stmt:sid
-          (Format.asprintf "%a" Fact.pp f))
-      facts
+    record_new mid idx (Fact.Set.elements facts)
 
 let m_steps =
   Metrics.counter ~help:"forward-propagation worklist iterations"
@@ -45,118 +44,118 @@ let m_facts =
   Metrics.counter ~help:"distinct facts alive after forward propagation"
     "taint.forward.facts"
 
+(* One method's share of the fixpoint state; the arrays are indexed by
+   statement and sized [max 1 (body length)]. *)
+type slot = {
+  mid : Ir.method_id;
+  meth : Ir.meth option;
+  body : Ir.stmt array;
+  before : Fact.Set.t array;  (** facts holding before each statement *)
+  pending : bool array;
+      (** per-statement pending flags (the deduplicated worklist) *)
+  mutable count : int;  (** pending flags set *)
+  touched : bool array;  (** statements touching tainted data *)
+  mutable ret_tainted : bool;  (** the method returns tainted data *)
+  mutable exit_globals : Fact.Set.t;
+      (** global (field/static/db) facts holding at method exits *)
+  succs : int list array option Lazy.t;
+      (** statement successors, from the call graph's shared memo *)
+  sites : Callgraph.callsite list array Lazy.t;
+      (** call-site records by statement, resolved on the first invoke
+          transfer *)
+}
+
 type t = {
   prog : Prog.t;
   cg : Callgraph.t;
-  before : (Ir.method_id, Fact.Set.t array) Hashtbl.t;
-      (** facts holding before each statement *)
-  ret_tainted : (Ir.method_id, unit) Hashtbl.t;
-      (** methods returning tainted data *)
-  exit_globals : (Ir.method_id, Fact.Set.t) Hashtbl.t;
-      (** global (field/static/db) facts holding at method exits *)
-  touched : (Ir.stmt_id, unit) Hashtbl.t;
-      (** statements touching tainted data *)
-  queue : Ir.method_id Queue.t;  (** methods with pending statements *)
-  pending : (Ir.method_id, bool array) Hashtbl.t;
-      (** per-statement pending flags (the deduplicated worklist) *)
-  pending_count : (Ir.method_id, int ref) Hashtbl.t;
-  meths : (Ir.method_id, Ir.meth option) Hashtbl.t;
-      (** [Prog.find_method] memo — hit on every worklist step *)
+  slots : (Ir.method_id, slot) Hashtbl.t;
+  queue : slot Queue.t;  (** methods with pending statements *)
   prof : Ir.method_id Profile.cursor;
       (** per-method cost attribution for the fixpoint loop *)
 }
 
-(* Successor arrays come from the call graph's shared per-method memo:
-   engines are created per demarcation point, so the old whole-program map
-   here was rebuilt many times per app. *)
+(* Engines are created per demarcation point; the flow arrays they read
+   come from the call graph's shared per-method memo. *)
 let create prog cg =
   {
     prog;
     cg;
-    before = Hashtbl.create 64;
-    ret_tainted = Hashtbl.create 16;
-    exit_globals = Hashtbl.create 16;
-    touched = Hashtbl.create 128;
+    slots = Hashtbl.create 64;
     queue = Queue.create ();
-    pending = Hashtbl.create 64;
-    pending_count = Hashtbl.create 64;
-    meths = Hashtbl.create 64;
     prof =
       Profile.cursor ~phase:"slicing.forward" ~render:Ir.Method_id.to_string ();
   }
 
-let meth_of t mid =
-  match Hashtbl.find_opt t.meths mid with
-  | Some m -> m
+let slot_of t mid =
+  match Hashtbl.find_opt t.slots mid with
+  | Some s -> s
   | None ->
-      let m = Prog.find_method t.prog mid in
-      Hashtbl.add t.meths mid m;
-      m
+      let meth = Prog.find_method t.prog mid in
+      let body = match meth with Some m -> m.Ir.m_body | None -> [||] in
+      let n = max 1 (Array.length body) in
+      let s =
+        {
+          mid;
+          meth;
+          body;
+          before = Array.make n Fact.Set.empty;
+          pending = Array.make n false;
+          count = 0;
+          touched = Array.make n false;
+          ret_tainted = false;
+          exit_globals = Fact.Set.empty;
+          succs = lazy (Callgraph.stmt_succs t.cg mid);
+          sites = lazy (Callgraph.sites_by_stmt t.cg mid);
+        }
+      in
+      Hashtbl.add t.slots mid s;
+      s
 
-let body_of t mid =
-  match meth_of t mid with Some m -> m.Ir.m_body | None -> [||]
-
-let before_array t mid =
-  match Hashtbl.find_opt t.before mid with
-  | Some arr -> arr
-  | None ->
-      let arr = Array.make (max 1 (Array.length (body_of t mid))) Fact.Set.empty in
-      Hashtbl.add t.before mid arr;
-      arr
+let ret_tainted t mid =
+  match Hashtbl.find_opt t.slots mid with Some s -> s.ret_tainted | None -> false
 
 (* The worklist is a queue of methods, each with per-statement pending
    flags.  Draining a method sweeps its flags from index 0 upward — the
    direction forward flow moves — so a fact wave crosses the whole body
    in one pass instead of one growth-requeue cycle per statement. *)
-let enqueue t mid idx =
-  let flags =
-    match Hashtbl.find_opt t.pending mid with
-    | Some f -> f
-    | None ->
-        let f = Array.make (max 1 (Array.length (body_of t mid))) false in
-        Hashtbl.add t.pending mid f;
-        f
-  in
-  if idx < Array.length flags && not flags.(idx) then begin
-    flags.(idx) <- true;
-    let count =
-      match Hashtbl.find_opt t.pending_count mid with
-      | Some c -> c
-      | None ->
-          let c = ref 0 in
-          Hashtbl.add t.pending_count mid c;
-          c
-    in
-    if !count = 0 then Queue.add mid t.queue;
-    incr count
+let enqueue t s idx =
+  if idx < Array.length s.pending && not s.pending.(idx) then begin
+    s.pending.(idx) <- true;
+    if s.count = 0 then Queue.add s t.queue;
+    s.count <- s.count + 1
   end
 
-(** Merge facts into the before-set of (mid, idx); enqueue on growth. *)
-let merge_at t mid idx facts =
-  let body = body_of t mid in
-  if idx < Array.length body && not (Fact.Set.is_empty facts) then begin
-    let arr = before_array t mid in
+let enqueue_callers t mid =
+  List.iter
+    (fun sid -> enqueue t (slot_of t sid.Ir.sid_meth) sid.Ir.sid_idx)
+    (Callgraph.callers t.cg mid)
+
+(** Merge facts into the before-set of a statement; enqueue on growth. *)
+let merge_at t s idx facts =
+  if idx < Array.length s.body && not (Fact.Set.is_empty facts) then begin
     (* Subset test first: at fixpoint most merges are no-ops, and the
        union + equality pair allocated on every one of them. *)
-    if not (Fact.Set.subset facts arr.(idx)) then begin
-      arr.(idx) <- Fact.Set.union arr.(idx) facts;
+    if not (Fact.Set.subset facts s.before.(idx)) then begin
+      s.before.(idx) <- Fact.Set.union s.before.(idx) facts;
       (* A fact-set growth event, charged to the method the engine is
          currently transferring (the producer). *)
       Profile.add_facts t.prof 1;
-      enqueue t mid idx
+      enqueue t s idx
     end
   end
 
-let inject_at_entry t mid facts = merge_at t mid 0 (Fact.Set.of_list facts)
+let inject_at_entry t mid facts = merge_at t (slot_of t mid) 0 (Fact.Set.of_list facts)
 
 let inject_after t (sid : Ir.stmt_id) facts =
   match Callgraph.stmt_succs t.cg sid.Ir.sid_meth with
   | None -> ()
   | Some succ_arr ->
-      if sid.Ir.sid_idx < Array.length succ_arr then
+      if sid.Ir.sid_idx < Array.length succ_arr then begin
+        let s = slot_of t sid.Ir.sid_meth in
         List.iter
-          (fun s -> merge_at t sid.Ir.sid_meth s (Fact.Set.of_list facts))
+          (fun i -> merge_at t s i (Fact.Set.of_list facts))
           succ_arr.(sid.Ir.sid_idx)
+      end
 
 let globals_of = Fact.globals
 
@@ -164,8 +163,7 @@ let globals_of = Fact.globals
 (* Expression taint                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let expr_tainted t mid set (e : Ir.expr) =
-  ignore t;
+let expr_tainted mid set (e : Ir.expr) =
   match e with
   | Ir.Val v -> Fact.value_tainted set mid v
   | Ir.Binop (_, a, b) ->
@@ -187,13 +185,17 @@ let expr_tainted t mid set (e : Ir.expr) =
 
 (** Handle an invoke: returns whether the call's return value is tainted,
     plus extra facts generated at the call site (receiver/db effects). *)
-let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) =
+let handle_invoke t s idx set (i : Ir.invoke) =
+  let mid = s.mid in
   let base_tainted =
     match i.Ir.ibase with Some b -> Fact.local_or_path_tainted set mid b | None -> false
   in
   let args_tainted = List.map (Fact.value_tainted set mid) i.Ir.iargs in
   let any_input = base_tainted || List.exists Fun.id args_tainted in
-  let sites = Callgraph.callsite_at t.cg sid in
+  let sites =
+    let by_stmt = Lazy.force s.sites in
+    if idx < Array.length by_stmt then by_stmt.(idx) else []
+  in
   let app_callees = List.concat_map (fun cs -> cs.Callgraph.cs_callees) sites in
   if app_callees = [] then begin
     (* Library call: semantic taint model. *)
@@ -221,7 +223,8 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) =
     let implicit_names = List.map (fun c -> c.Ir.id_name) app_callees in
     List.iter
       (fun callee_id ->
-        match meth_of t callee_id with
+        let cs = slot_of t callee_id in
+        match cs.meth with
         | None -> ()
         | Some callee ->
             let entry = ref [] in
@@ -257,49 +260,47 @@ let handle_invoke t mid set (sid : Ir.stmt_id) (i : Ir.invoke) =
                && List.mem "doInBackground" implicit_names
             then
                let dib = { callee_id with Ir.id_name = "doInBackground" } in
-               if Hashtbl.mem t.ret_tainted dib then
+               if ret_tainted t dib then
                  match callee.Ir.m_params with
                  | p :: _ -> entry := Fact.local callee_id p :: !entry
                  | [] -> ());
-            inject_at_entry t callee_id !entry;
+            merge_at t cs 0 (Fact.Set.of_list !entry);
             (* Globals always flow into callees. *)
-            merge_at t callee_id 0 globals)
+            merge_at t cs 0 globals)
       app_callees;
     (* Return taint and global facts flowing back from callees. *)
-    let ret_tainted =
-      List.exists (fun c -> Hashtbl.mem t.ret_tainted c) app_callees
-    in
+    let ret = List.exists (ret_tainted t) app_callees in
     let back_globals =
       List.fold_left
         (fun acc c ->
-          match Hashtbl.find_opt t.exit_globals c with
-          | Some g -> Fact.Set.union acc g
+          match Hashtbl.find_opt t.slots c with
+          | Some cs -> Fact.Set.union acc cs.exit_globals
           | None -> acc)
         Fact.Set.empty app_callees
     in
-    (ret_tainted, back_globals, any_input)
+    (ret, back_globals, any_input)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Statement transfer                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let transfer t mid idx (stmt : Ir.stmt) (set : Fact.Set.t) : Fact.Set.t =
-  let sid = { Ir.sid_meth = mid; sid_idx = idx } in
-  let touch () = Hashtbl.replace t.touched sid () in
+let transfer t s idx (stmt : Ir.stmt) (set : Fact.Set.t) : Fact.Set.t =
+  let mid = s.mid in
+  let touch () = s.touched.(idx) <- true in
   match stmt with
   | Ir.Assign (lhs, rhs) ->
       let rhs_tainted, extra =
         match rhs with
         | Ir.Invoke i ->
-            let ret, gen, any_input = handle_invoke t mid set sid i in
+            let ret, gen, any_input = handle_invoke t s idx set i in
             if any_input || ret then begin
               touch ();
-              record_new_set sid gen
+              record_new_set mid idx gen
             end;
             (ret, gen)
         | e ->
-            let tainted = expr_tainted t mid set e in
+            let tainted = expr_tainted mid set e in
             (tainted, Fact.Set.empty)
       in
       let set = Fact.Set.union set extra in
@@ -308,14 +309,14 @@ let transfer t mid idx (stmt : Ir.stmt) (set : Fact.Set.t) : Fact.Set.t =
         | Ir.Lvar v ->
             if rhs_tainted then begin
               touch ();
-              record_new sid [ Fact.local mid v ];
+              record_new mid idx [ Fact.local mid v ];
               Fact.Set.add (Fact.local mid v) (Fact.kill_local set mid v)
             end
             else Fact.kill_local set mid v
         | Ir.Lfield (x, f) ->
             if rhs_tainted then begin
               touch ();
-              record_new sid
+              record_new mid idx
                 [
                   Fact.local_path mid x f.Ir.fname;
                   Fact.Ffield (f.Ir.fcls, f.Ir.fname);
@@ -328,14 +329,14 @@ let transfer t mid idx (stmt : Ir.stmt) (set : Fact.Set.t) : Fact.Set.t =
         | Ir.Lsfield f ->
             if rhs_tainted then begin
               touch ();
-              record_new sid [ Fact.Fstatic (f.Ir.fcls, f.Ir.fname) ];
+              record_new mid idx [ Fact.Fstatic (f.Ir.fcls, f.Ir.fname) ];
               Fact.Set.add (Fact.Fstatic (f.Ir.fcls, f.Ir.fname)) set
             end
             else set
         | Ir.Lelem (a, _) ->
             if rhs_tainted then begin
               touch ();
-              record_new sid [ Fact.local mid a ];
+              record_new mid idx [ Fact.local mid a ];
               Fact.Set.add (Fact.local mid a) set
             end
             else set
@@ -346,34 +347,27 @@ let transfer t mid idx (stmt : Ir.stmt) (set : Fact.Set.t) : Fact.Set.t =
       then touch ();
       set'
   | Ir.InvokeStmt i ->
-      let _ret, gen, any_input = handle_invoke t mid set sid i in
+      let _ret, gen, any_input = handle_invoke t s idx set i in
       if any_input || not (Fact.Set.is_empty gen) then begin
         touch ();
-        record_new_set sid gen
+        record_new_set mid idx gen
       end;
       Fact.Set.union set gen
   | Ir.Return v ->
       (match v with
       | Some value when Fact.value_tainted set mid value ->
           touch ();
-          if not (Hashtbl.mem t.ret_tainted mid) then begin
-            Hashtbl.add t.ret_tainted mid ();
+          if not s.ret_tainted then begin
+            s.ret_tainted <- true;
             (* Re-examine all call sites of this method. *)
-            List.iter
-              (fun sid -> enqueue t sid.Ir.sid_meth sid.Ir.sid_idx)
-              (Callgraph.callers t.cg mid)
+            enqueue_callers t mid
           end
       | Some _ | None -> ());
       (* Record exiting globals. *)
       let globals = globals_of set in
-      let prev =
-        Option.value (Hashtbl.find_opt t.exit_globals mid) ~default:Fact.Set.empty
-      in
-      if not (Fact.Set.subset globals prev) then begin
-        Hashtbl.replace t.exit_globals mid (Fact.Set.union prev globals);
-        List.iter
-          (fun sid -> enqueue t sid.Ir.sid_meth sid.Ir.sid_idx)
-          (Callgraph.callers t.cg mid)
+      if not (Fact.Set.subset globals s.exit_globals) then begin
+        s.exit_globals <- Fact.Set.union s.exit_globals globals;
+        enqueue_callers t mid
       end;
       set
   | Ir.If (v, _) ->
@@ -397,8 +391,7 @@ let standalone_budget () =
       }
     ()
 
-let pending_total t =
-  Hashtbl.fold (fun _ c acc -> acc + !c) t.pending_count 0
+let pending_total t = Hashtbl.fold (fun _ s acc -> acc + s.count) t.slots 0
 
 let run ?budget t =
   let budget =
@@ -406,39 +399,35 @@ let run ?budget t =
   in
   let steps = ref 0 in
   let stopped = ref false in
-  let drain mid =
-    match
-      (Hashtbl.find_opt t.pending mid, Hashtbl.find_opt t.pending_count mid)
-    with
-    | Some flags, Some count when !count > 0 ->
-        let body = body_of t mid in
-        let arr = before_array t mid in
-        let succs = Callgraph.stmt_succs t.cg mid in
-        while !count > 0 && not !stopped do
-          (* One upward sweep; facts merged above the cursor are caught
-             in the same pass, merges below it start the next wave. *)
-          let idx = ref 0 in
-          while !idx < Array.length flags && not !stopped do
-            (if flags.(!idx) then
-               if Resilience.Budget.spend budget then begin
-                 flags.(!idx) <- false;
-                 decr count;
-                 incr steps;
-                 Profile.visit t.prof mid;
-                 Profile.spend t.prof 1;
-                 if !idx < Array.length body then begin
-                   let out = transfer t mid !idx body.(!idx) arr.(!idx) in
-                   match succs with
-                   | None -> ()
-                   | Some succ_arr ->
-                       List.iter (fun s -> merge_at t mid s out) succ_arr.(!idx)
-                 end
+  let drain s =
+    if s.count > 0 then begin
+      let succs = Lazy.force s.succs in
+      let flags = s.pending in
+      while s.count > 0 && not !stopped do
+        (* One upward sweep; facts merged above the cursor are caught
+           in the same pass, merges below it start the next wave. *)
+        let idx = ref 0 in
+        while !idx < Array.length flags && not !stopped do
+          (if flags.(!idx) then
+             if Resilience.Budget.spend budget then begin
+               flags.(!idx) <- false;
+               s.count <- s.count - 1;
+               incr steps;
+               Profile.visit t.prof s.mid;
+               Profile.spend t.prof 1;
+               if !idx < Array.length s.body then begin
+                 let out = transfer t s !idx s.body.(!idx) s.before.(!idx) in
+                 match succs with
+                 | None -> ()
+                 | Some succ_arr ->
+                     List.iter (fun i -> merge_at t s i out) succ_arr.(!idx)
                end
-               else stopped := true);
-            incr idx
-          done
+             end
+             else stopped := true);
+          incr idx
         done
-    | _ -> ()
+      done
+    end
   in
   while (not (Queue.is_empty t.queue)) && not !stopped do
     drain (Queue.pop t.queue)
@@ -457,30 +446,34 @@ let run ?budget t =
   if Metrics.is_enabled Metrics.default then begin
     let facts =
       Hashtbl.fold
-        (fun _ arr acc -> Array.fold_left Fact.Set.union acc arr)
-        t.before
-        (Hashtbl.fold
-           (fun _ globals acc -> Fact.Set.union acc globals)
-           t.exit_globals Fact.Set.empty)
+        (fun _ s acc ->
+          Array.fold_left Fact.Set.union (Fact.Set.union acc s.exit_globals)
+            s.before)
+        t.slots Fact.Set.empty
     in
     Metrics.incr m_facts ~by:(Fact.Set.cardinal facts)
   end
 
 let tainted_stmts t =
-  Hashtbl.fold (fun sid () acc -> Ir.Stmt_set.add sid acc) t.touched
-    Ir.Stmt_set.empty
+  Hashtbl.fold
+    (fun _ s acc ->
+      let acc = ref acc in
+      Array.iteri
+        (fun idx hit ->
+          if hit then acc := Ir.Stmt_set.add { Ir.sid_meth = s.mid; sid_idx = idx } !acc)
+        s.touched;
+      !acc)
+    t.slots Ir.Stmt_set.empty
 
 (** Facts holding before a given statement (empty if never reached). *)
 let facts_before t (sid : Ir.stmt_id) =
-  match Hashtbl.find_opt t.before sid.Ir.sid_meth with
-  | Some arr when sid.Ir.sid_idx < Array.length arr -> arr.(sid.Ir.sid_idx)
+  match Hashtbl.find_opt t.slots sid.Ir.sid_meth with
+  | Some s when sid.Ir.sid_idx < Array.length s.before -> s.before.(sid.Ir.sid_idx)
   | Some _ | None -> Fact.Set.empty
 
 (** Facts holding after a given statement: the transfer applied once more. *)
 let facts_after t (sid : Ir.stmt_id) =
-  let body = body_of t sid.Ir.sid_meth in
-  if sid.Ir.sid_idx < Array.length body then
-    transfer t sid.Ir.sid_meth sid.Ir.sid_idx
-      body.(sid.Ir.sid_idx)
-      (facts_before t sid)
+  let s = slot_of t sid.Ir.sid_meth in
+  if sid.Ir.sid_idx < Array.length s.body then
+    transfer t s sid.Ir.sid_idx s.body.(sid.Ir.sid_idx) (facts_before t sid)
   else Fact.Set.empty

@@ -10,6 +10,8 @@ module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
 module Apk = Extr_apk.Apk
 module Obfuscator = Extr_apk.Obfuscator
+module Corpus = Extr_corpus.Corpus
+module Pipeline = Extr_extractocol.Pipeline
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -194,6 +196,110 @@ let test_subclass_resolution () =
   check Alcotest.bool "virtual resolution walks up" true
     (Prog.resolve_virtual prog ~cls:"com.t.Derived" ~mname:"go" <> None)
 
+(* [Prog.callees] is memoized per (kind, receiver class, method name).  On
+   one shared [Prog.t] every repeat of a key is a memo hit; it must answer
+   what a fresh [Prog.t], with an empty memo, answers for the same invoke,
+   and each receiver class's CHA candidates must be the classes
+   [is_subclass] puts under it.
+   A hierarchy where one method reference resolves three ways (by kind
+   and by receiver class), then every invoke of the case studies, Table 1 and
+   50 generated apps — where a receiver class other than the reference's
+   never changes the answer, so they alone would not tell a key without
+   it. *)
+let test_callees_memo () =
+  let invokes = ref 0 and repeats = ref 0 in
+  let check_all name program (is : Ir.invoke list) =
+    let shared = Prog.of_program program in
+    let keys = Hashtbl.create 256 in
+    let ids prog i = List.map Ir.method_id_of_meth (Prog.callees prog i) in
+    let answers =
+      List.map
+        (fun (i : Ir.invoke) ->
+          incr invokes;
+          let key =
+            match (i.Ir.ikind, i.Ir.ibase) with
+            | Ir.Virtual, Some { Ir.vty = Ir.Obj cls; _ } ->
+                (i.Ir.ikind, cls, i.Ir.iref.Ir.mname)
+            | _, _ -> (i.Ir.ikind, i.Ir.iref.Ir.mcls, i.Ir.iref.Ir.mname)
+          in
+          if Hashtbl.mem keys key then incr repeats else Hashtbl.add keys key ();
+          let memo = ids shared i in
+          if memo <> ids (Prog.of_program program) i then
+            Alcotest.failf "%s: %s.%s resolves differently through the memo" name
+              i.Ir.iref.Ir.mcls i.Ir.iref.Ir.mname;
+          memo)
+        is
+    in
+    (* The CHA candidate sets behind the memo: every class whose ancestry
+       holds the receiver class. *)
+    let names =
+      List.sort_uniq compare
+        (List.map (fun (c : Ir.cls) -> c.Ir.c_name) program.Ir.p_classes)
+    in
+    let classes = Hashtbl.create 64 in
+    Hashtbl.iter (fun (_, cls, _) () -> Hashtbl.replace classes cls ()) keys;
+    Hashtbl.iter
+      (fun cls () ->
+        if
+          List.sort compare (Prog.subclasses shared cls)
+          <> List.filter (fun sub -> Prog.is_subclass shared ~sub ~super:cls) names
+        then Alcotest.failf "%s: subclasses of %s differ from is_subclass" name cls)
+      classes;
+    answers
+  in
+  let go cls = B.mk_meth ~cls ~name:"go" ~params:[] ~ret:Ir.Void (fun _ -> ()) in
+  let hierarchy =
+    {
+      Ir.p_classes =
+        [
+          B.mk_cls ~super:Api.java_object "com.t.Base" [ go "com.t.Base" ];
+          B.mk_cls ~super:"com.t.Base" "com.t.Derived" [ go "com.t.Derived" ];
+          B.mk_cls ~super:"com.t.Base" "com.t.Other" [];
+        ];
+      p_entries = [];
+    }
+  in
+  let call ikind recv =
+    {
+      Ir.ikind;
+      iref = B.mref "com.t.Base" "go" 0;
+      ibase = Option.map (fun c -> B.local "r" (Ir.Obj c)) recv;
+      iargs = [];
+    }
+  in
+  let answers =
+    check_all "hierarchy" hierarchy
+      [
+        call Ir.Virtual (Some "com.t.Base");
+        call Ir.Virtual (Some "com.t.Derived");
+        call Ir.Virtual (Some "com.t.Other");
+        call Ir.Static None;
+        call Ir.Virtual (Some "com.t.Derived");
+        call Ir.Virtual (Some "com.t.Base");
+      ]
+  in
+  check Alcotest.int "one reference, three answers" 3
+    (List.length (List.sort_uniq compare answers));
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let program =
+        Pipeline.with_library_classes (Lazy.force e.Corpus.c_apk).Apk.program
+      in
+      let is =
+        List.concat_map
+          (fun (c : Ir.cls) ->
+            List.concat_map
+              (fun (m : Ir.meth) ->
+                List.filter_map Ir.stmt_invoke (Array.to_list m.Ir.m_body))
+              c.Ir.c_methods)
+          program.Ir.p_classes
+      in
+      ignore (check_all e.Corpus.c_app.Extr_corpus.Spec.a_name program is))
+    (Corpus.case_studies () @ Corpus.table1 ()
+    @ Corpus.generated ~seed:42 ~count:50);
+  check Alcotest.bool "invokes seen" true (!invokes > 50_000);
+  check Alcotest.bool "most invokes repeat a key" true (2 * !repeats > !invokes)
+
 let test_validate_clean () =
   let prog = Prog.of_program (simple_program ()) in
   check Alcotest.int "no validation errors" 0 (List.length (Prog.validate prog))
@@ -337,6 +443,7 @@ let () =
         [
           tc "lookups" test_prog_lookup;
           tc "subclass resolution" test_subclass_resolution;
+          tc "callees memo equals fresh resolution (89 apps)" test_callees_memo;
           tc "validate clean" test_validate_clean;
           tc "validate bad label" test_validate_bad_label;
           tc "validate undefined local" test_validate_undefined_local;

@@ -350,6 +350,34 @@ let test_golden_pairs () =
   check Alcotest.string "pairs of 39 apps" "ddcbbf23246a1fbada356e6e9b3930ee"
     (digest_lines lines (Corpus.case_studies () @ Corpus.table1 ()))
 
+(* Every DP's response slice (DP statement plus its sorted statements),
+   with object-aware augmentation off and on, over the same 89 apps: the
+   forward engines' only direct golden (the pairs digest sees them
+   through pair segments alone).  Computed while the forward engine
+   kept its state in hash tables keyed by method and statement, before
+   it moved to one record per method. *)
+let test_golden_response_slices () =
+  let lines buf _ prog cg =
+    List.iter
+      (fun aug ->
+        let options =
+          { Slicer.default_options with Slicer.opt_augmentation = aug }
+        in
+        List.iter
+          (fun (sl : Slicer.slice) ->
+            Buffer.add_string buf
+              (Printf.sprintf "%b %s: %s\n" aug
+                 (show_sid sl.Slicer.sl_dp.Slicer.dp_stmt)
+                 (show_stmts sl.Slicer.sl_stmts)))
+          (Slicer.run ~options prog cg).Slicer.r_response)
+      [ false; true ]
+  in
+  check Alcotest.string "response slices of 89 apps"
+    "c89c71cd228a254e624c3992bad01032"
+    (digest_lines lines
+       (Corpus.case_studies () @ Corpus.table1 ()
+       @ Corpus.generated ~seed:1 ~count:50))
+
 (* ------------------------------------------------------------------ *)
 (* Object-aware augmentation against a whole-body rescan               *)
 (* ------------------------------------------------------------------ *)
@@ -685,6 +713,7 @@ let () =
         [
           tc "request slices digest (89 apps)" test_golden_request_slices;
           tc "pairs digest (39 apps)" test_golden_pairs;
+          tc "response slices digest (89 apps)" test_golden_response_slices;
         ] );
       ( "batched",
         [
