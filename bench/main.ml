@@ -31,14 +31,13 @@ module Case_studies = Extr_corpus.Case_studies
 module Fuzz = Extr_fuzz.Fuzz
 module Eval = Extr_eval.Eval
 module Tables = Extr_eval.Tables
-module Runner = Extr_eval.Runner
-module Merge = Extr_eval.Merge
 module Json = Extr_httpmodel.Json
 module Span = Extr_telemetry.Span
 module Metrics = Extr_telemetry.Metrics
 module Profile = Extr_telemetry.Profile
 module Provenance = Extr_provenance.Provenance
 module Store = Extr_store.Store
+module Journal = Extr_resilience.Journal
 
 let fmt = Fmt.stdout
 
@@ -304,231 +303,16 @@ let measure_phase_timings () =
   (apps, phase_percentiles)
 
 (* Machine-readable bench output: the per-app per-phase wall-clock rows
-   plus the cache, shard and watchdog benches, dumped to a JSON file CI
-   can diff across commits (see --baseline). *)
+   and the fleet phase percentiles — exactly what the --baseline gate
+   reads — dumped to a JSON file CI can diff across commits. *)
 let write_phase_timings path =
-  let entries = Corpus.case_studies () in
   let apps, phase_percentiles = measure_phase_timings () in
-  (* Warm-cache speedup: the same apps through the durable runner, once
-     against an empty result cache (populating it) and once warm — the
-     warm pass must skip every pipeline phase and serve all apps from
-     the content-addressed store. *)
-  let cache =
-    let dir = Filename.temp_file "bench_cache" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    let options = { Runner.default_options with Runner.ro_cache_dir = Some dir } in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let _, cold_s = time (fun () -> Runner.run options entries) in
-    let warm, warm_s = time (fun () -> Runner.run options entries) in
-    let hits =
-      match warm with
-      | Ok r ->
-          List.length
-            (List.filter (fun a -> a.Runner.ar_cached) r.Runner.rn_results)
-      | Error _ -> 0
-    in
-    Fmt.pf fmt
-      "  warm result cache: %.3fs -> %.3fs over %d apps (%d hits, %.0fx)@\n"
-      cold_s warm_s (List.length entries) hits
-      (if warm_s > 0. then cold_s /. warm_s else 0.);
-    Json.Obj
-      [
-        ("cold_s", Json.Float cold_s);
-        ("warm_s", Json.Float warm_s);
-        ( "speedup",
-          Json.Float (if warm_s > 0. then cold_s /. warm_s else 0.) );
-        ("hits", Json.Int hits);
-        ("apps", Json.Int (List.length entries));
-      ]
-  in
-  (* Self-healing overhead: the watchdog heartbeats (one Up_beat frame
-     per phase per app over the result pipe), the journal record
-     checksums and the cache content digests, all on — against the same
-     pooled run with every one of them off.  Min-of-3 each side to shave
-     scheduler noise; the differential must stay under 2% or the bench
-     fails, so the integrity layer can never quietly become a tax. *)
-  let watchdog =
-    let budget = 1.02 in
-    let runs = 5 in
-    let gen_entries = Corpus.generated ~seed:3 ~count:100 in
-    let module Journal = Extr_resilience.Journal in
-    let time_once tag ~integrity ~heartbeat =
-      let dir = Filename.temp_file "bench_watchdog" "" in
-      Sys.remove dir;
-      Sys.mkdir dir 0o755;
-      let options =
-        {
-          Runner.default_options with
-          Runner.ro_journal = Some (Filename.concat dir (tag ^ ".jsonl"));
-          ro_cache_dir = Some (Filename.concat dir (tag ^ "-cache"));
-          ro_jobs = 2;
-          ro_corpus_tag = Some "gen=3:100";
-          ro_heartbeat = heartbeat;
-          ro_hang_timeout = (if heartbeat then Some 5.0 else None);
-        }
-      in
-      Journal.set_integrity integrity;
-      Store.set_integrity integrity;
-      let t0 = Unix.gettimeofday () in
-      (match Runner.run options gen_entries with
-      | Ok _ -> ()
-      | Error e -> Fmt.failwith "watchdog bench: %s" e);
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Journal.set_integrity true;
-      Store.set_integrity true;
-      elapsed
-    in
-    (* One untimed warmup, then interleaved off/on pairs with the
-       within-pair order alternating: both sides sample the same
-       allocator and page-cache drift, and neither side systematically
-       runs earlier — scheduler noise at this scale otherwise dwarfs a
-       2% differential.  Min of each side is the floor estimate. *)
-    ignore (time_once "warmup" ~integrity:true ~heartbeat:true);
-    let off_s = ref infinity and on_s = ref infinity in
-    let sample_off i =
-      off_s :=
-        min !off_s
-          (time_once (Printf.sprintf "off%d" i) ~integrity:false
-             ~heartbeat:false)
-    and sample_on i =
-      on_s :=
-        min !on_s
-          (time_once (Printf.sprintf "on%d" i) ~integrity:true
-             ~heartbeat:true)
-    in
-    for i = 0 to runs - 1 do
-      if i mod 2 = 0 then begin
-        sample_off i;
-        sample_on i
-      end
-      else begin
-        sample_on i;
-        sample_off i
-      end
-    done;
-    let off_s = !off_s and on_s = !on_s in
-    let ratio = if off_s > 0. then on_s /. off_s else 1.0 in
-    let pass = ratio < budget in
-    Fmt.pf fmt
-      "  watchdog + integrity: off %.3fs -> on %.3fs over %d apps \
-       (overhead %.2f%%, budget %.0f%%)@\n"
-      off_s on_s (List.length gen_entries)
-      ((ratio -. 1.0) *. 100.0)
-      ((budget -. 1.0) *. 100.0);
-    if not pass then
-      Fmt.failwith
-        "watchdog bench: heartbeat+checksum overhead %.2fx exceeds the %.2fx \
-         budget"
-        ratio budget;
-    Json.Obj
-      [
-        ("apps", Json.Int (List.length gen_entries));
-        ("jobs", Json.Int 2);
-        ("off_s", Json.Float off_s);
-        ("on_s", Json.Float on_s);
-        ("overhead_ratio", Json.Float ratio);
-        ("budget", Json.Float budget);
-        ("pass", Json.Bool pass);
-      ]
-  in
-  (* Sharded corpus farm: 1000 generated apps split --shard K/4, merged
-     back offline.  max_shard_s approximates the fleet's wall-clock when
-     the shards run on separate machines; merge_s is the reassembly
-     cost; the merged envelope must stay byte-identical to the unsharded
-     run's (asserted here, not just measured). *)
-  let shard =
-    let shards = 4 in
-    let seed = 1 and count = 1000 in
-    let gen_entries = Corpus.generated ~seed ~count in
-    let dir = Filename.temp_file "bench_shard" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    let p name = Filename.concat dir name in
-    let options ?shard tag =
-      {
-        Runner.default_options with
-        Runner.ro_journal = Some (p (tag ^ ".jsonl"));
-        ro_cache_dir = Some (p (tag ^ "-cache"));
-        ro_shard = shard;
-        ro_corpus_tag = Some (Printf.sprintf "gen=%d:%d" seed count);
-      }
-    in
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let run o =
-      match Runner.run o gen_entries with
-      | Ok r -> r
-      | Error e -> Fmt.failwith "shard bench: %s" e
-    in
-    let base_o = options "base" in
-    let base_run, unsharded_s = time (fun () -> run base_o) in
-    let ks = List.init shards (fun i -> i + 1) in
-    let shard_s =
-      List.map
-        (fun k ->
-          snd
-            (time (fun () ->
-                 run (options ~shard:(k, shards) (Printf.sprintf "s%d" k)))))
-        ks
-    in
-    let max_shard_s = List.fold_left max 0. shard_s in
-    let merged, merge_s =
-      time (fun () ->
-          match
-            Merge.merge ~options:base_o ~entries:gen_entries
-              ~journals:(List.map (fun k -> p (Printf.sprintf "s%d.jsonl" k)) ks)
-              ~cache_dirs:
-                (List.map (fun k -> p (Printf.sprintf "s%d-cache" k)) ks)
-              ()
-          with
-          | Ok t -> t
-          | Error e -> Fmt.failwith "shard bench merge: %s" e)
-    in
-    let identical =
-      String.equal
-        (Runner.report_json
-           ~config:(Runner.journal_fingerprint base_o)
-           base_run)
-        (Merge.report_json merged)
-    in
-    if not identical then
-      Fmt.failwith "shard bench: merged envelope differs from unsharded run";
-    let speedup =
-      if max_shard_s +. merge_s > 0. then
-        unsharded_s /. (max_shard_s +. merge_s)
-      else 0.
-    in
-    Fmt.pf fmt
-      "  shard farm: %d generated apps, unsharded %.3fs vs %d shards \
-       (slowest %.3fs) + merge %.3fs (%.1fx fleet speedup, byte-identical)@\n"
-      count unsharded_s shards max_shard_s merge_s speedup;
-    Json.Obj
-      [
-        ("shards", Json.Int shards);
-        ("apps", Json.Int count);
-        ("unsharded_s", Json.Float unsharded_s);
-        ("max_shard_s", Json.Float max_shard_s);
-        ("merge_s", Json.Float merge_s);
-        ("speedup", Json.Float speedup);
-      ]
-  in
   let doc =
     Json.Obj
       [
         ("bench", Json.Str "pipeline");
         ("apps", Json.List apps);
         ("phase_percentiles", phase_percentiles);
-        ("cache", cache);
-        ("shard", shard);
-        ("watchdog", watchdog);
       ]
   in
   Extr_telemetry.Export.write_file path (Json.to_string doc ^ "\n");
@@ -751,6 +535,24 @@ let run_micro () =
   let gen_apk =
     Lazy.force (List.hd (Corpus.generated ~seed:1 ~count:1)).Corpus.c_apk
   in
+  (* What a corpus run caches for that app, and the journal record that
+     finishes it. *)
+  let gen_report =
+    (Pipeline.analyze ~options:Pipeline.default_options gen_apk)
+      .Pipeline.an_report
+  in
+  let gen_entry = Json.to_string (Report.to_json ~deterministic:true gen_report) in
+  let gen_finished =
+    Journal.Finished
+      {
+        ev_app = "gen-1";
+        ev_key = Store.key_to_string (Store.key ~config:"bench" gen_apk);
+        ev_status = "ok";
+        ev_cached = false;
+        ev_attempts = 1;
+        ev_txs = List.length gen_report.Report.rp_transactions;
+      }
+  in
   let regex =
     Regex.of_pattern "http://www\\.reddit\\.com/search/\\.json\\?q=(.*)&sort=(.*)"
   in
@@ -787,6 +589,14 @@ let run_micro () =
       Test.make ~name:"pipeline:radio-reddit"
         (Staged.stage (fun () ->
              ignore (Pipeline.analyze ~options:Pipeline.default_options rr_apk)));
+      (* Artifact integrity, priced against one app's analysis above:
+         sealing and verifying the app's cache entry, and encoding and
+         sealing the journal record that finishes it. *)
+      Test.make ~name:"store:seal-decode"
+        (Staged.stage (fun () -> ignore (Store.decode (Store.seal gen_entry))));
+      Test.make ~name:"journal:line-of-event"
+        (Staged.stage (fun () ->
+             ignore (Journal.line_of_event ~stamp:0. gen_finished)));
       (* Figure 3: slicing cost on the Diode-scale app. *)
       Test.make ~name:"slicing:diode"
         (Staged.stage (fun () ->

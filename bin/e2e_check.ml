@@ -889,6 +889,20 @@ let help ck =
       ("jobs", "--jobs", [ "--all"; "--gen"; "4"; "--jobs=-3" ]);
       ( "journal", "--journal",
         [ "--all"; "--gen"; "3"; "--journal"; path ck "missing/j.jsonl" ] );
+      ( "expect-shards", "--expect-shards",
+        [ "merge"; "--expect-shards=-2"; "--journal"; "none" ] );
+      ( "expect-shards-0", "--expect-shards",
+        [ "merge"; "--expect-shards=0"; "--journal"; "none" ] );
+      ("deadline", "--deadline", [ "Diode"; "--deadline=-1" ]);
+      ("deadline-0", "--deadline", [ "--all"; "--gen"; "4"; "--deadline=0" ]);
+      ( "deadline-nan", "--deadline",
+        [ "--all"; "--gen"; "4"; "--deadline=nan" ] );
+      ("max-steps", "--max-steps", [ "--all"; "--gen"; "4"; "--max-steps=-1" ]);
+      ("max-depth", "--max-depth", [ "Diode"; "--max-depth=-3" ]);
+      ("retries", "--retries", [ "--all"; "--gen"; "4"; "--retries=-2" ]);
+      ( "merge-retries", "--retries",
+        [ "merge"; "--retries=0"; "--journal"; "none" ] );
+      ("hotspots", "--hotspots", [ "SharedDP"; "--hotspots=0" ]);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -282,6 +282,37 @@ let print_result (a : Runner.app_result) =
         Fmt.epr "%s@." crash.Resilience.Barrier.cr_backtrace)
     a.Runner.ar_crash
 
+(* A flag value the parser accepts but the run cannot honour: exit 1,
+   naming the flag, before any app is analyzed. *)
+let refuse fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "%s@." msg;
+      exit exit_usage)
+    fmt
+
+(* The budget limits and the retry policy, shared by the analyze term and
+   [merge] (whose flags must repeat the shard runs'). *)
+let limits_of_flags max_steps max_depth deadline =
+  if max_steps < 1 then refuse "--max-steps %d: N must be positive" max_steps;
+  if max_depth < 0 then
+    refuse "--max-depth %d: N must not be negative" max_depth;
+  (* [not (s > 0.)] also refuses nan, which no clock ever exceeds. *)
+  (match deadline with
+  | Some s when not (s > 0.) ->
+      refuse "--deadline %g: SECONDS must be positive" s
+  | Some _ | None -> ());
+  {
+    Resilience.Budget.bl_max_steps = max_steps;
+    bl_max_depth = max_depth;
+    bl_deadline_s = deadline;
+  }
+
+let policy_of_flags retries =
+  if retries < 1 then refuse "--retries %d: N must be at least 1" retries
+  else if retries = 1 then Retry.no_retry
+  else { Retry.default_policy with Retry.rp_max_attempts = retries }
+
 (* The corpus a run (or a merge) covers: Table 1 plus the case studies by
    default, or --gen COUNT synthetic apps from the seeded parametric
    generator.  The corpus tag folds the generator's identity into the
@@ -290,8 +321,7 @@ let print_result (a : Runner.app_result) =
 let corpus_of_flags gen gen_seed =
   match gen with
   | Some count when count < 0 ->
-      Fmt.epr "--gen %d: COUNT must not be negative@." count;
-      exit exit_usage
+      refuse "--gen %d: COUNT must not be negative" count
   | Some count ->
       ( Corpus.generated ~seed:gen_seed ~count,
         Some (Printf.sprintf "gen=%d:%d" gen_seed count) )
@@ -299,10 +329,8 @@ let corpus_of_flags gen gen_seed =
 
 let run_all limits journal resume cache_dir report_out retries jobs shard gen
     gen_seed metrics_out trace_out hotspots profile_out progress hang_timeout =
-  if jobs < 0 then begin
-    Fmt.epr "--jobs %d: N must not be negative@." jobs;
-    exit exit_usage
-  end;
+  if jobs < 0 then refuse "--jobs %d: N must not be negative" jobs;
+  let policy = policy_of_flags retries in
   let entries, corpus_tag = corpus_of_flags gen gen_seed in
   enable_telemetry ~trace_out ~metrics_out ~profile:false ~hotspots
     ~profile_out;
@@ -314,10 +342,6 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
       Sys.set_signal s
         (Sys.Signal_handle (fun _ -> raise Resilience.Barrier.Interrupted)))
     [ Sys.sigint; Sys.sigterm ];
-  let policy =
-    if retries <= 1 then Retry.no_retry
-    else { Retry.default_policy with Retry.rp_max_attempts = retries }
-  in
   let options =
     {
       Runner.default_options with
@@ -525,7 +549,7 @@ let hotspots_arg =
     "Enable the method-level profiler and print the top-K hottest\n\
      methods (self time, budget fuel, worklist visits, facts produced,\n\
      per analysis phase) plus the per-app waste summary to stderr\n\
-     after the run (default K: 20)."
+     after the run (default K: 20; K must be positive)."
   in
   Arg.(
     value
@@ -571,7 +595,7 @@ let max_steps_arg =
     "Step budget shared by the taint engines and the interpreter:\n\
      every worklist iteration and interpreted statement spends one step.\n\
      Exhaustion degrades the analysis (recorded in the report) instead of\n\
-     aborting it."
+     aborting it.  N must be positive."
   in
   Arg.(
     value
@@ -582,7 +606,7 @@ let max_depth_arg =
   let doc =
     "Call-inlining depth bound for the interpreter; calls beyond it are\n\
      widened to unknown (and reported as a degradation when clipping\n\
-     occurs)."
+     occurs).  N must not be negative."
   in
   Arg.(
     value
@@ -593,7 +617,7 @@ let deadline_arg =
   let doc =
     "Wall-clock deadline in seconds for one app's analysis.  Polled every\n\
      4096 budget steps; exceeding it degrades the analysis (recorded in\n\
-     the report) instead of aborting it."
+     the report) instead of aborting it.  SECONDS must be positive."
   in
   Arg.(
     value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
@@ -649,7 +673,7 @@ let retries_arg =
     "Maximum attempts per app on the degrade-and-retry ladder: an app\n\
      that degraded (budget or deadline exhausted) is re-run with\n\
      escalated limits up to this many times.  1 disables the ladder\n\
-     (including the crash retry)."
+     (including the crash retry); below 1 is refused."
   in
   Arg.(
     value
@@ -751,9 +775,7 @@ let arm_injections specs =
     (fun spec ->
       match Fault.arm_spec spec with
       | Ok () -> ()
-      | Error msg ->
-          Fmt.epr "invalid --inject %S: %s@." spec msg;
-          exit exit_usage)
+      | Error msg -> refuse "invalid --inject %S: %s" spec msg)
     specs
 
 let exits =
@@ -800,13 +822,10 @@ let analyze_term =
            hang_timeout inject ->
         setup_logs log_level;
         arm_injections inject;
-        let limits =
-          {
-            Resilience.Budget.bl_max_steps = max_steps;
-            bl_max_depth = max_depth;
-            bl_deadline_s = deadline;
-          }
-        in
+        let limits = limits_of_flags max_steps max_depth deadline in
+        (match hotspots with
+        | Some k when k < 1 -> refuse "--hotspots %d: K must be positive" k
+        | Some _ | None -> ());
         try
           if list then list_apps ()
           else if all then
@@ -926,21 +945,10 @@ let run_merge log_level journals cache_dirs metrics_ins expect_shards
     max_steps max_depth deadline retries gen gen_seed report_out journal_out
     cache_out metrics_out =
   setup_logs log_level;
-  if metrics_out <> None && metrics_ins = [] then begin
-    Fmt.epr "--metrics-out needs at least one --metrics snapshot to merge@.";
-    exit exit_usage
-  end;
-  let limits =
-    {
-      Resilience.Budget.bl_max_steps = max_steps;
-      bl_max_depth = max_depth;
-      bl_deadline_s = deadline;
-    }
-  in
-  let policy =
-    if retries <= 1 then Retry.no_retry
-    else { Retry.default_policy with Retry.rp_max_attempts = retries }
-  in
+  if metrics_out <> None && metrics_ins = [] then
+    refuse "--metrics-out needs at least one --metrics snapshot to merge";
+  let limits = limits_of_flags max_steps max_depth deadline in
+  let policy = policy_of_flags retries in
   let entries, corpus_tag = corpus_of_flags gen gen_seed in
   let options =
     {
@@ -1067,7 +1075,7 @@ let merge_cmd =
     let doc =
       "Require journals from all N shards; absent ones are reported as \
        $(i,missing_shards[]) (exit 4).  Default: the largest N the \
-       journals' own shard identities declare."
+       journals' own shard identities declare.  N must be positive."
     in
     Arg.(
       value

@@ -109,11 +109,6 @@ let build (meth : Ir.meth) : t =
 
 let n_blocks t = Array.length t.blocks
 
-let block_stmts t b =
-  let blk = t.blocks.(b) in
-  let rec go i acc = if i < blk.b_first then acc else go (i - 1) (i :: acc) in
-  if blk.b_last < blk.b_first then [] else go blk.b_last []
-
 (* ------------------------------------------------------------------ *)
 (* Reachability and dominators                                        *)
 (* ------------------------------------------------------------------ *)
@@ -198,10 +193,9 @@ let loops t =
 (* Topological order                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Topological order of reachable blocks ignoring back edges (the order in
-    which the signature builder visits blocks). *)
-let topological_order t =
-  let { back_edges; _ } = loops t in
+(** Topological order of reachable blocks ignoring the back edges of
+    [loops t] (the order in which the signature builder visits blocks). *)
+let topological_order t { back_edges; _ } =
   let is_back u v = List.mem (u, v) back_edges in
   let nb = n_blocks t in
   let reach = reachable t in
@@ -221,12 +215,6 @@ let topological_order t =
     if reach.(b) && not perm.(b) then visit b
   done;
   List.filter (fun b -> reach.(b)) !order
-
-(** Predecessors of [b] along forward (non-back) edges — the flows merged
-    at a confluence point. *)
-let forward_preds t b =
-  let { back_edges; _ } = loops t in
-  List.filter (fun p -> not (List.mem (p, b) back_edges)) t.preds.(b)
 
 (* ------------------------------------------------------------------ *)
 (* Statement-level flow (used by the taint engines)                    *)

@@ -23,9 +23,6 @@ type t = {
 val build : Ir.meth -> t
 val n_blocks : t -> int
 
-val block_stmts : t -> int -> int list
-(** Statement indices of a block, in order. *)
-
 val reachable : t -> bool array
 (** Blocks reachable from the entry. *)
 
@@ -43,12 +40,11 @@ val loops : t -> loop_info
     dominates [u].  §3.2 distinguishes loop-header confluences (rep) from
     plain ones (∨). *)
 
-val topological_order : t -> int list
-(** Topological order of reachable blocks ignoring back edges — the order
-    in which the signature builder visits blocks. *)
-
-val forward_preds : t -> int -> int list
-(** Predecessors along non-back edges: the flows merged at a confluence. *)
+val topological_order : t -> loop_info -> int list
+(** Topological order of reachable blocks ignoring the back edges of
+    [loops t], passed in so a caller that needs the loops too runs the
+    dominator pass once — the order in which the signature builder
+    visits blocks. *)
 
 (** {1 Statement-level flow (used by the taint engines)} *)
 

@@ -120,6 +120,10 @@ let read_cache_entry dir key =
 let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
     ~(journals : string list) ?(cache_dirs = []) ?expect_shards () :
     (t, string) result =
+  match expect_shards with
+  | Some n when n < 1 ->
+      Error (Printf.sprintf "--expect-shards %d: N must be positive" n)
+  | Some _ | None ->
   let base = Runner.config_fingerprint options in
   let degradations = ref [] in
   let degrade md_app md_reason md_detail =

@@ -73,9 +73,10 @@ val merge :
     copy of a key wins — entries are content-addressed, so valid copies
     are identical).  Shard coverage is checked against [expect_shards]
     when given, else against the largest N the journals' shard suffixes
-    declare.  [Error] only for a usage-level problem: a journal whose
-    base fingerprint differs from [options]' — results computed under
-    another configuration must not be mixed in silently.  Everything
+    declare.  [Error] only for a usage-level problem: an
+    [expect_shards] below 1, or a journal whose base fingerprint
+    differs from [options]' — results computed under another
+    configuration must not be mixed in silently.  Everything
     else (unreadable journal, empty/stale-lock journal, torn tail,
     missing or corrupt cache entry) degrades or classifies, it never
     aborts. *)

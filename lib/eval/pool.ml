@@ -120,10 +120,10 @@ let recv fd =
 
 (* Worker -> coordinator; coordinator -> worker.  [Up_beat] is a
    heartbeat: the current pipeline phase, sent by the worker wrapper on
-   every phase transition so the coordinator's watchdog can tell "busy"
-   from "hung" — and attribute a hang to the phase the worker last
-   entered.  A worker answers [Down_quit] (or EOF) by exiting 0 without
-   sending anything. *)
+   every phase transition while a watchdog is armed, so the coordinator
+   can tell "busy" from "hung" — and attribute a hang to the phase the
+   worker last entered.  A worker answers [Down_quit] (or EOF) by
+   exiting 0 without sending anything. *)
 type ('e, 'r) up = Up_event of 'e | Up_done of int * 'r | Up_beat of string
 
 type down = Down_task of int | Down_quit
@@ -142,8 +142,9 @@ type death_cause =
 
 (* Runs in the forked child; never returns.  [Unix._exit] everywhere:
    the child must not flush channels or run at_exit hooks it inherited
-   from the coordinator. *)
-let worker_main ~task_r ~res_w ~worker =
+   from the coordinator.  Heartbeats are only for the watchdog: without
+   one, [beat] sends nothing. *)
+let worker_main ~task_r ~res_w ~watched ~worker =
   (* SIGINT interrupts the coordinator only (it terminates us with
      SIGTERM, restored to its default lethal disposition here — the
      CLI's inherited handler would raise inside analysis instead).
@@ -153,7 +154,7 @@ let worker_main ~task_r ~res_w ~worker =
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let emit e = send res_w (Up_event e) in
-  let beat ~phase = send res_w (Up_beat phase) in
+  let beat ~phase = if watched then send res_w (Up_beat phase) in
   let code =
     try
       let rec loop () =
@@ -206,7 +207,7 @@ type wstate = {
   mutable ws_hung : string option;  (* phase at watchdog kill *)
 }
 
-let spawn ~clock ~next_id ~siblings ~worker =
+let spawn ~clock ~next_id ~siblings ~watched ~worker =
   let task_r, task_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
   (* Anything buffered pre-fork would otherwise be written twice. *)
@@ -227,7 +228,7 @@ let spawn ~clock ~next_id ~siblings ~worker =
             (try Unix.close w.ws_res_r with Unix.Unix_error _ -> ())
           end)
         siblings;
-      worker_main ~task_r ~res_w ~worker
+      worker_main ~task_r ~res_w ~watched ~worker
   | pid ->
       Unix.close task_r;
       Unix.close res_w;
@@ -398,7 +399,10 @@ let run ?(deps = fun (_ : int) -> []) ?(clock = Clock.wall)
     in
     let new_worker () =
       incr worker_count;
-      let w = spawn ~clock ~next_id:!worker_count ~siblings:!workers ~worker in
+      let w =
+        spawn ~clock ~next_id:!worker_count ~siblings:!workers
+          ~watched:(hang_timeout <> None) ~worker
+      in
       workers := w :: !workers;
       dispatch w
     in

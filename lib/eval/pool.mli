@@ -118,15 +118,16 @@ val run :
 
     {b Watchdog.}  The select loop runs on a bounded, EINTR-safe tick
     (timeout/4 when a watchdog is armed, clamped to [0.02..0.5]s; 0.5s
-    otherwise), never an unbounded block.  The worker wrapper's [beat]
-    callback ships a heartbeat frame carrying the current pipeline
-    phase; any frame (heartbeat, event, result) refreshes the worker's
-    last-seen stamp.  With [hang_timeout] set, a busy worker silent
-    longer than the timeout is SIGKILLed (counted in ["pool.hangs"])
-    and its task is requeued {e once} ([on_hang ~task ~phase] fires,
-    ["pool.hangs.requeued"] counts); if a replacement worker hangs on
-    the same task, the task resolves through [on_death] with
-    [Hung {hd_phase; hd_silent_s}] so the caller can quarantine it
+    otherwise), never an unbounded block.  With [hang_timeout] set, the
+    worker wrapper's [beat] callback ships a heartbeat frame carrying
+    the current pipeline phase (["pool.heartbeats"] counts them);
+    without it, [beat] sends nothing.  Any frame (heartbeat, event,
+    result) refreshes the worker's last-seen stamp.  A busy worker
+    silent longer than the timeout is SIGKILLed (counted in
+    ["pool.hangs"]) and its task is requeued {e once} ([on_hang ~task
+    ~phase] fires, ["pool.hangs.requeued"] counts); if a replacement
+    worker hangs on the same task, the task resolves through [on_death]
+    with [Hung {hd_phase; hd_silent_s}] so the caller can quarantine it
     under a [hung\@PHASE] taxonomy distinct from crashes.  Detection
     latency is at most [hang_timeout + tick], i.e. well within 2x the
     timeout.

@@ -56,7 +56,6 @@ type options = {
   ro_shard : (int * int) option;
   ro_corpus_tag : string option;
   ro_hang_timeout : float option;  (* pool watchdog; None = off *)
-  ro_heartbeat : bool;  (* worker phase heartbeats (bench knob) *)
 }
 
 let default_options =
@@ -71,7 +70,6 @@ let default_options =
     ro_shard = None;
     ro_corpus_tag = None;
     ro_hang_timeout = None;
-    ro_heartbeat = true;
   }
 
 (* Everything a cached result's validity depends on.  The analysis
@@ -493,8 +491,7 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
           let id = ids.(i) in
           let e = Option.get untaken.(i) in
           untaken.(i) <- None;
-          if o.ro_heartbeat then
-            Barrier.set_observer (fun p -> beat ~phase:p);
+          Barrier.set_observer (fun p -> beat ~phase:p);
           if Fault.fire ~arg:id "worker.exit" <> None then Unix._exit 86;
           (* Injected wedge: spin without heartbeats so the watchdog has
              something to catch.  The mode string targets one app. *)

@@ -52,11 +52,8 @@ type options = {
           [hung\@PHASE] taxonomy.  [None] (the default) disables the
           watchdog; a value that is not positive is refused by {!run}.
           Not part of the configuration fingerprint — like
-          [ro_jobs], it changes scheduling, never results *)
-  ro_heartbeat : bool;
-      (** ship a heartbeat frame on every pipeline phase transition
-          (workers only).  Default [true]; the bench harness turns it
-          off to measure heartbeat + checksum overhead differentially *)
+          [ro_jobs], it changes scheduling, never results.  Pooled
+          workers send phase heartbeats only while it is set *)
 }
 
 val default_options : options

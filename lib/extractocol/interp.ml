@@ -254,8 +254,9 @@ let plan_of t mid =
         Option.map
           (fun (m : Ir.meth) ->
             let cfg = Cfg.build m in
-            let order = Cfg.topological_order cfg in
-            let { Cfg.headers; _ } = Cfg.loops cfg in
+            let loops = Cfg.loops cfg in
+            let order = Cfg.topological_order cfg loops in
+            let headers = loops.Cfg.headers in
             let header = Array.make (Cfg.n_blocks cfg) false in
             List.iter (fun b -> header.(b) <- true) headers;
             {

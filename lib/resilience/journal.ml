@@ -128,14 +128,11 @@ let header config =
    break it.  Unsealed lines (journals from before integrity existed)
    are accepted unverified. *)
 
-let integrity = ref true
-let set_integrity b = integrity := b
-
 let checksum s = String.sub (Digest.to_hex (Digest.string s)) 0 8
 
 let seal_line s =
   let n = String.length s in
-  if (not !integrity) || n < 2 || s.[n - 1] <> '}' then s
+  if n < 2 || s.[n - 1] <> '}' then s
   else String.sub s 0 (n - 1) ^ ",\"c\":\"" ^ checksum s ^ "\"}"
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')

@@ -64,11 +64,6 @@ type anomaly = { an_line : int;  (** 1-based line number in the file *)
 
 val pp_anomaly : Format.formatter -> anomaly -> unit
 
-val set_integrity : bool -> unit
-(** Benchmark knob: [false] writes unsealed (legacy) lines, so the
-    checksum overhead can be measured differentially.  Readers accept
-    both.  Default [true]. *)
-
 val create :
   ?clock:Extr_telemetry.Clock.t -> path:string -> config:string -> unit -> t
 (** Start a fresh journal at [path] (truncating any previous one) whose

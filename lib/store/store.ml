@@ -157,9 +157,6 @@ let m_corrupt =
    app simply re-runs and the fresh store heals the entry.  Headerless
    entries (caches from before integrity existed) are served as-is. *)
 
-let integrity = ref true
-let set_integrity b = integrity := b
-
 let magic = "%EXTR1 "
 let header_len = String.length magic + 32 + 1  (* digest hex + '\n' *)
 
@@ -221,7 +218,7 @@ let find t k =
   hit
 
 let store t k contents =
-  let data = if !integrity then seal contents else contents in
+  let data = seal contents in
   let data =
     match Fault.fire "store.write" with
     | Some "bitflip" -> Some (flip_byte data)

@@ -73,10 +73,6 @@ val decode : string -> (string, string) result
     unverified; [Error reason] is a digest mismatch or a malformed
     header — the caller must treat the entry as missing. *)
 
-val set_integrity : bool -> unit
-(** Benchmark knob: [false] stores unsealed (legacy) entries so the
-    digest overhead can be measured differentially.  Default [true]. *)
-
 val audit : dir:string -> int * (string * string) list
 (** Offline integrity audit ([stats --verify]): decode every [*.json]
     entry under [dir]; returns the entry count and the corrupt ones as

@@ -50,9 +50,13 @@ let test_diamond_shape () =
   (* entry, then, else, join — at least 4 blocks and a confluence with two
      forward predecessors. *)
   check Alcotest.bool ">= 4 blocks" true (Cfg.n_blocks cfg >= 4);
+  let { Cfg.back_edges; _ } = Cfg.loops cfg in
+  let forward_preds b =
+    List.filter (fun p -> not (List.mem (p, b) back_edges)) cfg.Cfg.preds.(b)
+  in
   let has_join =
     List.exists
-      (fun b -> List.length (Cfg.forward_preds cfg b) = 2)
+      (fun b -> List.length (forward_preds b) = 2)
       (List.init (Cfg.n_blocks cfg) Fun.id)
   in
   check Alcotest.bool "join point exists" true has_join
@@ -61,7 +65,11 @@ let test_block_stmt_partition () =
   let m = diamond () in
   let cfg = Cfg.build m in
   let all =
-    List.concat_map (fun b -> Cfg.block_stmts cfg b) (List.init (Cfg.n_blocks cfg) Fun.id)
+    List.concat_map
+      (fun (blk : Cfg.block) ->
+        List.init (blk.Cfg.b_last - blk.Cfg.b_first + 1) (fun k ->
+            blk.Cfg.b_first + k))
+      (Array.to_list cfg.Cfg.blocks)
   in
   check Alcotest.int "every statement in exactly one block"
     (Array.length m.Ir.m_body) (List.length all);
@@ -96,7 +104,8 @@ let test_loop_detection () =
 
 let test_topological_order () =
   let cfg = Cfg.build (diamond ()) in
-  let order = Cfg.topological_order cfg in
+  let loops = Cfg.loops cfg in
+  let order = Cfg.topological_order cfg loops in
   check Alcotest.int "covers reachable blocks" (Cfg.n_blocks cfg) (List.length order);
   (* Every forward edge respects the order. *)
   let position = Hashtbl.create 8 in
@@ -113,7 +122,7 @@ let test_topological_order () =
         (fun s ->
           if
             Hashtbl.mem position b && Hashtbl.mem position s
-            && not (List.mem (b, s) (Cfg.loops cfg).Cfg.back_edges)
+            && not (List.mem (b, s) loops.Cfg.back_edges)
           then if Hashtbl.find position b >= Hashtbl.find position s then ok := false)
         succs)
     cfg.Cfg.succs;
@@ -121,7 +130,7 @@ let test_topological_order () =
 
 let test_topo_order_with_loop () =
   let cfg = Cfg.build (looped ()) in
-  let order = Cfg.topological_order cfg in
+  let order = Cfg.topological_order cfg (Cfg.loops cfg) in
   check Alcotest.int "all blocks ordered" (Cfg.n_blocks cfg) (List.length order)
 
 (* ------------------------------------------------------------------ *)

@@ -317,16 +317,35 @@ let test_journal_interleaved_partial_record () =
   | Error e -> Alcotest.fail e
   | Ok (j2, _, _) -> Journal.append j2 (ev_started "c")
 
+(* Lines as journals wrote them before records were sealed: no "c"
+   member, and stamps only on the finished records. *)
 let test_journal_legacy_unsealed_accepted () =
   let path = Filename.temp_file "journal" ".jsonl" in
-  Journal.set_integrity false;
-  four_record_journal path;
-  Journal.set_integrity true;
+  let key = String.make 32 'a' in
+  let started app =
+    Printf.sprintf {|{"event":"started","app":"%s","key":"%s","attempt":1}|}
+      app key
+  and finished app =
+    Printf.sprintf
+      {|{"event":"finished","app":"%s","key":"%s","status":"ok","cached":false,"attempts":1,"txs":4,"t":2.5}|}
+      app key
+  in
+  write_lines path
+    [
+      {|{"event":"run-started","config":"cfg-1"}|};
+      started "a"; finished "a"; started "b"; finished "b";
+    ];
   match Journal.read ~path with
   | Error e -> Alcotest.fail e
   | Ok (config, events, anomalies) ->
       check Alcotest.string "header config" "cfg-1" config;
       check Alcotest.int "unsealed records accepted" 4 (List.length events);
+      check
+        Alcotest.(list string)
+        "records decoded"
+        (List.map render
+           [ ev_started "a"; ev_finished "a"; ev_started "b"; ev_finished "b" ])
+        (List.map (fun (_, ev) -> render ev) events);
       check Alcotest.int "no anomaly for legacy records" 0
         (List.length anomalies)
 

@@ -2,12 +2,17 @@
    group-commit contract.  The plan tests are pure; the watchdog tests
    fork real workers through Pool.run with a wedged task and assert
    detection, requeue-once, and the Hung quarantine — all on sub-second
-   timeouts so the suite stays fast.  The commit tests fork real workers
-   under a clock that stands still, so no commit window ever closes. *)
+   timeouts so the suite stays fast — and count a runner pool's
+   heartbeat frames with and without a watchdog.  The commit tests fork
+   real workers under a clock that stands still, so no commit window
+   ever closes. *)
 
 module Fault = Extr_resilience.Fault
 module Pool = Extr_eval.Pool
+module Runner = Extr_eval.Runner
+module Corpus = Extr_corpus.Corpus
 module Clock = Extr_telemetry.Clock
+module Metrics = Extr_telemetry.Metrics
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -137,6 +142,31 @@ let test_heartbeat_defers_the_watchdog () =
   in
   check Alcotest.bool "run completes" true (outcome = Pool.Completed)
 
+(* Heartbeats exist for the watchdog alone: a pooled corpus run sends
+   none without a hang timeout, and one per phase transition with it. *)
+let pooled_heartbeats hang_timeout =
+  Metrics.reset Metrics.default;
+  Metrics.set_enabled Metrics.default true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled Metrics.default false)
+  @@ fun () ->
+  let options =
+    {
+      Runner.default_options with
+      Runner.ro_jobs = 2;
+      ro_hang_timeout = hang_timeout;
+    }
+  in
+  (match Runner.run options (Corpus.generated ~seed:1 ~count:4) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Metrics.value Metrics.default "pool.heartbeats"
+
+let test_heartbeats_only_under_a_watchdog () =
+  check (Alcotest.float 0.) "no watchdog, no heartbeat frames" 0.
+    (pooled_heartbeats None);
+  check Alcotest.bool "a watchdog gets heartbeats" true
+    (pooled_heartbeats (Some 30.) > 0.)
+
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -229,6 +259,8 @@ let () =
           tc "wedged task requeued once then quarantined hung"
             test_watchdog_requeues_then_quarantines;
           tc "heartbeats defer the watchdog" test_heartbeat_defers_the_watchdog;
+          tc "runner heartbeats only under a watchdog"
+            test_heartbeats_only_under_a_watchdog;
         ] );
       ( "pool",
         [

@@ -408,10 +408,11 @@ let prop_cfg_topo_respects_forward_edges =
       List.for_all
         (fun (m : Ir.meth) ->
           let cfg = Cfg.build m in
-          let order = Cfg.topological_order cfg in
+          let loops = Cfg.loops cfg in
+          let order = Cfg.topological_order cfg loops in
           let pos = Hashtbl.create 16 in
           List.iteri (fun i b -> Hashtbl.replace pos b i) order;
-          let back = (Cfg.loops cfg).Cfg.back_edges in
+          let back = loops.Cfg.back_edges in
           let ok = ref true in
           Array.iteri
             (fun a succs ->
