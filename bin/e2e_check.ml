@@ -855,8 +855,9 @@ let fault ck =
 
 (* cmdliner reports a doc-markup error in the manual text and still exits
    0, so the text is what gets checked.  Flag values the parser accepts
-   but the run cannot honour are refused with exit 1 before any app is
-   analyzed, so no summary footer is printed. *)
+   but the run cannot honour, and flags the chosen mode ignores, are
+   refused with exit 1 before any app is analyzed, so neither a summary
+   footer nor a report is printed. *)
 let help ck =
   let manual label args =
     let text = run ck ~expect:0 label (args @ [ "--help=plain" ]) in
@@ -874,14 +875,39 @@ let help ck =
       "hung@PHASE"; "SITE[@N][:MODE]"; "pipeline.interpretation@2:kill";
       "app.crash:APP"; "worker.exit:APP";
     ];
+  let input = path ck "input.txt" in
+  Out_channel.with_open_text input ignore;
+  let ignored ~mode flags =
+    List.map
+      (fun (flag, args) -> (mode ^ flag, flag, mode :: flag :: args))
+      flags
+  in
   List.iter
     (fun (label, flag, args) ->
       let out = run ck ~expect:1 label args in
       expect_text ck ~needle:flag out
         (Printf.sprintf "the %s refusal does not name %s" label flag);
-      if contains ~needle:" apps: " out then
-        fail ck "%s was refused only after the corpus ran" label)
-    [
+      if contains ~needle:" apps: " out || contains ~needle:" transactions, " out
+      then fail ck "%s was refused only after the analysis ran" label)
+    (ignored ~mode:"--all"
+       [
+         ("--intents", []); ("--scope", [ "com.x" ]); ("--json", []);
+         ("--dot", []); ("--explain", []);
+         ("--provenance-out", [ path ck "prov.json" ]); ("--obfuscate", []);
+         ("--profile", []); ("--async-heuristic", [ "false" ]);
+         ("--obfuscate-libraries", []); ("--limple", [ input ]);
+         ("--trace", [ input ]);
+       ]
+    @ ignored ~mode:"SharedDP"
+        [
+          ("--report-out", [ path ck "r.json" ]);
+          ("--journal", [ path ck "j.jsonl" ]);
+          ("--cache-dir", [ path ck "c" ]); ("--jobs", [ "2" ]);
+          ("--gen", [ "3" ]); ("--shard", [ "1/2" ]); ("--retries", [ "1" ]);
+          ("--progress", []); ("--hang-timeout", [ "1" ]); ("--resume", []);
+          ("--gen-seed", [ "4" ]);
+        ]
+    @ [
       ("gen", "--gen", [ "--all"; "--gen=-1" ]);
       ("merge-gen", "--gen", [ "merge"; "--gen=-1"; "--journal"; "none" ]);
       ( "hang-timeout", "--hang-timeout",
@@ -903,7 +929,16 @@ let help ck =
       ( "merge-retries", "--retries",
         [ "merge"; "--retries=0"; "--journal"; "none" ] );
       ("hotspots", "--hotspots", [ "SharedDP"; "--hotspots=0" ]);
-    ]
+      ("explain", "--explain", [ "SharedDP"; "--explain=-5" ]);
+    ]);
+  if Sys.file_exists (path ck "r.json") then
+    fail ck "a refused --report-out still wrote its file";
+  (* A sequential run has no watchdog: it warns and runs, since a shard
+     may hold a single app. *)
+  expect_text ck ~needle:"--hang-timeout"
+    (run ck ~expect:0 "hang-timeout-seq"
+       [ "--all"; "--gen"; "4"; "--jobs"; "1"; "--hang-timeout"; "0.001" ])
+    "a sequential --hang-timeout run does not warn that no watchdog runs"
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

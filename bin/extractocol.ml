@@ -215,28 +215,28 @@ let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
   | Some path -> validate_trace analysis.Pipeline.an_report path
   | None -> (
       match explain with
-      | Some want ->
+      | Some want -> (
           (* The human-readable evidence tree: statement → rule → fragment
              per transaction (all of them, or just TX_ID). *)
           let evs = Option.value evidence ~default:[] in
           let evs =
-            if want < 0 then evs
-            else
-              List.filter
-                (fun (ev : Explain.tx_evidence) ->
-                  ev.Explain.ev_tx.Report.tr_id = want)
-                evs
+            match want with
+            | None -> evs
+            | Some id ->
+                List.filter
+                  (fun (ev : Explain.tx_evidence) ->
+                    ev.Explain.ev_tx.Report.tr_id = id)
+                  evs
           in
-          if want >= 0 && evs = [] then begin
-            Fmt.epr "no transaction #%d in the report (try --explain)@." want;
-            exit_usage
-          end
-          else begin
-            List.iter
-              (Fmt.pr "%a" (Explain.pp_tree analysis.Pipeline.an_prog))
-              evs;
-            0
-          end
+          match (want, evs) with
+          | Some id, [] ->
+              Fmt.epr "no transaction #%d in the report (try --explain)@." id;
+              exit_usage
+          | _ ->
+              List.iter
+                (Fmt.pr "%a" (Explain.pp_tree analysis.Pipeline.an_prog))
+                evs;
+              0)
       | None ->
           if json then
             Fmt.pr "%s@."
@@ -575,11 +575,12 @@ let explain_arg =
     "Print the evidence chain behind every transaction (slice steps,\n\
      taint facts, api_sem rules, signature fragments, pairing and\n\
      dependency justifications) instead of the report.  Use\n\
-     $(b,--explain=TX_ID) for a single transaction."
+     $(b,--explain=TX_ID) for a single transaction; TX_ID must not be\n\
+     negative."
   in
   Arg.(
     value
-    & opt ~vopt:(Some (-1)) (some int) None
+    & opt ~vopt:(Some None) (some (some ~none:"all" int)) None
     & info [ "explain" ] ~docv:"TX_ID" ~doc)
 
 let provenance_out_arg =
@@ -680,6 +681,9 @@ let retries_arg =
     & opt int Retry.default_policy.Retry.rp_max_attempts
     & info [ "retries" ] ~docv:"N" ~doc)
 
+let default_jobs = 0
+let default_gen_seed = 1
+
 let jobs_arg =
   let doc =
     "Worker processes for $(b,--all): corpus apps are analyzed in\n\
@@ -688,7 +692,7 @@ let jobs_arg =
      default) uses the machine's available parallelism; 1 runs\n\
      sequentially in-process; a negative N is refused."
   in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let shard_conv =
   let parse s =
@@ -736,7 +740,7 @@ let gen_arg =
 
 let gen_seed_arg =
   let doc = "Seed for the $(b,--gen) corpus generator." in
-  Arg.(value & opt int 1 & info [ "gen-seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int default_gen_seed & info [ "gen-seed" ] ~docv:"SEED" ~doc)
 
 let hang_timeout_arg =
   let doc =
@@ -812,6 +816,17 @@ let exits =
          to finish.";
   ]
 
+(* A flag the chosen mode ignores is refused, naming the flag, before
+   any app runs: [(flag, read under --all, set)] for every flag that only
+   one mode reads.  A flag left at its default counts as unset. *)
+let refuse_ignored_flags ~all flags =
+  List.iter
+    (fun (flag, for_all, set) ->
+      if set && for_all <> all then
+        if all then refuse "%s has no effect with --all" flag
+        else refuse "%s needs --all" flag)
+    flags
+
 let analyze_term =
   Term.(
     const
@@ -821,6 +836,38 @@ let analyze_term =
            resume cache_dir report_out retries jobs shard gen gen_seed progress
            hang_timeout inject ->
         setup_logs log_level;
+        if not list then
+          refuse_ignored_flags ~all
+            [
+              ("--scope", false, scope <> None);
+              ("--async-heuristic", false, not async);
+              ("--intents", false, intents);
+              ("--obfuscate", false, obf);
+              ("--obfuscate-libraries", false, obf_libs);
+              ("--limple", false, limple <> None);
+              ("--json", false, json);
+              ("--dot", false, dot);
+              ("--trace", false, trace <> None);
+              ("--profile", false, profile);
+              ("--explain", false, explain <> None);
+              ("--provenance-out", false, provenance_out <> None);
+              ("--journal", true, journal <> None);
+              ("--resume", true, resume);
+              ("--cache-dir", true, cache_dir <> None);
+              ("--report-out", true, report_out <> None);
+              ( "--retries", true,
+                retries <> Retry.default_policy.Retry.rp_max_attempts );
+              ("--jobs", true, jobs <> default_jobs);
+              ("--shard", true, shard <> None);
+              ("--gen", true, gen <> None);
+              ("--gen-seed", true, gen_seed <> default_gen_seed);
+              ("--progress", true, progress);
+              ("--hang-timeout", true, hang_timeout <> None);
+            ];
+        (match explain with
+        | Some (Some id) when id < 0 ->
+            refuse "--explain=%d: TX_ID must not be negative" id
+        | Some _ | None -> ());
         arm_injections inject;
         let limits = limits_of_flags max_steps max_depth deadline in
         (match hotspots with

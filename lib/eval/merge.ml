@@ -28,8 +28,6 @@
      the atomic [Export.write_file] discipline. *)
 
 module Journal = Extr_resilience.Journal
-module Resilience = Extr_resilience.Resilience
-module Barrier = Resilience.Barrier
 module Json = Extr_httpmodel.Json
 module Corpus = Extr_corpus.Corpus
 module Metrics = Extr_telemetry.Metrics
@@ -45,10 +43,7 @@ type degradation = { md_app : string; md_reason : string; md_detail : string }
 type t = {
   mg_config : string;
   mg_run : Runner.run;
-  mg_finished : (float option * Journal.event) list;
-      (* winning Finished record per app, stamps preserved, corpus order *)
-  mg_crashed : (string * (float option * Journal.event)) list;
-      (* winning Crashed record of each quarantined app *)
+  mg_outcomes : Journal.outcome list;  (* of each merged app, corpus order *)
   mg_missing_shards : int list;
   mg_missing_apps : string list;
   mg_degradations : degradation list;
@@ -89,33 +84,45 @@ let strip_shard config =
       | Some kn -> (String.sub config 0 i, Some kn)
       | None -> (config, None))
 
-(* Newest-finished-wins: later stamp beats earlier, a missing stamp
-   loses to any stamp, and exact ties go to the later input — the rule
-   is total and deterministic, which is what makes re-merging (every
-   stamp equal to itself, same input order) a fixed point. *)
-let wins ~cand:(s_new, i_new) ~incumbent:(s_old, i_old) =
-  let v = function Some s -> s | None -> neg_infinity in
-  if v s_new > v s_old then true
-  else if v s_new < v s_old then false
-  else (i_new : int) >= i_old
+type journal =
+  | Unreadable of string
+  | Empty
+  | Header of {
+      jh_config : string;
+      jh_base : string;
+      jh_shard : (int * int) option;
+      jh_anomalies : Journal.anomaly list;
+    }
 
-type cache_read = Cache_absent | Cache_corrupt | Cache_data of string
+type shard_set = {
+  ss_journals : (string * journal) list;
+  ss_records : (float option * Journal.event) list;
+}
 
-let read_cache_entry dir key =
-  let path = Filename.concat dir (key ^ ".json") in
-  if Sys.file_exists path then
-    try
-      let raw = In_channel.with_open_text path In_channel.input_all in
-      (* Verify the integrity seal: a corrupt entry is a miss, exactly
-         as [Store.find] treats it, so merge never splices a damaged
-         report into the envelope. *)
-      match Store.decode raw with
-      | Ok payload -> Cache_data payload
-      | Error reason ->
-          Log.warn (fun m -> m "%s: corrupt cache entry (%s)" path reason);
-          Cache_corrupt
-    with Sys_error _ -> Cache_absent
-  else Cache_absent
+(* Pool a journal set's records in stamp order: unstamped records
+   first, ties kept in input order.  The per-app outcome fold over them
+   is then newest-finished-wins — later stamp beats earlier, ties go to
+   the later input — a total, deterministic rule, which is what makes
+   re-merging (every stamp equal to itself, same input order) a fixed
+   point. *)
+let read_shard_set paths =
+  let read path =
+    match Journal.read_lenient ~path with
+    | Error msg -> ((path, Unreadable msg), [])
+    | Ok (None, _, _) -> ((path, Empty), [])
+    | Ok (Some jh_config, records, jh_anomalies) ->
+        let jh_base, jh_shard = strip_shard jh_config in
+        ((path, Header { jh_config; jh_base; jh_shard; jh_anomalies }), records)
+  in
+  let ss_journals, records = List.split (List.map read paths) in
+  let stamp = function Some s, _ -> s | None, _ -> neg_infinity in
+  {
+    ss_journals;
+    ss_records =
+      List.stable_sort
+        (fun a b -> compare (stamp a) (stamp b))
+        (List.concat records);
+  }
 
 let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
     ~(journals : string list) ?(cache_dirs = []) ?expect_shards () :
@@ -130,193 +137,116 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
     Log.warn (fun m -> m "%s: %s (%s)" md_reason md_detail md_app);
     degradations := { md_app; md_reason; md_detail } :: !degradations
   in
-  (* Fold every journal's records into per-app winners.  An unreadable
-     or headerless-but-nonempty journal is quarantined; a zero-byte one
-     (a shard that died between open and header — the stale-lock shape)
-     is an empty shard.  A journal whose base fingerprint differs is a
-     usage error: its results were computed under another configuration
-     and must not be mixed in silently. *)
-  let best : (string, (float option * int) * Journal.event) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let crashes : (string, (float option * int) * (string * string)) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  (* An unreadable or headerless-but-nonempty journal is quarantined; a
+     zero-byte one (a shard that died between open and header — the
+     stale-lock shape) is an empty shard.  A journal whose base
+     fingerprint differs is a usage error: its results were computed
+     under another configuration and must not be mixed in silently.
+     Corrupt records are dropped, not trusted: the affected app either
+     has a healthy record elsewhere in the shard set or surfaces as
+     missing — both are honest shapes. *)
+  let set = read_shard_set journals in
   let shards_seen = ref [] in
   let declared_n = ref None in
   let config_error = ref None in
-  List.iteri
-    (fun idx path ->
-      match Journal.read_lenient ~path with
-      | Error msg -> degrade "" "journal unreadable" (path ^ ": " ^ msg)
-      | Ok (None, _, _) ->
+  List.iter
+    (fun (path, journal) ->
+      match journal with
+      | Unreadable msg -> degrade "" "journal unreadable" (path ^ ": " ^ msg)
+      | Empty ->
           Log.info (fun m -> m "%s: empty journal, treating as empty shard" path)
-      | Ok (Some cfg, events, anomalies) ->
-          (* Corrupt records are dropped, not trusted: the affected app
-             either has a healthy record elsewhere in the shard set or
-             surfaces as missing — both are honest shapes. *)
+      | Header h ->
           List.iter
             (fun a ->
               degrade "" "journal record dropped"
                 (Fmt.str "%s: %a" path Journal.pp_anomaly a))
-            anomalies;
-          let cfg_base, shard = strip_shard cfg in
-          if cfg_base <> base then begin
+            h.jh_anomalies;
+          if h.jh_base <> base then begin
             if !config_error = None then
               config_error :=
                 Some
                   (Printf.sprintf
                      "%s: journal was written under a different configuration \
                       (%s, merge expects %s); results would not match"
-                     path cfg_base base)
+                     path h.jh_base base)
           end
-          else begin
+          else
             Option.iter
               (fun (k, n) ->
                 shards_seen := k :: !shards_seen;
                 declared_n :=
                   Some (max n (Option.value ~default:0 !declared_n)))
-              shard;
-            List.iter
-              (fun (stamp, ev) ->
-                let consider tbl app v =
-                  match Hashtbl.find_opt tbl app with
-                  | Some (incumbent, _)
-                    when not (wins ~cand:(stamp, idx) ~incumbent) ->
-                      ()
-                  | _ -> Hashtbl.replace tbl app ((stamp, idx), v)
-                in
-                match ev with
-                | Journal.Finished { ev_app; _ } -> consider best ev_app ev
-                | Journal.Crashed { ev_app; ev_phase; ev_exn } ->
-                    consider crashes ev_app (ev_phase, ev_exn)
-                | Journal.Started _ | Journal.Retried _ -> ())
-              events
-          end)
-    journals;
+              h.jh_shard)
+    set.ss_journals;
   match !config_error with
   | Some msg -> Error msg
   | None ->
+      let outcomes = Hashtbl.create 64 in
+      List.iter
+        (fun o -> Hashtbl.replace outcomes o.Journal.oc_app o)
+        (Journal.outcomes set.ss_records);
       (* The expected result set: the full corpus' identities, in corpus
          order — the same list every shard computed before filtering, so
          the merged envelope's app order is the unsharded run's. *)
       let identified = Runner.identify entries in
-      let missing_apps = ref [] in
       let cache = ref [] in
       let cache_keys = Hashtbl.create 64 in
-      let finished = ref [] in
-      let crashed = ref [] in
+      (* The first valid copy of [key] across the cache directories, read
+         without opening them.  A report is validated before it is
+         trusted: a torn entry (killed mid-write outside the atomic
+         discipline, disk trouble) must quarantine, not propagate. *)
       let lookup_report app key =
-        if key = "" then None
-        else
-          let corrupt = ref [] in
-          let rec probe = function
-            | [] ->
+        let file dir = Filename.concat dir (key ^ ".json") in
+        let read dir =
+          match Store.key_of_string key with
+          | Some k -> Store.read_entry ~dir k
+          | None -> Store.Absent
+        in
+        let rec probe corrupt = function
+          | [] ->
+              if corrupt = [] then
+                degrade app "cache entry missing" (key ^ ".json")
+              else
                 List.iter
                   (fun dir ->
-                    degrade app "corrupt cache entry quarantined"
-                      (Filename.concat dir (key ^ ".json")))
-                  (List.rev !corrupt);
-                if !corrupt = [] then
-                  degrade app "cache entry missing" (key ^ ".json");
-                None
-            | dir :: rest -> (
-                match read_cache_entry dir key with
-                | Cache_absent -> probe rest
-                | Cache_corrupt ->
-                    corrupt := dir :: !corrupt;
-                    probe rest
-                | Cache_data data -> (
-                    (* Validate before trusting: a torn entry (killed
-                       mid-write outside the atomic discipline, disk
-                       trouble) must quarantine, not propagate. *)
-                    match Runner.inspect_report_json data with
-                    | Some _ -> Some data
-                    | None ->
-                        corrupt := dir :: !corrupt;
-                        probe rest))
-          in
-          probe cache_dirs
+                    degrade app "corrupt cache entry quarantined" (file dir))
+                  (List.rev corrupt);
+              None
+          | dir :: rest -> (
+              match read dir with
+              | Store.Absent -> probe corrupt rest
+              | Store.Payload data when Runner.inspect_report_json data <> None
+                ->
+                  if not (Hashtbl.mem cache_keys key) then begin
+                    Hashtbl.replace cache_keys key ();
+                    cache := (key, data) :: !cache
+                  end;
+                  Some data
+              | Store.Corrupt reason ->
+                  Log.warn (fun m ->
+                      m "%s: corrupt cache entry (%s)" (file dir) reason);
+                  probe (dir :: corrupt) rest
+              | Store.Payload _ -> probe (dir :: corrupt) rest)
+        in
+        probe [] cache_dirs
       in
-      let results =
+      let missing_apps = ref [] in
+      let merged =
         List.filter_map
           (fun ((id, _) : string * Corpus.entry) ->
-            match Hashtbl.find_opt best id with
+            let restored o =
+              Option.map
+                (fun r -> (o, r))
+                (Runner.restore ~find:(lookup_report id) o)
+            in
+            match Option.bind (Hashtbl.find_opt outcomes id) restored with
             | None ->
                 missing_apps := id :: !missing_apps;
                 None
-            | Some
-                ( (stamp, _),
-                  (Journal.Finished
-                     { ev_key; ev_status; ev_cached; ev_attempts; ev_txs; _ }
-                   as fev) )
-              ->
-                let status =
-                  match Runner.status_of_name ev_status with
-                  | Some s -> s
-                  | None -> Runner.Quarantined
-                in
-                finished := (stamp, fev) :: !finished;
-                let crash =
-                  match status with
-                  | Runner.Quarantined ->
-                      let phase, exn_s =
-                        match Hashtbl.find_opt crashes id with
-                        | Some ((cstamp, _), pe) ->
-                            crashed :=
-                              ( id,
-                                ( cstamp,
-                                  Journal.Crashed
-                                    {
-                                      ev_app = id;
-                                      ev_phase = fst pe;
-                                      ev_exn = snd pe;
-                                    } ) )
-                              :: !crashed;
-                            pe
-                        | None -> ("?", "crash record missing from journal")
-                      in
-                      Some
-                        {
-                          Barrier.cr_app = id;
-                          cr_exn = exn_s;
-                          cr_phase = phase;
-                          cr_backtrace = "";
-                        }
-                  | _ -> None
-                in
-                let report, degs =
-                  match status with
-                  | Runner.Quarantined -> (None, [])
-                  | _ -> (
-                      match lookup_report id ev_key with
-                      | None -> (None, [])
-                      | Some data ->
-                          if not (Hashtbl.mem cache_keys ev_key) then begin
-                            Hashtbl.replace cache_keys ev_key ();
-                            cache := (ev_key, data) :: !cache
-                          end;
-                          ( Some data,
-                            match Runner.inspect_report_json data with
-                            | Some (_, _, ds) -> ds
-                            | None -> [] ))
-                in
-                Some
-                  {
-                    Runner.ar_app = id;
-                    ar_status = status;
-                    ar_cached = ev_cached;
-                    ar_resumed = false;
-                    ar_attempts = ev_attempts;
-                    ar_txs = ev_txs;
-                    ar_degradations = degs;
-                    ar_elapsed_s = 0.0;
-                    ar_crash = crash;
-                    ar_report_json = report;
-                  }
-            | Some (_, _) -> None)
+            | some -> some)
           identified
       in
+      let results = List.map snd merged in
       (* Shard coverage: [expect_shards] is authoritative when given;
          otherwise whatever N the surviving journals declared.  Journals
          with no shard suffix (an unsharded run, a merged journal)
@@ -348,8 +278,7 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
         {
           mg_config = base;
           mg_run = run;
-          mg_finished = List.rev !finished;
-          mg_crashed = List.rev !crashed;
+          mg_outcomes = List.map fst merged;
           mg_missing_shards = missing_shards;
           mg_missing_apps = List.rev !missing_apps;
           mg_degradations = List.rev !degradations;
@@ -448,26 +377,24 @@ let envelope_of_json contents =
    envelope (the idempotency the e2e shard scenario enforces). *)
 let journal_contents t =
   let buf = Buffer.create 4096 in
-  let add ?stamp ev =
+  let add (stamp, ev) =
     Buffer.add_string buf (Journal.line_of_event ?stamp ev);
     Buffer.add_char buf '\n'
   in
   Buffer.add_string buf (Journal.header_line ~config:t.mg_config ());
   Buffer.add_char buf '\n';
   List.iter
-    (fun (stamp, ev) ->
-      (match ev with
-      | Journal.Finished { ev_app; ev_status; _ }
-        when ev_status = Runner.status_name Runner.Quarantined -> (
+    (fun (o : Journal.outcome) ->
+      match o.Journal.oc_finished with
+      | Some ((_, Journal.Finished f) as finished) ->
           (* Replay the crash before its Finished record, as the live
              runner journals them, so --resume and stats recover the
              crash phase/exn from the merged journal too. *)
-          match List.assoc_opt ev_app t.mg_crashed with
-          | Some (cstamp, cev) -> add ?stamp:cstamp cev
-          | None -> ())
-      | _ -> ());
-      add ?stamp ev)
-    t.mg_finished;
+          if f.ev_status = Runner.status_name Runner.Quarantined then
+            Option.iter add o.Journal.oc_crashed;
+          add finished
+      | _ -> ())
+    t.mg_outcomes;
   Buffer.contents buf
 
 (* Union of the shards' metrics snapshots: decode each one and fold it

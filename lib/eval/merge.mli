@@ -11,6 +11,14 @@
     {!Extr_telemetry.Metrics.merge_samples} the pool coordinator uses
     for worker deltas.
 
+    An app's merged result is what [--resume] would restore from the
+    pooled journals: {!read_shard_set} pools every record in stamp
+    order, {!Extr_resilience.Journal.outcomes} folds them per app and
+    {!Runner.restore} rebuilds the result, so [merge], [--resume] and
+    [stats] agree on which apps are finished.  An app whose last
+    [finished] record is followed by a [started] one (killed during a
+    re-run), or whose status no writer produces, is missing.
+
     Robustness contract:
     - {e idempotent} — per-app conflicts (overlapping shards, duplicated
       work, re-merging merge's own outputs) resolve newest-finished-wins
@@ -39,10 +47,10 @@ type t = {
       (** the base configuration fingerprint (shard suffixes stripped)
           the merged envelope, journal and cache keys live under *)
   mg_run : Runner.run;  (** merged results, corpus order *)
-  mg_finished : (float option * Journal.event) list;
-      (** the winning [Finished] record per app, stamp preserved *)
-  mg_crashed : (string * (float option * Journal.event)) list;
-      (** the winning [Crashed] record of each quarantined app *)
+  mg_outcomes : Journal.outcome list;
+      (** the pooled journals' outcome of each merged app, corpus order:
+          its winning [Finished] and [Crashed] records, stamps
+          preserved *)
   mg_missing_shards : int list;  (** 1-based, ascending *)
   mg_missing_apps : string list;
       (** corpus identities no surviving journal accounts for *)
@@ -56,6 +64,31 @@ val strip_shard : string -> string * (int * int) option
 (** Split a journal fingerprint into its base and the trailing
     [";shard=K/N"] identity {!Runner.journal_fingerprint} appends, if
     one is present (in exactly that shape, [1 <= K <= N]). *)
+
+(** What one input journal holds besides its records. *)
+type journal =
+  | Unreadable of string  (** the reader's error *)
+  | Empty  (** zero bytes: a shard that died before its header *)
+  | Header of {
+      jh_config : string;  (** the header's fingerprint *)
+      jh_base : string;  (** ... with its shard suffix stripped *)
+      jh_shard : (int * int) option;  (** the stripped [K/N] *)
+      jh_anomalies : Journal.anomaly list;  (** dropped records *)
+    }
+
+type shard_set = {
+  ss_journals : (string * journal) list;  (** each path, input order *)
+  ss_records : (float option * Journal.event) list;
+      (** every record of every journal, pooled in stamp order:
+          unstamped records first, ties kept in input order *)
+}
+
+val read_shard_set : string list -> shard_set
+(** The one reader of a journal set, for [merge] and [stats]: each path
+    read with {!Extr_resilience.Journal.read_lenient}, read-only.  It
+    never fails; each caller applies its own policy to unreadable
+    journals and disagreeing bases ([stats] refuses them, {!merge}
+    degrades an unreadable journal and refuses a foreign base). *)
 
 val merge :
   options:Runner.options ->
@@ -109,10 +142,10 @@ val envelope_of_json : string -> (Runner.envelope * members, string) result
 
 val journal_contents : t -> string
 (** The merged journal: a header under [mg_config] followed by each
-    quarantined app's [Crashed] record and every app's winning
-    [Finished] record in corpus order, stamps carried over — readable by
-    [stats], [--resume] and a further [merge] exactly like a
-    runner-written journal. *)
+    quarantined app's winning [Crashed] record and every merged app's
+    winning [Finished] record in corpus order, stamps carried over —
+    readable by [stats], [--resume] and a further [merge] exactly like
+    a runner-written journal. *)
 
 val merge_metrics : string list -> (string, string) result
 (** Union the given exported metrics snapshots into one snapshot

@@ -192,22 +192,6 @@ let inspect_report_json data =
       | _ -> None)
   | Some _ | None -> None
 
-(* The result of an app that never produced a report: [crash] is the
-   failure that quarantined it. *)
-let quarantined_result ~resumed id attempts crash =
-  {
-    ar_app = id;
-    ar_status = Quarantined;
-    ar_cached = false;
-    ar_resumed = resumed;
-    ar_attempts = attempts;
-    ar_txs = 0;
-    ar_degradations = [];
-    ar_elapsed_s = 0.0;
-    ar_crash = Some crash;
-    ar_report_json = None;
-  }
-
 (* A crash known only by its phase and message (a worker death, or a
    journal or envelope record read back): it has no backtrace. *)
 let crash_record id ~phase ~exn =
@@ -217,17 +201,68 @@ let crashed id (crash : Barrier.crash) =
   Journal.Crashed
     { ev_app = id; ev_phase = crash.Barrier.cr_phase; ev_exn = crash.cr_exn }
 
-(* A cache entry only saves work: a write that fails (a full disk) loses
-   the entry, which [--resume] and the next run recompute, and the run
-   goes on.  [Store.store] itself still raises, so [merge --cache-out]
-   can refuse an output it could not write. *)
-let store_entry cache id key data =
-  try Store.store cache key data
-  with Sys_error msg ->
-    Metrics.incr m_cache_write_failures;
-    Log.warn (fun m -> m "%s: cache entry not written (%s)" id msg)
+(* The result an app's journal outcome records: a quarantined app
+   replays its last crash, an ok or degraded one gets its report from
+   [find] (by the record's cache key) and the degradations in it.  An
+   app with no Finished record, or one whose status no writer produces,
+   has none. *)
+let restore ~find (o : Journal.outcome) =
+  match o.Journal.oc_finished with
+  | Some (_, Journal.Finished f) ->
+      Option.map
+        (fun status ->
+          let crash, report =
+            match status with
+            | Quarantined ->
+                let phase, exn =
+                  match o.Journal.oc_crashed with
+                  | Some (_, Journal.Crashed c) -> (c.ev_phase, c.ev_exn)
+                  | _ -> ("?", "crash record missing from journal")
+                in
+                (Some (crash_record o.Journal.oc_app ~phase ~exn), None)
+            | Ok | Degraded -> (None, find f.ev_key)
+          in
+          {
+            ar_app = o.Journal.oc_app;
+            ar_status = status;
+            (* The journal's cached flag, not "true": a restored result
+               must serialize exactly like the run that journaled it. *)
+            ar_cached = f.ev_cached;
+            ar_resumed = false;
+            ar_attempts = f.ev_attempts;
+            ar_txs = f.ev_txs;
+            ar_degradations =
+              (match Option.bind report inspect_report_json with
+              | Some (_, _, ds) -> ds
+              | None -> []);
+            ar_elapsed_s = 0.0;
+            ar_crash = crash;
+            ar_report_json = report;
+          })
+        (status_of_name f.ev_status)
+  | _ -> None
 
-(* Journal a quarantined app's Finished record and return its result. *)
+(* Store a freshly analyzed report's cache entry, at both widths after
+   the commit that covers its Finished record and before the result is
+   published.  Journal before store: a kill between the two re-runs the
+   app on resume (benign); the reverse order would let a resumed run
+   find a cache entry the journal never finished, and report it as
+   cached when the uninterrupted run would not have.  An entry only
+   saves work: a write that fails (a full disk) loses the entry, which
+   [--resume] and the next run recompute, and the run goes on.
+   [Store.store] itself still raises, so [merge --cache-out] can refuse
+   an output it could not write. *)
+let store_fresh cache (r, key_s) =
+  match (cache, r.ar_report_json, Store.key_of_string key_s) with
+  | Some c, Some data, Some key when not r.ar_cached -> (
+      try Store.store c key data
+      with Sys_error msg ->
+        Metrics.incr m_cache_write_failures;
+        Log.warn (fun m -> m "%s: cache entry not written (%s)" r.ar_app msg))
+  | _ -> ()
+
+(* Journal a quarantined app's Finished record and return its result:
+   no report, [crash] is the failure that quarantined it. *)
 let quarantine ~jot id key_s attempts crash =
   jot
     (Journal.Finished
@@ -239,20 +274,31 @@ let quarantine ~jot id key_s attempts crash =
          ev_attempts = attempts;
          ev_txs = 0;
        });
-  quarantined_result ~resumed:false id attempts crash
+  {
+    ar_app = id;
+    ar_status = Quarantined;
+    ar_cached = false;
+    ar_resumed = false;
+    ar_attempts = attempts;
+    ar_txs = 0;
+    ar_degradations = [];
+    ar_elapsed_s = 0.0;
+    ar_crash = Some crash;
+    ar_report_json = None;
+  }
 
 (* Analyze one corpus entry end to end: materialize the app (behind the
    fault barrier — a malformed synthetic spec must quarantine this app,
    not abort the corpus), consult the cache, drive the retry ladder and
    journal every transition.  [run] calls this in-process for
-   sequential runs and inside a forked worker under --jobs N, so every
-   shared side effect goes through the caller-owned [jot] (journal
-   append) and [do_store] (cache write) callbacks.  Returns the result
-   plus the cache key string: the pool's coordinator performs the store
-   itself after the Finished event reaches the journal, keeping the
+   sequential runs and inside a forked worker under --jobs N, so its
+   one shared side effect goes through the caller-owned [jot], which
+   writes a record without syncing it.  Returns the result plus the
+   cache key string: the caller commits the records, then stores the
+   entry ([store_fresh]) and publishes the result, the
    crash-consistency order (journal first, cache second) that resume
    relies on. *)
-let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
+let run_app ~jot ~cache (o : options) ~config id (e : Corpus.entry) :
     app_result * string =
   match
     Barrier.protect ~app:id (fun () ->
@@ -336,11 +382,6 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
             let data =
               Json.to_string (Report.to_json ~deterministic:true report)
             in
-            (* Journal before store: a kill between the two re-runs the
-               app on resume (benign); the reverse order would let a
-               resumed run find a cache entry the journal never
-               finished, and report it as cached when the uninterrupted
-               run would not have. *)
             jot
               (Journal.Finished
                  {
@@ -351,7 +392,6 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
                    ev_attempts = attempts;
                    ev_txs = List.length report.Report.rp_transactions;
                  });
-            do_store key data;
             {
               ar_app = id;
               ar_status = status;
@@ -508,9 +548,7 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
           Metrics.reset Metrics.default;
           Span.reset Span.default;
           Profile.reset Profile.default;
-          let r, key_s =
-            run_app ~jot:emit ~do_store:(fun _ _ -> ()) ~cache o ~config id e
-          in
+          let r, key_s = run_app ~jot:emit ~cache o ~config id e in
           ( r,
             key_s,
             Some
@@ -536,12 +574,7 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
           (quarantine ~jot id "" 1 crash, "", None))
         ~on_result:(fun i (r, key_s, delta) ->
           Option.iter fold_delta delta;
-          (match (cache, r.ar_report_json) with
-          | Some c, Some data when not r.ar_cached -> (
-              match Store.key_of_string key_s with
-              | Some k -> store_entry c r.ar_app k data
-              | None -> ())
-          | _ -> ());
+          store_fresh cache (r, key_s);
           slots.(i) <- Some r;
           emit_ready ())
         ()
@@ -589,15 +622,14 @@ let run ?(on_result = fun (_ : app_result) -> ())
               Result.Error (Printf.sprintf "cache directory: %s" msg)))
   in
   (* The journal: fresh for a new run, replayed for --resume.  Resuming
-     yields the map of already-finished apps and the crash each
-     quarantined app last died with (the report envelope needs it). *)
+     yields each journaled app's outcome. *)
   let journal =
     match (o.ro_resume, o.ro_journal) with
     | true, None -> Result.Error "--resume requires --journal PATH"
     | true, Some path -> (
         match Journal.load ~path ~config:jconfig () with
         | Result.Error msg -> Result.Error msg
-        | Result.Ok (j, events, anomalies) ->
+        | Result.Ok (j, records, anomalies) ->
             (* Dropped records mean the affected apps simply re-run —
                resume degrades to recomputation, never trusts a corrupt
                artifact. *)
@@ -609,31 +641,24 @@ let run ?(on_result = fun (_ : app_result) -> ())
               anomalies;
             if anomalies <> [] then
               Metrics.incr ~by:(List.length anomalies) m_journal_dropped;
-            let crashes = Hashtbl.create 8 in
-            List.iter
-              (function
-                | Journal.Crashed { ev_app; ev_phase; ev_exn } ->
-                    Hashtbl.replace crashes ev_app (ev_phase, ev_exn)
-                | _ -> ())
-              events;
-            Result.Ok (Some j, Journal.finished events, crashes))
-    | false, None -> Result.Ok (None, [], Hashtbl.create 0)
+            Result.Ok (Some j, Journal.outcomes records))
+    | false, None -> Result.Ok (None, [])
     | false, Some path -> (
         (* An unwritable path is a usage error, like a bad --cache-dir. *)
         match Journal.create ~path ~config:jconfig () with
-        | j -> Result.Ok (Some j, [], Hashtbl.create 0)
+        | j -> Result.Ok (Some j, [])
         | exception Sys_error msg -> Result.Error ("--journal: " ^ msg))
   in
   match (cache, journal) with
   | Result.Error msg, _ | _, Result.Error msg -> Result.Error msg
-  | Result.Ok cache, Result.Ok (journal, done_map, past_crashes) ->
+  | Result.Ok cache, Result.Ok (journal, outcomes) ->
       (* Journal first, observer second — the progress display must
          never see an event the journal could still lose.  [write] hands
          an event to the journal and queues it with its write time (the
          journal's stamp, or the time it was seen when there is no
          journal); [commit] fsyncs once and then shows the observer
-         every queued event in order.  The sequential [jot] commits
-         every event; the pool commits once per window. *)
+         every queued event in order.  A sequential run commits once
+         per app, the pool once per window. *)
       let unpublished = Queue.create () in
       let write ev =
         let at =
@@ -652,10 +677,6 @@ let run ?(on_result = fun (_ : app_result) -> ())
           done
         end
       in
-      let jot ev =
-        write ev;
-        commit ()
-      in
       let on_result r =
         if r.ar_cached then Metrics.incr m_cache_hits;
         if r.ar_resumed then Metrics.incr m_restored;
@@ -665,56 +686,21 @@ let run ?(on_result = fun (_ : app_result) -> ())
          replay their recorded crash; ok/degraded apps come back from
          the cache.  A cache miss (evicted entry, no --cache-dir) falls
          through to a fresh run — resume never produces a hole. *)
-      let restore app (f : Journal.event) =
-        match f with
-        | Journal.Finished { ev_key; ev_status; ev_cached; ev_attempts; ev_txs; _ }
-          -> (
-            match status_of_name ev_status with
-            | Some Quarantined ->
-                let phase, exn_s =
-                  match Hashtbl.find_opt past_crashes app with
-                  | Some pe -> pe
-                  | None -> ("?", "crash record missing from journal")
-                in
-                Some
-                  (quarantined_result ~resumed:true app ev_attempts
-                     (crash_record app ~phase ~exn:exn_s))
-            | Some status -> (
-                let entry =
-                  match (cache, Store.key_of_string ev_key) with
-                  | Some c, Some k -> Store.find c k
-                  | _ -> None
-                in
-                match entry with
-                | Some data ->
-                    let degradations =
-                      match inspect_report_json data with
-                      | Some (_, _, ds) -> ds
-                      | None -> []
-                    in
-                    Some
-                      {
-                        ar_app = app;
-                        ar_status = status;
-                        (* The journal's cached flag, not "true": a
-                           resumed run must serialize exactly like the
-                           uninterrupted run it replaces. *)
-                        ar_cached = ev_cached;
-                        ar_resumed = true;
-                        ar_attempts = ev_attempts;
-                        ar_txs = ev_txs;
-                        ar_degradations = degradations;
-                        ar_elapsed_s = 0.0;
-                        ar_crash = None;
-                        ar_report_json = Some data;
-                      }
-                | None ->
-                    Log.warn (fun m ->
-                        m "%s finished in the journal but not in the cache; re-running"
-                          app);
-                    None)
-            | None -> None)
+      let past = Hashtbl.create 64 in
+      List.iter (fun oc -> Hashtbl.replace past oc.Journal.oc_app oc) outcomes;
+      let find key =
+        match (cache, Store.key_of_string key) with
+        | Some c, Some k -> Store.find c k
         | _ -> None
+      in
+      let try_restore id =
+        match Option.bind (Hashtbl.find_opt past id) (restore ~find) with
+        | Some r when r.ar_status <> Quarantined && r.ar_report_json = None ->
+            Log.warn (fun m ->
+                m "%s finished in the journal but not in the cache; re-running"
+                  id);
+            None
+        | r -> Option.map (fun r -> { r with ar_resumed = true }) r
       in
       (* Identify on the full corpus, then keep this shard's slice: "#N"
          identities are shard-independent, and namesakes co-locate (the
@@ -730,13 +716,14 @@ let run ?(on_result = fun (_ : app_result) -> ())
                 shard_index ~shards:n e.Corpus.c_app.Spec.a_name = k - 1)
               all
       in
-      let try_restore id =
-        if o.ro_resume then Option.bind (List.assoc_opt id done_map) (restore id)
-        else None
-      in
+      let pooled = o.ro_jobs > 1 && List.length identified > 1 in
+      if o.ro_hang_timeout <> None && not pooled then
+        Log.warn (fun m ->
+            m "--hang-timeout: this run is sequential (one job or one app), \
+               so no watchdog runs");
       let results, interrupted, worker_spans =
         Fun.protect ~finally:commit @@ fun () ->
-        if o.ro_jobs > 1 && List.length identified > 1 then
+        if pooled then
           run_pooled ~jot:write ~commit ~try_restore ~cache ~config ~on_result
             ~on_state o (Array.of_list identified)
         else begin
@@ -749,11 +736,12 @@ let run ?(on_result = fun (_ : app_result) -> ())
                    match try_restore id with
                    | Some restored -> restored
                    | None ->
-                       fst
-                         (run_app ~jot
-                            ~do_store:(fun k d ->
-                              Option.iter (fun c -> store_entry c id k d) cache)
-                            ~cache o ~config id e)
+                       let ((r, _) as fresh) =
+                         run_app ~jot:write ~cache o ~config id e
+                       in
+                       commit ();
+                       store_fresh cache fresh;
+                       r
                  in
                  results := res :: !results;
                  on_result res)

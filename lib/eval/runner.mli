@@ -123,6 +123,23 @@ type app_result = {
           cache on a hit; [None] for quarantined apps *)
 }
 
+val restore :
+  find:(string -> string option) -> Journal.outcome -> app_result option
+(** The result an app's journal outcome ({!Journal.outcomes}) records:
+    its last [Finished] record's status, cached flag, attempts and
+    transaction count.  [None] when the outcome has no [Finished]
+    record (the app is in flight) or its status is not one
+    {!status_name} produces.  A quarantined app replays its last
+    [Crashed] record, or [("?", "crash record missing from journal")]
+    when the journal has none, and [find] is not called.  An ok or
+    degraded app gets its report from [find] applied to the record's
+    cache key, and its degradations are re-read from that report; when
+    [find] returns [None] the result has no report.  [ar_resumed] is
+    [false] and [ar_elapsed_s] is [0.].  [--resume] finds with
+    {!Extr_store.Store.find} and re-runs an app whose report is
+    missing; [merge] finds across its cache directories and keeps the
+    app without a report. *)
+
 type run = {
   rn_results : app_result list;  (** corpus order; partial if interrupted *)
   rn_interrupted : bool;  (** SIGINT/SIGTERM unwound the run *)
@@ -168,10 +185,12 @@ val run :
     sees an event the journal could still lose: it fires after the
     fsync that covers the record, and [at] is the record's journal
     stamp.  Without one, [at] is the time the runner saw the event.
-    Under [ro_jobs > 1] events are published in commits (see
-    {!Pool.run}), so [at] can precede the call by up to a commit
-    window.  [on_state] relays the pool's scheduling state (see
-    {!Pool.run}); it never fires for sequential runs.
+    Events are published in commits — once per app sequentially, once
+    per window under [ro_jobs > 1] (see {!Pool.run}) — so [at] can
+    precede the call by up to an app's run or a commit window, and an
+    app's events reach the observer before its cache entry is written
+    and its result published.  [on_state] relays the pool's scheduling
+    state (see {!Pool.run}); it never fires for sequential runs.
 
     Under [ro_jobs > 1] the work is spread over forked workers
     ({!Pool}): the coordinator alone appends to the journal and the

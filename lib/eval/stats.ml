@@ -64,89 +64,50 @@ let sorted_counts tbl =
   |> List.sort (fun (ka, a) (kb, b) ->
          match compare (b : int) a with 0 -> compare ka kb | c -> c)
 
-let of_events events =
-  (* Per-app fold in arrival order.  The LAST lifecycle record decides
-     an app's fate — an app started again after finishing (a killed
-     re-run) is back in flight, exactly as --resume would see it. *)
-  let order = ref [] in
-  let seen = Hashtbl.create 32 in
-  let first_started = Hashtbl.create 32 in
-  let last_finished = Hashtbl.create 32 in
-  let final = Hashtbl.create 32 in
+(* An app's row from its outcome: the same decision --resume makes.  An
+   app with no Finished record, or one whose status no writer produces,
+   is one --resume would re-run: in flight. *)
+let app_of_outcome (o : Journal.outcome) =
+  match o.Journal.oc_finished with
+  | Some (finished_at, Journal.Finished f)
+    when Runner.status_of_name f.ev_status <> None ->
+      {
+        st_app = o.Journal.oc_app;
+        st_status = f.ev_status;
+        st_cached = f.ev_cached;
+        st_attempts = f.ev_attempts;
+        st_txs = f.ev_txs;
+        st_wall_s =
+          (match (o.Journal.oc_started, finished_at) with
+          | Some t0, Some t1 when t1 >= t0 -> Some (t1 -. t0)
+          | _ -> None);
+      }
+  | _ ->
+      {
+        st_app = o.Journal.oc_app;
+        st_status = "in-flight";
+        st_cached = false;
+        st_attempts = 0;
+        st_txs = 0;
+        st_wall_s = None;
+      }
+
+let of_records records =
   let retries = Hashtbl.create 8 in
   let crashes = Hashtbl.create 8 in
-  let first_stamp = ref None in
-  let last_stamp = ref None in
   List.iter
-    (fun (stamp, ev) ->
-      (match stamp with
-      | Some s ->
-          if !first_stamp = None then first_stamp := Some s;
-          last_stamp := Some s
-      | None -> ());
-      let note app =
-        if not (Hashtbl.mem seen app) then begin
-          Hashtbl.replace seen app ();
-          order := app :: !order
-        end
-      in
+    (fun (_, ev) ->
       match ev with
-      | Journal.Started { ev_app; _ } ->
-          note ev_app;
-          Hashtbl.remove final ev_app;
-          Hashtbl.remove last_finished ev_app;
-          Option.iter
-            (fun s ->
-              if not (Hashtbl.mem first_started ev_app) then
-                Hashtbl.replace first_started ev_app s)
-            stamp
-      | Journal.Retried { ev_app; ev_reason; _ } ->
-          note ev_app;
-          bump retries ev_reason
-      | Journal.Crashed { ev_app; ev_phase; _ } ->
-          note ev_app;
-          bump crashes ev_phase
-      | Journal.Finished { ev_app; _ } ->
-          note ev_app;
-          Hashtbl.replace final ev_app ev;
-          Option.iter (fun s -> Hashtbl.replace last_finished ev_app s) stamp)
-    events;
-  let apps =
-    List.rev_map
-      (fun app ->
-        match Hashtbl.find_opt final app with
-        | Some
-            (Journal.Finished { ev_status; ev_cached; ev_attempts; ev_txs; _ })
-          ->
-            let wall =
-              match
-                ( Hashtbl.find_opt first_started app,
-                  Hashtbl.find_opt last_finished app )
-              with
-              | Some t0, Some t1 when t1 >= t0 -> Some (t1 -. t0)
-              | _ -> None
-            in
-            {
-              st_app = app;
-              st_status = ev_status;
-              st_cached = ev_cached;
-              st_attempts = ev_attempts;
-              st_txs = ev_txs;
-              st_wall_s = wall;
-            }
-        | _ ->
-            {
-              st_app = app;
-              st_status = "in-flight";
-              st_cached = false;
-              st_attempts = 0;
-              st_txs = 0;
-              st_wall_s = None;
-            })
-      !order
-  in
+      | Journal.Retried { ev_reason; _ } -> bump retries ev_reason
+      | Journal.Crashed { ev_phase; _ } -> bump crashes ev_phase
+      | Journal.Started _ | Journal.Finished _ -> ())
+    records;
+  let apps = List.map app_of_outcome (Journal.outcomes records) in
   let count pred = List.length (List.filter pred apps) in
   let status st a = a.st_status = st in
+  (* Records come in stamp order, so the first and last stamps bound the
+     run. *)
+  let stamps = List.filter_map fst records in
   {
     rs_config = "";
     rs_apps = apps;
@@ -158,8 +119,8 @@ let of_events events =
     rs_retries = sorted_counts retries;
     rs_crashes = sorted_counts crashes;
     rs_wall_s =
-      (match (!first_stamp, !last_stamp) with
-      | Some a, Some b when b >= a -> Some (b -. a)
+      (match (stamps, List.rev stamps) with
+      | first :: _, last :: _ when last >= first -> Some (last -. first)
       | _ -> None);
     rs_dropped = 0;
     rs_cache_entries = None;
@@ -206,55 +167,42 @@ let phase_of_sample (s : Metrics.sample) =
         ph_p99_us = Metrics.percentile s 99.0;
       }
 
-(* Read a journal set: one journal is the classic single-run view; a
-   list is a shard set inspected before (or instead of) running
-   `merge`.  Per-journal shard suffixes are stripped and the bases must
-   agree; events are pooled and stably sorted by stamp (unstamped
-   records first, input order preserved on ties), so the per-app
-   last-record-wins fold sees the fleet's records in wall-clock order.
-   A zero-byte journal — a shard that died between open and header, the
-   stale-lock shape — is an empty run, not an error. *)
+(* A journal set: one journal is the classic single-run view; a list is
+   a shard set inspected before (or instead of) running `merge`.  The
+   shard-set reader pools the records in stamp order; here an unreadable
+   journal, or one whose base disagrees with the first, is an error. *)
 let read_journals paths =
+  let set = Merge.read_shard_set paths in
   let single = match paths with [ _ ] -> true | _ -> false in
-  let dropped = ref 0 in
-  let rec fold cfg acc = function
+  let rec fold cfg dropped = function
     | [] ->
-        let stamped =
-          List.stable_sort
-            (fun (a, _) (b, _) ->
-              let v = function Some s -> s | None -> neg_infinity in
-              compare (v a) (v b))
-            (List.concat (List.rev acc))
+        let shown =
+          match cfg with Some (shown, _) -> shown | None -> "(empty journal)"
         in
-        Ok ((match cfg with Some (shown, _) -> shown | None -> "(empty journal)"), stamped, !dropped)
-    | path :: rest -> (
-        match Journal.read_lenient ~path with
-        | Error msg -> Error msg
-        | Ok (None, _, anomalies) ->
-            dropped := !dropped + List.length anomalies;
-            fold cfg acc rest
-        | Ok (Some c, events, anomalies) -> (
-            dropped := !dropped + List.length anomalies;
-            let base, _shard = Merge.strip_shard c in
-            (* A single journal keeps its full fingerprint (the shard
-               suffix is informative); a set is reported under the
-               shared base, which every member must agree on. *)
-            let shown = if single then c else base in
-            match cfg with
-            | Some (_, prev) when prev <> base ->
-                Error
-                  (Printf.sprintf
-                     "%s: journal configuration %s does not match the other \
-                      journals' (%s)"
-                     path base prev)
-            | Some _ -> fold cfg (events :: acc) rest
-            | None -> fold (Some (shown, base)) (events :: acc) rest))
+        Ok (shown, set.Merge.ss_records, dropped)
+    | (_, Merge.Unreadable msg) :: _ -> Error msg
+    | (_, Merge.Empty) :: rest -> fold cfg dropped rest
+    | (path, Merge.Header h) :: rest -> (
+        let dropped = dropped + List.length h.jh_anomalies in
+        (* A single journal keeps its full fingerprint (the shard suffix
+           is informative); a set is reported under the shared base,
+           which every member must agree on. *)
+        let shown = if single then h.jh_config else h.jh_base in
+        match cfg with
+        | Some (_, prev) when prev <> h.jh_base ->
+            Error
+              (Printf.sprintf
+                 "%s: journal configuration %s does not match the other \
+                  journals' (%s)"
+                 path h.jh_base prev)
+        | Some _ -> fold cfg dropped rest
+        | None -> fold (Some (shown, h.jh_base)) dropped rest)
   in
-  fold None [] paths
+  fold None 0 set.Merge.ss_journals
 
 let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
   let ( let* ) = Result.bind in
-  let* config, events, dropped = read_journals journals in
+  let* config, records, dropped = read_journals journals in
   let* phases =
     match metrics with
     | None -> Ok []
@@ -278,7 +226,7 @@ let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
   in
   Ok
     {
-      (of_events events) with
+      (of_records records) with
       rs_config = config;
       rs_dropped = dropped;
       rs_cache_entries = Option.bind cache_dir cache_entries;

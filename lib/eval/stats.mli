@@ -2,12 +2,13 @@
 
     Reconstructs an [--all] run's report purely from the artifacts it
     left behind — the write-ahead journal (required; read-only via
-    {!Extr_resilience.Journal.read}, so a journal from a killed or
-    still-running run is safe), the result cache directory and the
-    metrics snapshot (both optional).  Per-app status and wall time come
-    from the journal's stamped started/finished records; retry-ladder
-    and crash taxonomies from the retried/crashed records; per-phase
-    latency percentiles from the [pipeline.phase_us] series — the same
+    {!Merge.read_shard_set}, so a journal from a killed or still-running
+    run is safe), the result cache directory and the metrics snapshot
+    (both optional).  Per-app status and wall time come from the
+    journal's per-app outcomes ({!Extr_resilience.Journal.outcomes}, the
+    fold [--resume] and [merge] use too); retry-ladder and crash
+    taxonomies from the retried/crashed records; per-phase latency
+    percentiles from the [pipeline.phase_us] series — the same
     p50/p95/p99 estimate the metrics exporter annotates them with.
 
     {!summary_line} reproduces the exact footer [--all] prints, so the
@@ -18,8 +19,9 @@ type app = {
   st_app : string;
   st_status : string;
       (** ["ok"], ["degraded"], ["quarantined"], or ["in-flight"] when
-          the journal's last record for the app is not [finished] (a
-          killed or live run) *)
+          the app has no [finished] record that [--resume] would restore
+          — none yet (a killed or live run), one followed by a later
+          [started], or one whose status no writer produces *)
   st_cached : bool;
   st_attempts : int;
   st_txs : int;

@@ -102,10 +102,10 @@ let event_of_json j =
   | Some _ | None -> None
 
 (* Each record is stamped with the journal clock when written, so an
-   offline reader ([read], the stats subcommand) can reconstruct wall
-   time per app and the run's ETA from the file alone.  Readers treat
-   the stamp as optional: journals written before stamping existed still
-   load.  [merge] carries stamps over from its source journals. *)
+   offline reader ([read_lenient], the stats subcommand) can reconstruct
+   wall time per app and the run's ETA from the file alone.  Readers
+   treat the stamp as optional: journals written before stamping existed
+   still load.  [merge] carries stamps over from its source journals. *)
 let timestamp_of_json j = Json.num_member "t" j
 
 let with_stamp stamp json =
@@ -168,12 +168,12 @@ let pp_anomaly fmt a = Fmt.pf fmt "line %d: %s" a.an_line a.an_reason
 (* ------------------------------------------------------------------ *)
 
 (* The header's fsync is not counted, so the counter adds up across
-   the shards of a sequential run like the records it covers. *)
+   the shards of a sequential run like the apps it covers. *)
 let m_fsyncs =
   Metrics.counter
     ~help:
-      "journal fsyncs of event records: one per record sequentially, one \
-       per pool commit"
+      "journal fsyncs of event records: one per app sequentially, one per \
+       pool commit"
     "journal.fsyncs"
 
 (* Push the kernel's copy of everything written so far to the disk.
@@ -220,7 +220,7 @@ let reopen_for_append path contents =
   oc
 
 (* Header line + parsed (timestamp, event) records of [path]'s complete
-   lines; shared by the resuming [load] and the read-only [read].
+   lines; shared by the resuming [load] and the read-only [read_lenient].
    [Ok (None, [], [])] is a zero-byte journal: a run died between
    opening the file and writing the header (the stale-lock shape) —
    offline readers classify it as an empty run, not an error.
@@ -301,12 +301,6 @@ let read_lenient ~path =
   | exception Sys_error msg -> Error msg
   | contents -> parse_journal ~path contents
 
-let read ~path =
-  match read_lenient ~path with
-  | Error msg -> Error msg
-  | Ok (None, _, _) -> Error (path ^ ": empty journal (no header)")
-  | Ok (Some c, events, anomalies) -> Ok (c, events, anomalies)
-
 let load ?(clock = Clock.wall) ~path ~config () =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
@@ -329,7 +323,7 @@ let load ?(clock = Clock.wall) ~path ~config () =
               Ok
                 ( { jn_path = path; jn_config = config; jn_oc = oc;
                     jn_clock = clock },
-                  List.map snd timestamped,
+                  timestamped,
                   anomalies )))
 
 let write t ev =
@@ -375,15 +369,45 @@ let event_app = function
   | Crashed e -> e.ev_app
   | Finished e -> e.ev_app
 
-let finished events =
-  (* Last lifecycle record per app wins: a Started after a Finished means
-     the app was being re-run when the journal stopped. *)
-  let last = Hashtbl.create 16 in
-  List.iter (fun ev -> Hashtbl.replace last (event_app ev) ev) events;
-  Hashtbl.fold
-    (fun app ev acc ->
-      match ev with Finished _ -> (app, ev) :: acc | _ -> acc)
-    last []
+type outcome = {
+  oc_app : string;
+  oc_finished : (float option * event) option;
+  oc_crashed : (float option * event) option;
+  oc_started : float option;
+}
+
+(* One pass in record order.  A Started after a Finished means the app
+   was being re-run when the journal stopped, so it clears the Finished:
+   the app is in flight again.  The crash survives it — the quarantine
+   that follows a re-run's crash replays the latest one. *)
+let outcomes records =
+  let by_app = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun ((stamp, ev) as record) ->
+      let app = event_app ev in
+      let o =
+        match Hashtbl.find_opt by_app app with
+        | Some o -> o
+        | None ->
+            order := app :: !order;
+            { oc_app = app; oc_finished = None; oc_crashed = None;
+              oc_started = None }
+      in
+      let o =
+        match ev with
+        | Started _ ->
+            let oc_started =
+              if o.oc_started = None then stamp else o.oc_started
+            in
+            { o with oc_finished = None; oc_started }
+        | Finished _ -> { o with oc_finished = Some record }
+        | Crashed _ -> { o with oc_crashed = Some record }
+        | Retried _ -> o
+      in
+      Hashtbl.replace by_app app o)
+    records;
+  List.rev_map (Hashtbl.find by_app) !order
 
 let pp_event fmt = function
   | Started e -> Fmt.pf fmt "started %s (attempt %d)" e.ev_app e.ev_attempt

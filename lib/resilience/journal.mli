@@ -23,13 +23,13 @@
     from it: before an observer sees it, before its app's cache entry
     is written, and before the app's result is published.  A power loss
     can therefore lose only records nobody has seen, and [--resume]
-    re-runs those apps.  Sequential runs publish each record as it
-    happens, so they sync after every record, as {!append} does.  The
-    pooled coordinator writes each record as it reads it and syncs once
-    per commit window, publishing the window's records and results
-    after the fsync (the [commit] callback of [Pool.run]).  The
-    ["journal.fsyncs"] counter counts every {!sync}; the header's own
-    fsync at {!create} is not counted.
+    re-runs those apps.  Sequential runs write an app's records as they
+    happen and sync once when the app is done, before its cache entry
+    and result.  The pooled coordinator writes each record as it reads
+    it and syncs once per commit window, publishing the window's records
+    and results after the fsync (the [commit] callback of [Pool.run]).
+    The ["journal.fsyncs"] counter counts every {!sync}; the header's
+    own fsync at {!create} is not counted.
 
     Every line additionally carries a content checksum (a final ["c"]
     member covering the rest of the line), so {e mid-file} corruption —
@@ -77,7 +77,7 @@ val load :
   path:string ->
   config:string ->
   unit ->
-  (t * event list * anomaly list, string) result
+  (t * (float option * event) list * anomaly list, string) result
 (** Re-open an existing journal for [--resume].  [Error] when the file
     is missing or unreadable, the header is absent or fails its
     checksum, or the header's configuration fingerprint differs from
@@ -85,29 +85,25 @@ val load :
     and the file truncated back to the last complete record; corrupt or
     malformed interior lines are dropped and returned as anomalies —
     the affected apps simply re-run, so a resumed run never trusts a
-    corrupt record.  The returned journal is positioned to append after
-    the surviving records. *)
+    corrupt record.  The records come back with their stamps, as
+    {!read_lenient} returns them, and the returned journal is
+    positioned to append after them. *)
 
-val read :
+val read_lenient :
   path:string ->
-  (string * (float option * event) list * anomaly list, string) result
-(** Read-only load for offline inspection ([extractocol stats]): the
+  (string option * (float option * event) list * anomaly list, string) result
+(** Read-only load for offline inspection ([stats], [merge]): the
     header's configuration fingerprint and every complete record with
     its timestamp ([None] for records written before stamping existed),
     plus the anomalies for dropped mid-file records.  Unlike {!load},
     the file is not opened for appending, not truncated, and no
     configuration is required — a torn trailing line is simply skipped,
     so a journal left by a killed (or still-running) run can be
-    inspected without touching it. *)
-
-val read_lenient :
-  path:string ->
-  (string option * (float option * event) list * anomaly list, string) result
-(** Like {!read}, but a zero-byte (or whitespace-only) journal — a run
-    that died between opening the file and writing the header, the
-    stale-lock shape — is [Ok (None, [], [])] rather than an error, so
-    [merge] and [stats] can classify it as an empty shard.  A non-empty
-    file with a malformed header is still an [Error]. *)
+    inspected without touching it.  A zero-byte (or whitespace-only)
+    journal — a run that died between opening the file and writing the
+    header, the stale-lock shape — is [Ok (None, [], [])], so [merge]
+    and [stats] can classify it as an empty shard.  A non-empty file
+    with a malformed header is an [Error]. *)
 
 val header_line : ?stamp:float -> config:string -> unit -> string
 (** The header record (no trailing newline) exactly as {!create} writes
@@ -139,9 +135,24 @@ val append : t -> event -> unit
 
 val path : t -> string
 
-val finished : event list -> (string * event) list
-(** The [(app, record)] pairs for apps whose last lifecycle record is
-    [Finished] — the apps [--resume] may skip.  An app that started
-    again after finishing (a later [Started] record) is not included. *)
+type outcome = {
+  oc_app : string;
+  oc_finished : (float option * event) option;
+      (** the app's last [Finished] record and its stamp, unless a later
+          [Started] follows it (the app was being re-run when the
+          journal stopped) *)
+  oc_crashed : (float option * event) option;
+      (** its last [Crashed] record and its stamp *)
+  oc_started : float option;  (** the stamp of its first stamped [Started] *)
+}
+(** What one app's records mean.  [--resume], [merge] and [stats] all
+    read a journal through {!outcomes}, so they agree on which apps are
+    finished and which are in flight. *)
+
+val outcomes : (float option * event) list -> outcome list
+(** One outcome per app, in order of first appearance, folded over the
+    records in list order.  [--resume] passes its journal's records in
+    file order; [merge] and [stats] pass a shard set's records pooled in
+    stamp order. *)
 
 val pp_event : Format.formatter -> event -> unit

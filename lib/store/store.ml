@@ -115,14 +115,15 @@ let m_temps_swept =
   Metrics.counter ~help:"orphaned temp files removed on cache open"
     "cache.temps.swept"
 
-let open_ ?(sweep_age_s = 3600.) ~dir () =
+let open_ ~dir () =
   mkdir_p dir;
   if not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   (* A writer SIGKILLed between temp and rename leaves an orphan; the
      cache directory is the long-lived artifact directory those
-     accumulate in, so runner/merge startup is the natural GC point. *)
-  let swept = Export.sweep_temps ~max_age_s:sweep_age_s ~dir () in
+     accumulate in, so opening it (runner startup, [merge --cache-out])
+     is the natural GC point. *)
+  let swept = Export.sweep_temps ~dir () in
   if swept > 0 then begin
     if Metrics.is_enabled Metrics.default then
       Metrics.incr ~by:swept m_temps_swept;
@@ -132,7 +133,7 @@ let open_ ?(sweep_age_s = 3600.) ~dir () =
 
 let dir t = t.st_dir
 
-let entry_path t k = Filename.concat t.st_dir (k ^ ".json")
+let entry_path dir k = Filename.concat dir (k ^ ".json")
 
 let m_hits =
   Metrics.counter ~help:"result-cache lookups that found an entry" "cache.hits"
@@ -185,33 +186,39 @@ let flip_byte s =
     Bytes.to_string b
   end
 
+type entry = Absent | Corrupt of string | Payload of string
+
+(* The one reader of an entry file.  [tamper] sees the raw bytes before
+   the seal is checked: the store.read fault site's bit flip. *)
+let read_file ?(tamper = Fun.id) path =
+  if not (Sys.file_exists path) then Absent
+  else
+    match In_channel.with_open_text path In_channel.input_all with
+    | exception Sys_error msg -> Corrupt msg
+    | raw -> (
+        match decode (tamper raw) with
+        | Result.Ok payload -> Payload payload
+        | Result.Error reason -> Corrupt reason)
+
+let read_entry ~dir k = read_file (entry_path dir k)
+
 let find t k =
-  let path = entry_path t k in
-  let raw =
-    if Sys.file_exists path then
-      try Some (In_channel.with_open_text path In_channel.input_all)
-      with Sys_error msg ->
-        Log.warn (fun m -> m "unreadable cache entry %s: %s" path msg);
-        None
-    else None
-  in
-  let raw =
+  let path = entry_path t.st_dir k in
+  let entry =
     match Fault.fire "store.read" with
-    | Some "miss" -> None
-    | Some "bitflip" -> Option.map flip_byte raw
-    | Some _ | None -> raw
+    | Some "miss" -> Absent
+    | Some "bitflip" -> read_file ~tamper:flip_byte path
+    | Some _ | None -> read_file path
   in
   let hit =
-    match raw with
-    | None -> None
-    | Some raw -> (
-        match decode raw with
-        | Result.Ok payload -> Some payload
-        | Result.Error reason ->
-            Log.warn (fun m ->
-                m "corrupt cache entry %s (%s); treating as a miss" path reason);
-            if Metrics.is_enabled Metrics.default then Metrics.incr m_corrupt;
-            None)
+    match entry with
+    | Payload payload -> Some payload
+    | Absent -> None
+    | Corrupt reason ->
+        Log.warn (fun m ->
+            m "corrupt cache entry %s (%s); treating as a miss" path reason);
+        if Metrics.is_enabled Metrics.default then Metrics.incr m_corrupt;
+        None
   in
   if Metrics.is_enabled Metrics.default then
     Metrics.incr (match hit with Some _ -> m_hits | None -> m_misses);
@@ -226,7 +233,7 @@ let store t k contents =
     | Some _ | None -> Some data
   in
   match data with
-  | Some data -> Export.write_file (entry_path t k) data
+  | Some data -> Export.write_file (entry_path t.st_dir k) data
   | None -> ()
 
 (* Offline integrity audit for [stats --verify]: decode every entry in
@@ -236,13 +243,10 @@ let audit ~dir =
   Array.fold_left
     (fun (total, corrupt) name ->
       if Filename.check_suffix name ".json" && name.[0] <> '.' then
-        let path = Filename.concat dir name in
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error msg -> (total + 1, (name, msg) :: corrupt)
-        | raw -> (
-            match decode raw with
-            | Result.Ok _ -> (total + 1, corrupt)
-            | Result.Error reason -> (total + 1, (name, reason) :: corrupt))
+        match read_file (Filename.concat dir name) with
+        | Absent -> (total, corrupt)
+        | Payload _ -> (total + 1, corrupt)
+        | Corrupt reason -> (total + 1, (name, reason) :: corrupt)
       else (total, corrupt))
     (0, []) names
   |> fun (total, corrupt) -> (total, List.rev corrupt)

@@ -37,24 +37,37 @@ val key_of_string : string -> key option
 type t
 (** An open cache rooted at a directory. *)
 
-val open_ : ?sweep_age_s:float -> dir:string -> unit -> t
+val open_ : dir:string -> unit -> t
 (** Open (creating the directory if needed), garbage-collecting
-    orphaned write temps older than [sweep_age_s] (default one hour;
-    see {!Extr_telemetry.Export.sweep_temps}) — the startup sweep that
+    orphaned write temps older than an hour (see
+    {!Extr_telemetry.Export.sweep_temps}) — the startup sweep that
     keeps a long-lived artifact directory free of dead writers'
     leftovers.  Swept files count into ["cache.temps.swept"].
     @raise Sys_error when the directory cannot be created. *)
 
 val dir : t -> string
 
+type entry =
+  | Absent  (** no entry file *)
+  | Corrupt of string
+      (** the file cannot be read or fails its content digest: the
+          reason *)
+  | Payload of string  (** the verified contents *)
+
+val read_entry : dir:string -> key -> entry
+(** Read and verify one entry of the cache directory [dir] without
+    opening it: no directory is created, no temp swept, no counter
+    bumped — [merge] reads its input caches this way.  {!find} and
+    {!audit} read entries through the same reader. *)
+
 val find : t -> key -> string option
 (** The stored contents, or [None].  Bumps ["cache.hits"] or
-    ["cache.misses"] when the metrics registry is enabled.  An
-    unreadable entry is a miss, never an error — and so is an entry
-    that fails its content digest (["cache.corrupt"] counts it): a
-    corrupt artifact is never served, the app re-runs, and the fresh
-    {!store} heals the entry.  Consults the {!Extr_resilience.Fault}
-    site ["store.read"] (modes [bitflip], [miss]). *)
+    ["cache.misses"] when the metrics registry is enabled.  A
+    {!Corrupt} entry is a miss, never an error (["cache.corrupt"]
+    counts it): a corrupt artifact is never served, the app re-runs,
+    and the fresh {!store} heals the entry.  Consults the
+    {!Extr_resilience.Fault} site ["store.read"] (modes [bitflip],
+    [miss]). *)
 
 val store : t -> key -> string -> unit
 (** Atomically write the entry (temp file + rename), sealed with a
@@ -74,6 +87,6 @@ val decode : string -> (string, string) result
     header — the caller must treat the entry as missing. *)
 
 val audit : dir:string -> int * (string * string) list
-(** Offline integrity audit ([stats --verify]): decode every [*.json]
-    entry under [dir]; returns the entry count and the corrupt ones as
-    [(filename, reason)]. *)
+(** Offline integrity audit ([stats --verify]): read every [*.json]
+    entry under [dir] as {!read_entry} does; returns the entry count and
+    the corrupt ones as [(filename, reason)]. *)

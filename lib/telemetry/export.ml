@@ -225,13 +225,14 @@ let write_file path contents =
    files, so any that have outlived a generous age are dead writers'
    leftovers, safe to unlink.  The age floor protects concurrent live
    writers in a shared artifact directory: their temps exist for
-   milliseconds. *)
+   milliseconds, an hour is far beyond any of them. *)
+let temp_max_age_s = 3600.
 let is_temp_name name =
   String.length name > 5
   && name.[0] = '.'
   && Filename.check_suffix name ".tmp"
 
-let sweep_temps ?(max_age_s = 3600.) ~dir () =
+let sweep_temps ~dir () =
   match Sys.readdir dir with
   | exception Sys_error _ -> 0
   | names ->
@@ -246,7 +247,7 @@ let sweep_temps ?(max_age_s = 3600.) ~dir () =
             | st ->
                 if
                   st.Unix.st_kind = Unix.S_REG
-                  && now -. st.Unix.st_mtime > max_age_s
+                  && now -. st.Unix.st_mtime > temp_max_age_s
                 then (
                   match Sys.remove path with
                   | () -> swept + 1

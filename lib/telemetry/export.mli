@@ -29,11 +29,11 @@ val set_write_fault : (string -> string option) -> unit
     target is truncated to half the contents).  Unknown modes write
     normally. *)
 
-val sweep_temps : ?max_age_s:float -> dir:string -> unit -> int
+val sweep_temps : dir:string -> unit -> int
 (** Remove orphaned {!write_file} temp files ([.*.tmp]) in [dir] older
-    than [max_age_s] (default one hour — far beyond any live writer's
-    temp lifetime, so concurrent shards sharing the directory are never
-    disturbed), returning how many were removed.  A missing or
+    than one hour — far beyond any live writer's temp lifetime, so
+    concurrent shards sharing the directory are never disturbed —
+    returning how many were removed.  A missing or
     unreadable directory sweeps nothing.  Run by the result cache on
     open, i.e. on runner and merge startup. *)
 

@@ -16,6 +16,7 @@ module Export = Extr_telemetry.Export
 module Json = Extr_httpmodel.Json
 module Report = Extr_extractocol.Report
 module Resilience = Extr_resilience.Resilience
+module Fault = Extr_resilience.Fault
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -342,8 +343,7 @@ let test_envelope_round_trip () =
     {
       Merge.mg_config = "cfg;shard=\\";
       mg_run = run;
-      mg_finished = [];
-      mg_crashed = [];
+      mg_outcomes = [];
       mg_missing_shards = members.Merge.mm_missing_shards;
       mg_missing_apps = members.mm_missing_apps;
       mg_degradations = members.mm_degradations;
@@ -406,6 +406,43 @@ let test_merge_empty_and_unreadable_journals () =
       check Alcotest.int "results unaffected" gen_count
         (List.length t2.Merge.mg_run.Runner.rn_results))
 
+let test_merge_restarted_app_missing () =
+  (* Resume over a lost cache, killed while it re-runs the first app:
+     that app's Finished record is followed by a Started one.  --resume
+     would re-run it and stats shows it in flight, so merge lists it
+     missing (exit 4) instead of counting it finished. *)
+  let dir = tmp_dir () in
+  let es = entries () in
+  let o = opts ~dir "run" in
+  ignore (run_ok o es);
+  let lost = { o with Runner.ro_cache_dir = Some (Filename.concat dir "lost") } in
+  Fault.arm ~site:"pipeline.interpretation" ~occurrence:1 ~mode:"kill" ();
+  (match Runner.run { lost with Runner.ro_resume = true } es with
+  | exception Resilience.Barrier.Killed -> Fault.reset ()
+  | _ ->
+      Fault.reset ();
+      Alcotest.fail "the kill did not fire");
+  let journal = Option.get o.Runner.ro_journal in
+  let t =
+    merge_ok ~options:o ~entries:es ~journals:[ journal ]
+      ~cache_dirs:(Option.to_list lost.Runner.ro_cache_dir)
+      ()
+  in
+  check Alcotest.(list string) "the restarted app is missing" [ "gen0001" ]
+    t.Merge.mg_missing_apps;
+  check Alcotest.int "partial merge exits 4" 4 (Merge.exit_code t);
+  check Alcotest.int "every other app merged" (gen_count - 1)
+    (List.length t.Merge.mg_run.Runner.rn_results);
+  match Stats.of_artifacts ~journals:[ journal ] () with
+  | Error e -> Alcotest.fail e
+  | Ok st ->
+      check Alcotest.(list string) "stats shows it in flight" [ "gen0001" ]
+        (List.filter_map
+           (fun a ->
+             if a.Stats.st_status = "in-flight" then Some a.Stats.st_app
+             else None)
+           st.Stats.rs_apps)
+
 let test_shard_journal_isolation () =
   (* A shard refuses to resume another shard's journal: the shard
      identity is part of the journal fingerprint. *)
@@ -460,6 +497,8 @@ let () =
           tc "envelope round-trips through its decoders"
             test_envelope_round_trip;
           tc "empty vs unreadable journals" test_merge_empty_and_unreadable_journals;
+          tc "an app killed in its re-run is missing (exit 4)"
+            test_merge_restarted_app_missing;
           tc "shards only resume their own journal"
             test_shard_journal_isolation;
         ] );
