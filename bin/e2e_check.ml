@@ -48,14 +48,22 @@ let fail ck fmt =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
+
+(* What follows the first [needle] in [hay], if it occurs. *)
+let after ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i =
+    if i + n > h then None
+    else if String.sub hay i n = needle then
+      Some (String.sub hay (i + n) (h - i - n))
+    else go (i + 1)
+  in
+  go 0
+
+let contains ~needle hay = after ~needle hay <> None
 
 (* FAIL with [msg] unless [text] contains [needle]. *)
 let expect_text ck ~needle text msg =
@@ -74,10 +82,12 @@ let root = ref ""
 let shared_dir () = Filename.concat !root "shared"
 let path ck name = Filename.concat ck.ck_dir name
 
-(* Run the CLI with stdout and stderr into DIR/LABEL.out. *)
-let exec ck ~dir label args =
+(* Run the CLI with stdout and stderr into DIR/LABEL.out, or with
+   stderr alone into DIR/LABEL.err when [split]. *)
+let exec ?(split = false) ck ~dir label args =
   let out = Filename.concat dir (label ^ ".out") in
-  let cmd = Filename.quote_command ck.ck_exe args ~stdout:out ~stderr:out in
+  let err = if split then Filename.concat dir (label ^ ".err") else out in
+  let cmd = Filename.quote_command ck.ck_exe args ~stdout:out ~stderr:err in
   (Sys.command cmd, out)
 
 let check_exit ck label ~expect (code, out) =
@@ -434,8 +444,10 @@ let trace ck =
 (* Per-method time flushes inside the engine loops, which run inside the
    pipeline phase span, so a phase's attribution ("slicing.backward"
    belongs to "pipeline.slicing") cannot exceed the span's cumulative
-   time — 5 ms of slack absorbs clock granularity.  Waste rows must hold
-   possible counts, with a touched row for [scope]. *)
+   time — 5 ms of slack absorbs clock granularity — and no phase's self
+   time is negative (a worker lane holds many tasks' spans, each
+   recording's own children only count).  Waste rows must hold possible
+   counts, with a touched row for [scope]. *)
 let check_profile ck ~scope ((sn : Profile.snapshot), phases) =
   if sn.Profile.sn_entries = [] then
     fail ck "profile artifact has no method rows";
@@ -461,6 +473,11 @@ let check_profile ck ~scope ((sn : Profile.snapshot), phases) =
                enclosing %s span (%.6fs)"
               prefix total span cum)
     sums;
+  List.iter
+    (fun (name, _, self) ->
+      if self < -1e-6 then
+        fail ck "phase %s has a negative self time (%.6fs)" name self)
+    phases;
   if sn.Profile.sn_wastes = [] then
     fail ck "profile artifact has no waste rows";
   List.iter
@@ -508,30 +525,61 @@ let profile ck =
   let single = path ck "single.json" in
   let out =
     run ck ~expect:0 "single"
-      [ "--profile-out"; single; "--hotspots"; "5"; "radio reddit" ]
+      [ "--profile-out"; single; "--profile"; "radio reddit" ]
   in
   check_profile ck ~scope:"radio reddit" (read single);
   check_folded ck (single ^ ".folded");
   expect_text ck ~needle:"waste[radio reddit]" out
-    "--hotspots did not print the waste summary";
+    "--profile did not print the waste summary";
   expect_text ck ~needle:"slicing" out
-    "--hotspots table names no slicing phase";
+    "--profile view names no slicing phase";
   (* Observation only: the profiler on must leave the envelope of the
-     otherwise identical shared run untouched. *)
+     otherwise identical shared run untouched.  The view --profile
+     prints on stderr is the profile section stats prints from the
+     journal and the artifact, byte for byte. *)
   let profiled label jobs =
+    let artifact = path ck (label ^ "-profile.json") in
     ignore
-      (run ck ~expect:0 label
-         (corpus ~dir:ck.ck_dir ~jobs label
-         @ [
-             "--report-out"; path ck (label ^ ".json"); "--profile-out";
-             path ck (label ^ "-profile.json");
-           ]));
-    path ck (label ^ "-profile.json")
+      (check_exit ck label ~expect:0
+         (exec ~split:true ck ~dir:ck.ck_dir label
+            (corpus ~dir:ck.ck_dir ~jobs label
+            @ [
+                "--report-out"; path ck (label ^ ".json"); "--profile-out";
+                artifact; "--profile";
+              ])));
+    let view = read_file (path ck (label ^ ".err")) in
+    let stats =
+      run ck ~expect:0 (label ^ "-stats")
+        [
+          "stats"; "--journal"; path ck (label ^ ".jsonl"); "--profile";
+          artifact;
+        ]
+    in
+    if after ~needle:"profile (from --profile-out):\n" stats <> Some view then
+      fail ck
+        "the profile section of stats differs from the view --profile \
+         printed (%s-stats.out vs %s.err)"
+        label label;
+    (artifact, view)
   in
-  let pn = profiled "on" jobs in
+  let pn, view = profiled "on" jobs in
   same_file ck ~what:"profiling changed the --all report envelope"
     (path ck "on.json") (shared_run ck "par");
-  let p1 = profiled "p1" 1 in
+  check_profile ck ~scope:"radio reddit" (read pn);
+  expect_text ck ~needle:"pipeline.slicing" view
+    "the --profile view of a pooled run has no phase rows";
+  (* Namesake entries ("Diode#2") are served from their first copy's
+     cache entry and analyze nothing. *)
+  List.iter
+    (fun (a : Runner.app_result) ->
+      if not a.Runner.ar_cached then
+        expect_text ck
+          ~needle:(Printf.sprintf "waste[%s]" a.Runner.ar_app)
+          view
+          (Printf.sprintf "the --profile view has no waste row for %s"
+             a.Runner.ar_app))
+    (apps ck (path ck "on.json"));
+  let p1, _ = profiled "p1" 1 in
   if counts (read p1) <> counts (read pn) then
     fail ck "--jobs N profile counts differ from --jobs 1 (%s vs %s)" pn p1;
   check_folded ck (p1 ^ ".folded")
@@ -853,11 +901,41 @@ let fault ck =
 (* help: every command's manual renders                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The long options the main manual lists.  A flag added, removed or
+   renamed changes this list in review, and so does the hazard a removal
+   opens: cmdliner takes any unambiguous prefix of a long option, so a
+   removed name can start selecting another option. *)
+let long_options =
+  [
+    "--all"; "--async-heuristic"; "--cache-dir"; "--deadline"; "--dot";
+    "--explain"; "--gen"; "--gen-seed"; "--hang-timeout"; "--help";
+    "--inject"; "--intents"; "--jobs"; "--journal"; "--json"; "--limple";
+    "--list"; "--log-level"; "--max-depth"; "--max-steps"; "--metrics-out";
+    "--obfuscate"; "--obfuscate-libraries"; "--profile"; "--profile-out";
+    "--progress"; "--provenance-out"; "--report-out"; "--resume";
+    "--retries"; "--scope"; "--shard"; "--trace-out"; "--validate-trace";
+    "--version";
+  ]
+
+(* The option names of a plain manual's option lines ("       -j N,
+   --jobs=N (absent=0)"), sorted. *)
+let listed_options manual =
+  String.split_on_char '\n' manual
+  |> List.filter (has_prefix ~prefix:"       -")
+  |> List.concat_map (fun line ->
+         String.split_on_char ' ' (String.trim line))
+  |> List.filter (has_prefix ~prefix:"--")
+  |> List.map (fun word ->
+         List.fold_left
+           (fun w c -> List.hd (String.split_on_char c w))
+           word [ '='; '['; ',' ])
+  |> List.sort_uniq compare
+
 (* cmdliner reports a doc-markup error in the manual text and still exits
    0, so the text is what gets checked.  Flag values the parser accepts
-   but the run cannot honour, and flags the chosen mode ignores, are
-   refused with exit 1 before any app is analyzed, so neither a summary
-   footer nor a report is printed. *)
+   but the run cannot honour, and arguments the chosen mode ignores, are
+   refused with exit 1 before any work starts, so neither a summary
+   footer, a report nor the app list is printed. *)
 let help ck =
   let manual label args =
     let text = run ck ~expect:0 label (args @ [ "--help=plain" ]) in
@@ -875,6 +953,11 @@ let help ck =
       "hung@PHASE"; "SITE[@N][:MODE]"; "pipeline.interpretation@2:kill";
       "app.crash:APP"; "worker.exit:APP";
     ];
+  let listed = listed_options main in
+  if listed <> List.sort compare long_options then
+    fail ck "--help=plain lists the long options %s, expected %s"
+      (String.concat " " listed)
+      (String.concat " " (List.sort compare long_options));
   let input = path ck "input.txt" in
   Out_channel.with_open_text input ignore;
   let ignored ~mode flags =
@@ -887,16 +970,18 @@ let help ck =
       let out = run ck ~expect:1 label args in
       expect_text ck ~needle:flag out
         (Printf.sprintf "the %s refusal does not name %s" label flag);
-      if contains ~needle:" apps: " out || contains ~needle:" transactions, " out
-      then fail ck "%s was refused only after the analysis ran" label)
+      if
+        List.exists
+          (fun needle -> contains ~needle out)
+          [ " apps: "; " transactions, "; "available corpus apps" ]
+      then fail ck "%s was refused only after the work ran" label)
     (ignored ~mode:"--all"
        [
          ("--intents", []); ("--scope", [ "com.x" ]); ("--json", []);
          ("--dot", []); ("--explain", []);
          ("--provenance-out", [ path ck "prov.json" ]); ("--obfuscate", []);
-         ("--profile", []); ("--async-heuristic", [ "false" ]);
-         ("--obfuscate-libraries", []); ("--limple", [ input ]);
-         ("--trace", [ input ]);
+         ("--async-heuristic", [ "false" ]); ("--obfuscate-libraries", []);
+         ("--limple", [ input ]); ("--validate-trace", [ input ]);
        ]
     @ ignored ~mode:"SharedDP"
         [
@@ -907,7 +992,21 @@ let help ck =
           ("--progress", []); ("--hang-timeout", [ "1" ]); ("--resume", []);
           ("--gen-seed", [ "4" ]);
         ]
+    @ ignored ~mode:"--list"
+        [
+          ("--json", []); ("--all", []); ("--jobs", [ "3" ]);
+          ("--metrics-out", [ path ck "m.json" ]); ("--profile", []);
+          ("--max-steps", [ "5" ]);
+        ]
     @ [
+      ( "all-app", "SharedDP",
+        [ "--all"; "--gen"; "2"; "--jobs"; "1"; "SharedDP" ] );
+      ("list-app", "SharedDP", [ "--list"; "SharedDP" ]);
+      (* The old name of --validate-trace points at both names: taken
+         for --trace-out, it would write a Chrome trace over the
+         archive. *)
+      ("trace", "--validate-trace", [ "SharedDP"; "--trace"; input ]);
+      ("trace-out", "--trace-out", [ "SharedDP"; "--trace"; input ]);
       ("gen", "--gen", [ "--all"; "--gen=-1" ]);
       ("merge-gen", "--gen", [ "merge"; "--gen=-1"; "--journal"; "none" ]);
       ( "hang-timeout", "--hang-timeout",
@@ -928,11 +1027,17 @@ let help ck =
       ("retries", "--retries", [ "--all"; "--gen"; "4"; "--retries=-2" ]);
       ( "merge-retries", "--retries",
         [ "merge"; "--retries=0"; "--journal"; "none" ] );
-      ("hotspots", "--hotspots", [ "SharedDP"; "--hotspots=0" ]);
       ("explain", "--explain", [ "SharedDP"; "--explain=-5" ]);
     ]);
-  if Sys.file_exists (path ck "r.json") then
-    fail ck "a refused --report-out still wrote its file";
+  List.iter
+    (fun file ->
+      if Sys.file_exists (path ck file) then
+        fail ck "a refused run still wrote %s" file)
+    [ "r.json"; "m.json" ];
+  if read_file input <> "" then
+    fail ck "a refused --trace wrote over its archive %s" input;
+  (* A removed flag is unknown to the parser, not a prefix of another. *)
+  ignore (run ck ~expect:124 "hotspots" [ "SharedDP"; "--hotspots" ]);
   (* A sequential run has no watchdog: it warns and runs, since a shard
      may hold a single app. *)
   expect_text ck ~needle:"--hang-timeout"

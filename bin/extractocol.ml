@@ -92,40 +92,68 @@ let validate_trace (report : Report.t) path =
         unmatched;
       if unmatched = [] then exit_ok else exit_degraded
 
-(* Method-level profiler artifact: the JSON (per-method rows, waste
-   summary, per-phase rollup) plus the collapsed-stack FILE.folded
-   companion for flamegraph tools.  [lanes] carries every tracer whose
-   spans should weigh the folded stacks — the coordinator's plus, under
-   --all --jobs N, one per worker. *)
-let write_profile_out lanes path =
-  Telemetry.Export.write_file path
-    (Telemetry.Export.profile_json
-       ~phases:(Telemetry.Export.phase_rollup lanes)
-       Telemetry.Profile.default);
-  Telemetry.Export.write_file (path ^ ".folded")
-    (Telemetry.Export.folded_lanes lanes)
+(* Every output file goes through here: a failed write exits 1. *)
+let try_write write path =
+  try write path
+  with Sys_error msg ->
+    Fmt.epr "cannot write output: %s@." msg;
+    exit exit_usage
 
-let print_hotspots k =
-  Fmt.epr "%a" (Telemetry.Export.pp_hotspots ~k) Telemetry.Profile.default
-
-(* The one rule that turns the recorders on, in single-app and --all
-   mode alike: the tracer for every output that weighs spans (the Chrome
-   trace, the --profile table, and the folded export and phase rollup of
-   the method profiler), the metrics registry for --metrics-out and the
-   --profile summary, and the method profiler for --hotspots and
-   --profile-out.  Forked --all workers inherit the flags and ship what
-   they record back with each result. *)
-let enable_telemetry ~trace_out ~metrics_out ~profile ~hotspots ~profile_out =
-  let profiling = hotspots <> None || profile_out <> None in
-  if trace_out <> None || profile || profiling then
+(* A run's telemetry, in single-app and --all mode alike.  The one rule
+   that turns the recorders on: the tracer for every output that weighs
+   spans (the Chrome trace, and the phase rollup and folded export of the
+   profile), the metrics registry for --metrics-out, the method profiler
+   for --profile and --profile-out; forked --all workers inherit them and
+   ship what they record back with each result.  It returns the one
+   epilogue both modes end in, over the span lanes: the coordinator's on
+   lane 0, then one per pool worker ((pid, spans), in pid order; none for
+   a single-app or sequential run).  The profile is one (snapshot, phase
+   rollup) pair: --profile-out encodes it, with the collapsed-stack
+   FILE.folded companion for flamegraph tools, and --profile prints it,
+   the view `stats --profile` prints from the artifact. *)
+let telemetry ~trace_out ~metrics_out ~profile ~profile_out =
+  let profiling = profile || profile_out <> None in
+  if trace_out <> None || profiling then
     Telemetry.Span.set_enabled Telemetry.Span.default true;
-  if metrics_out <> None || profile then
+  if metrics_out <> None then
     Telemetry.Metrics.set_enabled Telemetry.Metrics.default true;
-  if profiling then Telemetry.Profile.set_enabled Telemetry.Profile.default true
+  if profiling then
+    Telemetry.Profile.set_enabled Telemetry.Profile.default true;
+  fun workers ->
+    let lanes =
+      ("coordinator", 0, Telemetry.Span.spans Telemetry.Span.default)
+      :: List.mapi
+           (fun i (pid, spans) ->
+             (Printf.sprintf "worker %d" pid, i + 1, spans))
+           workers
+    in
+    let spans = List.map (fun (_, _, spans) -> spans) lanes in
+    Option.iter
+      (try_write (fun path ->
+           Telemetry.Export.write_file path
+             (Telemetry.Export.chrome_trace_lanes lanes)))
+      trace_out;
+    Option.iter
+      (try_write (fun path ->
+           Telemetry.Export.write_metrics path Telemetry.Metrics.default))
+      metrics_out;
+    if profiling then begin
+      let view =
+        ( Telemetry.Profile.snapshot Telemetry.Profile.default,
+          Telemetry.Export.phase_rollup spans )
+      in
+      Option.iter
+        (try_write (fun path ->
+             Telemetry.Export.write_file path
+               (Telemetry.Export.profile_json view);
+             Telemetry.Export.write_file (path ^ ".folded")
+               (Telemetry.Export.folded_lanes spans)))
+        profile_out;
+      if profile then Fmt.epr "%a@?" Telemetry.Export.pp_profile view
+    end
 
 let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
-    trace trace_out metrics_out profile hotspots profile_out explain
-    provenance_out limits =
+    validate explain provenance_out limits finish_telemetry =
   let apk =
     match limple_file with
     | Some path ->
@@ -175,25 +203,10 @@ let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
       op_limits = limits;
     }
   in
-  enable_telemetry ~trace_out ~metrics_out ~profile ~hotspots ~profile_out;
   let provenance_on = explain <> None || provenance_out <> None in
   if provenance_on then Provenance.set_enabled Provenance.default true;
   let analysis = Pipeline.analyze ~options apk in
   let evidence = if provenance_on then Some (Explain.gather analysis) else None in
-  let try_write write path =
-    try write path
-    with Sys_error msg ->
-      Fmt.epr "cannot write telemetry output: %s@." msg;
-      exit exit_usage
-  in
-  Option.iter
-    (try_write (fun path ->
-         Telemetry.Export.write_chrome_trace path Telemetry.Span.default))
-    trace_out;
-  Option.iter
-    (try_write (fun path ->
-         Telemetry.Export.write_metrics path Telemetry.Metrics.default))
-    metrics_out;
   Option.iter
     (try_write (fun path ->
          Telemetry.Export.write_file path
@@ -202,53 +215,49 @@ let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
                  ?provenance:(Option.map Explain.to_json evidence)
                  analysis.Pipeline.an_report))))
     provenance_out;
-  if profile then begin
-    Fmt.epr "%a" Telemetry.Export.pp_profile Telemetry.Span.default;
-    Fmt.epr "%a@." Telemetry.Metrics.pp_summary Telemetry.Metrics.default
-  end;
-  Option.iter
-    (try_write
-       (write_profile_out [ Telemetry.Span.spans Telemetry.Span.default ]))
-    profile_out;
-  Option.iter print_hotspots hotspots;
-  match trace with
-  | Some path -> validate_trace analysis.Pipeline.an_report path
-  | None -> (
-      match explain with
-      | Some want -> (
-          (* The human-readable evidence tree: statement → rule → fragment
-             per transaction (all of them, or just TX_ID). *)
-          let evs = Option.value evidence ~default:[] in
-          let evs =
-            match want with
-            | None -> evs
-            | Some id ->
-                List.filter
-                  (fun (ev : Explain.tx_evidence) ->
-                    ev.Explain.ev_tx.Report.tr_id = id)
-                  evs
-          in
-          match (want, evs) with
-          | Some id, [] ->
-              Fmt.epr "no transaction #%d in the report (try --explain)@." id;
-              exit_usage
-          | _ ->
-              List.iter
-                (Fmt.pr "%a" (Explain.pp_tree analysis.Pipeline.an_prog))
-                evs;
-              0)
-      | None ->
-          if json then
-            Fmt.pr "%s@."
-              (Extr_httpmodel.Json.to_string
-                 (Report.to_json
-                    ?provenance:(Option.map Explain.to_json evidence)
-                    analysis.Pipeline.an_report))
-          else if dot then Fmt.pr "%s" (Report.to_dot analysis.Pipeline.an_report)
-          else Fmt.pr "%a@." Report.pp analysis.Pipeline.an_report;
-          if analysis.Pipeline.an_report.Report.rp_degradations <> [] then
-            exit_degraded
-          else exit_ok)
+  let code =
+    match validate with
+    | Some path -> validate_trace analysis.Pipeline.an_report path
+    | None -> (
+        match explain with
+        | Some want -> (
+            (* The human-readable evidence tree: statement → rule → fragment
+               per transaction (all of them, or just TX_ID). *)
+            let evs = Option.value evidence ~default:[] in
+            let evs =
+              match want with
+              | None -> evs
+              | Some id ->
+                  List.filter
+                    (fun (ev : Explain.tx_evidence) ->
+                      ev.Explain.ev_tx.Report.tr_id = id)
+                    evs
+            in
+            match (want, evs) with
+            | Some id, [] ->
+                Fmt.epr "no transaction #%d in the report (try --explain)@." id;
+                exit_usage
+            | _ ->
+                List.iter
+                  (Fmt.pr "%a" (Explain.pp_tree analysis.Pipeline.an_prog))
+                  evs;
+                0)
+        | None ->
+            if json then
+              Fmt.pr "%s@."
+                (Extr_httpmodel.Json.to_string
+                   (Report.to_json
+                      ?provenance:(Option.map Explain.to_json evidence)
+                      analysis.Pipeline.an_report))
+            else if dot then
+              Fmt.pr "%s" (Report.to_dot analysis.Pipeline.an_report)
+            else Fmt.pr "%a@." Report.pp analysis.Pipeline.an_report;
+            if analysis.Pipeline.an_report.Report.rp_degradations <> [] then
+              exit_degraded
+            else exit_ok)
+  in
+  finish_telemetry [];
+  code
 
 (* ------------------------------------------------------------------ *)
 (* Batch mode: the whole corpus behind per-app fault isolation          *)
@@ -309,9 +318,8 @@ let limits_of_flags max_steps max_depth deadline =
   }
 
 let policy_of_flags retries =
-  if retries < 1 then refuse "--retries %d: N must be at least 1" retries
-  else if retries = 1 then Retry.no_retry
-  else { Retry.default_policy with Retry.rp_max_attempts = retries }
+  if retries < 1 then refuse "--retries %d: N must be at least 1" retries;
+  { Retry.rp_max_attempts = retries }
 
 (* The corpus a run (or a merge) covers: Table 1 plus the case studies by
    default, or --gen COUNT synthetic apps from the seeded parametric
@@ -328,12 +336,10 @@ let corpus_of_flags gen gen_seed =
   | None -> (all_entries (), None)
 
 let run_all limits journal resume cache_dir report_out retries jobs shard gen
-    gen_seed metrics_out trace_out hotspots profile_out progress hang_timeout =
+    gen_seed progress hang_timeout finish_telemetry =
   if jobs < 0 then refuse "--jobs %d: N must not be negative" jobs;
   let policy = policy_of_flags retries in
   let entries, corpus_tag = corpus_of_flags gen gen_seed in
-  enable_telemetry ~trace_out ~metrics_out ~profile:false ~hotspots
-    ~profile_out;
   (* SIGINT/SIGTERM unwind the run as Barrier.Interrupted: the runner
      commits what it has read, returns the partial results, and we
      still print the table below. *)
@@ -408,12 +414,6 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
           (String.concat ", " run.Runner.rn_quarantined);
       if run.Runner.rn_interrupted then
         Fmt.pr "interrupted: partial results (resume with --resume)@.";
-      let try_write write path =
-        try write path
-        with Sys_error msg ->
-          Fmt.epr "cannot write output: %s@." msg;
-          exit exit_usage
-      in
       Option.iter
         (try_write (fun path ->
              Telemetry.Export.write_file path
@@ -424,37 +424,14 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
                   ~config:(Runner.journal_fingerprint options)
                   run)))
         report_out;
-      Option.iter
-        (try_write (fun path ->
-             Telemetry.Export.write_metrics path Telemetry.Metrics.default))
-        metrics_out;
-      (* Merged fleet trace: the coordinator's tracer on lane 0, one
-         lane per worker pid in pid order.  Sequential runs simply have
-         no worker lanes. *)
-      Option.iter
-        (try_write (fun path ->
-             let lanes =
-               ("coordinator", 0, Telemetry.Span.spans Telemetry.Span.default)
-               :: List.mapi
-                    (fun i (pid, spans) ->
-                      (Printf.sprintf "worker %d" pid, i + 1, spans))
-                    run.Runner.rn_worker_spans
-             in
-             Telemetry.Export.write_file path
-               (Telemetry.Export.chrome_trace_lanes lanes)))
-        trace_out;
-      Option.iter
-        (try_write
-           (write_profile_out
-              (Telemetry.Span.spans Telemetry.Span.default
-              :: List.map snd run.Runner.rn_worker_spans)))
-        profile_out;
-      Option.iter print_hotspots hotspots;
+      finish_telemetry run.Runner.rn_worker_spans;
       Runner.exit_code run
 
+(* Optional, so that the refusal table sees an APP given under --all or
+   --list; single-app mode defaults it. *)
 let name_arg =
-  let doc = "Corpus app to analyze (see --list)." in
-  Arg.(value & pos 0 string "radio reddit" & info [] ~docv:"APP" ~doc)
+  let doc = "Corpus app to analyze (see --list; default: radio reddit)." in
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
 let list_flag =
   let doc = "List the corpus apps and exit." in
@@ -502,12 +479,20 @@ let dot_flag =
   let doc = "Emit the transaction dependency graph in Graphviz DOT form." in
   Arg.(value & flag & info [ "dot" ] ~doc)
 
-let trace_arg =
+let validate_trace_arg =
   let doc =
     "Validate an archived traffic trace (fuzz_trace JSON) against the\n\
      extracted signatures instead of printing the report."
   in
-  Arg.(value & opt (some file) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value & opt (some file) None & info [ "validate-trace" ] ~docv:"FILE" ~doc)
+
+(* The old name of --validate-trace, kept out of the manual and only to
+   be refused: without it, cmdliner's prefix matching would take
+   [--trace FILE] for --trace-out and write a Chrome trace over the
+   archive. *)
+let old_trace_arg =
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docs:Manpage.s_none)
 
 let limple_arg =
   let doc = "Analyze a textual Limple program instead of a corpus app." in
@@ -540,21 +525,16 @@ let metrics_out_arg =
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
 let profile_flag =
-  let doc = "Print a per-phase profile table (wall clock, allocation,\n\
-             major GCs) and the metrics summary to stderr." in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
-let hotspots_arg =
   let doc =
-    "Enable the method-level profiler and print the top-K hottest\n\
-     methods (self time, budget fuel, worklist visits, facts produced,\n\
-     per analysis phase) plus the per-app waste summary to stderr\n\
-     after the run (default K: 20; K must be positive)."
+    "Enable the span tracer and the method-level profiler and print the\n\
+     run's profile to stderr afterwards: cumulative and self time per\n\
+     phase, summed over every worker; the 20 hottest (method, phase)\n\
+     rows by self time, with budget fuel, worklist visits and facts\n\
+     produced; and one waste row per app.  Works with and without\n\
+     $(b,--all); $(b,extractocol stats --profile FILE) prints the same\n\
+     view from a $(b,--profile-out) artifact."
   in
-  Arg.(
-    value
-    & opt ~vopt:(Some 20) (some int) None
-    & info [ "hotspots" ] ~docv:"K" ~doc)
+  Arg.(value & flag & info [ "profile" ] ~doc)
 
 let profile_out_arg =
   let doc =
@@ -564,8 +544,8 @@ let profile_out_arg =
      $(i,FILE).folded companion (feed it to flamegraph.pl or\n\
      speedscope).  Under $(b,--all --jobs N) the workers' per-task\n\
      profile deltas are merged so the aggregate matches a sequential\n\
-     run.  $(b,extractocol stats --profile FILE) renders the artifact\n\
-     offline."
+     run.  $(b,extractocol stats --profile FILE) prints the artifact\n\
+     offline as $(b,--profile) would."
   in
   Arg.(
     value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
@@ -797,9 +777,9 @@ let exits =
     Cmd.Exit.info exit_degraded
       ~doc:
         "the analysis completed but degraded: a budget or deadline tripped \
-         (see the report's degradations), or $(b,--trace) left requests \
-         unmatched; for $(b,merge), artifacts (an unreadable journal, a \
-         corrupt cache entry) were quarantined during the merge.";
+         (see the report's degradations), or $(b,--validate-trace) left \
+         requests unmatched; for $(b,merge), artifacts (an unreadable \
+         journal, a corrupt cache entry) were quarantined during the merge.";
     Cmd.Exit.info exit_partial
       ~doc:
         "$(b,merge) only: the merge is partial — expected shards or corpus \
@@ -816,82 +796,105 @@ let exits =
          to finish.";
   ]
 
-(* A flag the chosen mode ignores is refused, naming the flag, before
-   any app runs: [(flag, read under --all, set)] for every flag that only
-   one mode reads.  A flag left at its default counts as unset. *)
-let refuse_ignored_flags ~all flags =
+(* The three modes of the analyze term. *)
+type mode = Listing | Single | All
+
+(* An argument the chosen mode ignores is refused, naming it, before any
+   work starts: [(argument, modes that read it, set)] for every argument
+   some mode ignores.  A flag left at its default counts as unset. *)
+let refuse_ignored ~mode args =
   List.iter
-    (fun (flag, for_all, set) ->
-      if set && for_all <> all then
-        if all then refuse "%s has no effect with --all" flag
-        else refuse "%s needs --all" flag)
-    flags
+    (fun (arg, read_by, set) ->
+      if set && not (List.mem mode read_by) then
+        match mode with
+        | Single -> refuse "%s needs --all" arg
+        | All -> refuse "%s has no effect with --all" arg
+        | Listing -> refuse "%s has no effect with --list" arg)
+    args
 
 let analyze_term =
   Term.(
     const
       (fun log_level list name scope async intents obf obf_libs limple json
-           dot trace trace_out metrics_out profile hotspots profile_out
+           dot validate old_trace trace_out metrics_out profile profile_out
            explain provenance_out max_steps max_depth deadline all journal
            resume cache_dir report_out retries jobs shard gen gen_seed progress
            hang_timeout inject ->
         setup_logs log_level;
-        if not list then
-          refuse_ignored_flags ~all
-            [
-              ("--scope", false, scope <> None);
-              ("--async-heuristic", false, not async);
-              ("--intents", false, intents);
-              ("--obfuscate", false, obf);
-              ("--obfuscate-libraries", false, obf_libs);
-              ("--limple", false, limple <> None);
-              ("--json", false, json);
-              ("--dot", false, dot);
-              ("--trace", false, trace <> None);
-              ("--profile", false, profile);
-              ("--explain", false, explain <> None);
-              ("--provenance-out", false, provenance_out <> None);
-              ("--journal", true, journal <> None);
-              ("--resume", true, resume);
-              ("--cache-dir", true, cache_dir <> None);
-              ("--report-out", true, report_out <> None);
-              ( "--retries", true,
-                retries <> Retry.default_policy.Retry.rp_max_attempts );
-              ("--jobs", true, jobs <> default_jobs);
-              ("--shard", true, shard <> None);
-              ("--gen", true, gen <> None);
-              ("--gen-seed", true, gen_seed <> default_gen_seed);
-              ("--progress", true, progress);
-              ("--hang-timeout", true, hang_timeout <> None);
-            ];
+        if old_trace <> None then
+          refuse
+            "--trace is now --validate-trace FILE (a Chrome trace is \
+             --trace-out FILE)";
+        let mode = if list then Listing else if all then All else Single in
+        let single = [ Single ] and corpus = [ All ] in
+        let run = [ Single; All ] in
+        let { Resilience.Budget.bl_max_steps; bl_max_depth; _ } =
+          Resilience.Budget.default_limits
+        in
+        refuse_ignored ~mode
+          [
+            ( Printf.sprintf "APP %S" (Option.value name ~default:""),
+              single, name <> None );
+            ("--all", corpus, all);
+            ("--scope", single, scope <> None);
+            ("--async-heuristic", single, not async);
+            ("--intents", single, intents);
+            ("--obfuscate", single, obf);
+            ("--obfuscate-libraries", single, obf_libs);
+            ("--limple", single, limple <> None);
+            ("--json", single, json);
+            ("--dot", single, dot);
+            ("--validate-trace", single, validate <> None);
+            ("--explain", single, explain <> None);
+            ("--provenance-out", single, provenance_out <> None);
+            ("--trace-out", run, trace_out <> None);
+            ("--metrics-out", run, metrics_out <> None);
+            ("--profile", run, profile);
+            ("--profile-out", run, profile_out <> None);
+            ("--max-steps", run, max_steps <> bl_max_steps);
+            ("--max-depth", run, max_depth <> bl_max_depth);
+            ("--deadline", run, deadline <> None);
+            ("--inject", run, inject <> []);
+            ("--journal", corpus, journal <> None);
+            ("--resume", corpus, resume);
+            ("--cache-dir", corpus, cache_dir <> None);
+            ("--report-out", corpus, report_out <> None);
+            ( "--retries", corpus,
+              retries <> Retry.default_policy.Retry.rp_max_attempts );
+            ("--jobs", corpus, jobs <> default_jobs);
+            ("--shard", corpus, shard <> None);
+            ("--gen", corpus, gen <> None);
+            ("--gen-seed", corpus, gen_seed <> default_gen_seed);
+            ("--progress", corpus, progress);
+            ("--hang-timeout", corpus, hang_timeout <> None);
+          ];
         (match explain with
         | Some (Some id) when id < 0 ->
             refuse "--explain=%d: TX_ID must not be negative" id
         | Some _ | None -> ());
         arm_injections inject;
         let limits = limits_of_flags max_steps max_depth deadline in
-        (match hotspots with
-        | Some k when k < 1 -> refuse "--hotspots %d: K must be positive" k
-        | Some _ | None -> ());
+        let finish = telemetry ~trace_out ~metrics_out ~profile ~profile_out in
         try
-          if list then list_apps ()
-          else if all then
-            run_all limits journal resume cache_dir report_out retries jobs
-              shard gen gen_seed metrics_out trace_out hotspots profile_out
-              progress hang_timeout
-          else
-            analyze_app name scope async intents obf obf_libs limple json dot
-              trace trace_out metrics_out profile hotspots profile_out explain
-              provenance_out limits
+          match mode with
+          | Listing -> list_apps ()
+          | All ->
+              run_all limits journal resume cache_dir report_out retries jobs
+                shard gen gen_seed progress hang_timeout finish
+          | Single ->
+              analyze_app
+                (Option.value name ~default:"radio reddit")
+                scope async intents obf obf_libs limple json dot validate
+                explain provenance_out limits finish
         with Resilience.Barrier.Killed -> exit_killed)
     $ log_level_arg $ list_flag $ name_arg $ scope_arg $ async_flag
     $ intents_flag $ obfuscate_flag $ obf_libs_flag $ limple_arg $ json_flag
-    $ dot_flag $ trace_arg $ trace_out_arg $ metrics_out_arg $ profile_flag
-    $ hotspots_arg $ profile_out_arg $ explain_arg $ provenance_out_arg
-    $ max_steps_arg $ max_depth_arg $ deadline_arg $ all_flag $ journal_arg
-    $ resume_flag $ cache_dir_arg $ report_out_arg $ retries_arg $ jobs_arg
-    $ shard_arg $ gen_arg $ gen_seed_arg $ progress_flag $ hang_timeout_arg
-    $ inject_arg)
+    $ dot_flag $ validate_trace_arg $ old_trace_arg $ trace_out_arg
+    $ metrics_out_arg $ profile_flag $ profile_out_arg $ explain_arg
+    $ provenance_out_arg $ max_steps_arg $ max_depth_arg $ deadline_arg
+    $ all_flag $ journal_arg $ resume_flag $ cache_dir_arg $ report_out_arg
+    $ retries_arg $ jobs_arg $ shard_arg $ gen_arg $ gen_seed_arg
+    $ progress_flag $ hang_timeout_arg $ inject_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats: offline run reconstruction from artifacts                    *)
@@ -930,9 +933,9 @@ let stats_cmd =
          retry-ladder and crash taxonomies, and the cache hit rate.  \
          With $(b,--metrics), per-phase latency percentiles \
          (p50/p95/p99) from the metrics snapshot are appended; with \
-         $(b,--profile), the hot-method table and the per-app waste \
-         summary from the $(b,--profile-out) artifact.  The journal is \
-         opened read-only and never truncated.";
+         $(b,--profile), the view the run's $(b,--profile) printed, \
+         from the $(b,--profile-out) artifact.  The journal is opened \
+         read-only and never truncated.";
     ]
   in
   let journal =
@@ -963,8 +966,9 @@ let stats_cmd =
   in
   let profile =
     let doc =
-      "The run's $(b,--profile-out) artifact; adds the hot-method table\n\
-       and the per-app waste summary."
+      "The run's $(b,--profile-out) artifact; adds, last, the view the\n\
+       run's $(b,--profile) printed: phases, the 20 hottest methods and\n\
+       one waste row per app."
     in
     Arg.(
       value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
@@ -1012,12 +1016,6 @@ let run_merge log_level journals cache_dirs metrics_ins expect_shards
       Fmt.epr "%s@." msg;
       exit_usage
   | Ok t ->
-      let try_write write path =
-        try write path
-        with Sys_error msg ->
-          Fmt.epr "cannot write merge output: %s@." msg;
-          exit exit_usage
-      in
       Option.iter
         (try_write (fun path ->
              Telemetry.Export.write_file path (Merge.report_json t)))
@@ -1178,7 +1176,7 @@ let cmd =
   Cmd.group ~default:analyze_term info [ stats_cmd; merge_cmd ]
 
 (* A positional that is not a subcommand name is a corpus app:
-   [extractocol kayak --hotspots].  Cmd.group would reject it as an
+   [extractocol kayak --profile].  Cmd.group would reject it as an
    unknown command, so route those invocations straight to the analyze
    term; everything else (no args, options only, [stats ...]) goes
    through the group so subcommands and group help keep working. *)

@@ -579,9 +579,19 @@ let run_pooled ~jot ~commit ~try_restore ~cache ~config ~on_result ~on_state
           emit_ready ())
         ()
   in
+  (* A worker restarts its tracer's sequence numbers with every task;
+     each lane is renumbered in arrival order, so it is one recording
+     with unique numbers, which Span.stacked needs to find each span's
+     children (without it, self times of a multi-task lane go
+     negative). *)
   let lanes =
     Hashtbl.fold
-      (fun pid l acc -> (pid, List.concat (List.rev !l)) :: acc)
+      (fun pid l acc ->
+        ( pid,
+          List.mapi
+            (fun i sp -> { sp with Span.sp_seq = i })
+            (List.concat (List.rev !l)) )
+        :: acc)
       worker_spans []
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
   in

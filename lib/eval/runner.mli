@@ -146,7 +146,8 @@ type run = {
   rn_quarantined : string list;  (** apps excluded after repeated crashes *)
   rn_worker_spans : (int * Span.span list) list;
       (** spans shipped back by pool workers, one [(pid, spans)] lane
-          per worker process in pid order; [[]] for sequential runs.
+          per worker process in pid order, numbered ([sp_seq]) in
+          arrival order; [[]] for sequential runs.
           Feed to {!Extr_telemetry.Export.chrome_trace_lanes} together
           with the coordinator's own tracer for the merged trace *)
 }

@@ -42,8 +42,8 @@ type t = {
   rs_dropped : int;  (* corrupt journal records dropped by the reader *)
   rs_cache_entries : int option;  (* entries on disk under --cache-dir *)
   rs_phases : phase list;  (* pipeline.phase_us series from --metrics *)
-  rs_hotspots : Profile.entry list;  (* --profile rows, time desc *)
-  rs_wastes : Profile.waste list;  (* --profile waste rows, by scope *)
+  rs_profile : (Profile.snapshot * (string * float * float) list) option;
+      (* the --profile artifact, as Export.pp_profile prints it *)
 }
 
 (* The exact footer line run_all prints, so `extractocol stats` can be
@@ -125,8 +125,7 @@ let of_records records =
     rs_dropped = 0;
     rs_cache_entries = None;
     rs_phases = [];
-    rs_hotspots = [];
-    rs_wastes = [];
+    rs_profile = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -209,20 +208,10 @@ let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
     | Some path ->
         Result.map (List.filter_map phase_of_sample) (Export.read_metrics path)
   in
-  (* The file keeps rows in deterministic (phase, method) order so reruns
-     diff cleanly; the hotspot table wants self time descending. *)
-  let* hotspots, wastes =
+  let* profile =
     match profile with
-    | None -> Ok ([], [])
-    | Some path ->
-        Result.map
-          (fun ((sn : Profile.snapshot), _) ->
-            ( List.stable_sort
-                (fun (a : Profile.entry) b ->
-                  compare b.Profile.e_time_s a.Profile.e_time_s)
-                sn.Profile.sn_entries,
-              sn.Profile.sn_wastes ))
-          (Export.read_profile path)
+    | None -> Ok None
+    | Some path -> Result.map Option.some (Export.read_profile path)
   in
   Ok
     {
@@ -231,8 +220,7 @@ let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
       rs_dropped = dropped;
       rs_cache_entries = Option.bind cache_dir cache_entries;
       rs_phases = phases;
-      rs_hotspots = hotspots;
-      rs_wastes = wastes;
+      rs_profile = profile;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -304,26 +292,11 @@ let pp fmt t =
           p.ph_p50_us pp_opt_ms p.ph_p95_us pp_opt_ms p.ph_p99_us)
       t.rs_phases
   end;
-  if t.rs_hotspots <> [] then begin
-    Fmt.pf fmt "@.hot methods (from profile, top 10 by self time):@.";
-    Fmt.pf fmt "  %-44s %-20s %9s %8s %8s %6s@." "method" "phase" "self(ms)"
-      "fuel" "visits" "facts";
-    List.iteri
-      (fun i (h : Profile.entry) ->
-        if i < 10 then
-          Fmt.pf fmt "  %-44s %-20s %9.2f %8d %8d %6d@." h.Profile.e_meth
-            h.e_phase (h.e_time_s *. 1e3) h.e_fuel h.e_visits h.e_facts)
-      t.rs_hotspots
-  end;
-  if t.rs_wastes <> [] then begin
-    Fmt.pf fmt "@.analysis waste (methods touched but contributing to no reported transaction):@.";
-    List.iter
-      (fun (w : Profile.waste) ->
-        Fmt.pf fmt "  %-28s %4d touched, %4d contributing, waste %.0f%%@."
-          w.Profile.w_scope w.w_touched w.w_contributing
-          (100.0 *. Profile.waste_ratio w))
-      t.rs_wastes
-  end
+  (* Last, and unindented: the section is byte for byte the view the
+     live run's --profile printed. *)
+  Option.iter
+    (Fmt.pf fmt "@.profile (from --profile-out):@.%a" Export.pp_profile)
+    t.rs_profile
 
 (* ------------------------------------------------------------------ *)
 (* Offline integrity audit (stats --verify)                            *)

@@ -54,10 +54,9 @@ type t = {
           means the numbers below may undercount a damaged run *)
   rs_cache_entries : int option;  (** results on disk under the cache dir *)
   rs_phases : phase list;  (** [pipeline.phase_us] series, if metrics given *)
-  rs_hotspots : Extr_telemetry.Profile.entry list;
-      (** [--profile-out] artifact rows, self time descending *)
-  rs_wastes : Extr_telemetry.Profile.waste list;
-      (** waste rows from the profile artifact *)
+  rs_profile :
+    (Extr_telemetry.Profile.snapshot * (string * float * float) list) option;
+      (** the [--profile-out] artifact, decoded *)
 }
 
 val of_artifacts :
@@ -91,8 +90,9 @@ val slowest : ?n:int -> t -> (app * float) list
 val pp : Format.formatter -> t -> unit
 (** The full human-readable report: summary, slowest apps, retry ladder,
     crash taxonomy, cache hit rate, per-phase percentile table, and —
-    when a profile artifact was given — the hot-method table and the
-    per-app waste summary. *)
+    when a profile artifact was given — a last section holding exactly
+    {!Extr_telemetry.Export.pp_profile}'s view, the one the run's
+    [--profile] printed. *)
 
 (** {1 Offline integrity audit ([stats --verify])} *)
 

@@ -55,23 +55,6 @@ let m_phase_us =
         500_000.; 1e6; 5e6; 1e7; 5e7; 1e8 ]
     "pipeline.phase_us"
 
-(* Waste metrics (profiling only): how much of the engines' per-method
-   work backed a transaction that survived to the final report — the
-   baseline number demand-driven slicing (ROADMAP item 1) must beat. *)
-let m_touched =
-  Metrics.gauge ~help:"distinct methods the analysis engines worked on (app)"
-    "profile.touched_methods"
-
-let m_contributing =
-  Metrics.gauge
-    ~help:"touched methods contributing to a reported transaction (app)"
-    "profile.contributing_methods"
-
-let m_waste =
-  Metrics.gauge
-    ~help:"fraction of touched methods contributing to no reported transaction (app)"
-    "profile.waste_ratio"
-
 (* Demand-driven slicing coverage: how much of the program the lazy call
    graph never had to resolve. *)
 let m_cg_skipped =
@@ -314,19 +297,9 @@ let analyze ?(options = default_options) (apk : Apk.t) : analysis =
         contrib
         (slices.Slicer.r_request @ slices.Slicer.r_response)
     in
-    let touched_n = Sset.cardinal touched in
-    let contributing_n = Sset.cardinal (Sset.inter touched contrib) in
-    Profile.record_waste Profile.default ~scope:app ~touched:touched_n
-      ~contributing:contributing_n;
-    if Metrics.is_enabled Metrics.default then begin
-      let labels = [ ("app", app) ] in
-      Metrics.set m_touched ~labels (float_of_int touched_n);
-      Metrics.set m_contributing ~labels (float_of_int contributing_n);
-      Metrics.set m_waste ~labels
-        (if touched_n = 0 then 0.0
-         else
-           float_of_int (touched_n - contributing_n) /. float_of_int touched_n)
-    end
+    Profile.record_waste Profile.default ~scope:app
+      ~touched:(Sset.cardinal touched)
+      ~contributing:(Sset.cardinal (Sset.inter touched contrib))
   end;
   Log.info (fun m ->
       m "report: %d transactions after dedup (%.3fs)"

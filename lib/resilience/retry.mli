@@ -13,8 +13,8 @@
       paper's pathological apps crash deterministically; flaky
       infrastructure does not), then {b quarantined}.
 
-    Backoff between attempts is deterministic: [rp_backoff_s * 2^(n-1)]
-    before attempt [n+1], spent through an injectable
+    Backoff between attempts is deterministic: the base backoff times
+    [2^(n-1)] before attempt [n+1], spent through an injectable
     {!Extr_telemetry.Clock.sleep}, so the ladder unit-tests without real
     sleeps.  Every extra attempt bumps the ["retry.attempts"] metric
     (label [reason]). *)
@@ -25,19 +25,16 @@ module Barrier = Resilience.Barrier
 
 type policy = {
   rp_max_attempts : int;  (** total attempts, first one included *)
-  rp_crash_retries : int;  (** extra attempts granted after a crash *)
-  rp_backoff_s : float;  (** base backoff; doubles per attempt *)
-  rp_escalate_steps : int;  (** step-budget multiplier per escalation *)
-  rp_escalate_depth : int;  (** depth-bound increment per escalation *)
-  rp_escalate_deadline : float;  (** deadline multiplier per escalation *)
 }
+(** The rest of the ladder follows from the attempt count: above 1, one
+    crash retry, a 50ms base backoff and steps x4 / depth +8 / deadline
+    x2 per escalation; at 1, none of them. *)
 
 val default_policy : policy
-(** 3 attempts, 1 crash retry, 50ms base backoff, steps x4 / depth +8 /
-    deadline x2 per escalation. *)
+(** 3 attempts. *)
 
 val no_retry : policy
-(** 1 attempt, 0 crash retries: the ladder disabled. *)
+(** 1 attempt: the ladder disabled. *)
 
 val fingerprint : policy -> string
 (** Canonical one-line form, part of the cache key and the journal

@@ -56,7 +56,10 @@ let int n buf = Buffer.add_string buf (string_of_int n)
 
 let us f = Float.round (f *. 1e6)
 
-let buf_add_span_event buf ~pid ~tid ~epoch (sp : Span.span) =
+(* Every event carries pid 1: the lanes are threads of one process. *)
+let pid = 1
+
+let buf_add_span_event buf ~tid ~epoch (sp : Span.span) =
   let args =
     List.map (fun (k, v) -> (k, str v)) sp.Span.sp_args
     @ [
@@ -91,7 +94,9 @@ let lanes_epoch lanes =
   in
   if Float.is_finite epoch then epoch else 0.0
 
-let chrome_trace_lanes ?(pid = 1) lanes : string =
+let chrome_trace_lanes lanes : string =
+  (* Rebased timestamps keep [ts] small; absolute epoch microseconds push
+     viewers into float-precision trouble. *)
   let epoch = lanes_epoch lanes in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
@@ -122,23 +127,9 @@ let chrome_trace_lanes ?(pid = 1) lanes : string =
       List.iter
         (fun sp ->
           sep ();
-          buf_add_span_event buf ~pid ~tid ~epoch sp)
+          buf_add_span_event buf ~tid ~epoch sp)
         spans)
     lanes;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
-
-let chrome_trace ?(pid = 1) (spans : Span.span list) : string =
-  (* Rebase timestamps to the first span so [ts] stays small; absolute
-     epoch microseconds push viewers into float-precision trouble. *)
-  let epoch = lanes_epoch [ ("", 1, spans) ] in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i (sp : Span.span) ->
-      if i > 0 then Buffer.add_char buf ',';
-      buf_add_span_event buf ~pid ~tid:1 ~epoch sp)
-    spans;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf
 
@@ -254,9 +245,6 @@ let sweep_temps ~dir () =
                   | exception Sys_error _ -> swept)
                 else swept)
         0 names
-
-let write_chrome_trace ?pid path tracer =
-  write_file path (chrome_trace ?pid (Span.spans tracer))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics snapshot                                                   *)
@@ -414,8 +402,6 @@ let folded_lanes (lanes : Span.span list list) : string =
   in
   String.concat "\n" (List.sort compare lines) ^ "\n"
 
-let folded spans = folded_lanes [ spans ]
-
 (* ------------------------------------------------------------------ *)
 (* Per-method profile                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -440,7 +426,7 @@ let phase_rollup (lanes : Span.span list list) : (string * float * float) list =
   Hashtbl.fold (fun name (cum, self) acc -> (name, cum, self) :: acc) tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let profile_json ?(phases = []) (profile : Profile.t) : string =
+let profile_json ((sn : Profile.snapshot), phases) : string =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"profile\":[";
   List.iteri
@@ -455,7 +441,7 @@ let profile_json ?(phases = []) (profile : Profile.t) : string =
           ("visits", int e.Profile.e_visits);
           ("facts", int e.Profile.e_facts);
         ])
-    (Profile.entries profile);
+    sn.Profile.sn_entries;
   Buffer.add_string buf "],\"waste\":[";
   List.iteri
     (fun i (w : Profile.waste) ->
@@ -467,7 +453,7 @@ let profile_json ?(phases = []) (profile : Profile.t) : string =
           ("contributing_methods", int w.Profile.w_contributing);
           ("waste_ratio", num (Profile.waste_ratio w));
         ])
-    (Profile.wastes profile);
+    sn.Profile.sn_wastes;
   Buffer.add_string buf "],\"phases\":[";
   List.iteri
     (fun i (name, cum_s, self_s) ->
@@ -529,12 +515,21 @@ let profile_of_json contents =
 
 let read_profile = read_artifact profile_of_json
 
-(* The --hotspots table: top-K (method, phase) rows by attributed time;
-   the cum column is the method's total across all phases, so a method
-   split between the slicer and the interpreter still reads as one hot
-   method. *)
-let pp_hotspots ?(k = 20) fmt (profile : Profile.t) =
-  let entries = Profile.entries profile in
+(* The one profile view, for [--profile] after a run and for [stats
+   --profile] over the artifact: the per-phase rollup, the top 20
+   (phase, method) rows by self time, and one waste row per app.  The
+   cum column is the method's total across all phases, so a method split
+   between the slicer and the interpreter still reads as one hot
+   method.  It prints only what [profile_json] writes, so the view of a
+   decoded artifact is the live run's view byte for byte. *)
+let pp_profile fmt ((sn : Profile.snapshot), phases) =
+  (* Phase rows line their self and cum columns up with the method
+     rows'. *)
+  Fmt.pf fmt "%-73s %10s %10s@\n" "phase" "self (ms)" "cum (ms)";
+  List.iter
+    (fun (name, cum_s, self_s) ->
+      Fmt.pf fmt "%-73s %10.3f %10.3f@\n" name (1e3 *. self_s) (1e3 *. cum_s))
+    phases;
   let method_total : (string, float) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (e : Profile.entry) ->
@@ -542,17 +537,12 @@ let pp_hotspots ?(k = 20) fmt (profile : Profile.t) =
         (e.Profile.e_time_s
         +. Option.value ~default:0.0
              (Hashtbl.find_opt method_total e.Profile.e_meth)))
-    entries;
+    sn.Profile.sn_entries;
   let top =
     List.stable_sort
       (fun (a : Profile.entry) (b : Profile.entry) ->
         compare b.Profile.e_time_s a.Profile.e_time_s)
-      entries
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
+      sn.Profile.sn_entries
   in
   Fmt.pf fmt "%-52s %-20s %10s %10s %10s %10s %8s@\n" "method" "phase"
     "self (ms)" "cum (ms)" "fuel" "visits" "facts";
@@ -561,30 +551,12 @@ let pp_hotspots ?(k = 20) fmt (profile : Profile.t) =
       Fmt.pf fmt "%-52s %-20s %10.3f %10.3f %10d %10d %8d@\n" e.Profile.e_meth
         e.Profile.e_phase
         (1e3 *. e.Profile.e_time_s)
-        (1e3
-        *. Option.value ~default:0.0
-             (Hashtbl.find_opt method_total e.Profile.e_meth))
+        (1e3 *. Hashtbl.find method_total e.Profile.e_meth)
         e.Profile.e_fuel e.Profile.e_visits e.Profile.e_facts)
-    (take k top);
+    (List.filteri (fun i _ -> i < 20) top);
   List.iter
     (fun (w : Profile.waste) ->
       Fmt.pf fmt "waste[%s]: %d methods touched, %d contributing, ratio %.3f@\n"
         w.Profile.w_scope w.Profile.w_touched w.Profile.w_contributing
         (Profile.waste_ratio w))
-    (Profile.wastes profile)
-
-(* ------------------------------------------------------------------ *)
-(* Profile table                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let pp_profile fmt tracer =
-  let spans = Span.spans tracer in
-  Fmt.pf fmt "%-40s %12s %14s %7s@\n" "span" "wall (ms)" "alloc (words)" "majgc";
-  List.iter
-    (fun (sp : Span.span) ->
-      let indent = String.make (2 * sp.Span.sp_depth) ' ' in
-      Fmt.pf fmt "%-40s %12.3f %14.0f %7d@\n"
-        (indent ^ sp.Span.sp_name)
-        (1e3 *. Span.duration_s sp)
-        sp.Span.sp_alloc_words sp.Span.sp_major_collections)
-    spans
+    sn.Profile.sn_wastes

@@ -1,6 +1,7 @@
 (** Exporters: Chrome trace-event JSON (loadable in Perfetto or
-    chrome://tracing), a flat JSON metrics snapshot, and an Fmt-rendered
-    profile table. *)
+    chrome://tracing), a flat JSON metrics snapshot, the method
+    profiler's artifact with its collapsed-stack companion, and the one
+    Fmt-rendered profile view. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents] writes atomically: contents go to a temp
@@ -37,22 +38,16 @@ val sweep_temps : dir:string -> unit -> int
     unreadable directory sweeps nothing.  Run by the result cache on
     open, i.e. on runner and merge startup. *)
 
-val chrome_trace : ?pid:int -> Span.span list -> string
-(** The spans as a [{"traceEvents": [...]}] document of complete ("X")
-    events; timestamps and durations in microseconds, GC deltas in each
-    event's [args]. *)
-
-val chrome_trace_lanes : ?pid:int -> (string * int * Span.span list) list -> string
-(** [chrome_trace_lanes lanes] merges several processes' spans into one
-    Chrome trace: each [(label, tid, spans)] lane becomes a named thread
-    (a [thread_name] metadata record followed by the lane's spans, which
-    are re-sorted by begin time so per-lane timestamps are monotonic).
-    All lanes share one epoch — the earliest span begin across the fleet
-    — so a coordinator lane and the worker lanes shipped back over the
-    pool pipe line up on a single time axis. *)
-
-val write_chrome_trace : ?pid:int -> string -> Span.t -> unit
-(** Write {!chrome_trace} of the tracer's completed spans to a file. *)
+val chrome_trace_lanes : (string * int * Span.span list) list -> string
+(** [chrome_trace_lanes lanes] writes one or several processes' spans as
+    one Chrome trace of complete ("X") events, timestamps and durations
+    in microseconds and GC deltas in each event's [args]: each
+    [(label, tid, spans)] lane becomes a named thread (a [thread_name]
+    metadata record followed by the lane's spans, which are re-sorted by
+    begin time so per-lane timestamps are monotonic).  All lanes share
+    one epoch — the earliest span begin across the fleet — so a
+    coordinator lane and the worker lanes shipped back over the pool
+    pipe line up on a single time axis. *)
 
 val metrics_json : Metrics.t -> string
 (** The registry snapshot as a flat JSON document:
@@ -74,50 +69,46 @@ val read_metrics : string -> (Metrics.sample list, string) result
 (** {!metrics_of_json} over a file; a decoding error is prefixed with
     the path. *)
 
-val folded : Span.span list -> string
-(** The spans as collapsed stacks (the flamegraph.pl / speedscope
+val folded_lanes : Span.span list list -> string
+(** The lanes as collapsed stacks (the flamegraph.pl / speedscope
     "folded" format): one line per distinct stack — frames root-first
     joined by [';'], a space, and the stack's summed {e self} time in
-    integer microseconds.  Lines are sorted, so equal recordings fold
+    integer microseconds.  Each lane folds on its own nesting and equal
+    stacks merge by summing; lines are sorted, so equal recordings fold
     to byte-identical output. *)
-
-val folded_lanes : Span.span list list -> string
-(** {!folded} over several independent recordings (coordinator + worker
-    lanes): each lane folds on its own nesting, equal stacks merge by
-    summing. *)
 
 val phase_rollup : Span.span list list -> (string * float * float) list
 (** Per-span-name [(name, cumulative_s, self_s)] totals across all
     lanes, sorted by name — the per-phase envelope a per-method
     attribution must sum inside. *)
 
-val profile_json : ?phases:(string * float * float) list -> Profile.t -> string
-(** The profiler table as JSON:
+val profile_json : Profile.snapshot * (string * float * float) list -> string
+(** The profiler's artifact: the snapshot's rows and a per-phase rollup
+    (typically {!phase_rollup} of the run's span lanes) as
     [{"profile": [{"method", "phase", "time_s", "fuel", "visits",
     "facts"}], "waste": [{"scope", "touched_methods",
     "contributing_methods", "waste_ratio"}], "phases": [{"phase",
-    "cum_s", "self_s"}]}] — [phases] is typically {!phase_rollup} of the
-    run's span lanes. *)
+    "cum_s", "self_s"}]}]. *)
 
 val profile_of_json :
   string ->
   (Profile.snapshot * (string * float * float) list, string) result
-(** The one reader of a {!profile_json} document: the method rows and
-    waste rows as a {!Profile.snapshot} (rows in file order; the waste
-    ratio is recomputed by {!Profile.waste_ratio}) and the phase rollup
-    as passed in [?phases].  [Error] when the text is not JSON or has no
-    [profile] array. *)
+(** The one reader of a {!profile_json} document: the pair it was
+    written from (rows in file order; the waste ratio is recomputed by
+    {!Profile.waste_ratio}).  [Error] when the text is not JSON or has
+    no [profile] array. *)
 
 val read_profile :
   string -> (Profile.snapshot * (string * float * float) list, string) result
 (** {!profile_of_json} over a file; a decoding error is prefixed with
     the path. *)
 
-val pp_hotspots : ?k:int -> Format.formatter -> Profile.t -> unit
-(** Top-[k] hot-method table (method, phase, self/cumulative time,
-    fuel, visits, facts) followed by one waste line per recorded
-    scope. *)
-
-val pp_profile : Format.formatter -> Span.t -> unit
-(** Per-span profile table: duration, allocation and major-GC deltas,
-    indented by nesting depth, in begin order. *)
+val pp_profile :
+  Format.formatter -> Profile.snapshot * (string * float * float) list -> unit
+(** The one profile view ([--profile] after a run, [stats --profile]
+    over the artifact): one row per phase (self and cumulative time),
+    the 20 hottest (method, phase) rows by self time with the method's
+    cumulative time over all phases, fuel, visits and facts, then one
+    waste line per recorded scope.  It reads only what {!profile_json}
+    writes, so a decoded artifact prints as the pair it was written
+    from. *)

@@ -264,20 +264,3 @@ let value ?labels t name =
   | Some { sa_kind = `Counter; sa_count; _ } -> float_of_int sa_count
   | Some s -> s.sa_sum
   | None -> 0.0
-
-let pp_labels fmt = function
-  | [] -> ()
-  | ls ->
-      Fmt.pf fmt "{%a}"
-        (Fmt.list ~sep:Fmt.comma (fun fmt (k, v) -> Fmt.pf fmt "%s=%S" k v))
-        ls
-
-let pp_summary fmt t =
-  let samples = snapshot t in
-  Fmt.pf fmt "%-44s %10s %14s@\n" "metric" "count" "sum";
-  List.iter
-    (fun s ->
-      Fmt.pf fmt "%-44s %10d %14.2f@\n"
-        (Fmt.str "%s%a" s.sa_name pp_labels s.sa_labels)
-        s.sa_count s.sa_sum)
-    samples

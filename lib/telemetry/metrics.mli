@@ -86,6 +86,3 @@ val find : ?labels:labels -> t -> string -> sample option
 val value : ?labels:labels -> t -> string -> float
 (** Convenience: the counter value / gauge value / observation sum of a
     series, or 0 if absent. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** Fmt-rendered table of every series in the registry. *)

@@ -53,7 +53,22 @@ let test_escalate () =
   check Alcotest.int "steps saturate" max_int e.Budget.bl_max_steps;
   check Alcotest.int "depth saturates" max_int e.Budget.bl_max_depth;
   check Alcotest.(option (float 1e-9)) "no deadline stays off" None
-    e.Budget.bl_deadline_s
+    e.Budget.bl_deadline_s;
+  (* The rest of the ladder follows from the attempt count, and cache keys
+     and the envelope's config digest the fingerprint of every count. *)
+  check Alcotest.bool "one attempt never escalates" true
+    (Retry.escalate Retry.no_retry base_limits = base_limits);
+  List.iter
+    (fun (n, fingerprint) ->
+      check Alcotest.string
+        (Printf.sprintf "fingerprint at %d attempts" n)
+        fingerprint
+        (Retry.fingerprint { Retry.rp_max_attempts = n }))
+    [
+      (1, "retry=1/0;backoff=0;escalate=1x/+0/1x");
+      (3, "retry=3/1;backoff=0.05;escalate=4x/+8/2x");
+      (5, "retry=5/1;backoff=0.05;escalate=4x/+8/2x");
+    ]
 
 let test_ladder_escalates_then_succeeds () =
   let sleep, slept = Clock.sleep_recording () in
@@ -697,7 +712,7 @@ let test_runner_resume_refuses_config_mismatch () =
     {
       o with
       Runner.ro_resume = true;
-      ro_policy = { Retry.default_policy with Retry.rp_max_attempts = 7 };
+      ro_policy = { Retry.rp_max_attempts = 7 };
     }
   in
   (match Runner.run changed (entries ()) with

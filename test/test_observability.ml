@@ -370,7 +370,8 @@ let test_stats_rejects_wrong_artifact () =
   Journal.append j (finished "a");
   let ppath = tmp_path "kind-profile.json" in
   let mpath = tmp_path "kind-metrics.json" in
-  Export.write_file ppath (Export.profile_json (Profile.create ()));
+  Export.write_file ppath
+    (Export.profile_json (Profile.snapshot (Profile.create ()), []));
   Export.write_metrics mpath (Metrics.create ());
   (match
      ( Stats.of_artifacts ~journals:[ jpath ] ~metrics:ppath (),
