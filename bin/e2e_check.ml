@@ -589,7 +589,10 @@ let profile ck =
 (* ------------------------------------------------------------------ *)
 
 let shards = 3
-let gen = [ "--gen"; "24"; "--gen-seed"; "5" ]
+
+(* The shard runs' configuration, which merge reads off their journals:
+   it takes no configuration flag of its own. *)
+let gen = [ "--gen"; "24"; "--gen-seed"; "5"; "--max-steps"; "5000000" ]
 
 (* Merging the shards must reassemble the unsharded envelope byte for
    byte, after one shard is killed and resumed; re-merging the merged
@@ -652,7 +655,7 @@ let shard ck =
   let jflags ks = List.concat_map (fun k -> [ "--journal"; journal k ]) ks in
   let cflags ks = List.concat_map (fun k -> [ "--cache-dir"; cache k ]) ks in
   let merge ~expect label args =
-    ignore (run ck ~expect label (("merge" :: gen) @ args))
+    ignore (run ck ~expect label ("merge" :: args))
   in
   merge ~expect:0 "merge"
     (jflags range @ cflags range
@@ -795,7 +798,7 @@ let fault ck =
         []
   in
   let stamps pick =
-    List.filter_map (fun (t, ev) -> if pick ev then t else None) events
+    List.filter_map (fun (t, ev) -> if pick ev then Some t else None) events
   in
   let hung = has_prefix ~prefix:"hung@" in
   (match
@@ -843,34 +846,48 @@ let fault ck =
     clean (apps ck (p "resumed.json"));
   audit ~expect:3 ~needle:"CORRUPT" "torn-verify" (p "torn.jsonl")
     "the audit passed a journal with a torn mid-file record";
-  (* 4: a bit flipped in a cache entry's payload (past the "%EXTR1 <md5>"
-     seal line) is flagged by the audit, misses and is re-stored by a
-     warm run, and audits clean afterwards. *)
-  let entry =
+  (* 4: a bit flipped in one cache entry's payload (past the "%EXTR1
+     <md5>" seal line) and in another's "%EXTR1 " magic, which leaves it
+     no seal at all: the audit flags both, a warm run misses and
+     re-stores both, and the cache audits clean afterwards. *)
+  let flip_at i name =
+    let entry = Filename.concat (p "cache") name in
+    let b = Bytes.of_string (read_file entry) in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    Out_channel.with_open_bin entry (fun oc -> Out_channel.output_bytes oc b)
+  in
+  let unsealed =
     match
       List.sort compare
         (List.filter
            (fun f -> Filename.check_suffix f ".json")
            (Array.to_list (Sys.readdir (p "cache"))))
     with
-    | f :: _ -> Filename.concat (p "cache") f
-    | [] -> failwith "clean run left no cache entries"
+    | payload :: magic :: _ ->
+        flip_at 50 payload;
+        flip_at 3 magic;
+        magic
+    | _ -> failwith "clean run left fewer than two cache entries"
   in
-  let b = Bytes.of_string (read_file entry) in
-  Bytes.set b 50 (Char.chr (Char.code (Bytes.get b 50) lxor 0x01));
-  Out_channel.with_open_bin entry (fun oc -> Out_channel.output_bytes oc b);
-  audit ~expect:3 ~needle:"CORRUPT" "corrupt-verify" ~cache:clean_cache
-    (p "clean.jsonl") "the audit passed a cache entry with a flipped byte";
+  let out =
+    run ck ~expect:3 "corrupt-verify"
+      ([ "stats"; "--verify"; "--journal"; p "clean.jsonl" ] @ clean_cache)
+  in
+  expect_text ck ~needle:("CORRUPT " ^ unsealed) out
+    "the audit passed a cache entry with a flipped magic byte";
+  expect_text ck ~needle:"integrity violations found: 2" out
+    "the audit did not flag both damaged cache entries";
   ignore
     (run ck ~expect:0 "healed"
        ([ "--all"; "--jobs"; "1"; "--report-out"; p "healed.json";
           "--metrics-out"; p "healed-metrics.json" ]
        @ clean_cache @ gen));
   let ss = samples ck (p "healed-metrics.json") in
-  if count ss "cache.corrupt" < 1 then
-    fail ck "healing run never counted the corrupt entry (cache.corrupt)";
-  if count ss "cache.misses" < 1 then
-    fail ck "healing run: the corrupt entry did not miss";
+  if count ss "cache.corrupt" < 2 then
+    fail ck "healing run counted %d of the 2 corrupt entries (cache.corrupt)"
+      (count ss "cache.corrupt");
+  if count ss "cache.misses" < 2 then
+    fail ck "healing run: the corrupt entries did not miss";
   audit ~expect:0 ~needle:"all artifacts verified clean" "healed-verify"
     ~cache:clean_cache (p "clean.jsonl")
     "cache did not heal: audit still failing after the warm run";
@@ -901,10 +918,10 @@ let fault ck =
 (* help: every command's manual renders                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The long options the main manual lists.  A flag added, removed or
-   renamed changes this list in review, and so does the hazard a removal
-   opens: cmdliner takes any unambiguous prefix of a long option, so a
-   removed name can start selecting another option. *)
+(* The long options each manual lists.  A flag added, removed or
+   renamed changes these lists in review, and so does the hazard a
+   removal opens: cmdliner takes any unambiguous prefix of a long
+   option, so a removed name can start selecting another option. *)
 let long_options =
   [
     "--all"; "--async-heuristic"; "--cache-dir"; "--deadline"; "--dot";
@@ -915,6 +932,19 @@ let long_options =
     "--progress"; "--provenance-out"; "--report-out"; "--resume";
     "--retries"; "--scope"; "--shard"; "--trace-out"; "--validate-trace";
     "--version";
+  ]
+
+let stats_options =
+  [
+    "--cache-dir"; "--help"; "--journal"; "--log-level"; "--metrics";
+    "--profile"; "--verify"; "--version";
+  ]
+
+let merge_options =
+  [
+    "--cache-dir"; "--cache-out"; "--expect-shards"; "--help"; "--journal";
+    "--journal-out"; "--log-level"; "--metrics"; "--metrics-out";
+    "--report-out"; "--version";
   ]
 
 (* The option names of a plain manual's option lines ("       -j N,
@@ -944,8 +974,6 @@ let help ck =
     text
   in
   let main = manual "extractocol" [] in
-  ignore (manual "stats" [ "stats" ]);
-  ignore (manual "merge" [ "merge" ]);
   List.iter
     (fun needle ->
       expect_text ck ~needle main ("--help does not show " ^ needle))
@@ -953,11 +981,18 @@ let help ck =
       "hung@PHASE"; "SITE[@N][:MODE]"; "pipeline.interpretation@2:kill";
       "app.crash:APP"; "worker.exit:APP";
     ];
-  let listed = listed_options main in
-  if listed <> List.sort compare long_options then
-    fail ck "--help=plain lists the long options %s, expected %s"
-      (String.concat " " listed)
-      (String.concat " " (List.sort compare long_options));
+  List.iter
+    (fun (label, text, pinned) ->
+      let listed = listed_options text in
+      if listed <> List.sort compare pinned then
+        fail ck "%s --help=plain lists the long options %s, expected %s" label
+          (String.concat " " listed)
+          (String.concat " " (List.sort compare pinned)))
+    [
+      ("extractocol", main, long_options);
+      ("stats", manual "stats" [ "stats" ], stats_options);
+      ("merge", manual "merge" [ "merge" ], merge_options);
+    ];
   let input = path ck "input.txt" in
   Out_channel.with_open_text input ignore;
   let ignored ~mode flags =
@@ -1008,7 +1043,6 @@ let help ck =
       ("trace", "--validate-trace", [ "SharedDP"; "--trace"; input ]);
       ("trace-out", "--trace-out", [ "SharedDP"; "--trace"; input ]);
       ("gen", "--gen", [ "--all"; "--gen=-1" ]);
-      ("merge-gen", "--gen", [ "merge"; "--gen=-1"; "--journal"; "none" ]);
       ( "hang-timeout", "--hang-timeout",
         [ "--all"; "--jobs"; "2"; "--gen"; "4"; "--hang-timeout=0" ] );
       ("jobs", "--jobs", [ "--all"; "--gen"; "4"; "--jobs=-3" ]);
@@ -1025,8 +1059,6 @@ let help ck =
       ("max-steps", "--max-steps", [ "--all"; "--gen"; "4"; "--max-steps=-1" ]);
       ("max-depth", "--max-depth", [ "Diode"; "--max-depth=-3" ]);
       ("retries", "--retries", [ "--all"; "--gen"; "4"; "--retries=-2" ]);
-      ( "merge-retries", "--retries",
-        [ "merge"; "--retries=0"; "--journal"; "none" ] );
       ("explain", "--explain", [ "SharedDP"; "--explain=-5" ]);
     ]);
   List.iter
@@ -1036,8 +1068,18 @@ let help ck =
     [ "r.json"; "m.json" ];
   if read_file input <> "" then
     fail ck "a refused --trace wrote over its archive %s" input;
-  (* A removed flag is unknown to the parser, not a prefix of another. *)
+  (* A removed flag is unknown to the parser, not a prefix of another:
+     merge reads its configuration off the journals. *)
   ignore (run ck ~expect:124 "hotspots" [ "SharedDP"; "--hotspots" ]);
+  List.iter
+    (fun (flag, value) ->
+      ignore
+        (run ck ~expect:124 ("merge" ^ flag)
+           [ "merge"; flag; value; "--journal"; "none" ]))
+    [
+      ("--max-steps", "5"); ("--max-depth", "3"); ("--deadline", "1");
+      ("--retries", "1"); ("--gen", "3"); ("--gen-seed", "4");
+    ];
   (* A sequential run has no watchdog: it warns and runs, since a shard
      may hold a single app. *)
   expect_text ck ~needle:"--hang-timeout"

@@ -42,8 +42,6 @@ let exit_partial = 4
 let exit_killed = 99
 let exit_interrupted = 130
 
-let all_entries () = Corpus.case_studies () @ Corpus.table1 ()
-
 let list_apps () =
   Fmt.pr "available corpus apps:@.";
   List.iter
@@ -51,7 +49,7 @@ let list_apps () =
       Fmt.pr "  %-28s (%s, %d endpoints)@." e.Corpus.c_app.Spec.a_name
         (if e.Corpus.c_app.Spec.a_closed then "closed-source" else "open-source")
         (List.length e.Corpus.c_app.Spec.a_endpoints))
-    (all_entries ());
+    (Corpus.builtin ());
   0
 
 let setup_logs level =
@@ -174,7 +172,7 @@ let analyze_app name scope async intents obfuscate obf_libs limple_file json dot
         in
         Apk.make ~package:"cli.input" ~activities program
     | None -> (
-        match Corpus.find (all_entries ()) name with
+        match Corpus.find (Corpus.builtin ()) name with
         | Some e -> Lazy.force e.Corpus.c_apk
         | None ->
             Fmt.epr "app %S not found; use --list to enumerate@." name;
@@ -300,8 +298,6 @@ let refuse fmt =
       exit exit_usage)
     fmt
 
-(* The budget limits and the retry policy, shared by the analyze term and
-   [merge] (whose flags must repeat the shard runs'). *)
 let limits_of_flags max_steps max_depth deadline =
   if max_steps < 1 then refuse "--max-steps %d: N must be positive" max_steps;
   if max_depth < 0 then
@@ -317,29 +313,24 @@ let limits_of_flags max_steps max_depth deadline =
     bl_deadline_s = deadline;
   }
 
-let policy_of_flags retries =
-  if retries < 1 then refuse "--retries %d: N must be at least 1" retries;
-  { Retry.rp_max_attempts = retries }
-
-(* The corpus a run (or a merge) covers: Table 1 plus the case studies by
-   default, or --gen COUNT synthetic apps from the seeded parametric
-   generator.  The corpus tag folds the generator's identity into the
-   configuration fingerprint so generated-corpus journals and caches
-   never mingle with the real corpus' under the same pipeline flags. *)
-let corpus_of_flags gen gen_seed =
-  match gen with
-  | Some count when count < 0 ->
-      refuse "--gen %d: COUNT must not be negative" count
-  | Some count ->
-      ( Corpus.generated ~seed:gen_seed ~count,
-        Some (Printf.sprintf "gen=%d:%d" gen_seed count) )
-  | None -> (all_entries (), None)
-
 let run_all limits journal resume cache_dir report_out retries jobs shard gen
     gen_seed progress hang_timeout finish_telemetry =
   if jobs < 0 then refuse "--jobs %d: N must not be negative" jobs;
-  let policy = policy_of_flags retries in
-  let entries, corpus_tag = corpus_of_flags gen gen_seed in
+  if retries < 1 then refuse "--retries %d: N must be at least 1" retries;
+  (* Table 1 plus the case studies by default, or --gen COUNT synthetic
+     apps from the seeded parametric generator.  The corpus tag folds the
+     generator's identity into the configuration fingerprint, so
+     generated-corpus journals and caches never mingle with the real
+     corpus', and [merge] reads the corpus back from it. *)
+  let entries, corpus_tag =
+    match gen with
+    | Some count when count < 0 ->
+        refuse "--gen %d: COUNT must not be negative" count
+    | Some count ->
+        ( Corpus.generated ~seed:gen_seed ~count,
+          Some (Runner.corpus_tag ~seed:gen_seed ~count) )
+    | None -> (Corpus.builtin (), None)
+  in
   (* SIGINT/SIGTERM unwind the run as Barrier.Interrupted: the runner
      commits what it has read, returns the partial results, and we
      still print the table below. *)
@@ -353,7 +344,7 @@ let run_all limits journal resume cache_dir report_out retries jobs shard gen
       Runner.default_options with
       Runner.ro_pipeline =
         { Pipeline.default_options with Pipeline.op_limits = limits };
-      ro_policy = policy;
+      ro_policy = { Retry.rp_max_attempts = retries };
       ro_journal = journal;
       ro_resume = resume;
       ro_cache_dir = cache_dir;
@@ -993,25 +984,11 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_merge log_level journals cache_dirs metrics_ins expect_shards
-    max_steps max_depth deadline retries gen gen_seed report_out journal_out
-    cache_out metrics_out =
+    report_out journal_out cache_out metrics_out =
   setup_logs log_level;
   if metrics_out <> None && metrics_ins = [] then
     refuse "--metrics-out needs at least one --metrics snapshot to merge";
-  let limits = limits_of_flags max_steps max_depth deadline in
-  let policy = policy_of_flags retries in
-  let entries, corpus_tag = corpus_of_flags gen gen_seed in
-  let options =
-    {
-      Runner.default_options with
-      Runner.ro_pipeline =
-        { Pipeline.default_options with Pipeline.op_limits = limits };
-      ro_policy = policy;
-      ro_corpus_tag = corpus_tag;
-    }
-  in
-  match Merge.merge ~options ~entries ~journals ~cache_dirs ?expect_shards ()
-  with
+  match Merge.merge ~journals ~cache_dirs ?expect_shards () with
   | Error msg ->
       Fmt.epr "%s@." msg;
       exit_usage
@@ -1087,10 +1064,16 @@ let merge_cmd =
          $(i,merge_degradations[]) (exit 3), while absent shards and \
          unaccounted apps are listed in $(i,missing_shards[]) / \
          $(i,missing_apps[]) (exit 4).  Inputs are opened read-only, so \
-         merging a still-running shard's artifacts is safe.  The \
-         pipeline, retry and $(b,--gen) flags must repeat the shard \
-         runs' — a journal written under a different configuration \
-         fingerprint is refused.";
+         merging a still-running shard's artifacts is safe.";
+      `P
+        "The journals say what the shards were run under: their \
+         headers' configuration fingerprint, shard suffix aside, is the \
+         merged configuration, and its $(i,gen=SEED:COUNT) tag names the \
+         corpus (without one, the built-in corpus $(b,--all) runs).  A \
+         set whose headers name two configurations is refused, naming \
+         both, and so is a set in which no journal has a readable header, \
+         since nothing then names the configuration or the corpus (exit \
+         1).";
     ]
   in
   let journals =
@@ -1165,9 +1148,7 @@ let merge_cmd =
     (Cmd.info "merge" ~doc ~man ~exits)
     Term.(
       const run_merge $ log_level_arg $ journals $ cache_dirs $ metrics_ins
-      $ expect_shards $ max_steps_arg $ max_depth_arg $ deadline_arg
-      $ retries_arg $ gen_arg $ gen_seed_arg $ report_out $ journal_out
-      $ cache_out $ metrics_out)
+      $ expect_shards $ report_out $ journal_out $ cache_out $ metrics_out)
 
 let doc = "reconstruct HTTP transactions from an Android app binary"
 

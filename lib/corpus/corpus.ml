@@ -24,6 +24,8 @@ let table1 () : entry list =
 (** Case-study apps for Tables 3-6 and Figures 1/3/5. *)
 let case_studies () : entry list = List.map mk_entry Case_studies.all
 
+let builtin () = case_studies () @ table1 ()
+
 (** The parametric stress corpus ([--gen N]): a pure function of
     [(seed, count)], so every shard rebuilding it sees the same apps. *)
 let generated ~seed ~count : entry list =

@@ -17,6 +17,10 @@ val table1 : unit -> entry list
 val case_studies : unit -> entry list
 (** The apps behind Tables 3-6 and Figures 1/3/5. *)
 
+val builtin : unit -> entry list
+(** The case studies, then Table 1: the corpus [--all] runs without
+    [--gen]. *)
+
 val generated : seed:int -> count:int -> entry list
 (** {!Synth.generate} as corpus entries — the [--gen N] stress corpus.
     Deterministic in [(seed, count)], so shards rebuilding the corpus

@@ -96,15 +96,17 @@ type journal =
 
 type shard_set = {
   ss_journals : (string * journal) list;
-  ss_records : (float option * Journal.event) list;
+  ss_base : (string option, string) result;
+  ss_records : (float * Journal.event) list;
 }
 
-(* Pool a journal set's records in stamp order: unstamped records
-   first, ties kept in input order.  The per-app outcome fold over them
-   is then newest-finished-wins — later stamp beats earlier, ties go to
-   the later input — a total, deterministic rule, which is what makes
+(* Pool a journal set's records in stamp order, ties kept in input
+   order.  The per-app outcome fold over them is then
+   newest-finished-wins — later stamp beats earlier, ties go to the
+   later input — a total, deterministic rule, which is what makes
    re-merging (every stamp equal to itself, same input order) a fixed
-   point. *)
+   point.  The set's base is the first readable header's; a header that
+   names another one makes it an error. *)
 let read_shard_set paths =
   let read path =
     match Journal.read_lenient ~path with
@@ -115,23 +117,42 @@ let read_shard_set paths =
         ((path, Header { jh_config; jh_base; jh_shard; jh_anomalies }), records)
   in
   let ss_journals, records = List.split (List.map read paths) in
-  let stamp = function Some s, _ -> s | None, _ -> neg_infinity in
+  let agree base (path, journal) =
+    match (base, journal) with
+    | Ok (Some b), Header h when h.jh_base <> b ->
+        Error
+          (Printf.sprintf
+             "%s: journal configuration %s does not match the other \
+              journals' (%s)"
+             path h.jh_base b)
+    | Ok None, Header h -> Ok (Some h.jh_base)
+    | base, _ -> base
+  in
   {
     ss_journals;
+    ss_base = List.fold_left agree (Ok None) ss_journals;
     ss_records =
       List.stable_sort
-        (fun a b -> compare (stamp a) (stamp b))
+        (fun (a, _) (b, _) -> Float.compare a b)
         (List.concat records);
   }
 
-let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
-    ~(journals : string list) ?(cache_dirs = []) ?expect_shards () :
+let merge ~(journals : string list) ?(cache_dirs = []) ?expect_shards () :
     (t, string) result =
-  match expect_shards with
-  | Some n when n < 1 ->
+  let set = read_shard_set journals in
+  match (expect_shards, set.ss_base) with
+  | Some n, _ when n < 1 ->
       Error (Printf.sprintf "--expect-shards %d: N must be positive" n)
-  | Some _ | None ->
-  let base = Runner.config_fingerprint options in
+  | _, Error msg -> Error msg
+  | _, Ok None ->
+      Error
+        (String.concat "; "
+           ("no journal has a readable header, so nothing names the set's \
+             configuration and corpus"
+           :: List.filter_map
+                (function _, Unreadable msg -> Some msg | _ -> None)
+                set.ss_journals))
+  | _, Ok (Some base) ->
   let degradations = ref [] in
   let degrade md_app md_reason md_detail =
     Log.warn (fun m -> m "%s: %s (%s)" md_reason md_detail md_app);
@@ -139,16 +160,11 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
   in
   (* An unreadable or headerless-but-nonempty journal is quarantined; a
      zero-byte one (a shard that died between open and header — the
-     stale-lock shape) is an empty shard.  A journal whose base
-     fingerprint differs is a usage error: its results were computed
-     under another configuration and must not be mixed in silently.
-     Corrupt records are dropped, not trusted: the affected app either
-     has a healthy record elsewhere in the shard set or surfaces as
-     missing — both are honest shapes. *)
-  let set = read_shard_set journals in
+     stale-lock shape) is an empty shard.  Corrupt records are dropped,
+     not trusted: the affected app either has a healthy record elsewhere
+     in the shard set or surfaces as missing — both are honest shapes. *)
   let shards_seen = ref [] in
   let declared_n = ref None in
-  let config_error = ref None in
   List.iter
     (fun (path, journal) ->
       match journal with
@@ -161,130 +177,117 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
               degrade "" "journal record dropped"
                 (Fmt.str "%s: %a" path Journal.pp_anomaly a))
             h.jh_anomalies;
-          if h.jh_base <> base then begin
-            if !config_error = None then
-              config_error :=
-                Some
-                  (Printf.sprintf
-                     "%s: journal was written under a different configuration \
-                      (%s, merge expects %s); results would not match"
-                     path h.jh_base base)
-          end
-          else
-            Option.iter
-              (fun (k, n) ->
-                shards_seen := k :: !shards_seen;
-                declared_n :=
-                  Some (max n (Option.value ~default:0 !declared_n)))
-              h.jh_shard)
+          Option.iter
+            (fun (k, n) ->
+              shards_seen := k :: !shards_seen;
+              declared_n := Some (max n (Option.value ~default:0 !declared_n)))
+            h.jh_shard)
     set.ss_journals;
-  match !config_error with
-  | Some msg -> Error msg
-  | None ->
-      let outcomes = Hashtbl.create 64 in
-      List.iter
-        (fun o -> Hashtbl.replace outcomes o.Journal.oc_app o)
-        (Journal.outcomes set.ss_records);
-      (* The expected result set: the full corpus' identities, in corpus
-         order — the same list every shard computed before filtering, so
-         the merged envelope's app order is the unsharded run's. *)
-      let identified = Runner.identify entries in
-      let cache = ref [] in
-      let cache_keys = Hashtbl.create 64 in
-      (* The first valid copy of [key] across the cache directories, read
-         without opening them.  A report is validated before it is
-         trusted: a torn entry (killed mid-write outside the atomic
-         discipline, disk trouble) must quarantine, not propagate. *)
-      let lookup_report app key =
-        let file dir = Filename.concat dir (key ^ ".json") in
-        let read dir =
-          match Store.key_of_string key with
-          | Some k -> Store.read_entry ~dir k
-          | None -> Store.Absent
+  let outcomes = Hashtbl.create 64 in
+  List.iter
+    (fun o -> Hashtbl.replace outcomes o.Journal.oc_app o)
+    (Journal.outcomes set.ss_records);
+  (* The expected result set: the identities of the corpus the base
+     names, in corpus order — the same list every shard computed
+     before filtering, so the merged envelope's app order is the
+     unsharded run's. *)
+  let identified = Runner.identify (Runner.corpus_of_fingerprint base) in
+  let cache = ref [] in
+  let cache_keys = Hashtbl.create 64 in
+  (* The first valid copy of [key] across the cache directories, read
+     without opening them.  A report is validated before it is
+     trusted: a torn entry (killed mid-write outside the atomic
+     discipline, disk trouble) must quarantine, not propagate. *)
+  let lookup_report app key =
+    let file dir = Filename.concat dir (key ^ ".json") in
+    let read dir =
+      match Store.key_of_string key with
+      | Some k -> Store.read_entry ~dir k
+      | None -> Store.Absent
+    in
+    let rec probe corrupt = function
+      | [] ->
+          if corrupt = [] then
+            degrade app "cache entry missing" (key ^ ".json")
+          else
+            List.iter
+              (fun dir ->
+                degrade app "corrupt cache entry quarantined" (file dir))
+              (List.rev corrupt);
+          None
+      | dir :: rest -> (
+          match read dir with
+          | Store.Absent -> probe corrupt rest
+          | Store.Payload data when Runner.inspect_report_json data <> None
+            ->
+              if not (Hashtbl.mem cache_keys key) then begin
+                Hashtbl.replace cache_keys key ();
+                cache := (key, data) :: !cache
+              end;
+              Some data
+          | Store.Corrupt reason ->
+              Log.warn (fun m ->
+                  m "%s: corrupt cache entry (%s)" (file dir) reason);
+              probe (dir :: corrupt) rest
+          | Store.Payload _ -> probe (dir :: corrupt) rest)
+    in
+    probe [] cache_dirs
+  in
+  let missing_apps = ref [] in
+  let merged =
+    List.filter_map
+      (fun ((id, _) : string * Corpus.entry) ->
+        let restored o =
+          Option.map
+            (fun r -> (o, r))
+            (Runner.restore ~find:(lookup_report id) o)
         in
-        let rec probe corrupt = function
-          | [] ->
-              if corrupt = [] then
-                degrade app "cache entry missing" (key ^ ".json")
-              else
-                List.iter
-                  (fun dir ->
-                    degrade app "corrupt cache entry quarantined" (file dir))
-                  (List.rev corrupt);
-              None
-          | dir :: rest -> (
-              match read dir with
-              | Store.Absent -> probe corrupt rest
-              | Store.Payload data when Runner.inspect_report_json data <> None
-                ->
-                  if not (Hashtbl.mem cache_keys key) then begin
-                    Hashtbl.replace cache_keys key ();
-                    cache := (key, data) :: !cache
-                  end;
-                  Some data
-              | Store.Corrupt reason ->
-                  Log.warn (fun m ->
-                      m "%s: corrupt cache entry (%s)" (file dir) reason);
-                  probe (dir :: corrupt) rest
-              | Store.Payload _ -> probe (dir :: corrupt) rest)
-        in
-        probe [] cache_dirs
-      in
-      let missing_apps = ref [] in
-      let merged =
+        match Option.bind (Hashtbl.find_opt outcomes id) restored with
+        | None ->
+            missing_apps := id :: !missing_apps;
+            None
+        | some -> some)
+      identified
+  in
+  let results = List.map snd merged in
+  (* Shard coverage: [expect_shards] is authoritative when given;
+     otherwise whatever N the surviving journals declared.  Journals
+     with no shard suffix (an unsharded run, a merged journal)
+     declare nothing, which is what makes merging a merged journal
+     coverage-clean. *)
+  let missing_shards =
+    match (expect_shards, !declared_n) with
+    | None, None -> []
+    | Some n, _ | None, Some n ->
+        List.filter
+          (fun k -> not (List.mem k !shards_seen))
+          (List.init n (fun i -> i + 1))
+  in
+  let run =
+    {
+      Runner.rn_results = results;
+      rn_interrupted = false;
+      rn_quarantined =
         List.filter_map
-          (fun ((id, _) : string * Corpus.entry) ->
-            let restored o =
-              Option.map
-                (fun r -> (o, r))
-                (Runner.restore ~find:(lookup_report id) o)
-            in
-            match Option.bind (Hashtbl.find_opt outcomes id) restored with
-            | None ->
-                missing_apps := id :: !missing_apps;
-                None
-            | some -> some)
-          identified
-      in
-      let results = List.map snd merged in
-      (* Shard coverage: [expect_shards] is authoritative when given;
-         otherwise whatever N the surviving journals declared.  Journals
-         with no shard suffix (an unsharded run, a merged journal)
-         declare nothing, which is what makes merging a merged journal
-         coverage-clean. *)
-      let missing_shards =
-        match (expect_shards, !declared_n) with
-        | None, None -> []
-        | Some n, _ | None, Some n ->
-            List.filter
-              (fun k -> not (List.mem k !shards_seen))
-              (List.init n (fun i -> i + 1))
-      in
-      let run =
-        {
-          Runner.rn_results = results;
-          rn_interrupted = false;
-          rn_quarantined =
-            List.filter_map
-              (fun (a : Runner.app_result) ->
-                if a.Runner.ar_status = Runner.Quarantined then
-                  Some a.Runner.ar_app
-                else None)
-              results;
-          rn_worker_spans = [];
-        }
-      in
-      Ok
-        {
-          mg_config = base;
-          mg_run = run;
-          mg_outcomes = List.map fst merged;
-          mg_missing_shards = missing_shards;
-          mg_missing_apps = List.rev !missing_apps;
-          mg_degradations = List.rev !degradations;
-          mg_cache = List.rev !cache;
-          mg_expected = List.length identified;
-        }
+          (fun (a : Runner.app_result) ->
+            if a.Runner.ar_status = Runner.Quarantined then
+              Some a.Runner.ar_app
+            else None)
+          results;
+      rn_worker_spans = [];
+    }
+  in
+  Ok
+    {
+      mg_config = base;
+      mg_run = run;
+      mg_outcomes = List.map fst merged;
+      mg_missing_shards = missing_shards;
+      mg_missing_apps = List.rev !missing_apps;
+      mg_degradations = List.rev !degradations;
+      mg_cache = List.rev !cache;
+      mg_expected = List.length identified;
+    }
 
 (* Exit contract (documented in the CLI man page): the code reflects the
    health of the MERGE, not of the merged run — a cleanly merged corpus
@@ -378,7 +381,7 @@ let envelope_of_json contents =
 let journal_contents t =
   let buf = Buffer.create 4096 in
   let add (stamp, ev) =
-    Buffer.add_string buf (Journal.line_of_event ?stamp ev);
+    Buffer.add_string buf (Journal.line_of_event ~stamp ev);
     Buffer.add_char buf '\n'
   in
   Buffer.add_string buf (Journal.header_line ~config:t.mg_config ());

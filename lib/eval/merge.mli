@@ -19,6 +19,11 @@
     [finished] record is followed by a [started] one (killed during a
     re-run), or whose status no writer produces, is missing.
 
+    The journals alone say what the set was run under: the base
+    fingerprint their headers agree on is the merged configuration, and
+    the corpus is the one it names ({!Runner.corpus_of_fingerprint}), so
+    a merge takes no configuration of its own, as [stats] does not.
+
     Robustness contract:
     - {e idempotent} — per-app conflicts (overlapping shards, duplicated
       work, re-merging merge's own outputs) resolve newest-finished-wins
@@ -34,7 +39,6 @@
       artifacts is safe (it contributes its finished prefix). *)
 
 module Journal = Extr_resilience.Journal
-module Corpus = Extr_corpus.Corpus
 
 type degradation = {
   md_app : string;  (** [""] for journal-level trouble *)
@@ -78,41 +82,45 @@ type journal =
 
 type shard_set = {
   ss_journals : (string * journal) list;  (** each path, input order *)
-  ss_records : (float option * Journal.event) list;
-      (** every record of every journal, pooled in stamp order:
-          unstamped records first, ties kept in input order *)
+  ss_base : (string option, string) result;
+      (** the base fingerprint every readable header names; [Ok None]
+          when no journal has a readable header, [Error] naming two
+          bases when the headers disagree *)
+  ss_records : (float * Journal.event) list;
+      (** every record of every journal, pooled in stamp order, ties
+          kept in input order *)
 }
 
 val read_shard_set : string list -> shard_set
 (** The one reader of a journal set, for [merge] and [stats]: each path
-    read with {!Extr_resilience.Journal.read_lenient}, read-only.  It
-    never fails; each caller applies its own policy to unreadable
-    journals and disagreeing bases ([stats] refuses them, {!merge}
-    degrades an unreadable journal and refuses a foreign base). *)
+    read with {!Extr_resilience.Journal.read_lenient}, read-only, and the
+    one decision of the set's base.  It never fails; both callers refuse
+    an [Error] base, and each applies its own policy to unreadable
+    journals ([stats] refuses them, {!merge} degrades them). *)
 
 val merge :
-  options:Runner.options ->
-  entries:Corpus.entry list ->
   journals:string list ->
   ?cache_dirs:string list ->
   ?expect_shards:int ->
   unit ->
   (t, string) result
-(** Union the shard artifacts.  [options]/[entries] recompute the base
-    fingerprint and the full corpus' identities ({!Runner.identify}), so
-    the merged envelope's app order is the unsharded run's.  [journals]
-    and [cache_dirs] are searched in the given order (ties in the
+(** Union the shard artifacts.  The merged configuration is the set's
+    base ({!read_shard_set}) and the expected result set is the
+    identities ({!Runner.identify}) of the corpus it names, so the
+    merged envelope's app order is the unsharded run's.  [journals] and
+    [cache_dirs] are searched in the given order (ties in the
     newest-finished-wins rule go to later inputs; the first valid cache
     copy of a key wins — entries are content-addressed, so valid copies
     are identical).  Shard coverage is checked against [expect_shards]
     when given, else against the largest N the journals' shard suffixes
     declare.  [Error] only for a usage-level problem: an
-    [expect_shards] below 1, or a journal whose base fingerprint
-    differs from [options]' — results computed under another
-    configuration must not be mixed in silently.  Everything
-    else (unreadable journal, empty/stale-lock journal, torn tail,
-    missing or corrupt cache entry) degrades or classifies, it never
-    aborts. *)
+    [expect_shards] below 1, journals whose headers name two different
+    bases — results computed under another configuration must not be
+    mixed in silently — or a set in which no journal has a readable
+    header, since then nothing names the configuration or the corpus.
+    Everything else (an unreadable journal beside readable ones, an
+    empty/stale-lock journal, torn tail, missing or corrupt cache entry)
+    degrades or classifies, it never aborts. *)
 
 val exit_code : t -> int
 (** The [merge] exit contract: 4 when shards or apps are missing

@@ -89,6 +89,19 @@ let config_fingerprint (o : options) =
     Store.analysis_version
     (match o.ro_corpus_tag with None -> "" | Some t -> ";" ^ t)
 
+(* The [--gen COUNT --gen-seed SEED] corpus' tag, and the corpus a
+   configuration fingerprint names: the generated one its trailing tag
+   describes, or the built-in one.  Only the exact text [corpus_tag]
+   writes counts as a tag. *)
+let corpus_tag ~seed ~count = Printf.sprintf "gen=%d:%d" seed count
+
+let corpus_of_fingerprint config =
+  let tag = List.hd (List.rev (String.split_on_char ';' config)) in
+  match Scanf.sscanf_opt tag "gen=%d:%d%!" (fun seed count -> (seed, count)) with
+  | Some (seed, count) when corpus_tag ~seed ~count = tag ->
+      Corpus.generated ~seed ~count
+  | Some _ | None -> Corpus.builtin ()
+
 (* The journal (and shard envelope) identity adds which slice of the
    corpus this run covers: a shard must only resume its own journal, and
    merge reads the suffix back to know which shards it has seen.  The

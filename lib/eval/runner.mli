@@ -67,6 +67,16 @@ val config_fingerprint : options -> string
     {!journal_fingerprint}) in their header and [--resume] refuses a
     journal whose fingerprint differs. *)
 
+val corpus_tag : seed:int -> count:int -> string
+(** ["gen=SEED:COUNT"]: the [ro_corpus_tag] of the [--gen COUNT
+    --gen-seed SEED] corpus, which {!config_fingerprint} appends. *)
+
+val corpus_of_fingerprint : string -> Corpus.entry list
+(** The corpus a {!config_fingerprint} names: [Corpus.generated ~seed
+    ~count] when it ends in a {!corpus_tag}, else {!Corpus.builtin}.
+    [merge] reads a shard set's corpus off its base fingerprint with
+    it. *)
+
 val journal_fingerprint : options -> string
 (** {!config_fingerprint} plus a [";shard=K/N"] suffix when [ro_shard]
     is set: what the journal header and a shard run's envelope record.

@@ -78,8 +78,8 @@ let app_of_outcome (o : Journal.outcome) =
         st_attempts = f.ev_attempts;
         st_txs = f.ev_txs;
         st_wall_s =
-          (match (o.Journal.oc_started, finished_at) with
-          | Some t0, Some t1 when t1 >= t0 -> Some (t1 -. t0)
+          (match o.Journal.oc_started with
+          | Some t0 when finished_at >= t0 -> Some (finished_at -. t0)
           | _ -> None);
       }
   | _ ->
@@ -107,7 +107,7 @@ let of_records records =
   let status st a = a.st_status = st in
   (* Records come in stamp order, so the first and last stamps bound the
      run. *)
-  let stamps = List.filter_map fst records in
+  let stamps = List.map fst records in
   {
     rs_config = "";
     rs_apps = apps;
@@ -132,24 +132,6 @@ let of_records records =
 (* Optional artifacts                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Cache entries on disk: every non-hidden regular file is one stored
-   result (the store writes temp files dot-prefixed, so mid-write temps
-   never count). *)
-let cache_entries dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
-  | names ->
-      Some
-        (Array.fold_left
-           (fun n name ->
-             if
-               String.length name > 0
-               && name.[0] <> '.'
-               && not (Sys.is_directory (Filename.concat dir name))
-             then n + 1
-             else n)
-           0 names)
-
 (* A pipeline.phase_us series as a phase row, with the percentiles the
    exporter annotates it with (recomputed from the same buckets). *)
 let phase_of_sample (s : Metrics.sample) =
@@ -168,36 +150,31 @@ let phase_of_sample (s : Metrics.sample) =
 
 (* A journal set: one journal is the classic single-run view; a list is
    a shard set inspected before (or instead of) running `merge`.  The
-   shard-set reader pools the records in stamp order; here an unreadable
-   journal, or one whose base disagrees with the first, is an error. *)
+   shard-set reader pools the records in stamp order and decides the
+   set's base; here an unreadable journal, or disagreeing bases, is an
+   error. *)
 let read_journals paths =
   let set = Merge.read_shard_set paths in
-  let single = match paths with [ _ ] -> true | _ -> false in
-  let rec fold cfg dropped = function
-    | [] ->
-        let shown =
-          match cfg with Some (shown, _) -> shown | None -> "(empty journal)"
-        in
-        Ok (shown, set.Merge.ss_records, dropped)
+  let rec fold dropped = function
+    | [] -> Ok dropped
     | (_, Merge.Unreadable msg) :: _ -> Error msg
-    | (_, Merge.Empty) :: rest -> fold cfg dropped rest
-    | (path, Merge.Header h) :: rest -> (
-        let dropped = dropped + List.length h.jh_anomalies in
-        (* A single journal keeps its full fingerprint (the shard suffix
-           is informative); a set is reported under the shared base,
-           which every member must agree on. *)
-        let shown = if single then h.jh_config else h.jh_base in
-        match cfg with
-        | Some (_, prev) when prev <> h.jh_base ->
-            Error
-              (Printf.sprintf
-                 "%s: journal configuration %s does not match the other \
-                  journals' (%s)"
-                 path h.jh_base prev)
-        | Some _ -> fold cfg dropped rest
-        | None -> fold (Some (shown, h.jh_base)) dropped rest)
+    | (_, Merge.Empty) :: rest -> fold dropped rest
+    | (_, Merge.Header h) :: rest ->
+        fold (dropped + List.length h.jh_anomalies) rest
   in
-  fold None 0 set.Merge.ss_journals
+  Result.bind (fold 0 set.Merge.ss_journals) (fun dropped ->
+      Result.map
+        (fun base ->
+          (* A single journal keeps its full fingerprint (the shard
+             suffix is informative); a set is reported under its base. *)
+          let shown =
+            match (set.Merge.ss_journals, base) with
+            | [ (_, Merge.Header h) ], _ -> h.jh_config
+            | _, Some base -> base
+            | _, None -> "(empty journal)"
+          in
+          (shown, set.Merge.ss_records, dropped))
+        set.Merge.ss_base)
 
 let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
   let ( let* ) = Result.bind in
@@ -218,7 +195,9 @@ let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
       (of_records records) with
       rs_config = config;
       rs_dropped = dropped;
-      rs_cache_entries = Option.bind cache_dir cache_entries;
+      rs_cache_entries =
+        Option.bind cache_dir (fun dir ->
+            Option.map List.length (Store.entries ~dir));
       rs_phases = phases;
       rs_profile = profile;
     }
@@ -311,20 +290,22 @@ type verify_report = {
 }
 
 let verify ~journals ?cache_dir () =
-  let anomalies = ref [] in
-  let errors = ref [] in
-  List.iter
-    (fun path ->
-      match Journal.read_lenient ~path with
-      | Error msg -> errors := (path, msg) :: !errors
-      | Ok (_, _, a) -> if a <> [] then anomalies := (path, a) :: !anomalies)
-    journals;
+  let set = (Merge.read_shard_set journals).Merge.ss_journals in
   let checked, corrupt =
     match cache_dir with None -> (0, []) | Some dir -> Store.audit ~dir
   in
   {
-    vr_journal_anomalies = List.rev !anomalies;
-    vr_journal_errors = List.rev !errors;
+    vr_journal_anomalies =
+      List.filter_map
+        (function
+          | path, Merge.Header h when h.jh_anomalies <> [] ->
+              Some (path, h.jh_anomalies)
+          | _ -> None)
+        set;
+    vr_journal_errors =
+      List.filter_map
+        (function path, Merge.Unreadable msg -> Some (path, msg) | _ -> None)
+        set;
     vr_cache_checked = checked;
     vr_cache_corrupt = corrupt;
   }

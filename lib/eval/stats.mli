@@ -27,7 +27,7 @@ type app = {
   st_txs : int;
   st_wall_s : float option;
       (** first [started] to last [finished] stamp; [None] for cached
-          results (never started) and unstamped legacy journals *)
+          results (never started) *)
 }
 
 type phase = {
@@ -52,7 +52,8 @@ type t = {
   rs_dropped : int;
       (** corrupt journal records the lenient reader dropped — non-zero
           means the numbers below may undercount a damaged run *)
-  rs_cache_entries : int option;  (** results on disk under the cache dir *)
+  rs_cache_entries : int option;
+      (** entries under the cache dir ({!Extr_store.Store.entries}) *)
   rs_phases : phase list;  (** [pipeline.phase_us] series, if metrics given *)
   rs_profile :
     (Extr_telemetry.Profile.snapshot * (string * float * float) list) option;
@@ -73,8 +74,9 @@ val of_artifacts :
     summary covers the whole fleet.  A zero-byte journal — a shard that
     died before writing its header — counts as an empty run, not an
     error.  [Error] when a journal file is unreadable, a non-empty one
-    is headerless, the bases disagree, or a given metrics/profile file
-    is unreadable or not that artifact (the messages are
+    has no readable header, the bases disagree (the message
+    {!Merge.merge} prints too), or a given metrics/profile file is
+    unreadable or not that artifact (the messages are
     {!Extr_telemetry.Export.read_metrics}'s and [read_profile]'s, the
     ones [merge] prints too).  A missing cache directory yields
     [rs_cache_entries = None], not an error. *)
@@ -109,8 +111,8 @@ type verify_report = {
 val verify :
   journals:string list -> ?cache_dir:string -> unit -> verify_report
 (** Audit a shard set's artifacts without reconstructing the run: every
-    journal record's checksum is re-verified ({!Extr_resilience.Journal.read_lenient})
-    and every cache entry's content digest re-computed
+    journal record's seal is re-verified ({!Merge.read_shard_set}) and
+    every cache entry's content digest re-computed
     ({!Extr_store.Store.audit}).  Read-only and crash-tolerant like the
     rest of this module.  A torn final record (no trailing newline) is
     the normal kill shape, not corruption, and does not appear here. *)

@@ -40,7 +40,6 @@ let m_callbacks =
 
 type options = {
   io_max_depth : int;  (** call-inlining depth bound *)
-  io_loop_passes : int;  (** maximum sweeps when the CFG has loops *)
   io_event_heap : bool;
       (** persist receiver heap state from registration into callbacks —
           the behavioural analogue of the §3.4 asynchronous-event
@@ -65,7 +64,6 @@ type options = {
 let default_options =
   {
     io_max_depth = 24;
-    io_loop_passes = 3;
     io_event_heap = true;
     io_restrict_to_slices = true;
     io_context_sensitive = true;
@@ -462,9 +460,11 @@ let rec exec_method t ~depth ~(heap : heap) (mid : Ir.method_id)
         let block_out : state option array = Array.make nb None in
         let header_in : state option array = Array.make nb None in
         let rets : (Absval.t * heap) list ref = ref [] in
+        (* At most 3 sweeps over a CFG with loops; the naive-order
+           ablation iterates up to 20. *)
         let passes =
-          if t.opts.io_naive_order then max 20 t.opts.io_loop_passes
-          else if plan.pl_has_loops then t.opts.io_loop_passes
+          if t.opts.io_naive_order then 20
+          else if plan.pl_has_loops then 3
           else 1
         in
         let changed = ref true in

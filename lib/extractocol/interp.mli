@@ -19,7 +19,6 @@ module Resilience = Extr_resilience.Resilience
 
 type options = {
   io_max_depth : int;  (** call-inlining depth bound *)
-  io_loop_passes : int;  (** maximum sweeps when the CFG has loops *)
   io_event_heap : bool;
       (** persist receiver heap state from registration into callbacks —
           the behavioural analogue of the §3.4 asynchronous-event

@@ -103,10 +103,12 @@ let event_of_json j =
 
 (* Each record is stamped with the journal clock when written, so an
    offline reader ([read_lenient], the stats subcommand) can reconstruct
-   wall time per app and the run's ETA from the file alone.  Readers
-   treat the stamp as optional: journals written before stamping existed
-   still load.  [merge] carries stamps over from its source journals. *)
-let timestamp_of_json j = Json.num_member "t" j
+   wall time per app and the run's ETA from the file alone.  A record
+   without its stamp is not one a writer produced.  [merge] carries
+   stamps over from its source journals. *)
+let record_of_json j =
+  Option.bind (Json.num_member "t" j) (fun stamp ->
+      Option.map (fun ev -> (stamp, ev)) (event_of_json j))
 
 let with_stamp stamp json =
   match (stamp, json) with
@@ -122,11 +124,10 @@ let header config =
 
 (* Every line is sealed with a short content checksum appended as a
    final "c" member: {...,"t":...} becomes {...,"t":...,"c":"xxxxxxxx"}
-   where the digest covers the unsealed line bytes.  The scheme is
-   purely textual — sealing and verification never round-trip through
-   the Json value model, so float reprinting can neither weaken nor
-   break it.  Unsealed lines (journals from before integrity existed)
-   are accepted unverified. *)
+   where the digest covers the line bytes before sealing.  The scheme
+   is purely textual — sealing and verification never round-trip
+   through the Json value model, so float reprinting can neither weaken
+   nor break it. *)
 
 let checksum s = String.sub (Digest.to_hex (Digest.string s)) 0 8
 
@@ -137,12 +138,8 @@ let seal_line s =
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
 
-type seal_verdict = Sealed of string | Unsealed | Corrupt
-
-(* The seal suffix is [,"c":"XXXXXXXX"}] — 16 bytes.  A line carrying it
-   either verifies (recover the unsealed payload) or is corrupt; a line
-   without it is legacy.  No schema field ends an event record with that
-   shape, so legacy lines cannot be misclassified. *)
+(* The seal suffix is [,"c":"XXXXXXXX"}] — 16 bytes.  The payload of a
+   line that ends in it and verifies; [None] for every other line. *)
 let unseal line =
   let n = String.length line in
   let suffix = 16 in
@@ -155,9 +152,9 @@ let unseal line =
     let digest = String.sub line (n - suffix + 6) 8 in
     let payload = String.sub line 0 (n - suffix) ^ "}" in
     if String.for_all is_hex digest && checksum payload = digest then
-      Sealed payload
-    else Corrupt
-  else Unsealed
+      Some payload
+    else None
+  else None
 
 type anomaly = { an_line : int; an_reason : string }
 
@@ -193,11 +190,19 @@ let write_line oc line =
   Out_channel.output_char oc '\n';
   Out_channel.flush oc
 
+(* The one serialization of each line, shared by the live writer and
+   the merge subcommand, so a unioned journal reads back exactly like
+   one the runner wrote. *)
+let header_line ?stamp ~config () =
+  seal_line (Json.to_string (with_stamp stamp (header config)))
+
+let line_of_event ~stamp ev =
+  seal_line (Json.to_string (with_stamp (Some stamp) (json_of_event ev)))
+
 let create ?(clock = Clock.wall) ~path ~config () =
   let oc = Out_channel.open_text path in
   let t = { jn_path = path; jn_config = config; jn_oc = oc; jn_clock = clock } in
-  write_line oc
-    (seal_line (Json.to_string (with_stamp (Some (clock ())) (header config))));
+  write_line oc (header_line ~stamp:(clock ()) ~config ());
   fsync oc;
   t
 
@@ -226,12 +231,12 @@ let reopen_for_append path contents =
    offline readers classify it as an empty run, not an error.
 
    Corruption never raises and never silently passes: a mid-file record
-   that fails its checksum or does not parse is dropped AND reported as
-   an anomaly, so callers can degrade ([merge]), warn ([--resume]) or
-   audit ([stats --verify]).  The single exception is a torn tail — a
-   final line the writer never finished (no trailing newline): that is
-   the documented benign kill shape, dropped silently exactly as
-   before. *)
+   without a valid seal, or whose sealed payload is not a stamped event,
+   is dropped AND reported as an anomaly, so callers can degrade
+   ([merge]), warn ([--resume]) or audit ([stats --verify]).  The single
+   exception is a torn tail — a final line the writer never finished
+   (no trailing newline): that is the documented benign kill shape,
+   dropped silently. *)
 let parse_journal ~path contents =
   let len = String.length contents in
   let ends_nl = len = 0 || contents.[len - 1] = '\n' in
@@ -243,58 +248,35 @@ let parse_journal ~path contents =
   in
   match numbered with
   | [] -> Ok (None, [], [])
-  | (hn, hd) :: tl -> (
+  | (_, hd) :: tl -> (
       let torn_tail ln = (not ends_nl) && ln = nlines in
-      let header_payload =
-        match unseal hd with
-        | Sealed p -> Some p
-        | Unsealed -> Some hd
-        | Corrupt -> None
-      in
       match
-        Option.bind header_payload (fun p ->
+        Option.bind (unseal hd) (fun p ->
             Option.bind (Json.of_string_opt p) (Json.str_member "config"))
       with
-      | None ->
-          if header_payload = None && not (torn_tail hn) then
-            Error (path ^ ": journal header failed its checksum")
-          else Error (path ^ ": journal header missing or malformed")
+      | None -> Error (path ^ ": journal header missing, unsealed or corrupt")
       | Some c ->
           let anomalies = ref [] in
           let note ln reason =
-            Log.warn (fun m -> m "%s: dropping journal line %d: %s" path ln reason);
-            anomalies := { an_line = ln; an_reason = reason } :: !anomalies
+            if not (torn_tail ln) then begin
+              Log.warn (fun m ->
+                  m "%s: dropping journal line %d: %s" path ln reason);
+              anomalies := { an_line = ln; an_reason = reason } :: !anomalies
+            end;
+            None
           in
-          let events =
+          let records =
             List.filter_map
               (fun (ln, line) ->
-                let payload =
-                  match unseal line with
-                  | Sealed p -> Some p
-                  | Unsealed -> Some line
-                  | Corrupt ->
-                      if not (torn_tail ln) then
-                        note ln "record failed its checksum";
-                      None
-                in
-                match payload with
-                | None -> None
+                match unseal line with
+                | None -> note ln "record is unsealed or fails its checksum"
                 | Some p -> (
-                    match Json.of_string_opt p with
-                    | Some j -> (
-                        match event_of_json j with
-                        | Some ev -> Some (timestamp_of_json j, ev)
-                        | None ->
-                            if not (torn_tail ln) then
-                              note ln "unrecognized record";
-                            None)
-                    | None ->
-                        if not (torn_tail ln) then
-                          note ln "unparseable record";
-                        None))
+                    match Option.bind (Json.of_string_opt p) record_of_json with
+                    | Some record -> Some record
+                    | None -> note ln "unrecognized record"))
               tl
           in
-          Ok (Some c, events, List.rev !anomalies))
+          Ok (Some c, records, List.rev !anomalies))
 
 let read_lenient ~path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -328,9 +310,7 @@ let load ?(clock = Clock.wall) ~path ~config () =
 
 let write t ev =
   let at = t.jn_clock () in
-  let line =
-    seal_line (Json.to_string (with_stamp (Some at) (json_of_event ev)))
-  in
+  let line = line_of_event ~stamp:at ev in
   (match Fault.fire "journal.append" with
   | Some "torn" ->
       (* Half a record and no newline: once later records land after
@@ -352,15 +332,6 @@ let append t ev =
   ignore (write t ev : float);
   sync t
 
-(* Offline serialization, format-identical to the live writer, so the
-   merge subcommand can write a unioned journal that stats / a further
-   merge read back exactly like one the runner wrote. *)
-let header_line ?stamp ~config () =
-  seal_line (Json.to_string (with_stamp stamp (header config)))
-
-let line_of_event ?stamp ev =
-  seal_line (Json.to_string (with_stamp stamp (json_of_event ev)))
-
 let path t = t.jn_path
 
 let event_app = function
@@ -371,8 +342,8 @@ let event_app = function
 
 type outcome = {
   oc_app : string;
-  oc_finished : (float option * event) option;
-  oc_crashed : (float option * event) option;
+  oc_finished : (float * event) option;
+  oc_crashed : (float * event) option;
   oc_started : float option;
 }
 
@@ -398,7 +369,7 @@ let outcomes records =
         match ev with
         | Started _ ->
             let oc_started =
-              if o.oc_started = None then stamp else o.oc_started
+              if o.oc_started = None then Some stamp else o.oc_started
             in
             { o with oc_finished = None; oc_started }
         | Finished _ -> { o with oc_finished = Some record }

@@ -32,11 +32,12 @@
     own fsync at {!create} is not counted.
 
     Every line additionally carries a content checksum (a final ["c"]
-    member covering the rest of the line), so {e mid-file} corruption —
-    bit rot, a tear glued to the next record, an interleaved partial
-    write — is detected on every read: the corrupt record is dropped
-    and reported as an {!anomaly}, never trusted and never fatal.
-    Journals written before checksums existed load unverified. *)
+    member covering the rest of the line) and every record a stamp (a
+    ["t"] member), so {e mid-file} corruption — bit rot, a tear glued to
+    the next record, an interleaved partial write, an edited line — is
+    detected on every read: a record without a valid seal or a stamp is
+    dropped and reported as an {!anomaly}, never trusted and never
+    fatal.  The readers accept exactly the lines the writers write. *)
 
 type event =
   | Started of { ev_app : string; ev_key : string; ev_attempt : int }
@@ -58,9 +59,10 @@ type t
 
 type anomaly = { an_line : int;  (** 1-based line number in the file *)
                  an_reason : string }
-(** One dropped record: a line that failed its checksum, did not parse,
-    or carried an unrecognized event.  The benign torn {e tail} (a
-    final line with no newline — a mid-append kill) is not an anomaly. *)
+(** One dropped record: a line without a valid seal, or whose sealed
+    payload does not parse or is not a stamped event.  The benign torn
+    {e tail} (a final line with no newline — a mid-append kill) is not
+    an anomaly. *)
 
 val pp_anomaly : Format.formatter -> anomaly -> unit
 
@@ -77,10 +79,10 @@ val load :
   path:string ->
   config:string ->
   unit ->
-  (t * (float option * event) list * anomaly list, string) result
+  (t * (float * event) list * anomaly list, string) result
 (** Re-open an existing journal for [--resume].  [Error] when the file
-    is missing or unreadable, the header is absent or fails its
-    checksum, or the header's configuration fingerprint differs from
+    is missing or unreadable, the header is absent, unsealed or fails
+    its checksum, or the header's configuration fingerprint differs from
     [config].  A truncated trailing line (a mid-append kill) is dropped
     and the file truncated back to the last complete record; corrupt or
     malformed interior lines are dropped and returned as anomalies —
@@ -91,19 +93,19 @@ val load :
 
 val read_lenient :
   path:string ->
-  (string option * (float option * event) list * anomaly list, string) result
+  (string option * (float * event) list * anomaly list, string) result
 (** Read-only load for offline inspection ([stats], [merge]): the
     header's configuration fingerprint and every complete record with
-    its timestamp ([None] for records written before stamping existed),
-    plus the anomalies for dropped mid-file records.  Unlike {!load},
-    the file is not opened for appending, not truncated, and no
+    its stamp, plus the anomalies for dropped mid-file records.  Unlike
+    {!load}, the file is not opened for appending, not truncated, and no
     configuration is required — a torn trailing line is simply skipped,
     so a journal left by a killed (or still-running) run can be
     inspected without touching it.  A zero-byte (or whitespace-only)
     journal — a run that died between opening the file and writing the
     header, the stale-lock shape — is [Ok (None, [], [])], so [merge]
     and [stats] can classify it as an empty shard.  A non-empty file
-    with a malformed header is an [Error]. *)
+    whose header is malformed, unsealed or fails its checksum is an
+    [Error]. *)
 
 val header_line : ?stamp:float -> config:string -> unit -> string
 (** The header record (no trailing newline) exactly as {!create} writes
@@ -111,9 +113,9 @@ val header_line : ?stamp:float -> config:string -> unit -> string
     [merge] subcommand) producing a journal the runner's readers accept
     verbatim. *)
 
-val line_of_event : ?stamp:float -> event -> string
+val line_of_event : stamp:float -> event -> string
 (** One event record (no trailing newline) exactly as {!write} writes
-    it, with an optional explicit timestamp carried over from the source
+    it, with an explicit timestamp carried over from the source
     journal. *)
 
 val write : t -> event -> float
@@ -137,19 +139,21 @@ val path : t -> string
 
 type outcome = {
   oc_app : string;
-  oc_finished : (float option * event) option;
+  oc_finished : (float * event) option;
       (** the app's last [Finished] record and its stamp, unless a later
           [Started] follows it (the app was being re-run when the
           journal stopped) *)
-  oc_crashed : (float option * event) option;
+  oc_crashed : (float * event) option;
       (** its last [Crashed] record and its stamp *)
-  oc_started : float option;  (** the stamp of its first stamped [Started] *)
+  oc_started : float option;
+      (** the stamp of its first [Started]; [None] for an app served from
+          the cache, which has no [Started] record *)
 }
 (** What one app's records mean.  [--resume], [merge] and [stats] all
     read a journal through {!outcomes}, so they agree on which apps are
     finished and which are in flight. *)
 
-val outcomes : (float option * event) list -> outcome list
+val outcomes : (float * event) list -> outcome list
 (** One outcome per app, in order of first appearance, folded over the
     records in list order.  [--resume] passes its journal's records in
     file order; [merge] and [stats] pass a shard set's records pooled in

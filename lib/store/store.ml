@@ -152,11 +152,11 @@ let m_corrupt =
 (* ------------------------------------------------------------------ *)
 
 (* Entries are sealed with a one-line header ["%EXTR1 <md5hex>\n"]
-   covering the payload, verified on every read.  A mismatch — bit rot,
-   a torn write from a lying filesystem — makes the entry a miss (plus
-   a warning and the cache.corrupt counter), never a wrong answer: the
-   app simply re-runs and the fresh store heals the entry.  Headerless
-   entries (caches from before integrity existed) are served as-is. *)
+   covering the payload, verified on every read.  A missing header or a
+   mismatch — bit rot, a torn write from a lying filesystem — makes the
+   entry a miss (plus a warning and the cache.corrupt counter), never a
+   wrong answer: the app simply re-runs and the fresh store heals the
+   entry. *)
 
 let magic = "%EXTR1 "
 let header_len = String.length magic + 32 + 1  (* digest hex + '\n' *)
@@ -165,8 +165,8 @@ let seal contents = magic ^ Digest.to_hex (Digest.string contents) ^ "\n" ^ cont
 
 let decode raw =
   let n = String.length raw in
-  if n < String.length magic || String.sub raw 0 (String.length magic) <> magic
-  then Result.Ok raw
+  if not (String.starts_with ~prefix:magic raw) then
+    Result.Error "missing integrity header"
   else if n < header_len || raw.[header_len - 1] <> '\n' then
     Result.Error "malformed integrity header"
   else
@@ -236,17 +236,27 @@ let store t k contents =
   | Some data -> Export.write_file (entry_path t.st_dir k) data
   | None -> ()
 
+(* The files [store] writes, [<key>.json]: write temps are dot-prefixed
+   and anything else in the directory is not an entry. *)
+let entries ~dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> None
+  | names ->
+      Some
+        (List.filter_map
+           (fun name ->
+             Option.bind (Filename.chop_suffix_opt ~suffix:".json" name)
+               key_of_string)
+           (List.sort compare (Array.to_list names)))
+
 (* Offline integrity audit for [stats --verify]: decode every entry in
    a cache directory without serving it. *)
 let audit ~dir =
-  let names = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.fold_left
-    (fun (total, corrupt) name ->
-      if Filename.check_suffix name ".json" && name.[0] <> '.' then
-        match read_file (Filename.concat dir name) with
-        | Absent -> (total, corrupt)
-        | Payload _ -> (total + 1, corrupt)
-        | Corrupt reason -> (total + 1, (name, reason) :: corrupt)
-      else (total, corrupt))
-    (0, []) names
-  |> fun (total, corrupt) -> (total, List.rev corrupt)
+  let keys = Option.value ~default:[] (entries ~dir) in
+  ( List.length keys,
+    List.filter_map
+      (fun k ->
+        match read_entry ~dir k with
+        | Corrupt reason -> Some (k ^ ".json", reason)
+        | Absent | Payload _ -> None)
+      keys )

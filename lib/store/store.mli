@@ -50,8 +50,8 @@ val dir : t -> string
 type entry =
   | Absent  (** no entry file *)
   | Corrupt of string
-      (** the file cannot be read or fails its content digest: the
-          reason *)
+      (** the file cannot be read, has no valid seal or fails its
+          content digest: the reason *)
   | Payload of string  (** the verified contents *)
 
 val read_entry : dir:string -> key -> entry
@@ -63,11 +63,11 @@ val read_entry : dir:string -> key -> entry
 val find : t -> key -> string option
 (** The stored contents, or [None].  Bumps ["cache.hits"] or
     ["cache.misses"] when the metrics registry is enabled.  A
-    {!Corrupt} entry is a miss, never an error (["cache.corrupt"]
-    counts it): a corrupt artifact is never served, the app re-runs,
-    and the fresh {!store} heals the entry.  Consults the
-    {!Extr_resilience.Fault} site ["store.read"] (modes [bitflip],
-    [miss]). *)
+    {!Corrupt} entry — one without a valid seal — is a miss, never an
+    error (["cache.corrupt"] counts it): a corrupt artifact is never
+    served, the app re-runs, and the fresh {!store} heals the entry.
+    Consults the {!Extr_resilience.Fault} site ["store.read"] (modes
+    [bitflip], [miss]). *)
 
 val store : t -> key -> string -> unit
 (** Atomically write the entry (temp file + rename), sealed with a
@@ -81,12 +81,17 @@ val seal : string -> string
     payload — what {!store} writes. *)
 
 val decode : string -> (string, string) result
-(** Verify and strip a sealed entry back to its payload.  Headerless
-    contents (entries from before integrity existed) pass through
-    unverified; [Error reason] is a digest mismatch or a malformed
-    header — the caller must treat the entry as missing. *)
+(** Verify and strip a sealed entry back to its payload.  [Error reason]
+    is a missing or malformed header or a digest mismatch — the caller
+    must treat the entry as missing. *)
+
+val entries : dir:string -> key list option
+(** The entries of the cache directory [dir], sorted: every file named
+    [<key>.json], the name {!store} writes.  Write temps and any other
+    file are not entries.  [None] when [dir] cannot be read.  {!audit}
+    and [stats] count entries with it. *)
 
 val audit : dir:string -> int * (string * string) list
-(** Offline integrity audit ([stats --verify]): read every [*.json]
-    entry under [dir] as {!read_entry} does; returns the entry count and
+(** Offline integrity audit ([stats --verify]): read every {!entries}
+    member of [dir] as {!read_entry} does; returns the entry count and
     the corrupt ones as [(filename, reason)]. *)

@@ -334,9 +334,12 @@ let test_journal_interleaved_partial_record () =
   | Error e -> Alcotest.fail e
   | Ok (j2, _, _) -> Journal.append j2 (ev_started "c")
 
-(* Lines as journals wrote them before records were sealed: no "c"
-   member, and stamps only on the finished records. *)
-let test_journal_legacy_unsealed_accepted () =
+(* Lines a writer does not produce: records without a "c" seal (stamps
+   only on the finished ones), and a sealed record whose txs was edited
+   and whose "c" member was renamed, so no seal is left to check.  Under
+   a sealed header each is an anomaly that --resume drops too; under an
+   unsealed header of their own, the journal does not load. *)
+let test_journal_unsealed_record_anomaly () =
   let path = Filename.temp_file "journal" ".jsonl" in
   let key = String.make 32 'a' in
   let started app =
@@ -347,31 +350,43 @@ let test_journal_legacy_unsealed_accepted () =
       {|{"event":"finished","app":"%s","key":"%s","status":"ok","cached":false,"attempts":1,"txs":4,"t":2.5}|}
       app key
   in
+  let unsealed = [ started "a"; finished "a"; started "b"; finished "b" ] in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  let renamed =
+    Journal.line_of_event ~stamp:3.0 (ev_finished "c")
+    |> replace ~sub:{|"txs":4|} ~by:{|"txs":9|}
+    |> replace ~sub:{|,"c":"|} ~by:{|,"x":"|}
+  in
   write_lines path
-    [
-      {|{"event":"run-started","config":"cfg-1"}|};
-      started "a"; finished "a"; started "b"; finished "b";
-    ];
-  match Journal.read_lenient ~path with
+    ((Journal.header_line ~config:"cfg-1" () :: unsealed) @ [ renamed ]);
+  (match Journal.read_lenient ~path with
   | Error e -> Alcotest.fail e
-  | Ok (config, events, anomalies) ->
+  | Ok (config, records, anomalies) ->
       check Alcotest.(option string) "header config" (Some "cfg-1") config;
-      check Alcotest.int "unsealed records accepted" 4 (List.length events);
-      check
-        Alcotest.(list string)
-        "records decoded"
-        (List.map render
-           [ ev_started "a"; ev_finished "a"; ev_started "b"; ev_finished "b" ])
-        (List.map (fun (_, ev) -> render ev) events);
-      check Alcotest.int "no anomaly for legacy records" 0
-        (List.length anomalies)
+      check Alcotest.int "no unsealed record accepted" 0 (List.length records);
+      check Alcotest.(list int) "each one is an anomaly" [ 2; 3; 4; 5; 6 ]
+        (List.map (fun a -> a.Journal.an_line) anomalies));
+  (match Journal.load ~path ~config:"cfg-1" () with
+  | Error e -> Alcotest.fail e
+  | Ok (_, records, anomalies) ->
+      check Alcotest.int "--resume drops them" 0 (List.length records);
+      check Alcotest.int "and reports each" 5 (List.length anomalies));
+  write_lines path ({|{"event":"run-started","config":"cfg-1"}|} :: unsealed);
+  match Journal.read_lenient ~path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a journal under an unsealed header loaded"
 
 let test_journal_finished_excludes_restarted () =
   let events =
     [ ev_started "a"; ev_finished "a"; ev_started "b"; ev_finished "b";
       ev_started "a" (* a started again after finishing *) ]
   in
-  let outcomes = Journal.outcomes (List.map (fun ev -> (None, ev)) events) in
+  let outcomes = Journal.outcomes (List.map (fun ev -> (0., ev)) events) in
   check
     Alcotest.(list string)
     "one outcome per app, in order of first appearance" [ "a"; "b" ]
@@ -495,9 +510,9 @@ let test_store_seal_round_trip () =
   check (Alcotest.result Alcotest.string Alcotest.string) "seal round-trips"
     (Ok "{\"payload\":1}")
     (Store.decode (Store.seal "{\"payload\":1}"));
-  check (Alcotest.result Alcotest.string Alcotest.string)
-    "headerless legacy entry passes through" (Ok "{\"legacy\":true}")
-    (Store.decode "{\"legacy\":true}");
+  (match Store.decode "{\"payload\":1}" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a headerless entry must not decode");
   match Store.decode (flip_byte_mid (Store.seal "{\"payload\":1}")) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a flipped sealed entry must not decode"
@@ -1071,8 +1086,8 @@ let () =
           tc "duplicated line tolerated" test_journal_duplicated_line_tolerated;
           tc "interleaved partial record reported"
             test_journal_interleaved_partial_record;
-          tc "legacy unsealed journal accepted"
-            test_journal_legacy_unsealed_accepted;
+          tc "an unsealed record is an anomaly"
+            test_journal_unsealed_record_anomaly;
           tc "finished excludes restarted apps"
             test_journal_finished_excludes_restarted;
         ] );

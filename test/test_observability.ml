@@ -54,9 +54,8 @@ let test_journal_stamps () =
       let stamps = List.map fst events in
       (* The header consumed clock tick 1000; records get 1010, 1020. *)
       check
-        Alcotest.(list (option (float 0.0)))
-        "records stamped by the journal clock"
-        [ Some 1010.0; Some 1020.0 ]
+        Alcotest.(list (float 0.0))
+        "records stamped by the journal clock" [ 1010.0; 1020.0 ]
         stamps;
       Sys.remove path
 
@@ -174,10 +173,11 @@ let test_stats_of_killed_journal () =
 
 (* One journal read by all three readers: an app killed while it was
    being re-run (finished, then started again), a quarantined app with
-   its crash record and one without it, an unsealed finished record
-   whose status no writer produces, and a torn trailing line.  Stats'
-   finished set, the set --resume restores and merge's result set must
-   be the same apps with the same statuses. *)
+   its crash record and one without it, a finished record whose status
+   no writer produces, and a torn trailing line.  Stats' finished set,
+   the set --resume restores and merge's result set must be the same
+   apps with the same statuses.  Stats and its audit count the same
+   cache entries, past a stray file. *)
 let test_stats_matches_resume_view () =
   let dir = tmp_path "agree" in
   Sys.mkdir dir 0o755;
@@ -225,10 +225,9 @@ let test_stats_matches_resume_view () =
     ];
   let oc = Out_channel.open_gen [ Open_append ] 0o644 path in
   Out_channel.output_string oc
-    (Printf.sprintf
-       "{\"event\":\"finished\",\"app\":\"gen0005\",\"key\":\"%s\",\"status\":\"mystery\",\"cached\":false,\"attempts\":1,\"txs\":0,\"t\":30.0}\n\
-        {\"event\":\"crashed\",\"app\":\"gen00"
-       (key "gen0005"));
+    (Journal.line_of_event ~stamp:30.0
+       (finished ~status:"mystery" "gen0005")
+    ^ "\n{\"event\":\"crashed\",\"app\":\"gen00");
   Out_channel.close oc;
   (* Every ok app has its report in the cache, so a miss cannot be what
      keeps an app out of any reader's set. *)
@@ -241,6 +240,8 @@ let test_stats_matches_resume_view () =
             "{\"degradations\":[],\"transactions\":[]}")
         (Extr_store.Store.key_of_string (key app)))
     [ "gen0001"; "gen0002" ];
+  Out_channel.with_open_text (Filename.concat cache "NOTES.txt") (fun oc ->
+      Out_channel.output_string oc "not a cache entry\n");
   let status_of (a : Runner.app_result) =
     (a.Runner.ar_app, Runner.status_name a.Runner.ar_status)
   in
@@ -249,10 +250,14 @@ let test_stats_matches_resume_view () =
   in
   let set = Alcotest.(list (pair string string)) in
   let stats =
-    match Stats.of_artifacts ~journals:[ path ] () with
+    match Stats.of_artifacts ~journals:[ path ] ~cache_dir:cache () with
     | Ok t -> t
     | Error msg -> Alcotest.fail msg
   in
+  check Alcotest.(option int) "stats counts the two entries" (Some 2)
+    stats.Stats.rs_cache_entries;
+  check Alcotest.int "the audit checks the same two" 2
+    (Stats.verify ~journals:[ path ] ~cache_dir:cache ()).Stats.vr_cache_checked;
   check set "stats' finished set" want
     (List.filter_map
        (fun a ->
@@ -261,8 +266,7 @@ let test_stats_matches_resume_view () =
        stats.Stats.rs_apps);
   let merged =
     match
-      Merge.merge ~options:o ~entries:es ~journals:[ path ]
-        ~cache_dirs:[ cache ] ()
+      Merge.merge ~journals:[ path ] ~cache_dirs:[ cache ] ()
     with
     | Ok t -> t
     | Error msg -> Alcotest.fail msg

@@ -17,6 +17,7 @@ module Json = Extr_httpmodel.Json
 module Report = Extr_extractocol.Report
 module Resilience = Extr_resilience.Resilience
 module Fault = Extr_resilience.Fault
+module Store = Extr_store.Store
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -50,12 +51,17 @@ let run_ok options entries =
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
-let merge_ok ~options ~entries ~journals ?(cache_dirs = []) ?expect_shards ()
-    =
-  match Merge.merge ~options ~entries ~journals ~cache_dirs ?expect_shards ()
-  with
+let merge_ok ~journals ?(cache_dirs = []) ?expect_shards () =
+  match Merge.merge ~journals ~cache_dirs ?expect_shards () with
   | Ok t -> t
   | Error e -> Alcotest.fail e
+
+let contains ~needle s =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = needle || at (i + 1))
+  in
+  at 0
 
 (* ------------------------------------------------------------------ *)
 (* Partition                                                          *)
@@ -167,7 +173,40 @@ let test_strip_shard () =
   let base, shard = Merge.strip_shard (Runner.journal_fingerprint o) in
   check Alcotest.string "runner base recovered"
     (Runner.config_fingerprint o) base;
-  check kn "runner shard recovered" (Some (2, 3)) shard
+  check kn "runner shard recovered" (Some (2, 3)) shard;
+  (* The corpus tag round-trips too: the tag perfbench writes for
+     gen1000 names that corpus, and only the exact text [corpus_tag]
+     writes is a tag. *)
+  check Alcotest.string "the gen1000 tag" "gen=1:1000"
+    (Runner.corpus_tag ~seed:1 ~count:1000);
+  let corpus tag =
+    Runner.corpus_of_fingerprint
+      (Runner.config_fingerprint
+         { Runner.default_options with Runner.ro_corpus_tag = tag })
+  in
+  let names es =
+    List.map (fun (e : Corpus.entry) -> e.Corpus.c_app.Spec.a_name) es
+  in
+  let shapes es =
+    List.map
+      (fun (e : Corpus.entry) -> List.length e.Corpus.c_app.Spec.a_endpoints)
+      es
+  in
+  let want = Corpus.generated ~seed:1 ~count:1000 in
+  let got = corpus (Some "gen=1:1000") in
+  check Alcotest.(list string) "gen=1:1000 names" (names want) (names got);
+  check Alcotest.(list int) "gen=1:1000 shapes" (shapes want) (shapes got);
+  check Alcotest.(list int) "seed, then count"
+    (shapes (Corpus.generated ~seed:7 ~count:5))
+    (shapes (corpus (Some (Runner.corpus_tag ~seed:7 ~count:5))));
+  let builtin = names (Corpus.builtin ()) in
+  check Alcotest.(list string) "no tag, the built-in corpus" builtin
+    (names (corpus None));
+  List.iter
+    (fun tag ->
+      check Alcotest.(list string) (tag ^ " is no tag") builtin
+        (names (corpus (Some tag))))
+    [ "gen=1:"; "gen=x:5"; "gen=01:5"; "gen=1:5:6"; "gen=+1:5" ]
 
 (* ------------------------------------------------------------------ *)
 (* Shard runs + merge                                                 *)
@@ -191,13 +230,13 @@ let with_shard_runs f =
     (s1.Runner.rn_results <> [] && s2.Runner.rn_results <> []);
   let j k = Filename.concat dir (Printf.sprintf "s%d.jsonl" k) in
   let c k = Filename.concat dir (Printf.sprintf "s%d-cache" k) in
-  f ~dir ~es ~base_o ~base_json ~journals:[ j 1; j 2 ]
+  f ~dir ~base_o ~base_json ~journals:[ j 1; j 2 ]
     ~cache_dirs:[ c 1; c 2 ]
 
 let test_merge_reassembles_unsharded () =
   with_shard_runs
-    (fun ~dir ~es ~base_o ~base_json ~journals ~cache_dirs ->
-      let t = merge_ok ~options:base_o ~entries:es ~journals ~cache_dirs () in
+    (fun ~dir ~base_o:_ ~base_json ~journals ~cache_dirs ->
+      let t = merge_ok ~journals ~cache_dirs () in
       check Alcotest.int "clean merge exits 0" 0 (Merge.exit_code t);
       check Alcotest.string "envelope byte-identical to unsharded" base_json
         (Merge.report_json t);
@@ -207,18 +246,16 @@ let test_merge_reassembles_unsharded () =
       let mc = Filename.concat dir "merged-cache" in
       Sys.mkdir mc 0o755;
       List.iter
-        (fun (key, data) -> write (Filename.concat mc (key ^ ".json")) data)
+        (fun (key, data) ->
+          write (Filename.concat mc (key ^ ".json")) (Store.seal data))
         t.Merge.mg_cache;
-      let t2 =
-        merge_ok ~options:base_o ~entries:es ~journals:[ mj ]
-          ~cache_dirs:[ mc ] ()
-      in
+      let t2 = merge_ok ~journals:[ mj ] ~cache_dirs:[ mc ] () in
       check Alcotest.int "re-merge exits 0" 0 (Merge.exit_code t2);
       check Alcotest.string "re-merge is a no-op" (Merge.report_json t)
         (Merge.report_json t2);
       (* Overlap tolerance: merging every input twice changes nothing. *)
       let t3 =
-        merge_ok ~options:base_o ~entries:es ~journals:(journals @ journals)
+        merge_ok ~journals:(journals @ journals)
           ~cache_dirs:(cache_dirs @ cache_dirs) ()
       in
       check Alcotest.string "duplicated shards merge identically" base_json
@@ -226,12 +263,8 @@ let test_merge_reassembles_unsharded () =
 
 let test_merge_missing_shard () =
   with_shard_runs
-    (fun ~dir:_ ~es ~base_o ~base_json:_ ~journals ~cache_dirs ->
-      let t =
-        merge_ok ~options:base_o ~entries:es
-          ~journals:[ List.hd journals ]
-          ~cache_dirs ()
-      in
+    (fun ~dir:_ ~base_o:_ ~base_json:_ ~journals ~cache_dirs ->
+      let t = merge_ok ~journals:[ List.hd journals ] ~cache_dirs () in
       (* Shard 1's journal declares N=2, so shard 2's absence is
          inferred even without expect_shards. *)
       check Alcotest.(list int) "missing shard listed" [ 2 ]
@@ -249,7 +282,7 @@ let test_merge_missing_shard () =
 
 let test_merge_corrupt_cache_entry () =
   with_shard_runs
-    (fun ~dir:_ ~es ~base_o ~base_json:_ ~journals ~cache_dirs ->
+    (fun ~dir:_ ~base_o:_ ~base_json:_ ~journals ~cache_dirs ->
       (* Truncate one entry in shard 1's cache: its app keeps its
          journal status but loses its report, and the merge degrades
          (exit 3) instead of aborting. *)
@@ -257,7 +290,7 @@ let test_merge_corrupt_cache_entry () =
       (match Sys.readdir dir1 with
       | [||] -> Alcotest.fail "shard 1 cache is empty"
       | files -> write (Filename.concat dir1 files.(0)) "{\"torn");
-      let t = merge_ok ~options:base_o ~entries:es ~journals ~cache_dirs () in
+      let t = merge_ok ~journals ~cache_dirs () in
       check Alcotest.int "degraded merge exits 3" 3 (Merge.exit_code t);
       check Alcotest.bool "degradation recorded" true
         (List.exists
@@ -366,45 +399,73 @@ let test_envelope_round_trip () =
       check Alcotest.int "no extra members" 0 (List.length en.Runner.en_extra)
   | Error e -> Alcotest.fail e
 
-let test_merge_rejects_foreign_config () =
+(* The journals are the one source of a set's configuration: a set whose
+   headers name two bases is refused by merge and stats alike, each
+   naming both. *)
+let test_merge_rejects_mixed_bases () =
   with_shard_runs
-    (fun ~dir:_ ~es ~base_o ~base_json:_ ~journals ~cache_dirs ->
+    (fun ~dir ~base_o ~base_json:_ ~journals ~cache_dirs ->
       let other =
-        { base_o with Runner.ro_corpus_tag = Some "gen=99:99" }
+        {
+          base_o with
+          Runner.ro_corpus_tag = Some (Runner.corpus_tag ~seed:99 ~count:99);
+        }
       in
-      match Merge.merge ~options:other ~entries:es ~journals ~cache_dirs ()
-      with
-      | Error msg ->
-          check Alcotest.bool "error names the mismatch" true
-            (String.length msg > 0)
-      | Ok _ -> Alcotest.fail "foreign-config journal accepted")
+      let foreign = Filename.concat dir "foreign.jsonl" in
+      Journal.append
+        (Journal.create ~path:foreign
+           ~config:(Runner.journal_fingerprint other) ())
+        (Journal.Started
+           { ev_app = "gen0001"; ev_key = String.make 32 'a'; ev_attempt = 1 });
+      let journals = journals @ [ foreign ] in
+      let names_both reader msg =
+        List.iter
+          (fun o ->
+            check Alcotest.bool
+              (reader ^ " names both bases")
+              true
+              (contains ~needle:(Runner.config_fingerprint o) msg))
+          [ base_o; other ]
+      in
+      (match Merge.merge ~journals ~cache_dirs () with
+      | Error msg -> names_both "merge" msg
+      | Ok _ -> Alcotest.fail "merge accepted a set mixing two bases");
+      match Stats.of_artifacts ~journals () with
+      | Error msg -> names_both "stats" msg
+      | Ok _ -> Alcotest.fail "stats accepted a set mixing two bases")
 
 let test_merge_empty_and_unreadable_journals () =
   with_shard_runs
-    (fun ~dir ~es ~base_o ~base_json ~journals ~cache_dirs ->
+    (fun ~dir ~base_o:_ ~base_json ~journals ~cache_dirs ->
       (* A zero-byte journal — the stale-lock shape a shard leaves when
          killed between open and header — is an empty shard, not an
          error and not a degradation. *)
       let empty = Filename.concat dir "empty.jsonl" in
       write empty "";
-      let t =
-        merge_ok ~options:base_o ~entries:es ~journals:(journals @ [ empty ])
-          ~cache_dirs ()
-      in
+      let t = merge_ok ~journals:(journals @ [ empty ]) ~cache_dirs () in
       check Alcotest.int "empty journal never degrades" 0
         (Merge.exit_code t);
       check Alcotest.string "envelope unchanged" base_json
         (Merge.report_json t);
       (* A missing journal file degrades (exit 3) but never aborts. *)
       let t2 =
-        merge_ok ~options:base_o ~entries:es
+        merge_ok
           ~journals:(journals @ [ Filename.concat dir "nope.jsonl" ])
           ~cache_dirs ()
       in
       check Alcotest.int "unreadable journal degrades" 3
         (Merge.exit_code t2);
       check Alcotest.int "results unaffected" gen_count
-        (List.length t2.Merge.mg_run.Runner.rn_results))
+        (List.length t2.Merge.mg_run.Runner.rn_results);
+      (* With no readable header, nothing names the set's configuration
+         or corpus, so there is nothing to merge into. *)
+      match
+        Merge.merge ~journals:[ empty; Filename.concat dir "nope.jsonl" ] ()
+      with
+      | Error _ -> ()
+      | Ok t ->
+          Alcotest.failf "a set with no readable header merged (exit %d)"
+            (Merge.exit_code t))
 
 let test_merge_restarted_app_missing () =
   (* Resume over a lost cache, killed while it re-runs the first app:
@@ -424,7 +485,7 @@ let test_merge_restarted_app_missing () =
       Alcotest.fail "the kill did not fire");
   let journal = Option.get o.Runner.ro_journal in
   let t =
-    merge_ok ~options:o ~entries:es ~journals:[ journal ]
+    merge_ok ~journals:[ journal ]
       ~cache_dirs:(Option.to_list lost.Runner.ro_cache_dir)
       ()
   in
@@ -462,7 +523,7 @@ let test_shard_journal_isolation () =
 
 let test_stats_pools_shard_journals () =
   with_shard_runs
-    (fun ~dir:_ ~es:_ ~base_o ~base_json:_ ~journals ~cache_dirs:_ ->
+    (fun ~dir:_ ~base_o ~base_json:_ ~journals ~cache_dirs:_ ->
       match Stats.of_artifacts ~journals () with
       | Error e -> Alcotest.fail e
       | Ok st ->
@@ -493,7 +554,8 @@ let () =
           tc "missing shard is explicit (exit 4)" test_merge_missing_shard;
           tc "corrupt cache entry quarantines (exit 3)"
             test_merge_corrupt_cache_entry;
-          tc "foreign configuration refused" test_merge_rejects_foreign_config;
+          tc "a set mixing two bases is refused"
+            test_merge_rejects_mixed_bases;
           tc "envelope round-trips through its decoders"
             test_envelope_round_trip;
           tc "empty vs unreadable journals" test_merge_empty_and_unreadable_journals;
