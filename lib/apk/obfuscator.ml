@@ -9,6 +9,8 @@
    evaluation verifies the same results hold on obfuscated APKs (§5). *)
 
 module Ir = Extr_ir.Types
+module Api = Extr_semantics.Api
+module Callbacks = Extr_semantics.Callbacks
 
 type mapping = {
   map_classes : (string, string) Hashtbl.t;
@@ -25,14 +27,22 @@ let obscure_name i =
   in
   go i ""
 
-(** Method names that must survive obfuscation: constructors and framework
-    callback overrides that library code invokes reflectively/virtually. *)
+(** Method names that must survive obfuscation: constructors, lifecycle
+    entry points and the callbacks library code invokes ({!Callbacks}). *)
 let preserved_method_names =
-  [
-    "<init>"; "onCreate"; "onResume"; "onStart"; "onClick"; "run";
-    "doInBackground"; "onPostExecute"; "onResponse"; "onErrorResponse";
-    "onLocationChanged"; "onMessage"; "compare";
-  ]
+  [ "<init>"; "onCreate"; "onResume"; "onStart"; "onErrorResponse"; "compare" ]
+  @ Callbacks.names
+
+(* Intent services keep their class names: startService finds one by the
+   intent's action string, as ProGuard keeps manifest components. *)
+let rec is_intent_service classes (c : Ir.cls) =
+  match c.Ir.c_super with
+  | Some s when s = Api.intent_service -> true
+  | Some s ->
+      List.exists
+        (fun (p : Ir.cls) -> p.Ir.c_name = s && is_intent_service classes p)
+        classes
+  | None -> false
 
 let build_mapping (prog : Ir.program) : mapping =
   let map_classes = Hashtbl.create 64 in
@@ -55,11 +65,16 @@ let build_mapping (prog : Ir.program) : mapping =
           | Some i -> String.sub c.Ir.c_name 0 (i + 1)
           | None -> ""
         in
-        Hashtbl.replace map_classes c.Ir.c_name (pkg ^ fresh "C");
+        (* Kept intent services and handlers still draw their numbers, so no
+           other name moves (obfuscated fields reach gson request bodies). *)
+        let name = pkg ^ fresh "C" in
+        if not (is_intent_service prog.Ir.p_classes c) then
+          Hashtbl.replace map_classes c.Ir.c_name name;
         List.iter
           (fun (m : Ir.meth) ->
             if not (List.mem m.Ir.m_name preserved_method_names) then
-              Hashtbl.replace map_methods (c.Ir.c_name, m.Ir.m_name) (fresh "m"))
+              Hashtbl.replace map_methods (c.Ir.c_name, m.Ir.m_name) (fresh "m")
+            else if m.Ir.m_name = Callbacks.on_handle_intent then ignore (fresh "m"))
           c.Ir.c_methods;
         List.iter
           (fun (f : Ir.field) ->

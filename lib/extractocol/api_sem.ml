@@ -10,6 +10,7 @@ module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
 module Libmodel = Extr_semantics.Libmodel
+module Callbacks = Extr_semantics.Callbacks
 module Strsig = Extr_siglang.Strsig
 module Jsonsig = Extr_siglang.Jsonsig
 module Msgsig = Extr_siglang.Msgsig
@@ -27,10 +28,9 @@ type ctx = {
   cx_tx : int -> Txn.t option;
   cx_db : (string, prov list) Hashtbl.t;  (** SQLite table → stored provenance *)
   cx_run_callback : Ir.method_id -> Absval.t option -> Absval.t list -> Absval.t;
-  cx_register : kind:string -> Absval.t -> unit;
-      (** record a framework callback registration (click/timer/push/
-          location) so the interpreter later fires it with the same
-          receiver heap state *)
+  cx_register : Callbacks.event -> Absval.t -> unit;
+      (** record a listener registration so the interpreter later fires
+          the event's callback with the same receiver heap state *)
   cx_intents : bool;
       (** resolve intent-service dispatch (extension; off reproduces the
           paper's §4 limitation) *)
@@ -452,9 +452,6 @@ let call ctx ~(sid : Ir.stmt_id) (m : Api.model) (i : Ir.invoke)
   | Get_resources -> some (Vobj (alloc Api.resources))
   | Find_view -> some (Vobj (alloc Api.view))
   | Edit_text_get -> some str_unknown
-  | On_click ->
-      ctx.cx_register ~kind:"click" (arg_or_top 0 args);
-      some Vnull
   | Intent_init ->
       (* Android intents are out of scope for Extractocol (§4); with
          [cx_intents] the constant-action case is resolved anyway (an
@@ -488,7 +485,7 @@ let call ctx ~(sid : Ir.stmt_id) (m : Api.model) (i : Ir.invoke)
                  | None -> ());
                  ignore
                    (ctx.cx_run_callback
-                      { Ir.id_cls = action; id_name = "onHandleIntent" }
+                      { Ir.id_cls = action; id_name = Callbacks.on_handle_intent }
                       (Some (Vobj svc))
                       [ Vobj it ])
              | Some _ | None -> ())
@@ -777,7 +774,7 @@ let call ctx ~(sid : Ir.stmt_id) (m : Api.model) (i : Ir.invoke)
       | Vobj o -> (
           match slot o "listener" with
           | Some (Vobj l) ->
-              let cb = { Ir.id_cls = l.o_cls; id_name = "onResponse" } in
+              let cb = { Ir.id_cls = l.o_cls; id_name = Callbacks.on_response } in
               (* Delivery alone is not processing: the body kind upgrades
                  only when the callback actually reads the payload. *)
               ignore
@@ -1134,7 +1131,7 @@ let call ctx ~(sid : Ir.stmt_id) (m : Api.model) (i : Ir.invoke)
           | None -> ())
         (collect_prov !href (arg_or_top 0 args));
       some Vnull
-  (* -------------------- location / timers / push ------------------- *)
+  (* ------------ location, listener registrations ------------ *)
   | Location_lat | Location_lon ->
       some
         (Vstr
@@ -1145,12 +1142,6 @@ let call ctx ~(sid : Ir.stmt_id) (m : Api.model) (i : Ir.invoke)
              structured = None;
              kprov = [];
            })
-  | Location_updates ->
-      ctx.cx_register ~kind:"location" (arg_or_top 0 args);
-      some Vnull
-  | Timer_schedule ->
-      ctx.cx_register ~kind:"timer" (arg_or_top 0 args);
-      some Vnull
-  | Push_subscribe ->
-      ctx.cx_register ~kind:"push" (arg_or_top 0 args);
+  | On_click | Location_updates | Timer_schedule | Push_subscribe ->
+      Option.iter (fun e -> ctx.cx_register e (arg_or_top 0 args)) (Callbacks.event_of m);
       some Vnull

@@ -25,10 +25,9 @@ type ctx = {
       (** SQLite pseudo-store: [table.column] → stored provenance *)
   cx_run_callback :
     Ir.method_id -> Absval.t option -> Absval.t list -> Absval.t;
-  cx_register : kind:string -> Absval.t -> unit;
-      (** record a framework callback registration (click/timer/push/
-          location) so the interpreter later fires it with the same
-          receiver heap state *)
+  cx_register : Extr_semantics.Callbacks.event -> Absval.t -> unit;
+      (** record a listener registration so the interpreter later fires
+          the event's callback with the same receiver heap state *)
   cx_intents : bool;
       (** resolve intent-service dispatch with constant actions
           (extension; off reproduces the paper's §4 limitation) *)

@@ -15,7 +15,9 @@ module Cfg = Extr_cfg.Cfg
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
 module Libmodel = Extr_semantics.Libmodel
+module Callbacks = Extr_semantics.Callbacks
 module Strsig = Extr_siglang.Strsig
+module Index = Extr_ir.Index
 module Slicer = Extr_slicing.Slicer
 module Apk = Extr_apk.Apk
 module Metrics = Extr_telemetry.Metrics
@@ -74,8 +76,7 @@ let default_options =
 type pending = {
   pe_meth : Ir.method_id;
   pe_this : Absval.t;
-  pe_kind : string;  (** click / timer / push / location *)
-  mutable pe_heap : heap option;  (** heap at the end of the registering run *)
+  pe_event : Callbacks.event;
 }
 
 (* A call site's resolution, kept in its method's plan: the library model
@@ -110,9 +111,8 @@ type t = {
   db : (string, prov list) Hashtbl.t;
   statics : (string * string, Absval.t) Hashtbl.t;
   mutable pending : pending list;
-  mutable fired : (Ir.method_id * string) list;  (** callbacks already run *)
+  mutable fired : (Ir.method_id * Callbacks.event) list;  (** callbacks already run *)
   mutable origin : Ir.method_id;
-  mutable origin_kind : string;
   mutable callstack : Ir.stmt_id list;
   mutable active : Ir.Method_set.t;  (** recursion guard *)
   mutable steps : int;  (** statements interpreted (telemetry) *)
@@ -144,7 +144,7 @@ let standalone_budget () =
 
 (** Methods relevant to slicing: methods containing slice statements plus
     everything that can reach them in the call graph. *)
-let relevant_methods ?(intents = false) prog (cg : Callgraph.t)
+let relevant_methods ?(intents = false) (cg : Callgraph.t)
     (slices : Slicer.result) =
   let base =
     List.fold_left
@@ -181,32 +181,21 @@ let relevant_methods ?(intents = false) prog (cg : Callgraph.t)
   (* Intent extension: startService is implicit control flow the call
      graph does not carry; when a relevant intent service exists, the
      dispatching methods (and their callers) become relevant too. *)
-  if intents then begin
-    let service_relevant =
-      Ir.Method_set.exists
-        (fun mid -> mid.Ir.id_name = "onHandleIntent")
-        !result
-    in
-    if service_relevant then
-      List.iter
-        (fun (m : Ir.meth) ->
-          let dispatches =
-            Array.exists
-              (fun stmt ->
-                match Ir.stmt_invoke stmt with
-                | Some i -> Api.model_of i = Some Libmodel.Start_service
-                | None -> false)
-              m.Ir.m_body
-          in
-          if dispatches then begin
-            let mid = Ir.method_id_of_meth m in
-            if not (Ir.Method_set.mem mid !result) then begin
-              result := Ir.Method_set.add mid !result;
-              pull mid
-            end
-          end)
-        (Prog.app_methods prog)
-  end;
+  let handler mid = mid.Ir.id_name = Callbacks.on_handle_intent in
+  if intents && Ir.Method_set.exists handler !result then
+    List.iter
+      (fun (site : Index.site) ->
+        let mid = site.Index.st_stmt.Ir.sid_meth in
+        if
+          Api.model_of site.Index.st_invoke = Some Libmodel.Start_service
+          && not (Ir.Method_set.mem mid !result)
+        then begin
+          result := Ir.Method_set.add mid !result;
+          pull mid
+        end)
+      (List.concat_map
+         (Index.sites_invoking (Callgraph.index cg))
+         (Api.method_names (( = ) Libmodel.Start_service)));
   !result
 
 let create ?(options = default_options) ?budget ?slices prog cg (apk : Apk.t) :
@@ -214,7 +203,7 @@ let create ?(options = default_options) ?budget ?slices prog cg (apk : Apk.t) :
   let relevant =
     match (options.io_restrict_to_slices, slices) with
     | true, Some s ->
-        Some (relevant_methods ~intents:options.io_intents prog cg s)
+        Some (relevant_methods ~intents:options.io_intents cg s)
     | _, _ -> None
   in
   let budget =
@@ -234,7 +223,6 @@ let create ?(options = default_options) ?budget ?slices prog cg (apk : Apk.t) :
     pending = [];
     fired = [];
     origin = { Ir.id_cls = "?"; id_name = "?" };
-    origin_kind = "entry";
     callstack = [];
     active = Ir.Method_set.empty;
     steps = 0;
@@ -633,18 +621,18 @@ and eval_invoke t ~depth plan href vars (sid : Ir.stmt_id) (i : Ir.invoke) :
   let base = Option.map (fun b -> eval_value vars (Ir.Local b)) i.Ir.ibase in
   let args = List.map (eval_value vars) i.Ir.iargs in
   (* AsyncTask chaining: execute(args) → doInBackground(args) →
-     onPostExecute(result). *)
+     onPostExecute(result), in the callback table's order. *)
   let call = call_at plan sid.Ir.sid_idx i in
   let model = call.c_model in
   if model = Some Libmodel.Async_execute then begin
     match base with
     | Some (Vobj o) ->
-        let dib = { Ir.id_cls = o.o_cls; id_name = "doInBackground" } in
-        let ope = { Ir.id_cls = o.o_cls; id_name = "onPostExecute" } in
-        let result = run_app_method t ~depth ~href ~sid dib ~this:base ~args in
-        (if Prog.find_method t.prog ope <> None then
-           ignore
-             (run_app_method t ~depth ~href ~sid ope ~this:base ~args:[ result ]));
+        let run prev name =
+          let args = if Callbacks.previous name = None then args else [ prev ] in
+          let cb = { Ir.id_cls = o.o_cls; id_name = name } in
+          run_app_method t ~depth ~href ~sid cb ~this:base ~args
+        in
+        ignore (List.fold_left run Vtop (Callbacks.callbacks Libmodel.Async_execute));
         Vnull
     | Some _ | None -> Vnull
   end
@@ -713,18 +701,10 @@ and api_ctx t ~depth ~href ~sid : Api_sem.ctx =
         end
         else Vtop);
     cx_register =
-      (fun ~kind listener ->
+      (fun event listener ->
         match listener with
         | Vobj o ->
-            let name =
-              match kind with
-              | "click" -> "onClick"
-              | "timer" -> "run"
-              | "push" -> "onMessage"
-              | "location" -> "onLocationChanged"
-              | _ -> "run"
-            in
-            let cb = { Ir.id_cls = o.o_cls; id_name = name } in
+            let cb = { Ir.id_cls = o.o_cls; id_name = Callbacks.callback event } in
             if
               Prog.find_method t.prog cb <> None
               && (not
@@ -734,10 +714,7 @@ and api_ctx t ~depth ~href ~sid : Api_sem.ctx =
               && not (List.exists (fun (m, _) -> Ir.Method_id.equal m cb) t.fired)
             then
               t.pending <-
-                t.pending
-                @ [
-                    { pe_meth = cb; pe_this = Vobj o; pe_kind = kind; pe_heap = None };
-                  ]
+                t.pending @ [ { pe_meth = cb; pe_this = Vobj o; pe_event = event } ]
         | Vtop | Vnull | Vbool _ | Vint _ | Vstr _ | Vlist _ | Vpair _ | Vcursor _
           ->
             ());
@@ -748,14 +725,11 @@ and api_ctx t ~depth ~href ~sid : Api_sem.ctx =
 (* Driving from origins                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A push payload is an opaque server-controlled string. *)
 let framework_args (href : heap ref) (p : pending) : Absval.t list =
-  match p.pe_kind with
-  | "click" -> [ Vobj (halloc href Api.view) ]
-  | "location" -> [ Vobj (halloc href Api.location) ]
-  | "push" ->
-      (* Server-push payload: opaque server-controlled string. *)
-      [ str_unknown ]
-  | _ -> []
+  Callbacks.event_args p.pe_event
+    ~fresh:(fun cls -> Vobj (halloc href cls))
+    ~payload:str_unknown
 
 (** Run the whole app: lifecycle entry points first, then registered
     callbacks (with or without persistent heap state per options). *)
@@ -771,7 +745,6 @@ let run t : Txn.t list =
       | None -> ()
       | Some m ->
           t.origin <- mid;
-          t.origin_kind <- "entry";
           t.callstack <- [];
           let heap0, this =
             if m.Ir.m_static then (empty_heap, None)
@@ -785,13 +758,9 @@ let run t : Txn.t list =
             end
           in
           let _, heap' = exec_method t ~depth:0 ~heap:heap0 mid ~this ~args:[] in
-          (match this with
+          match this with
           | Some (Vobj o) -> Hashtbl.replace singletons mid.Ir.id_cls (o, heap')
-          | Some _ | None -> ());
-          (* Stamp callbacks registered during this run with its heap. *)
-          List.iter
-            (fun p -> if p.pe_heap = None then p.pe_heap <- Some heap')
-            t.pending)
+          | Some _ | None -> ())
     entries;
   (* Fire registered callbacks on a cumulative event heap: each callback
      sees the state left behind by earlier events, which is how implicit
@@ -817,7 +786,6 @@ let run t : Txn.t list =
   let fire_callback p =
     Metrics.incr m_callbacks;
     t.origin <- p.pe_meth;
-    t.origin_kind <- p.pe_kind;
     t.callstack <- [];
     let heap0, this =
       if t.opts.io_event_heap then (!event_heap, p.pe_this)
@@ -842,7 +810,7 @@ let run t : Txn.t list =
     t.pending <- [];
     List.iter
       (fun p ->
-        let key = (p.pe_meth, p.pe_kind) in
+        let key = (p.pe_meth, p.pe_event) in
         if not (List.mem key t.fired) then begin
           t.fired <- key :: t.fired;
           if callback_relevant p then begin

@@ -17,6 +17,7 @@ module Http = Extr_httpmodel.Http
 module Apk = Extr_apk.Apk
 module Spec = Extr_corpus.Spec
 module Runtime = Extr_runtime.Runtime
+module Callbacks = Extr_semantics.Callbacks
 
 type policy = [ `Auto | `Manual | `Full ]
 
@@ -40,12 +41,12 @@ let endpoint_of_listener (app : Spec.app) (cls : string) : Spec.endpoint option 
 
 (** Should this registration fire under the policy? *)
 let fires (app : Spec.app) (policy : policy) (r : Runtime.registration) : bool =
-  match r.Runtime.rg_kind with
-  | "location" ->
+  match r.Runtime.rg_event with
+  | Callbacks.Location ->
       (* Location callbacks arrive whenever the framework has a fix. *)
       true
-  | "timer" | "push" -> policy = `Full
-  | "click" -> (
+  | Callbacks.Timer | Callbacks.Push -> policy = `Full
+  | Callbacks.Click -> (
       match endpoint_of_listener app r.Runtime.rg_listener.Extr_runtime.Rvalue.ro_cls with
       | Some e -> Spec.trigger_visible app ~policy e
       | None -> (
@@ -53,15 +54,14 @@ let fires (app : Spec.app) (policy : policy) (r : Runtime.registration) : bool =
           match policy with
           | `Auto -> not app.Spec.a_auto_blocked
           | `Manual | `Full -> true))
-  | _ -> false
 
 let trigger_label (app : Spec.app) (r : Runtime.registration) : Http.trigger =
   let name = r.Runtime.rg_listener.Extr_runtime.Rvalue.ro_cls in
-  match r.Runtime.rg_kind with
-  | "timer" -> Http.Timer name
-  | "push" -> Http.Server_push name
-  | "location" -> Http.App_internal ("location:" ^ name)
-  | _ -> (
+  match r.Runtime.rg_event with
+  | Callbacks.Timer -> Http.Timer name
+  | Callbacks.Push -> Http.Server_push name
+  | Callbacks.Location -> Http.App_internal ("location:" ^ name)
+  | Callbacks.Click -> (
       match endpoint_of_listener app name with
       | Some e -> (
           match e.Spec.e_trigger with

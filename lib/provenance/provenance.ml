@@ -67,14 +67,6 @@ type dep_evidence = {
   de_reason : string;  (** "response-value heap flow" or "db-mediated via <t>" *)
 }
 
-(** A phase that bailed before finishing its work: the evidence that a
-    conclusion may be incomplete, not just how it was reached. *)
-type degradation_evidence = {
-  dv_phase : string;
-  dv_reason : string;  (** e.g. "step-budget-exhausted", "deadline-exceeded" *)
-  dv_detail : string;
-}
-
 type t = {
   mutable enabled : bool;
   (* Slice steps are keyed by the owning demarcation-point statement so
@@ -85,7 +77,6 @@ type t = {
   mutable fragments : fragment list;
   mutable pairs : pair_evidence list;
   mutable deps : dep_evidence list;
-  mutable degradations : degradation_evidence list;
 }
 
 let create ?(enabled = false) () =
@@ -97,7 +88,6 @@ let create ?(enabled = false) () =
     fragments = [];
     pairs = [];
     deps = [];
-    degradations = [];
   }
 
 let default = create ()
@@ -110,8 +100,7 @@ let reset t =
   t.rules <- [];
   t.fragments <- [];
   t.pairs <- [];
-  t.deps <- [];
-  t.degradations <- []
+  t.deps <- []
 
 (* ------------------------------------------------------------------ *)
 (* Recording (every function checks [enabled] first)                   *)
@@ -152,12 +141,6 @@ let record_dep t ~tx ~from_tx ~to_field ~reason =
       { de_tx = tx; de_from_tx = from_tx; de_to_field = to_field; de_reason = reason }
       :: t.deps
 
-let record_degradation t ~phase ~reason detail =
-  if t.enabled then
-    t.degradations <-
-      { dv_phase = phase; dv_reason = reason; dv_detail = detail }
-      :: t.degradations
-
 (* ------------------------------------------------------------------ *)
 (* Queries (chronological order restored)                              *)
 (* ------------------------------------------------------------------ *)
@@ -189,4 +172,3 @@ let deps_of t ?(aliases = []) tx =
   let ids = tx :: List.filter_map (fun (raw, rep) -> if rep = tx then Some raw else None) aliases in
   List.rev (List.filter (fun d -> List.mem d.de_tx ids) t.deps)
 
-let degradations t = List.rev t.degradations

@@ -46,14 +46,6 @@ type dep_evidence = {
   de_reason : string;
 }
 
-type degradation_evidence = {
-  dv_phase : string;
-  dv_reason : string;  (** e.g. "step-budget-exhausted", "deadline-exceeded" *)
-  dv_detail : string;
-}
-(** A phase that bailed before finishing its work: evidence that a
-    conclusion may be incomplete, not just how it was reached. *)
-
 type t
 
 val create : ?enabled:bool -> unit -> t
@@ -88,8 +80,6 @@ val record_pair :
 val record_dep :
   t -> tx:int -> from_tx:int -> to_field:string -> reason:string -> unit
 
-val record_degradation : t -> phase:string -> reason:string -> string -> unit
-
 (** {2 Queries} — chronological order. *)
 
 val slice_steps : t -> dp:Ir.stmt_id -> (Ir.stmt_id * slice_step) list
@@ -104,4 +94,3 @@ val fragments_of : t -> ?aliases:(int * int) list -> int -> fragment list
 
 val pairs_of : t -> dp:Ir.stmt_id -> pair_evidence list
 val deps_of : t -> ?aliases:(int * int) list -> int -> dep_evidence list
-val degradations : t -> degradation_evidence list

@@ -13,7 +13,6 @@
 
 module Clock = Extr_telemetry.Clock
 module Metrics = Extr_telemetry.Metrics
-module Provenance = Extr_provenance.Provenance
 
 let src = Logs.Src.create "extractocol.resilience" ~doc:"Budgets and degradation"
 
@@ -161,9 +160,7 @@ module Degrade = struct
     end;
     if Metrics.is_enabled Metrics.default then
       Metrics.incr m_degradations
-        ~labels:[ ("phase", phase); ("reason", reason) ];
-    if Provenance.is_enabled Provenance.default then
-      Provenance.record_degradation Provenance.default ~phase ~reason detail
+        ~labels:[ ("phase", phase); ("reason", reason) ]
 
   (** Record a budget exhaustion, if the budget actually tripped. *)
   let record_exhaustion ?ledger ~phase ?(work_left = 0) (b : Budget.t) detail =

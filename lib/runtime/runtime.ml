@@ -8,6 +8,7 @@ module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
 module Libmodel = Extr_semantics.Libmodel
+module Callbacks = Extr_semantics.Callbacks
 module Apk = Extr_apk.Apk
 module Http = Extr_httpmodel.Http
 module Uri = Extr_httpmodel.Uri
@@ -19,9 +20,9 @@ exception Runtime_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
-(** A registered framework callback: the kind of event that fires it and
-    the receiving listener object. *)
-type registration = { rg_kind : string; rg_listener : robj }
+(** A registered framework callback: the event that fires it and the
+    receiving listener object. *)
+type registration = { rg_event : Callbacks.event; rg_listener : robj }
 
 type t = {
   prog : Prog.t;
@@ -241,26 +242,20 @@ and lib_call t (i : Ir.invoke) ~(base : Rvalue.t option) ~(args : Rvalue.t list)
   in
   let arg n = Option.value (List.nth_opt args n) ~default:Rnull in
   let str_arg n = to_string (arg n) in
-  let register kind =
-    (match arg 0 with
-    | Robj l -> t.registrations <- t.registrations @ [ { rg_kind = kind; rg_listener = l } ]
-    | _ -> ());
-    Rnull
-  in
+  let callback cls name = Prog.find_method t.prog { Ir.id_cls = cls; id_name = name } in
   match (m : Api.model) with
   (* ---------------- AsyncTask (implicit control flow) ------------- *)
   | Async_execute ->
       (match base with
       | Some (Robj o) ->
-          let run cb_name arglist =
-            match
-              Prog.find_method t.prog { Ir.id_cls = o.ro_cls; id_name = cb_name }
-            with
-            | Some cb -> exec_method t cb ~this:(Some (Robj o)) ~args:arglist
+          (* doInBackground(args), then onPostExecute(its result). *)
+          let run prev name =
+            let args = if Callbacks.previous name = None then args else [ prev ] in
+            match callback o.ro_cls name with
+            | Some cb -> exec_method t cb ~this:(Some (Robj o)) ~args
             | None -> Rnull
           in
-          let result = run "doInBackground" args in
-          ignore (run "onPostExecute" [ result ])
+          ignore (List.fold_left run Rnull (Callbacks.callbacks m))
       | _ -> ());
       Rnull
   (* ---------------- reflection ---------------- *)
@@ -324,10 +319,12 @@ and lib_call t (i : Ir.invoke) ~(base : Rvalue.t option) ~(args : Rvalue.t list)
   | Get_resources -> Robj (new_obj Api.resources)
   | Find_view -> Robj (new_obj Api.view)
   | Edit_text_get -> Rstr (t.input ())
-  | On_click -> register "click"
-  | Timer_schedule -> register "timer"
-  | Push_subscribe -> register "push"
-  | Location_updates -> register "location"
+  | On_click | Timer_schedule | Push_subscribe | Location_updates ->
+      (match (arg 0, Callbacks.event_of m) with
+      | Robj l, Some e ->
+          t.registrations <- t.registrations @ [ { rg_event = e; rg_listener = l } ]
+      | _ -> ());
+      Rnull
   | Location_lat -> Rstr "37.566"
   | Location_lon -> Rstr "126.978"
   | Set_text | Log | Framework_init | Noop -> Rnull
@@ -493,10 +490,7 @@ and lib_call t (i : Ir.invoke) ~(base : Rvalue.t option) ~(args : Rvalue.t list)
               let body_str = Http.body_to_string resp.Http.resp_body in
               (match slot req "listener" with
               | Some (Robj l) -> (
-                  match
-                    Prog.find_method t.prog
-                      { Ir.id_cls = l.ro_cls; id_name = "onResponse" }
-                  with
+                  match callback l.ro_cls Callbacks.on_response with
                   | Some cb ->
                       ignore (exec_method t cb ~this:(Some (Robj l)) ~args:[ Rstr body_str ])
                   | None -> ())
@@ -774,9 +768,7 @@ and lib_call t (i : Ir.invoke) ~(base : Rvalue.t option) ~(args : Rvalue.t list)
       (match arg 0 with
       | Robj it -> (
           let action = to_string (Option.value (slot it "action") ~default:(Rstr "")) in
-          match
-            Prog.find_method t.prog { Ir.id_cls = action; id_name = "onHandleIntent" }
-          with
+          match callback action Callbacks.on_handle_intent with
           | Some handler ->
               let svc = new_obj action in
               (match base with
@@ -855,27 +847,16 @@ and apache_execute t (req : robj) : robj =
 
 (** Fire a registered callback with framework-provided arguments. *)
 and fire t (r : registration) =
-  let cb_name =
-    match r.rg_kind with
-    | "click" -> "onClick"
-    | "timer" -> "run"
-    | "push" -> "onMessage"
-    | "location" -> "onLocationChanged"
-    | other -> fail "unknown registration kind %s" other
-  in
   match
-    Prog.find_method t.prog { Ir.id_cls = r.rg_listener.ro_cls; id_name = cb_name }
+    Prog.find_method t.prog
+      { Ir.id_cls = r.rg_listener.ro_cls; id_name = Callbacks.callback r.rg_event }
   with
   | None -> ()
   | Some cb ->
       let args =
-        match r.rg_kind with
-        | "click" -> [ Robj (new_obj Api.view) ]
-        | "location" ->
-            let loc = new_obj Api.location in
-            [ Robj loc ]
-        | "push" -> [ Rstr "{\"note\":\"content-update\"}" ]
-        | _ -> []
+        Callbacks.event_args r.rg_event
+          ~fresh:(fun cls -> Robj (new_obj cls))
+          ~payload:(Rstr "{\"note\":\"content-update\"}")
       in
       ignore (exec_method t cb ~this:(Some (Robj r.rg_listener)) ~args)
 

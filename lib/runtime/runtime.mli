@@ -7,13 +7,14 @@
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Apk = Extr_apk.Apk
+module Callbacks = Extr_semantics.Callbacks
 module Http = Extr_httpmodel.Http
 
 exception Runtime_error of string
 
-(** A registered framework callback: the kind of event that fires it and
-    the receiving listener object. *)
-type registration = { rg_kind : string; rg_listener : Rvalue.robj }
+(** A registered framework callback: the event whose {!Callbacks.callback}
+    on the listener receives what the framework passes. *)
+type registration = { rg_event : Callbacks.event; rg_listener : Rvalue.robj }
 
 type t = {
   prog : Prog.t;

@@ -1,88 +1,130 @@
-(* Implicit call flows (§3.4): thread and HTTP libraries introduce
-   callbacks that a plain call graph misses — AsyncTask.execute() invokes
-   doInBackground/onPostExecute, Timer.schedule() invokes TimerTask.run(),
-   Volley's RequestQueue.add() eventually invokes the listener's
-   onResponse(), a registered click listener receives onClick().  This
-   module resolves such edges so the call graph and the taint engine can
-   follow them. *)
+(* Implicit call flows (§3.4): the one table of the callback protocol.
+   Thread and HTTP libraries and the framework hand control back to app
+   code that a plain call graph misses; each row below says which app
+   methods a call or an event hands control to and what they receive. *)
 
 module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 
-(** The concrete application class of a variable, refined through the
-    program hierarchy (receiver static type is the app subclass in the
-    generated code). *)
+type event = Click | Timer | Push | Location
+type passed = Nothing | Fresh of string | Payload
+type source = Call_args | Previous | Response | Event of event
+type carrier = Receiver | Arg of int | Action of int
+type listener = { carrier : carrier; callbacks : (string * source) list }
+
+let do_in_background = "doInBackground"
+let on_post_execute = "onPostExecute"
+let on_response = "onResponse"
+let on_handle_intent = "onHandleIntent"
+
+(* One row per event: the model that registers its listener, the
+   callback the framework invokes when it fires, and what it passes. *)
+let event_row = function
+  | Click -> (Libmodel.On_click, "onClick", Fresh Api.view)
+  | Timer -> (Libmodel.Timer_schedule, "run", Nothing)
+  | Push -> (Libmodel.Push_subscribe, "onMessage", Payload)
+  | Location -> (Libmodel.Location_updates, "onLocationChanged", Fresh Api.location)
+
+let events = [ Click; Timer; Push; Location ]
+let callback e = match event_row e with _, name, _ -> name
+
+let event_args e ~fresh ~payload =
+  match event_row e with
+  | _, _, Nothing -> []
+  | _, _, Fresh cls -> [ fresh cls ]
+  | _, _, Payload -> [ payload ]
+
+let table : (Api.model * listener) list =
+  [
+    (* execute(param) → doInBackground(param) → onPostExecute(result) *)
+    ( Libmodel.Async_execute,
+      {
+        carrier = Receiver;
+        callbacks = [ (do_in_background, Call_args); (on_post_execute, Previous) ];
+      } );
+    (* An app subclass of StringRequest may define onResponse itself. *)
+    (Libmodel.Volley_add, { carrier = Arg 0; callbacks = [ (on_response, Response) ] });
+    (* new StringRequest(method, url, listener) registers the listener. *)
+    ( Libmodel.Volley_request_init,
+      { carrier = Arg 2; callbacks = [ (on_response, Response) ] } );
+    (* startService(intent) runs the service its action names (§4). *)
+    ( Libmodel.Start_service,
+      { carrier = Action 0; callbacks = [ (on_handle_intent, Call_args) ] } );
+  ]
+  @ List.map
+      (fun e ->
+        let m, name, _ = event_row e in
+        (m, { carrier = Arg 0; callbacks = [ (name, Event e) ] }))
+      events
+
+(* Hashed: the call graph asks about every library call it resolves. *)
+let listener = Hashtbl.find_opt (Hashtbl.of_seq (List.to_seq table))
+
+let callbacks m =
+  match listener m with Some l -> List.map fst l.callbacks | None -> []
+
+let event_of m = List.find_opt (fun e -> match event_row e with r, _, _ -> r = m) events
+
+(* Each callback's source and its predecessor in its row, hashed: the
+   forward engine asks on every application call. *)
+let by_name : (string, source * string option) Hashtbl.t = Hashtbl.create 16
+
+let () =
+  let add prev (name, source) = Hashtbl.replace by_name name (source, prev); Some name in
+  List.iter (fun (_, l) -> ignore (List.fold_left add None l.callbacks)) table
+
+let names = List.sort String.compare (List.of_seq (Hashtbl.to_seq_keys by_name))
+
+let receives_call_args name =
+  match Hashtbl.find_opt by_name name with
+  | Some (source, _) -> source = Call_args
+  | None -> true
+
+let previous name =
+  match Hashtbl.find_opt by_name name with
+  | Some (Previous, prev) -> prev
+  | Some _ | None -> None
+
 let var_class (v : Ir.var) =
   match v.Ir.vty with Ir.Obj c -> Some c | Ir.Void | Ir.Int | Ir.Bool | Ir.Str | Ir.Arr _ -> None
 
-let method_if_exists prog cls name =
-  match Prog.find_method prog { Ir.id_cls = cls; id_name = name } with
-  | Some _ -> [ { Ir.id_cls = cls; id_name = name } ]
-  | None -> []
+(* The listener class a call's carrier names by its static type; an
+   intent's action is a string, so [Action] names none. *)
+let carrier_class (invoke : Ir.invoke) = function
+  | Receiver -> Option.bind invoke.Ir.ibase var_class
+  | Arg i -> (
+      match List.nth_opt invoke.Ir.iargs i with
+      | Some (Ir.Local v) -> var_class v
+      | Some (Ir.Const _) | None -> None)
+  | Action _ -> None
 
-(** Given the static class of an argument value, the callback methods the
-    library will invoke on it. *)
-let callbacks_on_arg prog (value : Ir.value) names =
-  match value with
-  | Ir.Local v -> (
-      match var_class v with
-      | Some cls -> List.concat_map (method_if_exists prog cls) names
-      | None -> [])
-  | Ir.Const _ -> []
-
-(* Where a modelled call hands control back to the app: the value that
-   carries the listener and the callbacks the library invokes on it. *)
-type carrier = Receiver | Arg of int
-
-let listener : Api.model -> (carrier * string list) option = function
-  | Libmodel.Async_execute ->
-      (* execute(param) → doInBackground(param) → onPostExecute(result) *)
-      Some (Receiver, [ "doInBackground"; "onPostExecute" ])
-  | Libmodel.Timer_schedule -> Some (Arg 0, [ "run" ])
-  | Libmodel.On_click -> Some (Arg 0, [ "onClick" ])
-  | Libmodel.Volley_add ->
-      (* The request object's listener (constructor argument) is resolved
-         separately; the request's own class may also define onResponse
-         when apps subclass StringRequest. *)
-      Some (Arg 0, [ "onResponse" ])
-  | Libmodel.Volley_request_init ->
-      (* new StringRequest(method, url, listener) registers the listener. *)
-      Some (Arg 2, [ "onResponse" ])
-  | Libmodel.Location_updates -> Some (Arg 0, [ "onLocationChanged" ])
-  | Libmodel.Push_subscribe -> Some (Arg 0, [ "onMessage" ])
-  | _ -> None
-
-let trigger_names = Api.method_names (fun m -> listener m <> None)
+let trigger_names =
+  Api.method_names (fun m ->
+      match listener m with
+      | Some { carrier = Receiver | Arg _; _ } -> true
+      | Some { carrier = Action _; _ } | None -> false)
 
 let resolve : Extr_cfg.Callgraph.callback_resolver =
  fun prog invoke ->
-  let on_value v names =
-    match v with Some v -> callbacks_on_arg prog v names | None -> []
-  in
   match Option.bind (Api.model_of invoke) listener with
-  | Some (Receiver, names) ->
-      on_value (Option.map (fun b -> Ir.Local b) invoke.Ir.ibase) names
-  | Some (Arg i, names) -> on_value (List.nth_opt invoke.Ir.iargs i) names
+  | Some l -> (
+      match carrier_class invoke l.carrier with
+      | Some cls ->
+          List.filter_map
+            (fun (name, _) ->
+              let id = { Ir.id_cls = cls; id_name = name } in
+              Option.map (fun _ -> id) (Prog.find_method prog id))
+            l.callbacks
+      | None -> [])
   | None -> []
 
-(** The listener class carried by a Volley-style request object: the class
-    of the third constructor argument of [new StringRequest(m, url, l)].
-    Scans the allocating method for the constructor call on [req_var]. *)
-let listener_of_request prog (meth : Ir.meth) (req_var : Ir.var) :
-    Ir.method_id list =
-  let found = ref [] in
-  Array.iter
-    (fun stmt ->
+let listener_of_request prog (meth : Ir.meth) (req_var : Ir.var) =
+  Array.fold_left
+    (fun found stmt ->
       match Ir.stmt_invoke stmt with
       | Some ({ Ir.ikind = Ir.Special; ibase = Some b; _ } as i)
         when b.Ir.vname = req_var.Ir.vname
-             && Api.model_of i = Some Libmodel.Volley_request_init -> (
-          match List.nth_opt i.Ir.iargs 2 with
-          | Some (Ir.Local l) -> (
-              match var_class l with
-              | Some cls -> found := method_if_exists prog cls "onResponse" @ !found
-              | None -> ())
-          | Some (Ir.Const _) | None -> ())
-      | Some _ | None -> ())
-    meth.Ir.m_body;
-  !found
+             && Api.model_of i = Some Libmodel.Volley_request_init ->
+          resolve prog i @ found
+      | Some _ | None -> found)
+    [] meth.Ir.m_body

@@ -12,9 +12,9 @@ module Prog = Extr_ir.Prog
 type response_binding =
   | Ret  (** the call's return value is the response object *)
   | Base  (** the receiver itself yields the response (HttpURLConnection) *)
-  | Listener_callback of { arg_idx : int; callback : string }
-      (** the response arrives as the first parameter of [callback] on the
-          listener object passed as argument [arg_idx] (Volley style) *)
+  | Listener_callback of { arg_idx : int }
+      (** the response arrives as the first parameter of the {!Callbacks}
+          callback of the listener the request in argument [arg_idx] carries *)
   | Opaque_sink  (** the response is consumed internally (MediaPlayer) *)
 
 (** What part of the invoke carries the request. *)
@@ -62,7 +62,7 @@ let registry : t list =
       dp_cls = Api.request_queue;
       dp_meth = "add";
       dp_request = Arg 0;
-      dp_response = Listener_callback { arg_idx = 0; callback = "onResponse" };
+      dp_response = Listener_callback { arg_idx = 0 };
       dp_desc = "RequestQueue.add(Request)";
     };
     (* okhttp: the call wraps the built request; execute returns the

@@ -9,9 +9,9 @@ module Ir = Extr_ir.Types
 type response_binding =
   | Ret  (** the call's return value is the response object *)
   | Base  (** the receiver itself yields the response *)
-  | Listener_callback of { arg_idx : int; callback : string }
-      (** the response arrives as the first parameter of [callback] on the
-          listener carried by argument [arg_idx] (Volley style) *)
+  | Listener_callback of { arg_idx : int }
+      (** the response arrives as the first parameter of the {!Callbacks}
+          callback of the listener the request in argument [arg_idx] carries *)
   | Opaque_sink  (** the response is consumed internally (MediaPlayer) *)
 
 (** What part of the invoke carries the request. *)

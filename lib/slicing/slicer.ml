@@ -225,7 +225,7 @@ let response_def prog (dp : dp_site) : Ir.var option =
 (** Callback entry points receiving the response for listener-style DPs. *)
 let response_callback_roots prog (dp : dp_site) : (Ir.method_id * Ir.var) list =
   match dp.dp_info.Demarcation.dp_response with
-  | Demarcation.Listener_callback { arg_idx; callback = _ } -> (
+  | Demarcation.Listener_callback { arg_idx } -> (
       match List.nth_opt dp.dp_invoke.Ir.iargs arg_idx with
       | Some (Ir.Local req_var) -> (
           match Prog.find_method prog dp.dp_stmt.Ir.sid_meth with

@@ -15,6 +15,7 @@ module Ir = Extr_ir.Types
 module Prog = Extr_ir.Prog
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
+module Callbacks = Extr_semantics.Callbacks
 module Taint_model = Extr_semantics.Taint_model
 module Metrics = Extr_telemetry.Metrics
 module Profile = Extr_telemetry.Profile
@@ -220,7 +221,6 @@ let handle_invoke t s idx set (i : Ir.invoke) =
     (* Application callees: map arguments to parameters, propagate global
        facts into the callee, read back the return summary. *)
     let globals = globals_of set in
-    let implicit_names = List.map (fun c -> c.Ir.id_name) app_callees in
     List.iter
       (fun callee_id ->
         let cs = slot_of t callee_id in
@@ -234,36 +234,26 @@ let handle_invoke t s idx set (i : Ir.invoke) =
                | Some b when Fact.local_or_path_tainted set mid b ->
                    entry := Fact.Flocal (callee_id, "this", []) :: !entry
                | Some _ | None -> ());
-            (* Argument → parameter mapping.  For AsyncTask's implicit
-               doInBackground edge the execute() arguments are the
-               callback's parameters; for framework-driven callbacks
-               (onClick, run, onPostExecute) parameters come from the
-               framework, not the call site. *)
-            let maps_args =
-              match callee_id.Ir.id_name with
-              | "onPostExecute" | "onClick" | "run" | "onLocationChanged"
-              | "onMessage" | "onResponse" ->
-                  false
-              | _ -> true
-            in
-            if maps_args then
-              List.iteri
-                (fun k tainted ->
-                  if tainted then
-                    match List.nth_opt callee.Ir.m_params k with
-                    | Some p -> entry := Fact.local callee_id p :: !entry
-                    | None -> ())
-                args_tainted;
-            (* AsyncTask chaining: onPostExecute(result) receives
-               doInBackground's return value. *)
-            (if callee_id.Ir.id_name = "onPostExecute"
-               && List.mem "doInBackground" implicit_names
-            then
-               let dib = { callee_id with Ir.id_name = "doInBackground" } in
-               if ret_tainted t dib then
-                 match callee.Ir.m_params with
-                 | p :: _ -> entry := Fact.local callee_id p :: !entry
-                 | [] -> ());
+            (* Argument → parameter mapping, unless the callback table
+               feeds this callee from the framework, the response, or
+               (AsyncTask chaining) its predecessor's return value. *)
+            (if Callbacks.receives_call_args callee_id.Ir.id_name then
+               List.iteri
+                 (fun k tainted ->
+                   if tainted then
+                     match List.nth_opt callee.Ir.m_params k with
+                     | Some p -> entry := Fact.local callee_id p :: !entry
+                     | None -> ())
+                 args_tainted
+             else
+               match Callbacks.previous callee_id.Ir.id_name with
+               | Some prev
+                 when List.exists (fun c -> c.Ir.id_name = prev) app_callees
+                      && ret_tainted t { callee_id with Ir.id_name = prev } -> (
+                   match callee.Ir.m_params with
+                   | p :: _ -> entry := Fact.local callee_id p :: !entry
+                   | [] -> ())
+               | Some _ | None -> ());
             merge_at t cs 0 (Fact.Set.of_list !entry);
             (* Globals always flow into callees. *)
             merge_at t cs 0 globals)

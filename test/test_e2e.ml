@@ -542,7 +542,7 @@ let test_intent_resolution_extension () =
     if e.Corpus.c_app.Spec.a_closed then Pipeline.default_options
     else Pipeline.open_source_options
   in
-  let count options =
+  let count ?(apk = apk) options =
     List.length
       (Pipeline.analyze ~options apk).Pipeline.an_report.Report.rp_transactions
   in
@@ -553,7 +553,12 @@ let test_intent_resolution_extension () =
   check Alcotest.int "paper config misses intent endpoints" supported
     (count base);
   check Alcotest.int "intent resolution recovers them" total
-    (count { base with Pipeline.op_intents = true })
+    (count { base with Pipeline.op_intents = true });
+  (* Obfuscation keeps the service's class and handler names, which the
+     dispatch finds by the intent's action string. *)
+  let obfuscated = fst (Obfuscator.obfuscate apk) in
+  check Alcotest.int "also on the obfuscated app" total
+    (count ~apk:obfuscated { base with Pipeline.op_intents = true })
 
 let test_byte_accounting_sums () =
   let ae = eval_of "radio reddit" in

@@ -677,7 +677,7 @@ let abstract_ctx heap : Api_sem.ctx =
     cx_tx = (fun _ -> None);
     cx_db = Hashtbl.create 1;
     cx_run_callback = (fun _ _ _ -> Absval.Vtop);
-    cx_register = (fun ~kind:_ _ -> ());
+    cx_register = (fun _ _ -> ());
     cx_intents = false;
   }
 

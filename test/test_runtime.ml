@@ -7,6 +7,7 @@ module B = Extr_ir.Builder
 module Api = Extr_semantics.Api
 module Apk = Extr_apk.Apk
 module Http = Extr_httpmodel.Http
+module Har = Extr_httpmodel.Har
 module Json = Extr_httpmodel.Json
 module Uri = Extr_httpmodel.Uri
 module Runtime = Extr_runtime.Runtime
@@ -329,6 +330,24 @@ let test_fuzz_trigger_labels () =
   check Alcotest.bool "custom-ui label present" true
     (List.exists (fun l -> l = "custom-ui:login") labels)
 
+(* Every built-in app's traffic under each policy against a golden digest
+   taken before the callback table drove the runtime's dispatch and the
+   fuzzers' event policy: both reach every trace byte. *)
+let test_fuzz_traces_golden () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let apk = Lazy.force e.Corpus.c_apk in
+      List.iter
+        (fun policy ->
+          Buffer.add_string buf (Har.to_string (Fuzz.run e.Corpus.c_app apk ~policy));
+          Buffer.add_char buf '\n')
+        [ `Auto; `Manual; `Full ])
+    (Corpus.builtin ());
+  check Alcotest.string "traces of the 39 built-in apps under 3 policies"
+    "84b0c0dae6e3942efbf74999d1936133"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -352,5 +371,6 @@ let () =
         [
           tc "policies differ" test_fuzz_policies_differ;
           tc "trigger labels" test_fuzz_trigger_labels;
+          tc "traces digest" test_fuzz_traces_golden;
         ] );
     ]

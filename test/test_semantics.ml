@@ -152,28 +152,59 @@ let test_callbacks_asynctask () =
        { Ir.id_cls = task_cls; id_name = "doInBackground" }
        (Callbacks.resolve prog i))
 
+(* Each listener registration, the four framework events and both Volley
+   calls, resolves to the callback the table names on the listener
+   class. *)
 let test_callbacks_click () =
   let lsn_cls = "L" in
-  let on_click =
-    B.mk_meth ~cls:lsn_cls ~name:"onClick"
-      ~params:[ B.local "v" (Ir.Obj Api.view) ]
-      ~ret:Ir.Void
-      (fun _ -> ())
+  let case what ~super ~callback ?event model invoke =
+    check Alcotest.(list string) (what ^ ": the table's callback") [ callback ]
+      (Callbacks.callbacks model);
+    (match event with
+    | Some e ->
+        check Alcotest.bool (what ^ ": the model registers the event") true
+          (Callbacks.event_of model = Some e);
+        check Alcotest.string (what ^ ": the event's callback") callback
+          (Callbacks.callback e)
+    | None ->
+        check Alcotest.bool (what ^ ": no event") true (Callbacks.event_of model = None));
+    let cb =
+      B.mk_meth ~cls:lsn_cls ~name:callback ~params:[] ~ret:Ir.Void (fun _ -> ())
+    in
+    let prog =
+      Prog.of_program
+        {
+          Ir.p_classes = B.mk_cls ~super lsn_cls [ cb ] :: Api.library_classes;
+          p_entries = [];
+        }
+    in
+    let l = B.local "l" (Ir.Obj lsn_cls) in
+    let i = invoke (B.vl l) in
+    check Alcotest.bool (what ^ ": model") true (Api.model_of i = Some model);
+    check Alcotest.bool (what ^ ": " ^ callback ^ " resolved") true
+      (List.mem { Ir.id_cls = lsn_cls; id_name = callback } (Callbacks.resolve prog i))
   in
-  let prog =
-    Prog.of_program
-      {
-        Ir.p_classes =
-          B.mk_cls ~super:Api.on_click_listener lsn_cls [ on_click ]
-          :: Api.library_classes;
-        p_entries = [];
-      }
-  in
-  let view = B.local "v" (Ir.Obj Api.view) in
-  let l = B.local "l" (Ir.Obj lsn_cls) in
-  let i = B.virtual_call view Api.view "setOnClickListener" [ B.vl l ] in
-  check Alcotest.bool "onClick resolved" true
-    (List.mem { Ir.id_cls = lsn_cls; id_name = "onClick" } (Callbacks.resolve prog i))
+  let on cls name = B.local name (Ir.Obj cls) in
+  case "click" ~super:Api.on_click_listener ~callback:"onClick" ~event:Callbacks.Click
+    Libmodel.On_click (fun l ->
+      B.virtual_call (on Api.view "v") Api.view "setOnClickListener" [ l ]);
+  case "timer" ~super:Api.timer_task ~callback:"run" ~event:Callbacks.Timer
+    Libmodel.Timer_schedule (fun l ->
+      B.virtual_call (on Api.timer "t") Api.timer "schedule" [ l; B.vint 60000 ]);
+  case "push" ~super:Api.messaging_service ~callback:"onMessage" ~event:Callbacks.Push
+    Libmodel.Push_subscribe (fun l ->
+      B.static_call Api.firebase_messaging "subscribe" [ l ]);
+  case "location" ~super:Api.location_listener ~callback:"onLocationChanged"
+    ~event:Callbacks.Location Libmodel.Location_updates (fun l ->
+      B.virtual_call (on Api.location_manager "lm") Api.location_manager
+        "requestLocationUpdates" [ l ]);
+  case "volley request-init" ~super:Api.volley_listener ~callback:"onResponse"
+    Libmodel.Volley_request_init (fun l ->
+      B.special_call (on Api.string_request "r") Api.string_request "<init>"
+        [ B.vstr "GET"; B.vstr "https://h/p"; l ]);
+  (* An app subclass of StringRequest may define onResponse itself. *)
+  case "volley add" ~super:Api.string_request ~callback:"onResponse" Libmodel.Volley_add
+    (fun l -> B.virtual_call (on Api.request_queue "q") Api.request_queue "add" [ l ])
 
 (* ------------------------------------------------------------------ *)
 (* Taint transfer model                                               *)
